@@ -140,8 +140,7 @@ def _variant_name(model: EncoderModel) -> str:
 
 def _probe_frames(model: EncoderModel, seed: int, n: int = PRESERVE_PROBES) -> list:
     rng = np.random.default_rng(seed)
-    d = model.config.d_model if model.config.frontend == "identity" \
-        else model.config.conv_in_dim
+    d = model.config.input_dim
     return [rng.normal(0.0, 1.0, (int(rng.integers(4, 24)), d)) for _ in range(n)]
 
 
@@ -297,6 +296,11 @@ def cmd_report(args) -> int:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read eval result {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"eval result {path} must hold a JSON object")
+        for key in ("corpus", "variant", "uar"):
+            if key not in payload:
+                raise ConfigError(f"eval result {path} lacks key {key!r}")
         results.setdefault(payload["corpus"], {})[payload["variant"]] = payload["uar"]
     text, csv = report(results)
     run.write_text("report.txt", text)

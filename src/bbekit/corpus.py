@@ -286,25 +286,27 @@ def next_batch(iterator: CorpusIterator, batch_size: int,
     if frame_cap is not None and frame_cap < 1:
         raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
     samples = iterator.take(batch_size)
-    arrays = []
-    for s in samples:
-        frames = iterator.manifest.features(s)
-        if frame_cap is not None and frames.shape[0] > frame_cap:
-            frames = frames[:frame_cap]
-        arrays.append(frames)
-    t_max = max(a.shape[0] for a in arrays)
-    d = arrays[0].shape[1]
-    features = np.zeros((batch_size, t_max, d))
-    pad_mask = np.zeros((batch_size, t_max), dtype=bool)
-    for i, a in enumerate(arrays):
-        if a.shape[1] != d:
-            raise InputError(f"inconsistent feature dim in corpus "
-                             f"{iterator.manifest.corpus_id}: {a.shape[1]} vs {d}")
-        features[i, :a.shape[0]] = a
-        pad_mask[i, :a.shape[0]] = True
+    arrays = [iterator.manifest.features(s)[:frame_cap] for s in samples]
+    features, pad_mask = pad_frames(arrays, iterator.manifest.corpus_id)
     return Batch(features=features, pad_mask=pad_mask,
                  labels=[s.mapped_class for s in samples],
                  corpus_id=iterator.manifest.corpus_id)
+
+
+def pad_frames(arrays: list[np.ndarray], corpus_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stack [T_i, d] arrays into zero-padded [B, T_max, d] features and a
+    [B, T_max] mask, True on real frames."""
+    t_max = max(a.shape[0] for a in arrays)
+    d = arrays[0].shape[1]
+    features = np.zeros((len(arrays), t_max, d))
+    pad_mask = np.zeros((len(arrays), t_max), dtype=bool)
+    for i, a in enumerate(arrays):
+        if a.shape[1] != d:
+            raise InputError(f"inconsistent feature dim in corpus "
+                             f"{corpus_id}: {a.shape[1]} vs {d}")
+        features[i, :a.shape[0]] = a
+        pad_mask[i, :a.shape[0]] = True
+    return features, pad_mask
 
 
 # -- synthetic corpora -------------------------------------------------------

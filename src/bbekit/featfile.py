@@ -5,6 +5,7 @@ All integers little-endian; payload is row-major float32.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -41,7 +42,12 @@ def read_features(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if n_frames < 1 or dim < 1:
             raise FormatError(f"{path}: invalid dimensions {n_frames}x{dim}")
-        payload = fh.read(4 * n_frames * dim + 1)
-    if len(payload) != 4 * n_frames * dim:
+        # checked before reading, so a hostile header cannot request a
+        # payload larger than the file
+        n_bytes = 4 * n_frames * dim
+        if os.fstat(fh.fileno()).st_size - _HEADER.size != n_bytes:
+            raise FormatError(f"{path}: payload size mismatch for {n_frames}x{dim}")
+        payload = fh.read(n_bytes)
+    if len(payload) != n_bytes:
         raise FormatError(f"{path}: payload size mismatch for {n_frames}x{dim}")
     return np.frombuffer(payload, dtype="<f4").reshape(n_frames, dim).astype(np.float64)

@@ -2,8 +2,9 @@
 
 Each public op validates its shapes, composes autodiff primitives, and
 checks the result for non-finite values (the operation-level hygiene
-contract).  Padding masks are boolean arrays with True marking valid
-frames.
+contract).  Frame sequences are [B, T, d] with a [B, T] padding mask; a
+single [T, d] sequence with a [T] mask is accepted wherever a batch is.
+Padding masks are boolean arrays with True marking valid frames.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
 
 
 def key_padding_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
-    """Additive bias row excluding padded keys from attention softmax."""
+    """Additive bias excluding padded keys from the attention softmax."""
     if pad_mask is None:
         return None
     mask = np.asarray(pad_mask, dtype=bool)
@@ -70,31 +71,40 @@ def key_padding_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
 def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                          wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
                          heads: int, pad_mask: np.ndarray | None = None) -> Tensor:
-    """Bidirectional scaled dot-product attention over [T, d] frames."""
-    if x.ndim != 2:
-        raise DimensionError(f"attention expects [T, d], got {x.shape}")
-    n_frames, d = x.shape
+    """Bidirectional scaled dot-product attention over [B, T, d] frames.
+
+    Scores are [B, heads, T, T]; a [B, T] pad_mask becomes a [B, 1, 1, T]
+    key bias.  A [T, d] input with a [T] mask runs without the batch axis.
+    """
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"attention expects [T, d] or [B, T, d], got {x.shape}")
+    *lead, n_frames, d = x.shape
+    lead = tuple(lead)
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
     d_head = d // heads
+    n = len(lead)
+    # swaps the frame and head axes: [..., T, heads, d_head] <-> [..., heads, T, d_head]
+    head_axes = tuple(range(n)) + (n + 1, n, n + 2)
 
     q = linear_forward(x, wq, bq)
     k = linear_forward(x, wk, bk)
     v = linear_forward(x, wv, bv)
 
-    def split(t: Tensor) -> Tensor:  # [T, d] -> [heads, T, d_head]
-        return ad.transpose(ad.reshape(t, (n_frames, heads, d_head)), (1, 0, 2))
+    def split(t: Tensor) -> Tensor:
+        return ad.transpose(ad.reshape(t, lead + (n_frames, heads, d_head)), head_axes)
 
     q, k, v = split(q), split(k), split(v)
-    scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(d_head))
+    k_t = ad.transpose(k, tuple(range(n + 1)) + (n + 2, n + 1))
+    scores = ad.matmul(q, k_t) * (1.0 / np.sqrt(d_head))
     bias = key_padding_bias(pad_mask)
     if bias is not None:
-        if bias.shape != (n_frames,):
-            raise DimensionError(f"pad_mask length {bias.shape} != {n_frames} frames")
-        bias = bias[None, None, :]
+        if bias.shape != lead + (n_frames,):
+            raise DimensionError(f"pad_mask shape {bias.shape} != {lead + (n_frames,)}")
+        bias = bias.reshape(lead + (1, 1, n_frames))
     weights = ad.softmax_last(scores, additive_mask=bias)
-    mixed = ad.matmul(weights, v)  # [heads, T, d_head]
-    merged = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (n_frames, d))
+    mixed = ad.matmul(weights, v)  # [..., heads, T, d_head]
+    merged = ad.reshape(ad.transpose(mixed, head_axes), lead + (n_frames, d))
     return _check_finite("attention", linear_forward(merged, wo, bo))
 
 
@@ -128,7 +138,7 @@ LN_EPS = 1e-5
 
 def encoder_block_forward(x: Tensor, p: BlockParams, heads: int,
                           pad_mask: np.ndarray | None = None) -> Tensor:
-    """Pre-norm block: u = x + Attn(LN1(x)); y = u + FFN(LN2(u))."""
+    """Pre-norm block over [B, T, d]: u = x + Attn(LN1(x)); y = u + FFN(LN2(u))."""
     attended = multi_head_attention(layer_norm(x, p.ln1_gain, p.ln1_shift, LN_EPS),
                                     p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo,
                                     heads, pad_mask)
@@ -149,22 +159,24 @@ def expanded_block_forward(x: Tensor, p: BlockParams, heads: int,
     return x + linear_forward(inner, p.zll_weight, p.zll_bias)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Scalar -log softmax(logits)[label]; gradient is softmax - one_hot."""
-    return _check_finite("cross_entropy", ad.cross_entropy_with_logits(logits, label))
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean -log softmax over [B, C] logits and B labels (or the scalar loss
+    of 1-d logits and an int label); gradient is (softmax - one_hot) / B."""
+    return _check_finite("cross_entropy", ad.cross_entropy_with_logits(logits, labels))
 
 
 def masked_mean_pool(x: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
-    """Mean over valid frames of [T, d]; padded rows contribute nothing."""
-    if x.ndim != 2:
-        raise DimensionError(f"pooling expects [T, d], got {x.shape}")
+    """Mean over the valid frames of [B, T, d] -> [B, d] (or [T, d] -> [d]);
+    padded rows contribute nothing."""
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"pooling expects [T, d] or [B, T, d], got {x.shape}")
     if pad_mask is None:
-        return ad.tmean(x, axis=0)
+        return ad.tmean(x, axis=-2)
     mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != (x.shape[0],):
-        raise DimensionError(f"pad_mask shape {mask.shape} != ({x.shape[0]},)")
-    count = int(mask.sum())
-    if count == 0:
+    if mask.shape != x.shape[:-1]:
+        raise DimensionError(f"pad_mask shape {mask.shape} != {x.shape[:-1]}")
+    count = mask.sum(axis=-1)
+    if (count == 0).any():
         raise InputError("all frames masked out")
-    weights = mask.astype(np.float64)[:, None]
-    return ad.tsum(ad.mul(x, weights), axis=0) * (1.0 / count)
+    weights = mask.astype(np.float64)[..., None]
+    return ad.mul(ad.tsum(ad.mul(x, weights), axis=-2), (1.0 / count)[..., None])

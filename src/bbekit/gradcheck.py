@@ -30,8 +30,7 @@ def check_model_gradients(model: EncoderModel, n_probes: int = 100,
     if n_probes < 1:
         raise ConfigError(f"n_probes must be >= 1, got {n_probes}")
     rng = np.random.default_rng(seed)
-    d_in = model.config.d_model if model.config.frontend == "identity" \
-        else model.config.conv_in_dim
+    d_in = model.config.input_dim
     trainable = [name for name, entry in model.store.items() if not entry.frozen]
     if not trainable:
         raise ConfigError("model has no trainable parameters to check")

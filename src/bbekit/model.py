@@ -1,4 +1,8 @@
-"""Encoder model: feature frontend, block stack, pooling, classifier head."""
+"""Encoder model: feature frontend, block stack, pooling, classifier head.
+
+The forward pass runs on batches of [B, T, d_in] frames with a [B, T]
+padding mask; a single [T, d_in] sequence is a batch of one.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +39,12 @@ class EncoderConfig:
     conv_in_dim: int = 1
     n_classes: int = 6
     pooling: str = "mean"
+
+    @property
+    def input_dim(self) -> int:
+        """Width of the frames the model takes: d_model for the identity
+        frontend, conv_in_dim for the conv frontend."""
+        return self.d_model if self.frontend == "identity" else self.conv_in_dim
 
     def validate(self) -> None:
         if self.n_blocks < 1:
@@ -269,47 +279,63 @@ class EncoderModel:
     # -- forward -------------------------------------------------------------
 
     def _frontend(self, frames: Tensor,
-                  pad_mask: np.ndarray | None) -> tuple[Tensor, np.ndarray | None]:
-        if self.config.frontend == "identity":
-            if frames.shape[1] != self.config.d_model:
-                raise DimensionError(
-                    f"identity frontend needs {self.config.d_model}-dim frames, got {frames.shape[1]}")
-            return frames, pad_mask
-        if frames.shape[1] != self.config.conv_in_dim:
+                  pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """[B, T, input_dim] frames and mask -> [B, T', d_model] and its mask."""
+        if frames.shape[2] != self.config.input_dim:
             raise DimensionError(
-                f"conv frontend needs {self.config.conv_in_dim}-dim input, got {frames.shape[1]}")
-        if pad_mask is not None:
-            # conv mixes neighbouring frames, so padding must be a suffix;
-            # slicing to the true length keeps outputs padding-free
-            mask = np.asarray(pad_mask, dtype=bool)
-            true_len = int(mask.sum())
-            if not mask[:true_len].all():
-                raise InputError("conv frontend requires suffix padding")
-            if true_len < frames.shape[0]:
-                frames = _slice_rows(frames, true_len)
-        if conv_output_length(frames.shape[0], self.config.conv_layers) < 1:
-            raise InputError(
-                f"input length {frames.shape[0]} below the conv receptive field")
+                f"{self.config.frontend} frontend needs {self.config.input_dim}-dim "
+                f"frames, got {frames.shape[2]}")
+        if self.config.frontend == "identity":
+            return frames, pad_mask
+        # conv mixes neighbouring frames, so padding must be a suffix; the
+        # batch is trimmed to its longest true length, and each sample's
+        # outputs past its own conv output length are masked out
+        lengths = pad_mask.sum(axis=1)
+        if not np.array_equal(pad_mask, np.arange(pad_mask.shape[1]) < lengths[:, None]):
+            raise InputError("conv frontend requires suffix padding")
+        layers = self.config.conv_layers
+        out_lengths = np.array([conv_output_length(int(n), layers) for n in lengths])
+        if out_lengths.min() < 1:
+            raise InputError(f"input length {int(lengths[out_lengths.argmin()])} "
+                             "below the conv receptive field")
+        true_max = int(lengths.max())
+        if true_max < frames.shape[1]:
+            frames = _slice_frames(frames, true_max)
         x = frames
-        for i in range(len(self.config.conv_layers)):
-            layer = self.config.conv_layers[i]
+        for i, layer in enumerate(layers):
             w = self.store.tensor(f"frontend.conv{i}.weight")
             b = self.store.tensor(f"frontend.conv{i}.bias")
             x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b))
-        return x, None
+        return x, np.arange(x.shape[1]) < out_lengths[:, None]
 
     def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
-        """Frames [T, d_in] -> class logits [n_classes]."""
+        """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, n_classes].
+
+        The mask is True on real frames and defaults to all True.  A single
+        [T, d_in] sequence (with a [T] mask) runs as a batch of one and
+        returns [n_classes].
+        """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise InputError(f"expected non-empty [T, d] input, got shape {frames.shape}")
+        single = frames.ndim == 2
+        if single:
+            frames = ad.reshape(frames, (1,) + frames.shape)
+        if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
+                             f"got shape {frames.shape}")
         if not np.isfinite(frames.data).all():
             raise InputError("non-finite values in model input")
-        if pad_mask is not None:
+        if pad_mask is None:
+            pad_mask = np.ones(frames.shape[:2], dtype=bool)
+        else:
             pad_mask = np.asarray(pad_mask, dtype=bool)
-            if not pad_mask.any():
-                raise InputError("pad_mask excludes every frame")
+            if single:
+                pad_mask = pad_mask[None]
+            if pad_mask.shape != frames.shape[:2]:
+                raise DimensionError(
+                    f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
+            if not pad_mask.any(axis=1).all():
+                raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
         heads = self.config.n_heads
         for info in self.block_index:
@@ -319,23 +345,25 @@ class EncoderModel:
             else:
                 x = F.encoder_block_forward(x, p, heads, pad_mask)
         pooled = F.masked_mean_pool(x, pad_mask)
-        return F.linear_forward(pooled, self.store.tensor("head.weight"),
-                                self.store.tensor("head.bias"))
+        logits = F.linear_forward(pooled, self.store.tensor("head.weight"),
+                                  self.store.tensor("head.bias"))
+        return ad.reshape(logits, logits.shape[1:]) if single else logits
 
     def logits(self, frames, pad_mask: np.ndarray | None = None) -> np.ndarray:
-        """Tape-free forward for evaluation."""
+        """Tape-free forward for evaluation; same shapes as ``forward``."""
         with ad.no_grad():
             return self.forward(frames, pad_mask).data
 
 
-def _slice_rows(t: Tensor, n: int) -> Tensor:
-    """Differentiable [0:n] row slice (only needed under an active tape)."""
+def _slice_frames(t: Tensor, n: int) -> Tensor:
+    """Differentiable [:, 0:n] frame slice of [B, T, d] (only needed under
+    an active tape)."""
     def backward(g):
         full = np.zeros_like(t.data)
-        full[:n] = g
+        full[:, :n] = g
         return (full,)
 
-    return ad._node(t.data[:n].copy(), (t,), backward)
+    return ad._node(t.data[:, :n].copy(), (t,), backward)
 
 
 def build_model(config: EncoderConfig, seed: int) -> EncoderModel:

@@ -110,14 +110,18 @@ class ParameterStore:
         return sum(e.tensor.size for e in self._entries.values()
                    if not (only_trainable and e.frozen))
 
-    def copy_values(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """Snapshot of parameter arrays (optionally restricted by name prefix)."""
-        return {name: e.tensor.data.copy() for name, e in self._entries.items()
-                if name.startswith(prefix)}
+    def snapshot(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Copies of every entry's value, AdamW moments and step counter."""
+        return {name: (e.tensor.data.copy(), e.m.copy(), e.v.copy(), e.step)
+                for name, e in self._entries.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
+    def restore(self, snapshot: dict) -> None:
+        """Write a ``snapshot`` back: values, moments and step counters."""
+        for name, (value, m, v, step) in snapshot.items():
             entry = self[name]
-            if entry.tensor.data.shape != arr.shape:
+            if entry.tensor.data.shape != value.shape:
                 raise StateError(f"shape mismatch restoring {name!r}")
-            entry.tensor.data[...] = arr
+            entry.tensor.data[...] = value
+            entry.m[...] = m
+            entry.v[...] = v
+            entry.step = step

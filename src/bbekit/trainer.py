@@ -10,7 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import functional as F
-from .corpus import CorpusIterator, CorpusManifest, next_batch, round_robin_schedule
+from .corpus import (CorpusIterator, CorpusManifest, next_batch, pad_frames,
+                     round_robin_schedule)
 from .errors import ConfigError, EvalError, InvariantViolation, NumericalAbort, NumericalError
 from .expansion import ExpansionSpec, apply_freeze_policy, expand, verify_preservation
 from .metrics import ConfusionMatrix, confusion, uar
@@ -20,6 +21,8 @@ from .rngutil import derive_seed
 
 LOSS_TAIL = 5
 PRESERVE_PROBES = 8
+# evaluate runs the length-sorted split through no-grad batches of this size
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -80,28 +83,30 @@ class TrainLog:
 
 def evaluate(model: EncoderModel, manifest: CorpusManifest,
              split: str = "test") -> dict:
-    """Argmax over per-sample logits; returns {"uar", "confusion", "n_samples"}."""
+    """Argmax over per-sample logits; returns {"uar", "confusion", "n_samples"}.
+
+    The split is sorted stably by frame count and forwarded in batches of
+    EVAL_CHUNK, so each batch carries little padding.
+    """
     samples = manifest.split_samples(split)
     if not samples:
         raise EvalError(f"{manifest.corpus_id}: split {split!r} is empty")
+    frames = [manifest.features(s) for s in samples]
+    order = sorted(range(len(samples)), key=lambda i: frames[i].shape[0])
     preds, labels = [], []
-    for sample in samples:
-        logits = model.logits(manifest.features(sample))
-        preds.append(int(np.argmax(logits)))
-        labels.append(sample.mapped_class)
+    for start in range(0, len(order), EVAL_CHUNK):
+        chunk = order[start:start + EVAL_CHUNK]
+        features, pad_mask = pad_frames([frames[i] for i in chunk], manifest.corpus_id)
+        preds.extend(np.argmax(model.logits(features, pad_mask), axis=1).tolist())
+        labels.extend(samples[i].mapped_class for i in chunk)
     cm = confusion(preds, labels, model.config.n_classes)
     return {"uar": uar(cm), "confusion": cm, "n_samples": len(samples)}
 
 
 def _batch_loss(model: EncoderModel, batch) -> ad.Tensor:
-    """Unweighted mean cross-entropy over the batch."""
-    total = None
-    for i in range(batch.size):
-        frames = batch.features[i]
-        mask = batch.pad_mask[i]
-        loss = F.softmax_cross_entropy(model.forward(frames, mask), batch.labels[i])
-        total = loss if total is None else total + loss
-    return total * (1.0 / batch.size)
+    """Unweighted mean cross-entropy over the batch, recorded on one tape."""
+    return F.softmax_cross_entropy(model.forward(batch.features, batch.pad_mask),
+                                   batch.labels)
 
 
 def _eval_all(model: EncoderModel, manifests: list[CorpusManifest], step: int,
@@ -135,7 +140,7 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
         if log.best_val_uar is None or mean_uar > log.best_val_uar:
             log.best_step = step
             log.best_val_uar = mean_uar
-            snapshots["best"] = model.store.copy_values()
+            snapshots["best"] = model.store.snapshot()
 
     snapshots: dict = {}
     maybe_snapshot(0, _eval_all(model, manifests, 0, log))
@@ -158,7 +163,7 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
             maybe_snapshot(step, _eval_all(model, manifests, step, log))
 
     if cfg.selection == "best" and "best" in snapshots:
-        model.store.load_values(snapshots["best"])
+        model.store.restore(snapshots["best"])
     log.wall_clock_s = time.monotonic() - started
     return log
 
@@ -216,7 +221,6 @@ def _preservation_probes(model: EncoderModel, target: CorpusManifest) -> list:
     probes = [target.features(s) for s in samples]
     if not probes:
         rng = np.random.default_rng(0)
-        d = model.config.d_model if model.config.frontend == "identity" \
-            else model.config.conv_in_dim
-        probes = [rng.normal(0.0, 1.0, (20, d)) for _ in range(PRESERVE_PROBES)]
+        probes = [rng.normal(0.0, 1.0, (20, model.config.input_dim))
+                  for _ in range(PRESERVE_PROBES)]
     return probes

@@ -130,6 +130,22 @@ class TestPrimitiveGradients:
         assert y[2] == pytest.approx(0.0, abs=1e-12)
         check_grad(lambda x: ad.tsum(ad.gelu(x)), (7,))
 
+    def test_erf_matches_scipy_within_a_few_ulp(self):
+        from scipy.special import erf as scipy_erf
+
+        x = np.concatenate([np.linspace(-7.0, 7.0, 200_001), RNG.normal(0.0, 2.0, 20_000),
+                            RNG.normal(0.0, 1e-3, 1_000),
+                            [0.84375, 1.25, 1.0 / 0.35, 6.0, 1e-300, 1e300]])
+        got, want = ad.erf(x), scipy_erf(x)
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+        assert ad.erf(np.array([[0.5, -2.0], [3.0, -9.0]])).shape == (2, 2)
+
+    def test_erf_special_values(self):
+        out = ad.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert out[0] == 0.0 and not np.signbit(out[0])
+        assert out[1] == 0.0 and np.signbit(out[1])
+        assert out[2] == 1.0 and out[3] == -1.0 and np.isnan(out[4])
+
     def test_softmax_rows_sum_to_one(self):
         y = ad.softmax_last(Tensor(RNG.normal(size=(3, 5)))).data
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
@@ -157,6 +173,15 @@ class TestPrimitiveGradients:
         np.testing.assert_array_equal(out, [[0, 1], [2, 3], [4, 5], [6, 7]])
         check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
                                             ad.unfold1d(t, 3, 2))), (9, 2))
+
+    def test_unfold1d_batched_matches_per_sample(self):
+        x = RNG.normal(size=(3, 9, 2))
+        out = ad.unfold1d(Tensor(x), kernel=3, stride=2).data
+        assert out.shape == (3, 4, 6)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], ad.unfold1d(Tensor(x[i]), 3, 2).data)
+        check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
+                                            ad.unfold1d(t, 3, 2))), (2, 9, 2))
 
     def test_unfold1d_too_short(self):
         with pytest.raises(DimensionError):
@@ -199,6 +224,29 @@ class TestCrossEntropy:
     def test_requires_1d(self):
         with pytest.raises(DimensionError):
             ad.cross_entropy_with_logits(Tensor(np.zeros((2, 3))), 0)
+
+    def test_batch_is_mean_of_rows(self):
+        logits = RNG.normal(size=(3, 5))
+        labels = [0, 4, 2]
+        rows = [ad.cross_entropy_with_logits(Tensor(row), lab).item()
+                for row, lab in zip(logits, labels)]
+        batch = ad.cross_entropy_with_logits(Tensor(logits), labels).item()
+        assert batch == pytest.approx(np.mean(rows), abs=1e-15)
+
+    def test_batch_grad_vs_fd(self):
+        check_grad(lambda x: ad.cross_entropy_with_logits(x, [1, 0, 5, 1]), (4, 6))
+
+    def test_batch_label_out_of_range(self):
+        with pytest.raises(LabelError):
+            ad.cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(LabelError):
+            ad.cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [-1, 0])
+
+    def test_batch_label_count_must_match(self):
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 1, 2])
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_with_logits(Tensor(np.zeros(3)), [0])
 
 
 class TestOperatorSugar:

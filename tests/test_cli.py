@@ -264,3 +264,14 @@ class TestExitCodes:
         rc = main(["report", "--out", str(tmp_path / "rep"), str(e1), str(e2)])
         assert rc == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("missing", ["corpus", "variant", "uar"])
+    def test_report_input_missing_key(self, tmp_path, capsys, missing):
+        payload = {"corpus": "a", "variant": "x", "uar": 0.5}
+        del payload[missing]
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["report", "--out", str(tmp_path / "rep"), str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(missing) in err

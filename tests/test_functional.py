@@ -240,6 +240,29 @@ class TestAttention:
                                  pad_mask=np.array([True, True, True]))
 
 
+class TestBatchedAttention:
+    def test_rows_match_single_sequences(self):
+        rng = np.random.default_rng(53)
+        d, heads, n = 8, 2, 6
+        p = make_params(rng, d, 2 * d)
+        x = rng.normal(size=(3, n, d))
+        mask = np.arange(n) < np.array([6, 2, 4])[:, None]
+        y = multi_head_attention(t(x), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                                 p.wo, p.bo, heads, pad_mask=mask)
+        assert y.shape == (3, n, d)
+        for i in range(3):
+            np.testing.assert_allclose(y.data[i], np_attention(x[i], p, heads, mask[i]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_mask_shape_must_match_batch(self):
+        rng = np.random.default_rng(2)
+        p = make_params(rng, 4, 4)
+        with pytest.raises(DimensionError):
+            multi_head_attention(t(np.zeros((2, 3, 4))), p.wq, p.bq, p.wk, p.bk,
+                                 p.wv, p.bv, p.wo, p.bo, heads=2,
+                                 pad_mask=np.ones((3, 3), dtype=bool))
+
+
 class TestEncoderBlock:
     def test_zero_output_projections_give_identity(self):
         # wo = 0 kills the attention branch, w2 = 0 kills the FFN branch
@@ -324,6 +347,18 @@ class TestPooling:
         mask = np.array([True, True, False])
         y = masked_mean_pool(t(x), mask)
         assert np.array_equal(y.data, [2.0, 3.0])
+
+    def test_batched_masks_are_per_sample(self):
+        x = np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 100.0]],
+                      [[5.0, 6.0], [100.0, 100.0], [100.0, 100.0]]])
+        mask = np.array([[True, True, False], [True, False, False]])
+        y = masked_mean_pool(t(x), mask)
+        assert np.array_equal(y.data, [[2.0, 3.0], [5.0, 6.0]])
+
+    def test_batched_sample_without_frames_rejected(self):
+        mask = np.array([[True, False], [False, False]])
+        with pytest.raises(InputError):
+            masked_mean_pool(t(np.ones((2, 2, 3))), mask)
 
     def test_all_masked_rejected(self):
         with pytest.raises(InputError):

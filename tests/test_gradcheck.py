@@ -1,7 +1,10 @@
 """Finite-difference gradient verification utility."""
 
+import numpy as np
 import pytest
 
+from bbekit import autodiff as ad
+from bbekit import functional as F
 from bbekit.errors import ConfigError
 from bbekit.gradcheck import TOLERANCE, check_model_gradients, relative_error
 from bbekit.model import EncoderConfig, EncoderModel
@@ -53,3 +56,32 @@ class TestModelGradients:
         model.store.freeze_where(lambda name: True)
         with pytest.raises(ConfigError):
             check_model_gradients(model, n_probes=4)
+
+
+class TestBatchedLoss:
+    def test_ragged_batch_matches_finite_differences(self, tiny_model):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(3, 6, 16))
+        mask = np.arange(6) < np.array([6, 2, 4])[:, None]
+        labels = [0, 3, 5]
+
+        def loss():
+            return F.softmax_cross_entropy(tiny_model.forward(features, mask), labels)
+
+        tiny_model.store.zero_grads()
+        loss().backward()
+        worst, h = 0.0, 1e-6
+        for name, entry in tiny_model.store.items():
+            for flat in rng.choice(entry.tensor.size, size=3, replace=False):
+                index = np.unravel_index(flat, entry.tensor.shape)
+                original = float(entry.tensor.data[index])
+                with ad.no_grad():
+                    entry.tensor.data[index] = original + h
+                    plus = loss().item()
+                    entry.tensor.data[index] = original - h
+                    minus = loss().item()
+                entry.tensor.data[index] = original
+                numeric = (plus - minus) / (2.0 * h)
+                worst = max(worst, relative_error(float(entry.tensor.grad[index]), numeric))
+        tiny_model.store.zero_grads()
+        assert worst < TOLERANCE

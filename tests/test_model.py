@@ -232,10 +232,45 @@ class TestConvFrontend:
         np.testing.assert_allclose(out, expected.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
+class TestBatchAxis:
+    @pytest.mark.parametrize("frontend", ["identity", "conv"])
+    def test_batched_rows_match_single_forwards(self, tiny_model, frontend):
+        # ragged suffix masks, junk in the padding, and padding beyond the
+        # longest sample: each row equals that sample forwarded alone
+        if frontend == "identity":
+            model, lengths = tiny_model, np.array([7, 3, 5, 1])
+        else:
+            model, lengths = EncoderModel.build(conv_config(), seed=5), np.array([12, 5, 9, 4])
+        rng = np.random.default_rng(8)
+        d, t_max = model.config.input_dim, int(lengths.max()) + 2
+        features = rng.normal(size=(len(lengths), t_max, d)) * 10.0
+        mask = np.arange(t_max) < lengths[:, None]
+        batched = model.logits(features, mask)
+        assert batched.shape == (len(lengths), model.config.n_classes)
+        for i, n in enumerate(lengths):
+            np.testing.assert_allclose(batched[i], model.logits(features[i, :n]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_mask_shape_must_match_frames(self, tiny_model):
+        with pytest.raises(DimensionError):
+            tiny_model.forward(np.zeros((2, 4, 16)), np.ones((2, 3), dtype=bool))
+
+    def test_sample_without_frames_rejected(self, tiny_model):
+        mask = np.array([[True, True], [False, False]])
+        with pytest.raises(InputError):
+            tiny_model.forward(np.zeros((2, 2, 16)), mask)
+
+    def test_conv_sample_below_receptive_field_rejected(self):
+        model = EncoderModel.build(conv_config(), seed=5)
+        mask = np.arange(8) < np.array([8, 3])[:, None]
+        with pytest.raises(InputError):
+            model.forward(np.zeros((2, 8, 3)), mask)
+
+
 class TestHeadReinit:
     def test_reinit_changes_head_only(self, tiny_model):
         model = tiny_model.clone()
-        before = {n: v.copy() for n, v in model.store.copy_values().items()}
+        before = {n: value for n, (value, *_) in model.store.snapshot().items()}
         state_before = model.rng_state
         model.reinit_head()
         assert not np.array_equal(model.store.value("head.weight"), before["head.weight"])

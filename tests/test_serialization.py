@@ -71,6 +71,13 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             read_features(path)
 
+    def test_huge_dims_in_header(self, tmp_path):
+        # 4 * 0xFFFFFFFF**2 bytes cannot even be requested from a read
+        path = tmp_path / "x.feat"
+        path.write_bytes(struct.pack("<4sII", b"FEAT", 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(FormatError):
+            read_features(path)
+
 
 def assert_models_equal(a: EncoderModel, b: EncoderModel) -> None:
     assert a.config == b.config

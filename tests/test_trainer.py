@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from bbekit.corpus import CorpusIterator, next_batch
 from bbekit.errors import ConfigError, EvalError, InvariantViolation, NumericalAbort
 from bbekit.expansion import ExpansionSpec
 from bbekit.optim import AdamWConfig
 from bbekit.trainer import (
     TrainConfig,
     TrainLog,
+    _batch_loss,
     evaluate,
     train_multi,
     train_transfer,
@@ -87,6 +89,46 @@ class TestEvaluate:
         manifest.samples = [s for s in manifest.samples if s.split != "test"]
         with pytest.raises(EvalError):
             evaluate(tiny_model, manifest, "test")
+
+
+def tape_nodes(loss) -> int:
+    """Nodes backward would visit from ``loss``, leaves included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestBatchLoss:
+    def test_one_tape_whatever_the_batch_size(self, tiny_model, make_corpus):
+        manifest = make_corpus("c0")
+        counts = [tape_nodes(_batch_loss(tiny_model, next_batch(
+            CorpusIterator(manifest, "train", seed=1), size, frame_cap=20)))
+            for size in (1, 8)]
+        assert counts[0] == counts[1]
+
+    def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
+        batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 5)
+        singles = []
+        for frames, mask, label in zip(batch.features, batch.pad_mask, batch.labels):
+            logits = tiny_model.logits(frames[mask])
+            singles.append(np.log(np.exp(logits - logits.max()).sum())
+                           - (logits[label] - logits.max()))
+        assert _batch_loss(tiny_model, batch).item() == pytest.approx(
+            np.mean(singles), rel=1e-12)
+
+
+class TestEvaluateOrder:
+    def test_confusion_independent_of_sample_order(self, tiny_model, make_corpus):
+        manifest = make_corpus("c0")
+        before = evaluate(tiny_model, manifest, "train")
+        manifest.samples.reverse()
+        after = evaluate(tiny_model, manifest, "train")
+        assert np.array_equal(before["confusion"].counts, after["confusion"].counts)
+        assert before["n_samples"] == after["n_samples"] > 16
 
 
 class TestTrainMulti:
@@ -267,6 +309,36 @@ class TestSelection:
                         selection="best")
         model, log = train_transfer(tiny_model.clone(), target, cfg)
         assert evaluate(model, target, "val")["uar"] == log.best_val_uar
+
+    def test_best_selection_restores_whole_entries(self, tiny_model, make_corpus,
+                                                   monkeypatch):
+        # values, AdamW moments and step counters all come back from the
+        # best step, so a saved checkpoint pairs them consistently
+        from bbekit import trainer as trainer_mod
+
+        states = []  # store state after each step, step 0 first
+        original = trainer_mod.adamw_step
+
+        def recording_step(store, cfg):
+            if not states:
+                states.append(store.snapshot())
+            original(store, cfg)
+            states.append(store.snapshot())
+
+        monkeypatch.setattr(trainer_mod, "adamw_step", recording_step)
+        target = make_corpus("t0")
+        cfg = quick_cfg(stage="single_corpus", n_steps=20, eval_every=5,
+                        selection="best", adamw=AdamWConfig(learning_rate=3e-2))
+        model, log = train_transfer(tiny_model.clone(), target, cfg)
+        assert 0 < log.best_step < cfg.n_steps
+        best, last = states[log.best_step], states[-1]
+        assert not np.array_equal(best["head.weight"][1], last["head.weight"][1])
+        for name, (value, m, v, step) in best.items():
+            entry = model.store[name]
+            assert np.array_equal(entry.tensor.data, value), name
+            assert np.array_equal(entry.m, m), name
+            assert np.array_equal(entry.v, v), name
+            assert entry.step == step == log.best_step, name
 
     def test_last_selection_keeps_final_parameters(self, tiny_model, make_corpus):
         target = make_corpus("t0")
