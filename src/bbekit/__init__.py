@@ -17,7 +17,7 @@ from .gradcheck import check_model_gradients
 from .labels import (CLASS_NAMES, MappingTable, SixClass, circumplex_to_class,
                      load_mapping_table)
 from .metrics import ConfusionMatrix, confusion, duration_histogram, report, uar
-from .model import EncoderConfig, EncoderModel, build_model
+from .model import EncoderConfig, EncoderModel
 from .optim import AdamWConfig, adamw_step
 from .params import ParameterStore
 from .trainer import TrainConfig, TrainLog, evaluate, train_multi, train_transfer
@@ -30,7 +30,7 @@ __all__ = [
     "EncoderConfig", "EncoderModel", "ExpansionSpec", "InvariantViolation",
     "MappingTable", "NumericalAbort", "NumericalError", "ParameterStore",
     "Sample", "SixClass", "SyntheticSpec", "Tensor", "TrainConfig", "TrainLog",
-    "adamw_step", "apply_freeze_policy", "build_model", "check_model_gradients",
+    "adamw_step", "apply_freeze_policy", "check_model_gradients",
     "circumplex_to_class", "confusion", "duration_histogram", "evaluate",
     "expand", "generate_synthetic_corpus", "load_checkpoint", "load_corpus_set",
     "load_manifest", "load_mapping_table", "make_splits", "next_batch",

@@ -266,12 +266,6 @@ def pow_scalar(a, p: float) -> Tensor:
     return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
-def texp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
 # erf by the piecewise rational approximations of FDLIBM's s_erf.c; it stays
 # within 3 ulp of scipy.special.erf.  The coefficients carry this notice:
 #   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.

@@ -13,21 +13,19 @@ expansion record, and the parameter count for a cheap integrity check.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
-from .model import BlockInfo, EncoderConfig, EncoderModel
+from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
 MAGIC = b"BBEX"
 VERSION = 1
-
-
-def _write_exact(fh, data: bytes) -> None:
-    fh.write(data)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -71,6 +69,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     except OSError as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
@@ -94,7 +93,11 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            count = math.prod(shape)
+            # values and both moments, checked before anything is allocated
+            if 3 * 8 * count > size - fh.tell():
+                raise FormatError(f"{path}: {name} declares shape {shape}, "
+                                  "more than the file holds")
             value = np.frombuffer(
                 _read_exact(fh, 8 * count, f"{name} values"), dtype="<f8").reshape(shape)
             (frozen,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} frozen flag"))
@@ -103,6 +106,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             v = np.frombuffer(
                 _read_exact(fh, 8 * count, f"{name} second moment"), dtype="<f8").reshape(shape)
             (step,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} step"))
+            if name in store:
+                raise FormatError(f"{path}: parameter {name} stored twice")
             store.add(name, value.copy(), frozen=bool(frozen),
                       m=m.copy(), v=v.copy(), step=step)
         (rng_state,) = struct.unpack("<Q", _read_exact(fh, 8, "rng state"))
@@ -116,16 +121,14 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
 
 
 def _check_structure(model: EncoderModel) -> None:
-    """Every indexed block must have its full parameter set in the store."""
-    from .model import BLOCK_PARAM_SHAPES
-
-    for info in model.block_index:
-        prefix = f"block.{info.block_id}."
-        for suffix, _ in BLOCK_PARAM_SHAPES:
-            if prefix + suffix not in model.store:
-                raise FormatError(f"checkpoint missing parameter {prefix + suffix}")
-        if info.origin == "expanded" and prefix + "zll.weight" not in model.store:
-            raise FormatError(f"checkpoint missing parameter {prefix}zll.weight")
-    for name in ("head.weight", "head.bias"):
-        if name not in model.store:
-            raise FormatError(f"checkpoint missing parameter {name}")
+    """The block ids must be distinct, and the store must hold exactly the
+    parameters, names and shapes, that the config and the block index lay
+    out."""
+    ids = [b.block_id for b in model.block_index]
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"checkpoint block index repeats a block id: {ids}")
+    want = param_layout(model.config, model.block_index)
+    have = {name: entry.tensor.shape for name, entry in model.store.items()}
+    if have != want:
+        diff = sorted(set(have.items()) ^ set(want.items()))
+        raise FormatError(f"checkpoint parameters disagree with its config: {diff[:4]}")

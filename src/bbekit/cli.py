@@ -12,24 +12,22 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
                      load_manifest)
 from .errors import BbekitError, ConfigError, InvariantViolation
-from .expansion import ExpansionSpec, expand, verify_preservation
+from .expansion import (FREEZE_POLICIES, ExpansionSpec, expand, preservation_probes,
+                        verify_preservation)
 from .gradcheck import TOLERANCE, check_model_gradients
 from .metrics import duration_histogram, histogram_csv, report
-from .model import EncoderConfig, EncoderModel
+from .model import EncoderConfig, EncoderModel, dataclass_from
 from .optim import AdamWConfig
 from .rngutil import derive_seed
 from .trainer import TrainConfig, evaluate, train_multi, train_transfer
-
-PRESERVE_PROBES = 16
 
 
 # -- config plumbing ---------------------------------------------------------
@@ -63,36 +61,19 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def model_config_from(cfg: dict) -> EncoderConfig:
-    return EncoderConfig.from_dict(cfg.get("model", {}))
-
-
 def train_config_from(cfg: dict, stage: str, seed: int,
                       n_steps: int | None = None,
                       expansion: ExpansionSpec | None = None,
                       default_steps: int = 3000) -> TrainConfig:
-    t = dict(cfg.get("train", {}))
-    a = dict(cfg.get("adamw", {}))
-    adamw = AdamWConfig(
-        learning_rate=float(a.get("learning_rate", 1e-5)),
-        beta1=float(a.get("beta1", 0.9)), beta2=float(a.get("beta2", 0.999)),
-        epsilon=float(a.get("epsilon", 1e-8)),
-        weight_decay=float(a.get("weight_decay", 0.01)),
-    )
-    frame_cap = t.get("frame_cap", 512)
-    if n_steps is None:
-        n_steps = int(t.get("n_steps", default_steps))
-    return TrainConfig(
-        adamw=adamw,
-        n_steps=int(n_steps),
-        batch_size=int(t.get("batch_size", 16)),
-        frame_cap=None if frame_cap in (None, 0) else int(frame_cap),
-        eval_every=int(t.get("eval_every", 100)),
-        seed=seed, stage=stage,
-        freeze_policy=t.get("freeze_policy"),
-        expansion=expansion,
-        selection=t.get("selection", "best"),
-    )
+    """The "train" and "adamw" sections over the dataclass defaults.  The
+    CLI's own policies: its default step count, and frame_cap 0 for no cap."""
+    t = {"n_steps": default_steps, **cfg.get("train", {})}
+    if n_steps is not None:
+        t["n_steps"] = n_steps
+    adamw = dataclass_from(AdamWConfig, cfg.get("adamw", {}))
+    tcfg = dataclass_from(TrainConfig, t, adamw=adamw, seed=seed, stage=stage,
+                          expansion=expansion)
+    return replace(tcfg, frame_cap=tcfg.frame_cap or None)
 
 
 def _utcnow() -> str:
@@ -136,12 +117,6 @@ def _variant_name(model: EncoderModel) -> str:
     if model.expansion is None:
         return "base"
     return f"expanded-x{model.expansion['multiplier']}-{model.expansion['freeze_policy']}"
-
-
-def _probe_frames(model: EncoderModel, seed: int, n: int = PRESERVE_PROBES) -> list:
-    rng = np.random.default_rng(seed)
-    d = model.config.input_dim
-    return [rng.normal(0.0, 1.0, (int(rng.integers(4, 24)), d)) for _ in range(n)]
 
 
 # -- commands ----------------------------------------------------------------
@@ -188,7 +163,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or [])
     run = RunDir(args.out, "train")
     manifests = load_corpus_set(args.corpus_set)
-    model_cfg = model_config_from(cfg)
+    model_cfg = EncoderConfig.from_dict(cfg.get("model", {}))
     model = EncoderModel.build(model_cfg, args.seed)
     tcfg = train_config_from(cfg, "multi_corpus", args.seed, n_steps=args.steps)
     model, log = train_multi(model, manifests, tcfg)
@@ -212,7 +187,7 @@ def cmd_expand(args) -> int:
     model = load_checkpoint(args.checkpoint)
     spec = ExpansionSpec(multiplier=args.multiplier, freeze_policy=args.freeze_policy)
     expanded = expand(model, spec)
-    worst = verify_preservation(model, expanded, _probe_frames(model, args.seed))
+    worst = verify_preservation(model, expanded, preservation_probes(model, args.seed))
     print(f"blocks: {len(model.block_index)} -> {len(expanded.block_index)}, "
           f"preservation max|Δ| = {worst!r}")
     if worst != 0.0:
@@ -331,16 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth-data", help="generate synthetic corpora")
     _common(p)
     p.add_argument("--corpora", type=int, default=3)
-    p.add_argument("--speakers", type=int, default=5)
-    p.add_argument("--samples-per-speaker", type=int, default=4,
-                   help="per speaker and class")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--corpus-shift", type=float, default=0.0)
+    p.add_argument("--speakers", type=int, default=SyntheticSpec.n_speakers)
+    p.add_argument("--samples-per-speaker", type=int,
+                   default=SyntheticSpec.samples_per_speaker, help="per speaker and class")
+    p.add_argument("--dim", type=int, default=SyntheticSpec.d)
+    p.add_argument("--noise-std", type=float, default=SyntheticSpec.noise_std)
+    p.add_argument("--corpus-shift", type=float, default=SyntheticSpec.corpus_shift)
     p.add_argument("--target-shift", type=float, default=None,
                    help="override the shift of the last corpus")
-    p.add_argument("--class-means-seed", type=int, default=1234)
-    p.add_argument("--frame-rate", type=float, default=25.0)
+    p.add_argument("--class-means-seed", type=int, default=SyntheticSpec.class_means_seed)
+    p.add_argument("--frame-rate", type=float, default=SyntheticSpec.frame_rate)
     p.set_defaults(func=cmd_synth_data)
 
     p = subs.add_parser("train", help="multi-corpus round-robin training")
@@ -353,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("expand", help="duplicate blocks behind zero gates")
     _common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--multiplier", type=int, default=2, choices=(2, 3))
-    p.add_argument("--freeze-policy", default="freeze-original",
-                   choices=("freeze-original", "non-frozen", "head-only"))
+    p.add_argument("--multiplier", type=int, default=ExpansionSpec.multiplier, choices=(2, 3))
+    p.add_argument("--freeze-policy", default=ExpansionSpec.freeze_policy,
+                   choices=FREEZE_POLICIES)
     p.set_defaults(func=cmd_expand)
 
     p = subs.add_parser("finetune", help="single-corpus transfer fine-tuning")
@@ -366,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override step count (default 10000)")
     p.add_argument("--expand", action="store_true",
                    help="expand the model before fine-tuning")
-    p.add_argument("--multiplier", type=int, default=2, choices=(2, 3))
-    p.add_argument("--freeze-policy", default="freeze-original",
-                   choices=("freeze-original", "non-frozen", "head-only"))
+    p.add_argument("--multiplier", type=int, default=ExpansionSpec.multiplier, choices=(2, 3))
+    p.add_argument("--freeze-policy", default=ExpansionSpec.freeze_policy,
+                   choices=FREEZE_POLICIES)
     p.add_argument("--reinit-head", action="store_true",
                    help="force a fresh classifier head")
     p.set_defaults(func=cmd_finetune)

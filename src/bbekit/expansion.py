@@ -13,34 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .model import BLOCK_PARAM_SHAPES, EncoderModel
+from .model import BlockInfo, EncoderModel, param_layout
 
 FREEZE_POLICIES = ("freeze-original", "non-frozen", "head-only")
+PRESERVE_PROBES = 8
 
 
 @dataclass(frozen=True)
 class ExpansionSpec:
     multiplier: int = 2
     freeze_policy: str = "freeze-original"
-    zll_init: str = "zeros"
 
     def __post_init__(self):
         if self.multiplier not in (2, 3):
             raise ConfigError(f"multiplier must be 2 or 3, got {self.multiplier}")
         if self.freeze_policy not in FREEZE_POLICIES:
             raise ConfigError(f"unknown freeze policy {self.freeze_policy!r}")
-        if self.zll_init != "zeros":
-            raise ConfigError(f"unsupported zll init {self.zll_init!r}")
 
     def to_dict(self) -> dict:
-        return {"multiplier": self.multiplier, "freeze_policy": self.freeze_policy,
-                "zll_init": self.zll_init}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExpansionSpec":
-        return cls(multiplier=int(d.get("multiplier", 2)),
-                   freeze_policy=d.get("freeze_policy", "freeze-original"),
-                   zll_init=d.get("zll_init", "zeros"))
+        return {"multiplier": self.multiplier, "freeze_policy": self.freeze_policy}
 
 
 def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
@@ -51,23 +42,25 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
         raise StateError("block index contains non-original blocks")
 
     out = model.clone()
-    d = out.config.d_model
     new_index = []
     for info in out.block_index:
         new_index.append(info)
-        src_prefix = f"block.{info.block_id}."
-        for k in range(1, spec.multiplier):
-            copy_id = f"{info.block_id}x{k}"
-            copy_prefix = f"block.{copy_id}."
-            for suffix, _ in BLOCK_PARAM_SHAPES:
-                out.store.add(copy_prefix + suffix,
-                              out.store.value(src_prefix + suffix).copy())
-            out.store.add(copy_prefix + "zll.weight", np.zeros((d, d)))
-            out.store.add(copy_prefix + "zll.bias", np.zeros(d))
-            new_index.append(type(info)(copy_id, "expanded", trainable=True,
-                                        source=info.block_id))
+        new_index += [BlockInfo(f"{info.block_id}x{k}", "expanded", trainable=True,
+                                source=info.block_id) for k in range(1, spec.multiplier)]
     out.block_index = new_index
     out.config.n_blocks = len(new_index)
+    # the copies' parameters are the ones the grown layout adds: block
+    # tensors copied from the source block, ZLL gates at zero
+    sources = {b.block_id: b.source for b in new_index}
+    for name, shape in param_layout(out.config, new_index).items():
+        if name in out.store:
+            continue
+        _, block_id, suffix = name.split(".", 2)
+        if suffix.startswith("zll."):
+            value = np.zeros(shape)
+        else:
+            value = out.store.value(f"block.{sources[block_id]}.{suffix}").copy()
+        out.store.add(name, value)
     out.expansion = {
         "multiplier": spec.multiplier,
         "freeze_policy": spec.freeze_policy,
@@ -101,6 +94,15 @@ def apply_freeze_policy(model: EncoderModel, policy: str) -> None:
         model.expansion["freeze_policy"] = policy
 
 
+def preservation_probes(model: EncoderModel, seed: int,
+                        n: int = PRESERVE_PROBES) -> list[np.ndarray]:
+    """Seeded standard-normal frame sequences for ``verify_preservation``;
+    their lengths start at the shortest input the model's frontend accepts."""
+    rng = np.random.default_rng(seed)
+    shortest, d = model.config.min_input_length, model.config.input_dim
+    return [rng.normal(0.0, 1.0, (shortest + int(rng.integers(0, 20)), d)) for _ in range(n)]
+
+
 def verify_preservation(base: EncoderModel, expanded: EncoderModel,
                         probes: list) -> float:
     """Max absolute logit difference between the two models over the probes.
@@ -124,23 +126,3 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
         diff = np.abs(base.logits(frames, pad_mask) - expanded.logits(frames, pad_mask))
         worst = max(worst, float(diff.max()))
     return worst
-
-
-def remove_expanded_blocks(model: EncoderModel) -> EncoderModel:
-    """Inverse of expand while the ZLL gates are still zero-equivalent in
-    spirit: drop every copied block, keeping original order."""
-    if model.expansion is None:
-        raise StateError("model is not expanded")
-    out = model.clone()
-    keep = [b for b in out.block_index if b.origin == "original"]
-    dropped = [b.block_id for b in out.block_index if b.origin == "expanded"]
-    for block_id in dropped:
-        prefix = f"block.{block_id}."
-        for name in [n for n in out.store.names() if n.startswith(prefix)]:
-            out.store.remove(name)
-    out.block_index = keep
-    out.config.n_blocks = len(keep)
-    out.expansion = None
-    for info in out.block_index:
-        info.trainable = True
-    return out

@@ -4,12 +4,13 @@ Each public op validates its shapes, composes autodiff primitives, and
 checks the result for non-finite values (the operation-level hygiene
 contract).  Frame sequences are [B, T, d] with a [B, T] padding mask; a
 single [T, d] sequence with a [T] mask is accepted wherever a batch is.
-Padding masks are boolean arrays with True marking valid frames.
+Padding masks are boolean arrays with True marking valid frames.  The block
+forward passes take a block's parameters as a ``{suffix: Tensor}`` mapping,
+e.g. ``p["attn.q.weight"]``; an expanded block's mapping also holds
+``zll.weight`` and ``zll.bias``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,55 +109,33 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     return _check_finite("attention", linear_forward(merged, wo, bo))
 
 
-@dataclass
-class BlockParams:
-    """Parameter bundle for one encoder block (plus the optional copy-output
-    projection present on expanded blocks)."""
-
-    ln1_gain: Tensor
-    ln1_shift: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_gain: Tensor
-    ln2_shift: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    zll_weight: Tensor | None = None
-    zll_bias: Tensor | None = None
-
-
 LN_EPS = 1e-5
 
 
-def encoder_block_forward(x: Tensor, p: BlockParams, heads: int,
+def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                           pad_mask: np.ndarray | None = None) -> Tensor:
     """Pre-norm block over [B, T, d]: u = x + Attn(LN1(x)); y = u + FFN(LN2(u))."""
-    attended = multi_head_attention(layer_norm(x, p.ln1_gain, p.ln1_shift, LN_EPS),
-                                    p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo,
+    attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"], LN_EPS),
+                                    p["attn.q.weight"], p["attn.q.bias"],
+                                    p["attn.k.weight"], p["attn.k.bias"],
+                                    p["attn.v.weight"], p["attn.v.bias"],
+                                    p["attn.o.weight"], p["attn.o.bias"],
                                     heads, pad_mask)
     u = x + attended
-    hidden = ad.gelu(linear_forward(layer_norm(u, p.ln2_gain, p.ln2_shift, LN_EPS),
-                                    p.w1, p.b1))
-    return u + linear_forward(hidden, p.w2, p.b2)
+    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"], LN_EPS),
+                                    p["ffn.w1.weight"], p["ffn.w1.bias"]))
+    return u + linear_forward(hidden, p["ffn.w2.weight"], p["ffn.w2.bias"])
 
 
-def expanded_block_forward(x: Tensor, p: BlockParams, heads: int,
+def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                            pad_mask: np.ndarray | None = None) -> Tensor:
     """Copied block wrapped in a skip connection through its output
     projection: y = x + proj(block(x)).  With the projection still at its
     zero initialization this is bit-exactly the identity."""
-    if p.zll_weight is None or p.zll_bias is None:
+    if "zll.weight" not in p or "zll.bias" not in p:
         raise ConfigError("expanded block is missing its output projection")
     inner = encoder_block_forward(x, p, heads, pad_mask)
-    return x + linear_forward(inner, p.zll_weight, p.zll_bias)
+    return x + linear_forward(inner, p["zll.weight"], p["zll.bias"])
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -57,12 +57,6 @@ def uar(cm: ConfusionMatrix) -> float:
     return float(recalls.mean())
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.n_samples == 0:
-        raise MetricError("accuracy undefined without samples")
-    return float(cm.counts.diagonal().sum() / cm.n_samples)
-
-
 def report(results: dict[str, dict[str, float]]) -> tuple[str, str]:
     """Corpus-by-variant UAR table: percentages with one decimal, the best
     variant per row starred (ties star all maxima), and an AVERAGE row that

@@ -7,7 +7,7 @@ padding mask; a single [T, d_in] sequence is a batch of one.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,13 +38,22 @@ class EncoderConfig:
     conv_layers: list[ConvLayerSpec] = field(default_factory=list)
     conv_in_dim: int = 1
     n_classes: int = 6
-    pooling: str = "mean"
 
     @property
     def input_dim(self) -> int:
         """Width of the frames the model takes: d_model for the identity
         frontend, conv_in_dim for the conv frontend."""
         return self.d_model if self.frontend == "identity" else self.conv_in_dim
+
+    @property
+    def min_input_length(self) -> int:
+        """Shortest frame count the frontend accepts: 1 for the identity
+        frontend, the receptive field of the conv stack (the inverse of
+        ``conv_output_length`` at one output frame) for the conv frontend."""
+        length = 1
+        for layer in reversed(self.conv_layers):
+            length = (length - 1) * layer.stride + layer.kernel
+        return length
 
     def validate(self) -> None:
         if self.n_blocks < 1:
@@ -55,8 +64,6 @@ class EncoderConfig:
             raise ConfigError(f"d_ffn must be >= 1, got {self.d_ffn}")
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.pooling != "mean":
-            raise ConfigError(f"unsupported pooling {self.pooling!r}")
         if self.frontend not in ("identity", "conv"):
             raise ConfigError(f"unknown frontend kind {self.frontend!r}")
         if self.frontend == "conv":
@@ -80,24 +87,34 @@ class EncoderConfig:
             "conv_layers": [[c.channels, c.kernel, c.stride] for c in self.conv_layers],
             "conv_in_dim": self.conv_in_dim,
             "n_classes": self.n_classes,
-            "pooling": self.pooling,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        cfg = cls(
-            n_blocks=int(d.get("n_blocks", 4)),
-            d_model=int(d.get("d_model", 32)),
-            n_heads=int(d.get("n_heads", 4)),
-            d_ffn=int(d.get("d_ffn", 64)),
-            frontend=d.get("frontend", "identity"),
-            conv_layers=[ConvLayerSpec(*map(int, c)) for c in d.get("conv_layers", [])],
-            conv_in_dim=int(d.get("conv_in_dim", 1)),
-            n_classes=int(d.get("n_classes", 6)),
-            pooling=d.get("pooling", "mean"),
-        )
+        cfg = dataclass_from(cls, d)
+        cfg.conv_layers = [ConvLayerSpec(*map(int, c)) for c in cfg.conv_layers]
         cfg.validate()
         return cfg
+
+
+def dataclass_from(cls, section: dict, **fixed):
+    """Build the dataclass ``cls`` from a config section.
+
+    A key that names a field overrides the field's default and is cast to
+    the default's type when that is int or float; other keys are ignored.
+    ``fixed`` values win over the section.
+    """
+    kwargs = dict(fixed)
+    for f in fields(cls):
+        if f.name in section and f.name not in fixed:
+            value = section[f.name]
+            if isinstance(f.default, (int, float)) and value is not None:
+                try:
+                    value = type(f.default)(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{f.name}: {exc}") from exc
+            kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -117,43 +134,32 @@ class BlockInfo:
                    trainable=bool(d["trainable"]), source=d.get("source"))
 
 
-# per-block parameter suffixes in declaration order; weights get the
-# truncated-normal init, everything else in _ONES is gain-initialized
-BLOCK_PARAM_SHAPES = (
-    ("ln1.gain", "d"), ("ln1.shift", "d"),
-    ("attn.q.weight", "dd"), ("attn.q.bias", "d"),
-    ("attn.k.weight", "dd"), ("attn.k.bias", "d"),
-    ("attn.v.weight", "dd"), ("attn.v.bias", "d"),
-    ("attn.o.weight", "dd"), ("attn.o.bias", "d"),
-    ("ln2.gain", "d"), ("ln2.shift", "d"),
-    ("ffn.w1.weight", "df"), ("ffn.w1.bias", "f"),
-    ("ffn.w2.weight", "fd"), ("ffn.w2.bias", "d"),
-)
-_ONES_SUFFIXES = ("ln1.gain", "ln2.gain")
-
-
-def _block_shape(code: str, d: int, f: int) -> tuple[int, ...]:
-    return {"d": (d,), "f": (f,), "dd": (d, d), "df": (d, f), "fd": (f, d)}[code]
-
-
-def block_param_count(config: EncoderConfig) -> int:
-    d, f = config.d_model, config.d_ffn
-    return 4 * d * d + 4 * d + 2 * d * f + f + d + 4 * d
-
-
-def frontend_param_count(config: EncoderConfig) -> int:
-    if config.frontend == "identity":
-        return 0
-    total = 0
+def param_layout(config: EncoderConfig,
+                 block_index: list[BlockInfo]) -> dict[str, tuple[int, ...]]:
+    """Ordered ``{name: shape}`` of every parameter of a model with this
+    config and block index: frontend, blocks (expanded ones with their ZLL
+    gate), head.  ``EncoderModel.build`` draws initial values in this order.
+    """
+    layout = {}
     c_in = config.conv_in_dim
-    for layer in config.conv_layers:
-        total += layer.kernel * c_in * layer.channels + layer.channels
+    for i, layer in enumerate(config.conv_layers):
+        layout[f"frontend.conv{i}.weight"] = (layer.kernel * c_in, layer.channels)
+        layout[f"frontend.conv{i}.bias"] = (layer.channels,)
         c_in = layer.channels
-    return total
-
-
-def head_param_count(config: EncoderConfig) -> int:
-    return config.d_model * config.n_classes + config.n_classes
+    d, f = config.d_model, config.d_ffn
+    for info in block_index:
+        p = f"block.{info.block_id}."
+        layout.update({p + "ln1.gain": (d,), p + "ln1.shift": (d,)})
+        for proj in "qkvo":
+            layout.update({f"{p}attn.{proj}.weight": (d, d), f"{p}attn.{proj}.bias": (d,)})
+        layout.update({p + "ln2.gain": (d,), p + "ln2.shift": (d,),
+                       p + "ffn.w1.weight": (d, f), p + "ffn.w1.bias": (f,),
+                       p + "ffn.w2.weight": (f, d), p + "ffn.w2.bias": (d,)})
+        if info.origin == "expanded":
+            layout.update({p + "zll.weight": (d, d), p + "zll.bias": (d,)})
+    layout["head.weight"] = (d, config.n_classes)
+    layout["head.bias"] = (config.n_classes,)
+    return layout
 
 
 def conv_output_length(length: int, conv_layers: list[ConvLayerSpec]) -> int:
@@ -187,41 +193,25 @@ class EncoderModel:
     @classmethod
     def build(cls, config: EncoderConfig, seed: int) -> "EncoderModel":
         config.validate()
-        model = cls(config, ParameterStore(), [], seed & ((1 << 64) - 1))
+        index = [BlockInfo(str(i), "original", trainable=True) for i in range(config.n_blocks)]
+        model = cls(config, ParameterStore(), index, seed & ((1 << 64) - 1))
         rng = model._draw_rng()
-        if config.frontend == "conv":
-            c_in = config.conv_in_dim
-            for i, layer in enumerate(config.conv_layers):
-                model.store.add(f"frontend.conv{i}.weight",
-                                truncated_normal(rng, (layer.kernel * c_in, layer.channels), INIT_STD),
-                                frozen=True)
-                model.store.add(f"frontend.conv{i}.bias", np.zeros(layer.channels), frozen=True)
-                c_in = layer.channels
-        for i in range(config.n_blocks):
-            block_id = str(i)
-            model.block_index.append(BlockInfo(block_id, "original", trainable=True))
-            model._init_block_params(block_id, rng)
-        model.store.add("head.weight",
-                        truncated_normal(rng, (config.d_model, config.n_classes), INIT_STD))
-        model.store.add("head.bias", np.zeros(config.n_classes))
+        # weights get the truncated-normal init, layer-norm gains ones, the
+        # rest zeros; the frontend is frozen under every policy
+        for name, shape in param_layout(config, index).items():
+            if name.endswith(".weight"):
+                value = truncated_normal(rng, shape, INIT_STD)
+            elif name.endswith(".gain"):
+                value = np.ones(shape)
+            else:
+                value = np.zeros(shape)
+            model.store.add(name, value, frozen=name.startswith("frontend."))
         return model
 
     def _draw_rng(self) -> np.random.Generator:
         rng = generator(self.rng_state)
         self.rng_state = splitmix64(self.rng_state)
         return rng
-
-    def _init_block_params(self, block_id: str, rng: np.random.Generator) -> None:
-        d, f = self.config.d_model, self.config.d_ffn
-        for suffix, code in BLOCK_PARAM_SHAPES:
-            shape = _block_shape(code, d, f)
-            if suffix.endswith(".weight"):
-                value = truncated_normal(rng, shape, INIT_STD)
-            elif suffix in _ONES_SUFFIXES:
-                value = np.ones(shape)
-            else:
-                value = np.zeros(shape)
-            self.store.add(f"block.{block_id}.{suffix}", value)
 
     def reinit_head(self, n_classes: int | None = None) -> None:
         """Fresh head for a new target class inventory; advances the model RNG."""
@@ -256,25 +246,16 @@ class EncoderModel:
                 return info
         raise StateError(f"unknown block id {block_id!r}")
 
-    def block_params(self, block_id: str) -> F.BlockParams:
-        prefix = f"block.{block_id}."
-        tensors = {suffix: self.store.tensor(prefix + suffix)
-                   for suffix, _ in BLOCK_PARAM_SHAPES}
-        zll_w = zll_b = None
-        if prefix + "zll.weight" in self.store:
-            zll_w = self.store.tensor(prefix + "zll.weight")
-            zll_b = self.store.tensor(prefix + "zll.bias")
-        return F.BlockParams(
-            ln1_gain=tensors["ln1.gain"], ln1_shift=tensors["ln1.shift"],
-            wq=tensors["attn.q.weight"], bq=tensors["attn.q.bias"],
-            wk=tensors["attn.k.weight"], bk=tensors["attn.k.bias"],
-            wv=tensors["attn.v.weight"], bv=tensors["attn.v.bias"],
-            wo=tensors["attn.o.weight"], bo=tensors["attn.o.bias"],
-            ln2_gain=tensors["ln2.gain"], ln2_shift=tensors["ln2.shift"],
-            w1=tensors["ffn.w1.weight"], b1=tensors["ffn.w1.bias"],
-            w2=tensors["ffn.w2.weight"], b2=tensors["ffn.w2.bias"],
-            zll_weight=zll_w, zll_bias=zll_b,
-        )
+    def block_params(self) -> dict[str, dict[str, Tensor]]:
+        """Each block's tensors keyed by suffix, e.g. ``p["attn.q.weight"]``,
+        read from the store in one pass; an expanded block also carries
+        ``zll.weight`` and ``zll.bias``."""
+        blocks: dict[str, dict[str, Tensor]] = {}
+        for name, entry in self.store.items():
+            if name.startswith("block."):
+                _, block_id, suffix = name.split(".", 2)
+                blocks.setdefault(block_id, {})[suffix] = entry.tensor
+        return blocks
 
     # -- forward -------------------------------------------------------------
 
@@ -338,9 +319,10 @@ class EncoderModel:
                 raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
         heads = self.config.n_heads
+        params = self.block_params()
         for info in self.block_index:
-            p = self.block_params(info.block_id)
-            if info.origin == "expanded":
+            p = params[info.block_id]
+            if "zll.weight" in p:
                 x = F.expanded_block_forward(x, p, heads, pad_mask)
             else:
                 x = F.encoder_block_forward(x, p, heads, pad_mask)
@@ -364,14 +346,3 @@ def _slice_frames(t: Tensor, n: int) -> Tensor:
         return (full,)
 
     return ad._node(t.data[:, :n].copy(), (t,), backward)
-
-
-def build_model(config: EncoderConfig, seed: int) -> EncoderModel:
-    return EncoderModel.build(config, seed)
-
-
-def expected_param_count(config: EncoderConfig) -> int:
-    """Closed-form parameter count for a freshly built (unexpanded) model."""
-    return (frontend_param_count(config)
-            + config.n_blocks * block_param_count(config)
-            + head_param_count(config))

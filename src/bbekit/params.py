@@ -59,11 +59,6 @@ class ParameterStore:
         self._entries[name] = entry
         return entry
 
-    def remove(self, name: str) -> None:
-        if name not in self._entries:
-            raise StateError(f"unknown parameter {name!r}")
-        del self._entries[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

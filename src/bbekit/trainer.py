@@ -13,14 +13,15 @@ from . import functional as F
 from .corpus import (CorpusIterator, CorpusManifest, next_batch, pad_frames,
                      round_robin_schedule)
 from .errors import ConfigError, EvalError, InvariantViolation, NumericalAbort, NumericalError
-from .expansion import ExpansionSpec, apply_freeze_policy, expand, verify_preservation
-from .metrics import ConfusionMatrix, confusion, uar
+from .expansion import (ExpansionSpec, apply_freeze_policy, expand, preservation_probes,
+                        verify_preservation)
+from .labels import N_CLASSES
+from .metrics import confusion, uar
 from .model import EncoderModel
 from .optim import AdamWConfig, adamw_step
 from .rngutil import derive_seed
 
 LOSS_TAIL = 5
-PRESERVE_PROBES = 8
 # evaluate runs the length-sorted split through no-grad batches of this size
 EVAL_CHUNK = 16
 
@@ -188,21 +189,20 @@ def train_transfer(model: EncoderModel, target: CorpusManifest,
     """Single-corpus fine-tuning of a loaded model, optionally expanding it
     first.  The expansion's preservation check must come back exactly 0.0.
 
-    reinit_head "auto" reinitializes only when the head's class count
-    differs from the target inventory, so an unchanged head keeps the
+    The label space is the fixed six-class inventory, whichever classes the
+    target happens to contain.  reinit_head "auto" reinitializes only when
+    the head's class count differs from it, so an unchanged head keeps the
     loaded model's zero-shot behaviour at step 0.
     """
     if cfg.stage != "single_corpus":
         raise ConfigError(f"train_transfer needs stage single_corpus, got {cfg.stage!r}")
-    n_classes = int(max(s.mapped_class for s in target.samples)) + 1
     if reinit_head is True or (reinit_head == "auto"
-                               and n_classes != model.config.n_classes):
-        model.reinit_head(max(n_classes, 2))
+                               and model.config.n_classes != N_CLASSES):
+        model.reinit_head(N_CLASSES)
 
     if cfg.expansion is not None:
         expanded = expand(model, cfg.expansion)
-        probes = _preservation_probes(model, target)
-        worst = verify_preservation(model, expanded, probes)
+        worst = verify_preservation(model, expanded, preservation_probes(model, cfg.seed))
         if worst != 0.0:
             raise InvariantViolation(
                 f"expansion changed outputs: max |delta| = {worst!r}")
@@ -213,14 +213,3 @@ def train_transfer(model: EncoderModel, target: CorpusManifest,
     schedule = round_robin_schedule([target.corpus_id], cfg.n_steps)
     log = _train_loop(model, [target], schedule, cfg)
     return model, log
-
-
-def _preservation_probes(model: EncoderModel, target: CorpusManifest) -> list:
-    """Real target samples where available, synthetic frames otherwise."""
-    samples = (target.split_samples("val") or target.samples)[:PRESERVE_PROBES]
-    probes = [target.features(s) for s in samples]
-    if not probes:
-        rng = np.random.default_rng(0)
-        probes = [rng.normal(0.0, 1.0, (20, model.config.input_dim))
-                  for _ in range(PRESERVE_PROBES)]
-    return probes

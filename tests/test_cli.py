@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from bbekit.checkpoint import load_checkpoint
+from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.cli import load_config, main, train_config_from
 from bbekit.errors import ConfigError
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
+from bbekit.trainer import TrainConfig
 
 
 def cfg_file(tmp_path, payload):
@@ -78,6 +80,15 @@ class TestLoadConfig:
         tcfg = train_config_from({"train": {"n_steps": 77}}, "multi_corpus",
                                  seed=0, n_steps=5)
         assert tcfg.n_steps == 5
+
+    def test_defaults_come_from_the_dataclasses(self):
+        tcfg = train_config_from({"train": {"unknown": 1}, "adamw": {"unknown": 2}},
+                                 "multi_corpus", 0)
+        assert tcfg == TrainConfig(seed=0, stage="multi_corpus")
+
+    def test_bad_value_is_config_error(self):
+        with pytest.raises(ConfigError):
+            train_config_from({"train": {"batch_size": "many"}}, "multi_corpus", 0)
 
     def test_default_steps_per_command(self):
         assert train_config_from({}, "multi_corpus", 0).n_steps == 3000
@@ -186,6 +197,19 @@ class TestPipeline:
         assert csv_lines[0] == "corpus,base,expanded-x2-freeze-original"
         assert csv_lines[1].startswith("syn01,")
         assert csv_lines[2].startswith("AVERAGE,")
+
+    def test_expand_conv_checkpoint(self, tmp_path, capsys):
+        # the benchmark's conv shape: probes shorter than its 7-frame
+        # receptive field would be rejected
+        config = EncoderConfig(n_blocks=2, d_model=16, n_heads=2, d_ffn=32,
+                               frontend="conv", conv_in_dim=4,
+                               conv_layers=[ConvLayerSpec(16, 3, 2), ConvLayerSpec(16, 3, 2)])
+        ckpt = tmp_path / "conv.bbex"
+        save_checkpoint(ckpt, EncoderModel.build(config, seed=4))
+        rc = main(["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / "exp")])
+        assert rc == 0
+        assert "preservation max|Δ| = 0.0" in capsys.readouterr().out
+        assert load_checkpoint(tmp_path / "exp" / "expanded.bbex").config.n_blocks == 4
 
     def test_gradcheck_command(self, capsys):
         rc = main(["gradcheck", "--blocks", "1", "--dim", "8", "--heads", "2",

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from bbekit.errors import ConfigError, StateError
 from bbekit.expansion import (
     FREEZE_POLICIES,
+    PRESERVE_PROBES,
     ExpansionSpec,
     apply_freeze_policy,
     expand,
-    remove_expanded_blocks,
+    preservation_probes,
     verify_preservation,
 )
-from bbekit.model import EncoderConfig, EncoderModel, block_param_count
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel, conv_output_length
 
 
 class TestSpec:
@@ -22,11 +23,10 @@ class TestSpec:
         spec = ExpansionSpec()
         assert spec.multiplier == 2
         assert spec.freeze_policy == "freeze-original"
-        assert spec.zll_init == "zeros"
 
     @pytest.mark.parametrize("kwargs", [
         {"multiplier": 1}, {"multiplier": 4}, {"multiplier": 0},
-        {"freeze_policy": "freeze-copies"}, {"zll_init": "normal"},
+        {"freeze_policy": "freeze-copies"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -34,7 +34,7 @@ class TestSpec:
 
     def test_dict_roundtrip(self):
         spec = ExpansionSpec(multiplier=3, freeze_policy="non-frozen")
-        assert ExpansionSpec.from_dict(spec.to_dict()) == spec
+        assert ExpansionSpec(**spec.to_dict()) == spec
 
 
 class TestStructure:
@@ -67,27 +67,28 @@ class TestStructure:
         out = expand(tiny_model, ExpansionSpec(multiplier=3))
         for src in ("0", "1"):
             for k in (1, 2):
-                src_p = out.block_params(src)
-                cp = out.block_params(f"{src}x{k}")
-                assert np.array_equal(cp.wq.data, src_p.wq.data)
-                assert np.array_equal(cp.w2.data, src_p.w2.data)
-                assert np.array_equal(cp.ln1_gain.data, src_p.ln1_gain.data)
+                src_p = out.block_params()[src]
+                cp = out.block_params()[f"{src}x{k}"]
+                assert set(cp) == set(src_p) | {"zll.weight", "zll.bias"}
+                for suffix, tensor in src_p.items():
+                    assert np.array_equal(cp[suffix].data, tensor.data), suffix
+                    assert cp[suffix] is not tensor, suffix
 
     def test_copy_projection_starts_at_zero(self, tiny_model):
         out = expand(tiny_model, ExpansionSpec())
-        p = out.block_params("0x1")
-        assert p.zll_weight is not None
-        assert np.array_equal(p.zll_weight.data, np.zeros((16, 16)))
-        assert np.array_equal(p.zll_bias.data, np.zeros(16))
+        p = out.block_params()["0x1"]
+        assert np.array_equal(p["zll.weight"].data, np.zeros((16, 16)))
+        assert np.array_equal(p["zll.bias"].data, np.zeros(16))
 
     def test_original_blocks_have_no_projection(self, tiny_model):
         out = expand(tiny_model, ExpansionSpec())
-        assert out.block_params("0").zll_weight is None
+        assert "zll.weight" not in out.block_params()["0"]
 
     def test_param_count_growth(self, tiny_model):
         d = tiny_model.config.d_model
         out = expand(tiny_model, ExpansionSpec(multiplier=2))
-        per_copy = block_param_count(tiny_model.config) + d * d + d
+        per_block = sum(t.size for t in tiny_model.block_params()["0"].values())
+        per_copy = per_block + d * d + d
         assert out.store.n_params() == tiny_model.store.n_params() + 2 * per_copy
 
     def test_expansion_record(self, tiny_model):
@@ -221,29 +222,23 @@ class TestFreezePolicies:
         out.store.zero_grads()
 
 
-class TestRemoval:
-    def test_removal_restores_base_behaviour(self, tiny_model, rng):
-        out = expand(tiny_model, ExpansionSpec(multiplier=3))
-        restored = remove_expanded_blocks(out)
-        assert restored.block_ids() == tiny_model.block_ids()
-        assert restored.expansion is None
-        assert restored.config.n_blocks == 2
-        frames = rng.normal(size=(5, 16))
-        assert np.array_equal(restored.logits(frames), tiny_model.logits(frames))
+class TestProbes:
+    def test_seeded(self, tiny_model):
+        a, b = preservation_probes(tiny_model, 3), preservation_probes(tiny_model, 3)
+        assert len(a) == PRESERVE_PROBES
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], preservation_probes(tiny_model, 4)[0])
 
-    def test_removal_drops_copy_parameters(self, tiny_model):
-        restored = remove_expanded_blocks(expand(tiny_model, ExpansionSpec()))
-        assert set(restored.store.names()) == set(tiny_model.store.names())
-
-    def test_removal_requires_expansion(self, tiny_model):
-        with pytest.raises(StateError):
-            remove_expanded_blocks(tiny_model)
-
-    def test_removal_after_copy_training_still_matches(self, tiny_model, rng):
-        # copies may have drifted; dropping them must still recover the base
-        out = expand(tiny_model, ExpansionSpec())
-        out.store.value("block.0x1.zll.weight")[...] = rng.normal(size=(16, 16))
-        out.store.value("block.0x1.attn.q.weight")[...] += 0.5
-        restored = remove_expanded_blocks(out)
-        frames = rng.normal(size=(4, 16))
-        assert np.array_equal(restored.logits(frames), tiny_model.logits(frames))
+    def test_conv_probes_reach_the_receptive_field(self):
+        layers = [ConvLayerSpec(16, 3, 2), ConvLayerSpec(16, 3, 2)]
+        model = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ffn=32,
+                                                 frontend="conv", conv_in_dim=4,
+                                                 conv_layers=layers), seed=2)
+        probes = preservation_probes(model, 0, n=50)
+        lengths = [p.shape[0] for p in probes]
+        assert model.config.min_input_length == 7
+        assert min(lengths) >= 7
+        assert all(conv_output_length(n, layers) >= 1 for n in lengths)
+        assert all(p.shape[1] == 4 for p in probes)
+        expanded = expand(model, ExpansionSpec())
+        assert verify_preservation(model, expanded, probes) == 0.0

@@ -15,7 +15,6 @@ from bbekit.autodiff import Tensor
 from bbekit.errors import ConfigError, DimensionError, InputError
 from bbekit.functional import (
     LN_EPS,
-    BlockParams,
     encoder_block_forward,
     expanded_block_forward,
     key_padding_bias,
@@ -41,12 +40,22 @@ def np_gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+ATTN_SUFFIXES = tuple(f"attn.{proj}.{kind}" for proj in "qkvo" for kind in ("weight", "bias"))
+
+
+def attn(p):
+    """The attention projections of a block's parameters, in the argument
+    order of multi_head_attention."""
+    return [p[suffix] for suffix in ATTN_SUFFIXES]
+
+
 def np_attention(x, p, heads, mask=None):
+    p = {suffix: tensor.data for suffix, tensor in p.items()}
     n_frames, d = x.shape
     dh = d // heads
-    q = x @ p.wq.data + p.bq.data
-    k = x @ p.wk.data + p.bk.data
-    v = x @ p.wv.data + p.bv.data
+    q = x @ p["attn.q.weight"] + p["attn.q.bias"]
+    k = x @ p["attn.k.weight"] + p["attn.k.bias"]
+    v = x @ p["attn.v.weight"] + p["attn.v.bias"]
     per_head = []
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
@@ -56,28 +65,32 @@ def np_attention(x, p, heads, mask=None):
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
         per_head.append(weights @ v[:, cols])
-    return np.concatenate(per_head, axis=1) @ p.wo.data + p.bo.data
+    return np.concatenate(per_head, axis=1) @ p["attn.o.weight"] + p["attn.o.bias"]
 
 
 def np_block(x, p, heads, mask=None):
-    u = x + np_attention(np_layer_norm(x, p.ln1_gain.data, p.ln1_shift.data), p, heads, mask)
-    hidden = np_gelu(np_layer_norm(u, p.ln2_gain.data, p.ln2_shift.data) @ p.w1.data + p.b1.data)
-    return u + hidden @ p.w2.data + p.b2.data
+    a = {suffix: tensor.data for suffix, tensor in p.items()}
+    u = x + np_attention(np_layer_norm(x, a["ln1.gain"], a["ln1.shift"]), p, heads, mask)
+    hidden = np_gelu(np_layer_norm(u, a["ln2.gain"], a["ln2.shift"]) @ a["ffn.w1.weight"]
+                     + a["ffn.w1.bias"])
+    return u + hidden @ a["ffn.w2.weight"] + a["ffn.w2.bias"]
 
 
 def make_params(rng, d, d_ffn, zll=False, scale=0.5):
+    """Suffix-keyed parameters of one block, as in EncoderModel.block_params()."""
     def w(*shape):
         return t(rng.normal(0.0, scale, shape), grad=True)
 
-    return BlockParams(
-        ln1_gain=t(np.ones(d), grad=True), ln1_shift=t(np.zeros(d), grad=True),
-        wq=w(d, d), bq=w(d), wk=w(d, d), bk=w(d), wv=w(d, d), bv=w(d),
-        wo=w(d, d), bo=w(d),
-        ln2_gain=t(np.ones(d), grad=True), ln2_shift=t(np.zeros(d), grad=True),
-        w1=w(d, d_ffn), b1=w(d_ffn), w2=w(d_ffn, d), b2=w(d),
-        zll_weight=t(np.zeros((d, d)), grad=True) if zll else None,
-        zll_bias=t(np.zeros(d), grad=True) if zll else None,
-    )
+    p = {"ln1.gain": t(np.ones(d), grad=True), "ln1.shift": t(np.zeros(d), grad=True)}
+    for suffix in ATTN_SUFFIXES:
+        p[suffix] = w(d, d) if suffix.endswith("weight") else w(d)
+    p.update({"ln2.gain": t(np.ones(d), grad=True), "ln2.shift": t(np.zeros(d), grad=True),
+              "ffn.w1.weight": w(d, d_ffn), "ffn.w1.bias": w(d_ffn),
+              "ffn.w2.weight": w(d_ffn, d), "ffn.w2.bias": w(d)})
+    if zll:
+        p.update({"zll.weight": t(np.zeros((d, d)), grad=True),
+                  "zll.bias": t(np.zeros(d), grad=True)})
+    return p
 
 
 class TestLinear:
@@ -157,26 +170,16 @@ class TestAttention:
         d, heads = 6, 2
         p = make_params(rng, d, 2 * d)
         x = rng.normal(size=(1, d))
-        y = multi_head_attention(t(x), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                                 p.wo, p.bo, heads)
-        expected = (x @ p.wv.data + p.bv.data) @ p.wo.data + p.bo.data
+        y = multi_head_attention(t(x), *attn(p), heads)
+        expected = ((x @ p["attn.v.weight"].data + p["attn.v.bias"].data)
+                    @ p["attn.o.weight"].data + p["attn.o.bias"].data)
         np.testing.assert_allclose(y.data, expected, rtol=1e-13, atol=1e-13)
 
     def test_zero_input_zero_biases(self):
         d = 4
-        zeros = BlockParams(
-            ln1_gain=t(np.ones(d)), ln1_shift=t(np.zeros(d)),
-            wq=t(np.zeros((d, d))), bq=t(np.zeros(d)),
-            wk=t(np.zeros((d, d))), bk=t(np.zeros(d)),
-            wv=t(np.zeros((d, d))), bv=t(np.zeros(d)),
-            wo=t(np.zeros((d, d))), bo=t(np.zeros(d)),
-            ln2_gain=t(np.ones(d)), ln2_shift=t(np.zeros(d)),
-            w1=t(np.zeros((d, d))), b1=t(np.zeros(d)),
-            w2=t(np.zeros((d, d))), b2=t(np.zeros(d)),
-        )
-        y = multi_head_attention(t(np.zeros((3, d))), zeros.wq, zeros.bq,
-                                 zeros.wk, zeros.bk, zeros.wv, zeros.bv,
-                                 zeros.wo, zeros.bo, heads=2)
+        zeros = [t(np.zeros((d, d)) if suffix.endswith("weight") else np.zeros(d))
+                 for suffix in ATTN_SUFFIXES]
+        y = multi_head_attention(t(np.zeros((3, d))), *zeros, heads=2)
         assert np.array_equal(y.data, np.zeros((3, d)))
 
     def test_two_frame_hand_oracle(self):
@@ -204,8 +207,7 @@ class TestAttention:
         p = make_params(rng, d, 2 * d)
         x = rng.normal(size=(n, d))
         mask = np.array([True, True, True, True, True, False, False])
-        y = multi_head_attention(t(x), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                                 p.wo, p.bo, heads, pad_mask=mask)
+        y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask)
         np.testing.assert_allclose(y.data, np_attention(x, p, heads, mask),
                                    rtol=1e-12, atol=1e-12)
 
@@ -215,12 +217,10 @@ class TestAttention:
         p = make_params(rng, d, d)
         x = rng.normal(size=(5, d))
         mask = np.array([True, True, True, False, False])
-        base = multi_head_attention(t(x), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                                    p.wo, p.bo, heads, pad_mask=mask).data
+        base = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask).data
         x2 = x.copy()
         x2[3:] = 1e6  # arbitrary junk in padded rows
-        out = multi_head_attention(t(x2), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                                   p.wo, p.bo, heads, pad_mask=mask).data
+        out = multi_head_attention(t(x2), *attn(p), heads, pad_mask=mask).data
         # valid rows are bit-identical: masked weights are exactly zero
         assert np.array_equal(base[:3], out[:3])
 
@@ -228,15 +228,13 @@ class TestAttention:
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(ConfigError):
-            multi_head_attention(t(np.zeros((2, 4))), p.wq, p.bq, p.wk, p.bk,
-                                 p.wv, p.bv, p.wo, p.bo, heads=3)
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), heads=3)
 
     def test_mask_length_mismatch(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(DimensionError):
-            multi_head_attention(t(np.zeros((2, 4))), p.wq, p.bq, p.wk, p.bk,
-                                 p.wv, p.bv, p.wo, p.bo, heads=2,
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), heads=2,
                                  pad_mask=np.array([True, True, True]))
 
 
@@ -247,8 +245,7 @@ class TestBatchedAttention:
         p = make_params(rng, d, 2 * d)
         x = rng.normal(size=(3, n, d))
         mask = np.arange(n) < np.array([6, 2, 4])[:, None]
-        y = multi_head_attention(t(x), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                                 p.wo, p.bo, heads, pad_mask=mask)
+        y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask)
         assert y.shape == (3, n, d)
         for i in range(3):
             np.testing.assert_allclose(y.data[i], np_attention(x[i], p, heads, mask[i]),
@@ -258,8 +255,7 @@ class TestBatchedAttention:
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(DimensionError):
-            multi_head_attention(t(np.zeros((2, 3, 4))), p.wq, p.bq, p.wk, p.bk,
-                                 p.wv, p.bv, p.wo, p.bo, heads=2,
+            multi_head_attention(t(np.zeros((2, 3, 4))), *attn(p), heads=2,
                                  pad_mask=np.ones((3, 3), dtype=bool))
 
 
@@ -268,10 +264,8 @@ class TestEncoderBlock:
         # wo = 0 kills the attention branch, w2 = 0 kills the FFN branch
         rng = np.random.default_rng(23)
         p = make_params(rng, 6, 12)
-        p.wo.data[...] = 0.0
-        p.bo.data[...] = 0.0
-        p.w2.data[...] = 0.0
-        p.b2.data[...] = 0.0
+        for suffix in ("attn.o.weight", "attn.o.bias", "ffn.w2.weight", "ffn.w2.bias"):
+            p[suffix].data[...] = 0.0
         x = rng.normal(size=(4, 6))
         y = encoder_block_forward(t(x), p, heads=2)
         assert np.array_equal(y.data, x)
@@ -313,7 +307,7 @@ class TestExpandedBlock:
     def test_identity_projection_adds_block_output(self):
         rng = np.random.default_rng(41)
         p = make_params(rng, 4, 8, zll=True)
-        p.zll_weight.data[...] = np.eye(4)
+        p["zll.weight"].data[...] = np.eye(4)
         x = rng.normal(size=(3, 4))
         y = expanded_block_forward(t(x), p, heads=2)
         inner = encoder_block_forward(t(x), p, heads=2)
@@ -322,11 +316,11 @@ class TestExpandedBlock:
     def test_random_projection_compositional(self):
         rng = np.random.default_rng(43)
         p = make_params(rng, 6, 12, zll=True)
-        p.zll_weight.data[...] = rng.normal(0.0, 0.3, (6, 6))
-        p.zll_bias.data[...] = rng.normal(0.0, 0.3, 6)
+        p["zll.weight"].data[...] = rng.normal(0.0, 0.3, (6, 6))
+        p["zll.bias"].data[...] = rng.normal(0.0, 0.3, 6)
         x = rng.normal(size=(4, 6))
         y = expanded_block_forward(t(x), p, heads=2)
-        expected = x + np_block(x, p, 2) @ p.zll_weight.data + p.zll_bias.data
+        expected = x + np_block(x, p, 2) @ p["zll.weight"].data + p["zll.bias"].data
         np.testing.assert_allclose(y.data, expected, rtol=1e-12, atol=1e-12)
 
     def test_missing_projection_rejected(self):

@@ -1,21 +1,18 @@
 """Model construction, parameter accounting, and forward-pass behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bbekit.errors import ConfigError, DimensionError, InputError, StateError
 from bbekit.model import (
-    BLOCK_PARAM_SHAPES,
     BlockInfo,
     ConvLayerSpec,
     EncoderConfig,
     EncoderModel,
-    block_param_count,
-    build_model,
     conv_output_length,
-    expected_param_count,
-    frontend_param_count,
-    head_param_count,
+    param_layout,
 )
 
 from test_functional import np_block, np_gelu
@@ -38,7 +35,6 @@ class TestConfigValidation:
         {"d_model": 6, "n_heads": 4},
         {"d_ffn": 0},
         {"n_classes": 1},
-        {"pooling": "max"},
         {"frontend": "mel"},
         {"frontend": "conv"},  # no conv layers given
         {"conv_layers": [ConvLayerSpec(4, 2, 2)]},  # layers without conv frontend
@@ -51,6 +47,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             conv_config(conv_layers=[ConvLayerSpec(4, 2, 2)]).validate()
 
+    def test_from_dict_defaults_and_unknown_keys(self):
+        assert EncoderConfig.from_dict({"unknown": 1}) == EncoderConfig()
+
     def test_dict_roundtrip(self):
         cfg = conv_config()
         again = EncoderConfig.from_dict(cfg.to_dict())
@@ -61,24 +60,46 @@ class TestConfigValidation:
         assert BlockInfo.from_dict(info.to_dict()) == info
 
 
+def layout_count(layout, prefix=""):
+    return sum(math.prod(shape) for name, shape in layout.items()
+               if name.startswith(prefix))
+
+
 class TestParameterAccounting:
     def test_block_count_formula_matches_store(self, tiny_model):
-        per_block = sum(tiny_model.store.value(f"block.0.{s}").size
-                        for s, _ in BLOCK_PARAM_SHAPES)
-        assert per_block == block_param_count(tiny_model.config)
+        # d=16, f=32: four d x d projections and their biases, two layer
+        # norms, and the two FFN matrices with their biases
+        d, f = 16, 32
+        per_block = sum(tiny_model.store.value(name).size
+                        for name in tiny_model.store.names() if name.startswith("block.0."))
+        assert per_block == 4 * d * d + 4 * d + 4 * d + 2 * d * f + f + d
+        layout = param_layout(tiny_model.config, tiny_model.block_index)
+        assert layout_count(layout, "block.0.") == per_block
 
     def test_identity_model_total(self, tiny_config, tiny_model):
-        assert tiny_model.store.n_params() == expected_param_count(tiny_config)
+        layout = param_layout(tiny_config, tiny_model.block_index)
+        assert list(layout) == tiny_model.store.names()
+        assert tiny_model.store.n_params() == layout_count(layout)
 
     def test_conv_model_total(self):
         cfg = conv_config()
         model = EncoderModel.build(cfg, seed=5)
+        layout = param_layout(cfg, model.block_index)
         # conv stack: (2*3*4 + 4) + (2*4*8 + 8) = 100
-        assert frontend_param_count(cfg) == 100
-        assert model.store.n_params() == expected_param_count(cfg)
+        assert layout_count(layout, "frontend.") == 100
+        assert model.store.n_params() == layout_count(layout)
 
-    def test_head_count(self, tiny_config):
-        assert head_param_count(tiny_config) == 16 * 6 + 6
+    def test_head_count(self, tiny_config, tiny_model):
+        layout = param_layout(tiny_config, tiny_model.block_index)
+        assert layout_count(layout, "head.") == 16 * 6 + 6
+
+    def test_expanded_blocks_carry_their_gate(self, tiny_config):
+        index = [BlockInfo("0", "original", True), BlockInfo("0x1", "expanded", True, "0")]
+        layout = param_layout(tiny_config, index)
+        assert "block.0.zll.weight" not in layout
+        assert layout["block.0x1.zll.weight"] == (16, 16)
+        assert layout["block.0x1.zll.bias"] == (16,)
+        assert layout_count(layout, "block.0x1.") == layout_count(layout, "block.0.") + 16 * 16 + 16
 
     def test_conv_frontend_frozen_by_default(self):
         model = EncoderModel.build(conv_config(), seed=5)
@@ -142,7 +163,7 @@ class TestForward:
         frames = rng.normal(size=(3, 16))
         expected = frames
         for info in tiny_model.block_index:
-            expected = np_block(expected, tiny_model.block_params(info.block_id),
+            expected = np_block(expected, tiny_model.block_params()[info.block_id],
                                 tiny_model.config.n_heads)
         pooled = expected.mean(axis=0)
         expected = pooled @ tiny_model.store.value("head.weight") + tiny_model.store.value("head.bias")
@@ -173,6 +194,20 @@ class TestConvFrontend:
         assert conv_output_length(9, [ConvLayerSpec(4, 2, 2)]) == 4
         assert conv_output_length(8, [ConvLayerSpec(4, 2, 2), ConvLayerSpec(8, 2, 2)]) == 2
         assert conv_output_length(1, [ConvLayerSpec(4, 2, 2)]) == 0
+
+    @pytest.mark.parametrize("layers", [
+        [ConvLayerSpec(4, 2, 2), ConvLayerSpec(8, 2, 2)],
+        [ConvLayerSpec(16, 3, 2), ConvLayerSpec(16, 3, 2)],
+        [ConvLayerSpec(8, 5, 1), ConvLayerSpec(8, 3, 3), ConvLayerSpec(8, 4, 2)],
+    ])
+    def test_min_input_length_is_the_receptive_field(self, layers):
+        cfg = conv_config(conv_layers=layers)
+        shortest = cfg.min_input_length
+        assert conv_output_length(shortest, layers) == 1
+        assert conv_output_length(shortest - 1, layers) == 0
+
+    def test_identity_min_input_length(self, tiny_config):
+        assert tiny_config.min_input_length == 1
 
     def test_forward_shape(self):
         model = EncoderModel.build(conv_config(), seed=5)
@@ -219,11 +254,9 @@ class TestConvFrontend:
         # identity (zeroed output projections) and whose head picks out the
         # pooled coordinates
         ident = model.clone()
-        p = ident.block_params("0")
-        p.wo.data[...] = 0.0
-        p.bo.data[...] = 0.0
-        p.w2.data[...] = 0.0
-        p.b2.data[...] = 0.0
+        p = ident.block_params()["0"]
+        for suffix in ("attn.o.weight", "attn.o.bias", "ffn.w2.weight", "ffn.w2.bias"):
+            p[suffix].data[...] = 0.0
         hw = np.zeros((4, 6))
         hw[:, :4] = np.eye(4)
         ident.store.value("head.weight")[...] = hw
@@ -312,10 +345,3 @@ class TestClone:
     def test_unknown_block_id(self, tiny_model):
         with pytest.raises(StateError):
             tiny_model.block_info("99")
-
-
-class TestBuildHelper:
-    def test_build_model_wrapper(self, tiny_config):
-        a = build_model(tiny_config, seed=4)
-        b = EncoderModel.build(tiny_config, seed=4)
-        assert np.array_equal(a.store.value("head.weight"), b.store.value("head.weight"))

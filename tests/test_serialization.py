@@ -4,16 +4,19 @@ The bar is bit-exactness: a loaded model must be indistinguishable from the
 saved one, down to optimizer moments, freeze flags, and the RNG counter.
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from bbekit import checkpoint
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.errors import FormatError, InputError
 from bbekit.expansion import ExpansionSpec, expand
 from bbekit.featfile import read_features, write_features
 from bbekit.model import EncoderConfig, EncoderModel
+from bbekit.params import ParameterStore
 
 
 class TestFeatureFiles:
@@ -92,6 +95,21 @@ def assert_models_equal(a: EncoderModel, b: EncoderModel) -> None:
         assert np.array_equal(ea.v, eb.v), name
         assert ea.frozen == eb.frozen, name
         assert ea.step == eb.step, name
+
+
+def header_span(data: bytes) -> tuple[dict, int]:
+    """A checkpoint's JSON header and the offset of the first parameter."""
+    (json_len,) = struct.unpack("<I", data[8:12])
+    return json.loads(data[12:12 + json_len]), 12 + json_len
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the checkpoint's JSON header in place."""
+    data = path.read_bytes()
+    header, start = header_span(data)
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[start:])
 
 
 class TestCheckpoints:
@@ -180,11 +198,101 @@ class TestCheckpoints:
         # drop one block parameter before saving; the structural check on
         # load must notice the hole
         model = tiny_model.clone()
-        model.store.remove("block.1.ffn.w2.bias")
+        store = ParameterStore()
+        for name, entry in model.store.items():
+            if name != "block.1.ffn.w2.bias":
+                store.add(name, entry.tensor.data)
+        model.store = store
         path = tmp_path / "m.bbex"
         save_checkpoint(path, model)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_extra_parameter_detected(self, tmp_path, tiny_model):
+        model = tiny_model.clone()
+        model.store.add("block.0.extra.weight", np.zeros((2, 2)))
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, model)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_shape_disagreeing_with_config_detected(self, tmp_path):
+        # the header claims 16-wide FFNs over stored 8-wide tensors
+        model = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=8, n_heads=2,
+                                                 d_ffn=8), seed=3)
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(d_ffn=16))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_duplicate_block_id_detected(self, tmp_path):
+        # two index entries naming the one stored block would run it twice
+        model = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=8, n_heads=2,
+                                                 d_ffn=8), seed=3)
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, model)
+
+        def duplicate(header):
+            header["config"]["n_blocks"] = 2
+            header["block_index"] = header["block_index"] * 2
+
+        rewrite_header(path, duplicate)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_duplicate_parameter_name_detected(self, tmp_path, tiny_model):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        data = path.read_bytes()
+        # the last entry is head.bias, (6,): name, ndim, dim, values,
+        # frozen flag, both moments, step; the file ends with the RNG state
+        size = 2 + len(b"head.bias") + 1 + 4 + 3 * 8 * 6 + 1 + 8
+        last = data[-8 - size:-8]
+        assert last[2:2 + len(b"head.bias")] == b"head.bias"
+        path.write_bytes(data[:-8] + last + data[-8:])
+        rewrite_header(path, lambda h: h.update(n_params=h["n_params"] + 1))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_huge_dims_rejected_before_reading(self, tmp_path, tiny_model, monkeypatch, conv):
+        # the first parameter is 1-d (ln1.gain) or 2-d (the conv weight);
+        # its dims all become 0xFFFFFFFF, so 3 * 8 * prod(dims) bytes
+        # cannot be in the file, and no read may even be requested for them
+        from test_model import conv_config
+
+        model = EncoderModel.build(conv_config(), seed=13) if conv else tiny_model
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, model)
+        data = bytearray(path.read_bytes())
+        _, start = header_span(bytes(data))
+        (name_len,) = struct.unpack("<H", data[start:start + 2])
+        ndim = data[start + 2 + name_len]
+        dims = start + 3 + name_len
+        data[dims:dims + 4 * ndim] = b"\xff" * (4 * ndim)
+        path.write_bytes(bytes(data))
+
+        real = checkpoint._read_exact
+
+        def bounded(fh, n, what):
+            assert 0 <= n <= len(data), f"{what}: read of {n} bytes requested"
+            return real(fh, n, what)
+
+        monkeypatch.setattr(checkpoint, "_read_exact", bounded)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_with_pooling_still_loads(self, tmp_path, tiny_model, rng):
+        # headers written before the pooling field was dropped carry
+        # "pooling": "mean"; such a file loads and evaluates bit-identically
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        rewrite_header(path, lambda h: h["config"].update(pooling="mean"))
+        loaded = load_checkpoint(path)
+        assert_models_equal(loaded, tiny_model)
+        frames = rng.normal(size=(5, 16))
+        assert np.array_equal(loaded.logits(frames), tiny_model.logits(frames))
 
     def test_rng_state_preserved(self, tmp_path, tiny_model):
         model = tiny_model.clone()

@@ -288,14 +288,26 @@ class TestTransfer:
         assert model.rng_state != state
 
     def test_head_resized_for_smaller_inventory(self, tiny_model, make_corpus):
+        # a target without its top classes keeps the fixed six-class head
         target = make_corpus("t0")
-        # keep only the first three classes in the target corpus
         target.samples = [s for s in target.samples if s.mapped_class < 3]
         model = tiny_model.clone()
+        state = model.rng_state
         model, _ = train_transfer(model, target,
                                   quick_cfg(stage="single_corpus", n_steps=2))
-        assert model.config.n_classes == 3
-        assert model.store.value("head.weight").shape == (16, 3)
+        assert model.config.n_classes == 6
+        assert model.store.value("head.weight").shape == (16, 6)
+        assert model.rng_state == state  # no RNG draw means no reinit
+
+    def test_head_reinit_auto_restores_six_classes(self, tiny_model, make_corpus):
+        model = tiny_model.clone()
+        model.reinit_head(n_classes=4)
+        state = model.rng_state
+        model, _ = train_transfer(model, make_corpus("t0"),
+                                  quick_cfg(stage="single_corpus", n_steps=2))
+        assert model.config.n_classes == 6
+        assert model.store.value("head.weight").shape == (16, 6)
+        assert model.rng_state != state
 
     def test_stage_mismatch(self, tiny_model, make_corpus):
         with pytest.raises(ConfigError):
