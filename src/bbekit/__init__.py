@@ -14,8 +14,7 @@ from .errors import (BbekitError, ConfigError, DataError, InvariantViolation,
 from .expansion import ExpansionSpec, apply_freeze_policy, expand, verify_preservation
 from .featfile import read_features, write_features
 from .gradcheck import check_model_gradients
-from .labels import (CLASS_NAMES, MappingTable, SixClass, circumplex_to_class,
-                     load_mapping_table)
+from .labels import CLASS_NAMES, MappingTable, SixClass, load_mapping_table
 from .metrics import ConfusionMatrix, confusion, duration_histogram, report, uar
 from .model import EncoderConfig, EncoderModel
 from .optim import AdamWConfig, adamw_step
@@ -31,7 +30,7 @@ __all__ = [
     "MappingTable", "NumericalAbort", "NumericalError", "ParameterStore",
     "Sample", "SixClass", "SyntheticSpec", "Tensor", "TrainConfig", "TrainLog",
     "adamw_step", "apply_freeze_policy", "check_model_gradients",
-    "circumplex_to_class", "confusion", "duration_histogram", "evaluate",
+    "confusion", "duration_histogram", "evaluate",
     "expand", "generate_synthetic_corpus", "load_checkpoint", "load_corpus_set",
     "load_manifest", "load_mapping_table", "make_splits", "next_batch",
     "no_grad", "read_features", "report", "round_robin_schedule",

@@ -74,10 +74,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
@@ -84,13 +84,18 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             config = EncoderConfig.from_dict(header["config"])
             block_index = [BlockInfo.from_dict(b) for b in header["block_index"]]
             n_params = int(header["n_params"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: incomplete header ({exc})") from exc
+        except ConfigError as exc:
+            raise FormatError(f"{path}: invalid model config in header ({exc})") from exc
 
         store = ParameterStore()
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
             count = math.prod(shape)

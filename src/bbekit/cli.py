@@ -203,18 +203,20 @@ def cmd_expand(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    expansion = None
+    if args.expand:
+        expansion = ExpansionSpec(
+            multiplier=args.multiplier or ExpansionSpec.multiplier,
+            freeze_policy=args.freeze_policy or ExpansionSpec.freeze_policy)
+    elif args.multiplier is not None or args.freeze_policy is not None:
+        raise ConfigError("--multiplier and --freeze-policy need --expand")
     cfg = load_config(args.config, args.set or [])
     run = RunDir(args.out, "finetune")
     model = load_checkpoint(args.checkpoint)
     target = load_manifest(args.target)
-    expansion = None
-    if args.expand:
-        expansion = ExpansionSpec(multiplier=args.multiplier,
-                                  freeze_policy=args.freeze_policy)
     tcfg = train_config_from(cfg, "single_corpus", args.seed, n_steps=args.steps,
                              expansion=expansion, default_steps=10000)
-    model, log = train_transfer(model, target, tcfg,
-                                reinit_head=True if args.reinit_head else "auto")
+    model, log = train_transfer(model, target, tcfg, reinit_head=args.reinit_head)
     ckpt = run.path / "checkpoint.bbex"
     save_checkpoint(ckpt, model)
     run.write_text("loss.csv", log.loss_csv())
@@ -341,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override step count (default 10000)")
     p.add_argument("--expand", action="store_true",
                    help="expand the model before fine-tuning")
-    p.add_argument("--multiplier", type=int, default=ExpansionSpec.multiplier, choices=(2, 3))
-    p.add_argument("--freeze-policy", default=ExpansionSpec.freeze_policy,
-                   choices=FREEZE_POLICIES)
+    p.add_argument("--multiplier", type=int, default=None, choices=(2, 3),
+                   help=f"with --expand (default {ExpansionSpec.multiplier})")
+    p.add_argument("--freeze-policy", default=None, choices=FREEZE_POLICIES,
+                   help=f"with --expand (default {ExpansionSpec.freeze_policy})")
     p.add_argument("--reinit-head", action="store_true",
-                   help="force a fresh classifier head")
+                   help="draw a fresh six-class head instead of keeping the loaded one")
     p.set_defaults(func=cmd_finetune)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on one split")

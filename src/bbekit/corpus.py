@@ -39,8 +39,6 @@ class Sample:
 class CorpusManifest:
     corpus_id: str
     samples: list[Sample]
-    language: str = ""
-    notes: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
     def split_samples(self, split: str) -> list[Sample]:
@@ -52,15 +50,6 @@ class CorpusManifest:
         if sample.feature_path not in self._cache:
             self._cache[sample.feature_path] = read_features(sample.feature_path)
         return self._cache[sample.feature_path]
-
-    def speakers(self) -> set[str]:
-        return {s.speaker_id for s in self.samples if s.speaker_id}
-
-    def class_counts(self, n_classes: int = 6) -> np.ndarray:
-        counts = np.zeros(n_classes, dtype=np.int64)
-        for s in self.samples:
-            counts[s.mapped_class] += 1
-        return counts
 
 
 @dataclass

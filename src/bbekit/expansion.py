@@ -45,8 +45,8 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
     new_index = []
     for info in out.block_index:
         new_index.append(info)
-        new_index += [BlockInfo(f"{info.block_id}x{k}", "expanded", trainable=True,
-                                source=info.block_id) for k in range(1, spec.multiplier)]
+        new_index += [BlockInfo(f"{info.block_id}x{k}", "expanded", source=info.block_id)
+                      for k in range(1, spec.multiplier)]
     out.block_index = new_index
     out.config.n_blocks = len(new_index)
     # the copies' parameters are the ones the grown layout adds: block
@@ -71,7 +71,7 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
 
 
 def apply_freeze_policy(model: EncoderModel, policy: str) -> None:
-    """Set frozen flags on the store and trainable flags on the block index."""
+    """Set the store's frozen flags; the expansion record notes the policy."""
     if policy not in FREEZE_POLICIES:
         raise ConfigError(f"unknown freeze policy {policy!r}")
 
@@ -88,8 +88,6 @@ def apply_freeze_policy(model: EncoderModel, policy: str) -> None:
         return model.block_info(block_id).origin == "original"
 
     model.store.freeze_where(frozen)
-    for info in model.block_index:
-        info.trainable = not frozen(f"block.{info.block_id}.ln1.gain")
     if model.expansion is not None:
         model.expansion["freeze_policy"] = policy
 

@@ -47,10 +47,6 @@ class SixClass:
 CLASS_NAMES = tuple(SixClass.from_index(i).label for i in range(N_CLASSES))
 
 
-def circumplex_to_class(arousal: str, valence: str) -> SixClass:
-    return SixClass(normalize(arousal), normalize(valence))
-
-
 def normalize(token: str) -> str:
     return token.strip().lower()
 
@@ -122,9 +118,6 @@ class MappingTable:
         if missing:
             raise UnmappedLabelError(missing)
         return [self._table[normalize(r)] for r in raws]
-
-    def known_labels(self) -> list[str]:
-        return sorted(self._table)
 
 
 def load_mapping_table(path: str | Path) -> MappingTable:

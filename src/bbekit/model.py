@@ -15,6 +15,7 @@ from . import autodiff as ad
 from . import functional as F
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, InputError, StateError
+from .labels import N_CLASSES
 from .params import ParameterStore
 from .rngutil import generator, splitmix64, truncated_normal
 
@@ -37,7 +38,6 @@ class EncoderConfig:
     frontend: str = "identity"  # "identity" | "conv"
     conv_layers: list[ConvLayerSpec] = field(default_factory=list)
     conv_in_dim: int = 1
-    n_classes: int = 6
 
     @property
     def input_dim(self) -> int:
@@ -62,8 +62,6 @@ class EncoderConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_ffn < 1:
             raise ConfigError(f"d_ffn must be >= 1, got {self.d_ffn}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.frontend not in ("identity", "conv"):
             raise ConfigError(f"unknown frontend kind {self.frontend!r}")
         if self.frontend == "conv":
@@ -86,7 +84,6 @@ class EncoderConfig:
             "frontend": self.frontend,
             "conv_layers": [[c.channels, c.kernel, c.stride] for c in self.conv_layers],
             "conv_in_dim": self.conv_in_dim,
-            "n_classes": self.n_classes,
         }
 
     @classmethod
@@ -121,17 +118,14 @@ def dataclass_from(cls, section: dict, **fixed):
 class BlockInfo:
     block_id: str
     origin: str  # "original" | "expanded"
-    trainable: bool
     source: str | None = None  # id of the block this one was copied from
 
     def to_dict(self) -> dict:
-        return {"id": self.block_id, "origin": self.origin,
-                "trainable": self.trainable, "source": self.source}
+        return {"id": self.block_id, "origin": self.origin, "source": self.source}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockInfo":
-        return cls(block_id=d["id"], origin=d["origin"],
-                   trainable=bool(d["trainable"]), source=d.get("source"))
+        return cls(block_id=d["id"], origin=d["origin"], source=d.get("source"))
 
 
 def param_layout(config: EncoderConfig,
@@ -157,8 +151,8 @@ def param_layout(config: EncoderConfig,
                        p + "ffn.w2.weight": (f, d), p + "ffn.w2.bias": (d,)})
         if info.origin == "expanded":
             layout.update({p + "zll.weight": (d, d), p + "zll.bias": (d,)})
-    layout["head.weight"] = (d, config.n_classes)
-    layout["head.bias"] = (config.n_classes,)
+    layout["head.weight"] = (d, N_CLASSES)
+    layout["head.bias"] = (N_CLASSES,)
     return layout
 
 
@@ -175,8 +169,8 @@ class EncoderModel:
     """Config + parameter store + ordered block index.
 
     Parameter names follow ``block.<id>.<suffix>`` plus ``frontend.*`` and
-    ``head.*``; the block index carries origin and trainability metadata
-    that expansion updates.
+    ``head.*``; the block index carries each block's origin and source,
+    which expansion sets.  Freeze flags live on the store's tensors only.
     """
 
     def __init__(self, config: EncoderConfig, store: ParameterStore,
@@ -193,7 +187,7 @@ class EncoderModel:
     @classmethod
     def build(cls, config: EncoderConfig, seed: int) -> "EncoderModel":
         config.validate()
-        index = [BlockInfo(str(i), "original", trainable=True) for i in range(config.n_blocks)]
+        index = [BlockInfo(str(i), "original") for i in range(config.n_blocks)]
         model = cls(config, ParameterStore(), index, seed & ((1 << 64) - 1))
         rng = model._draw_rng()
         # weights get the truncated-normal init, layer-norm gains ones, the
@@ -213,16 +207,12 @@ class EncoderModel:
         self.rng_state = splitmix64(self.rng_state)
         return rng
 
-    def reinit_head(self, n_classes: int | None = None) -> None:
-        """Fresh head for a new target class inventory; advances the model RNG."""
-        if n_classes is not None:
-            if n_classes < 2:
-                raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
-            self.config.n_classes = int(n_classes)
+    def reinit_head(self) -> None:
+        """Fresh trainable six-class head; advances the model RNG."""
         rng = self._draw_rng()
         self.store.replace("head.weight",
-                           truncated_normal(rng, (self.config.d_model, self.config.n_classes), INIT_STD))
-        self.store.replace("head.bias", np.zeros(self.config.n_classes))
+                           truncated_normal(rng, (self.config.d_model, N_CLASSES), INIT_STD))
+        self.store.replace("head.bias", np.zeros(N_CLASSES))
 
     def clone(self) -> "EncoderModel":
         """Deep copy: independent store, block index, and RNG state."""
@@ -290,11 +280,11 @@ class EncoderModel:
         return x, np.arange(x.shape[1]) < out_lengths[:, None]
 
     def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
-        """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, n_classes].
+        """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6].
 
         The mask is True on real frames and defaults to all True.  A single
         [T, d_in] sequence (with a [T] mask) runs as a batch of one and
-        returns [n_classes].
+        returns [6].
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)

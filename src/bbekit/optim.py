@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay and freeze-mask support."""
+"""AdamW with decoupled weight decay; frozen parameters are skipped."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,17 +13,20 @@ from .errors import StateError
 @dataclass
 class ParamEntry:
     tensor: Tensor
-    frozen: bool
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    @property
+    def frozen(self) -> bool:
+        return not self.tensor.requires_grad
 
 
 class ParameterStore:
     """Ordered map from dotted names to parameters.
 
-    Frozen entries have ``requires_grad`` off, so backward never touches
-    them and their gradient buffer stays exactly zero.
+    Frozen entries have ``requires_grad`` off and hold no gradient buffer
+    (``grad is None``), so backward never touches them.
     """
 
     def __init__(self):
@@ -35,11 +38,8 @@ class ParameterStore:
         if name in self._entries:
             raise StateError(f"duplicate parameter name {name!r}")
         tensor = Tensor(value, requires_grad=not frozen)
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
         entry = ParamEntry(
             tensor=tensor,
-            frozen=frozen,
             m=np.zeros_like(tensor.data) if m is None else np.asarray(m, dtype=np.float64).reshape(tensor.data.shape),
             v=np.zeros_like(tensor.data) if v is None else np.asarray(v, dtype=np.float64).reshape(tensor.data.shape),
             step=int(step),
@@ -47,15 +47,13 @@ class ParameterStore:
         self._entries[name] = entry
         return entry
 
-    def replace(self, name: str, value: np.ndarray, frozen: bool = False) -> ParamEntry:
-        """Swap in a fresh value (new shape allowed), resetting optimizer state."""
+    def replace(self, name: str, value: np.ndarray) -> ParamEntry:
+        """Swap in a fresh trainable value, resetting optimizer state."""
         if name not in self._entries:
             raise StateError(f"unknown parameter {name!r}")
-        tensor = Tensor(value, requires_grad=not frozen)
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        entry = ParamEntry(tensor=tensor, frozen=frozen,
-                           m=np.zeros_like(tensor.data), v=np.zeros_like(tensor.data))
+        tensor = Tensor(value, requires_grad=True)
+        entry = ParamEntry(tensor=tensor, m=np.zeros_like(tensor.data),
+                           v=np.zeros_like(tensor.data))
         self._entries[name] = entry
         return entry
 
@@ -87,11 +85,13 @@ class ParameterStore:
         return self[name].tensor.grad
 
     def set_frozen(self, name: str, frozen: bool) -> None:
-        entry = self[name]
-        entry.frozen = frozen
-        entry.tensor.requires_grad = not frozen
+        """Freezing drops the gradient buffer; thawing gives a zero one."""
+        tensor = self[name].tensor
+        tensor.requires_grad = not frozen
         if frozen:
-            entry.tensor.grad[...] = 0.0
+            tensor.grad = None
+        elif tensor.grad is None:
+            tensor.grad = np.zeros_like(tensor.data)
 
     def freeze_where(self, predicate) -> None:
         for name in self._entries:
@@ -99,7 +99,8 @@ class ParameterStore:
 
     def zero_grads(self) -> None:
         for entry in self._entries.values():
-            entry.tensor.grad[...] = 0.0
+            if entry.tensor.grad is not None:
+                entry.tensor.grad[...] = 0.0
 
     def n_params(self, only_trainable: bool = False) -> int:
         return sum(e.tensor.size for e in self._entries.values()

@@ -3,7 +3,6 @@ transfer fine-tuning with optional depth expansion."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,8 +12,7 @@ from . import functional as F
 from .corpus import (CorpusIterator, CorpusManifest, next_batch, pad_frames,
                      round_robin_schedule)
 from .errors import ConfigError, EvalError, InvariantViolation, NumericalAbort, NumericalError
-from .expansion import (ExpansionSpec, apply_freeze_policy, expand, preservation_probes,
-                        verify_preservation)
+from .expansion import ExpansionSpec, expand, preservation_probes, verify_preservation
 from .labels import N_CLASSES
 from .metrics import confusion, uar
 from .model import EncoderModel
@@ -35,7 +33,6 @@ class TrainConfig:
     eval_every: int = 100
     seed: int = 0
     stage: str = "multi_corpus"  # "multi_corpus" | "single_corpus"
-    freeze_policy: str | None = None  # None leaves the model's flags alone
     expansion: ExpansionSpec | None = None
     selection: str = "best"  # "best" | "last"
 
@@ -56,7 +53,6 @@ class TrainConfig:
 class TrainLog:
     losses: list[tuple[int, str, float]] = field(default_factory=list)
     vals: list[tuple[int, str, float]] = field(default_factory=list)
-    wall_clock_s: float = 0.0  # in-memory only, never serialized
     best_step: int | None = None
     best_val_uar: float | None = None
 
@@ -100,7 +96,7 @@ def evaluate(model: EncoderModel, manifest: CorpusManifest,
         features, pad_mask = pad_frames([frames[i] for i in chunk], manifest.corpus_id)
         preds.extend(np.argmax(model.logits(features, pad_mask), axis=1).tolist())
         labels.extend(samples[i].mapped_class for i in chunk)
-    cm = confusion(preds, labels, model.config.n_classes)
+    cm = confusion(preds, labels, N_CLASSES)
     return {"uar": uar(cm), "confusion": cm, "n_samples": len(samples)}
 
 
@@ -135,7 +131,6 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i))
                  for i, m in enumerate(manifests)}
     log = TrainLog()
-    started = time.monotonic()
 
     def maybe_snapshot(step: int, mean_uar: float) -> None:
         if log.best_val_uar is None or mean_uar > log.best_val_uar:
@@ -165,19 +160,17 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
 
     if cfg.selection == "best" and "best" in snapshots:
         model.store.restore(snapshots["best"])
-    log.wall_clock_s = time.monotonic() - started
     return log
 
 
 def train_multi(model: EncoderModel, manifests: list[CorpusManifest],
                 cfg: TrainConfig) -> tuple[EncoderModel, TrainLog]:
-    """Round-robin over the corpus list, one batch per step."""
+    """Round-robin over the corpus list, one batch per step.  Training
+    leaves the model's freeze flags as they are."""
     if cfg.stage != "multi_corpus":
         raise ConfigError(f"train_multi needs stage multi_corpus, got {cfg.stage!r}")
     if not manifests:
         raise ConfigError("train_multi needs at least one corpus")
-    if cfg.freeze_policy is not None:
-        apply_freeze_policy(model, cfg.freeze_policy)
     schedule = round_robin_schedule([m.corpus_id for m in manifests], cfg.n_steps)
     log = _train_loop(model, manifests, schedule, cfg)
     return model, log
@@ -185,20 +178,20 @@ def train_multi(model: EncoderModel, manifests: list[CorpusManifest],
 
 def train_transfer(model: EncoderModel, target: CorpusManifest,
                    cfg: TrainConfig,
-                   reinit_head: str | bool = "auto") -> tuple[EncoderModel, TrainLog]:
+                   reinit_head: bool = False) -> tuple[EncoderModel, TrainLog]:
     """Single-corpus fine-tuning of a loaded model, optionally expanding it
-    first.  The expansion's preservation check must come back exactly 0.0.
+    first.  The expansion's preservation check must come back exactly 0.0,
+    and its freeze policy sets which parameters train; without expansion
+    the model's freeze flags are left as they are.
 
-    The label space is the fixed six-class inventory, whichever classes the
-    target happens to contain.  reinit_head "auto" reinitializes only when
-    the head's class count differs from it, so an unchanged head keeps the
-    loaded model's zero-shot behaviour at step 0.
+    The head keeps the fixed six-class label space, whichever classes the
+    target contains.  By default it is kept, so the step-0 evaluation equals
+    the loaded model's zero-shot score; ``reinit_head`` draws a fresh one.
     """
     if cfg.stage != "single_corpus":
         raise ConfigError(f"train_transfer needs stage single_corpus, got {cfg.stage!r}")
-    if reinit_head is True or (reinit_head == "auto"
-                               and model.config.n_classes != N_CLASSES):
-        model.reinit_head(N_CLASSES)
+    if reinit_head:
+        model.reinit_head()
 
     if cfg.expansion is not None:
         expanded = expand(model, cfg.expansion)
@@ -207,8 +200,6 @@ def train_transfer(model: EncoderModel, target: CorpusManifest,
             raise InvariantViolation(
                 f"expansion changed outputs: max |delta| = {worst!r}")
         model = expanded
-    elif cfg.freeze_policy is not None:
-        apply_freeze_policy(model, cfg.freeze_policy)
 
     schedule = round_robin_schedule([target.corpus_id], cfg.n_steps)
     log = _train_loop(model, [target], schedule, cfg)

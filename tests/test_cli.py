@@ -289,6 +289,39 @@ class TestExitCodes:
         assert rc == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [["--multiplier", "3"],
+                                      ["--freeze-policy", "head-only"]])
+    def test_expansion_flags_need_expand(self, tmp_path, capsys, flag):
+        # without --expand these flags would be silently ignored
+        rc = main(["finetune", "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(tmp_path / "none.bbex"),
+                   "--target", str(tmp_path / "none.jsonl")] + flag)
+        assert rc == 2
+        assert "--expand" in capsys.readouterr().err
+
+    def test_non_utf8_parameter_name_is_data_error(self, tmp_path, tiny_model, capsys):
+        from test_serialization import header_span
+
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        data = bytearray(ckpt.read_bytes())
+        _, start = header_span(bytes(data))
+        data[start + 2] = 0xFF  # first byte of the first parameter name
+        ckpt.write_bytes(bytes(data))
+        rc = main(["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_invalid_header_config_is_data_error(self, tmp_path, tiny_model, capsys):
+        from test_serialization import rewrite_header
+
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        rewrite_header(ckpt, lambda h: h["config"].update(n_heads=3))  # d_model 16
+        rc = main(["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "n_heads 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("missing", ["corpus", "variant", "uar"])
     def test_report_input_missing_key(self, tmp_path, capsys, missing):
         payload = {"corpus": "a", "variant": "x", "uar": 0.5}

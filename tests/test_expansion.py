@@ -177,18 +177,17 @@ class TestFreezePolicies:
                 assert name in frozen, name  # originals do not
         assert "head.weight" not in frozen
         assert "head.bias" not in frozen
-        assert [b.trainable for b in out.block_index] == [False, True, False, True]
 
     def test_non_frozen(self, tiny_model):
         out = expand(tiny_model, ExpansionSpec(freeze_policy="non-frozen"))
         assert frozen_names(out) == set()
-        assert all(b.trainable for b in out.block_index)
 
     def test_head_only(self, tiny_model):
         out = expand(tiny_model, ExpansionSpec(freeze_policy="head-only"))
         frozen = frozen_names(out)
         assert frozen == set(out.store.names()) - {"head.weight", "head.bias"}
-        assert not any(b.trainable for b in out.block_index)
+        # frozen entries hold no gradient buffer
+        assert all(out.store.grad(name) is None for name in frozen)
 
     def test_frontend_always_frozen(self):
         from test_model import conv_config
@@ -213,9 +212,8 @@ class TestFreezePolicies:
         loss = softmax_cross_entropy(out.forward(rng.normal(size=(3, 16))), 2)
         loss.backward()
         for name in out.store.names():
-            grad = out.store.grad(name)
             if name.startswith("block.") and "x" not in name.split(".")[1]:
-                assert np.array_equal(grad, np.zeros_like(grad)), name
+                assert out.store.grad(name) is None, name
         # the zero-initialized projections are exactly where gradient lands
         assert np.abs(out.store.grad("block.0x1.zll.weight")).max() > 0.0
         assert np.abs(out.store.grad("head.weight")).max() > 0.0

@@ -10,7 +10,6 @@ from bbekit.labels import (
     N_CLASSES,
     MappingTable,
     SixClass,
-    circumplex_to_class,
     load_mapping_table,
     normalize,
 )
@@ -49,9 +48,6 @@ class TestClassSpace:
             SixClass.from_index(6)
         with pytest.raises(ConfigError):
             SixClass.from_index(-1)
-
-    def test_circumplex_normalizes(self):
-        assert circumplex_to_class(" High ", "NEGATIVE").index == 3
 
 
 class TestDefaultMapping:
@@ -103,11 +99,6 @@ class TestDefaultMapping:
         table = MappingTable()
         assert "JOY " in table
         assert "saudade" not in table
-
-    def test_known_labels_sorted(self):
-        labels = MappingTable().known_labels()
-        assert labels == sorted(labels)
-        assert "anger" in labels
 
 
 class TestOverrides:

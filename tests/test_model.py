@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bbekit.errors import ConfigError, DimensionError, InputError, StateError
+from bbekit.labels import N_CLASSES
 from bbekit.model import (
     BlockInfo,
     ConvLayerSpec,
@@ -34,7 +35,6 @@ class TestConfigValidation:
         {"n_blocks": 0},
         {"d_model": 6, "n_heads": 4},
         {"d_ffn": 0},
-        {"n_classes": 1},
         {"frontend": "mel"},
         {"frontend": "conv"},  # no conv layers given
         {"conv_layers": [ConvLayerSpec(4, 2, 2)]},  # layers without conv frontend
@@ -56,7 +56,7 @@ class TestConfigValidation:
         assert again == cfg
 
     def test_blockinfo_dict_roundtrip(self):
-        info = BlockInfo("2x1", "expanded", trainable=True, source="2")
+        info = BlockInfo("2x1", "expanded", source="2")
         assert BlockInfo.from_dict(info.to_dict()) == info
 
 
@@ -94,7 +94,7 @@ class TestParameterAccounting:
         assert layout_count(layout, "head.") == 16 * 6 + 6
 
     def test_expanded_blocks_carry_their_gate(self, tiny_config):
-        index = [BlockInfo("0", "original", True), BlockInfo("0x1", "expanded", True, "0")]
+        index = [BlockInfo("0", "original"), BlockInfo("0x1", "expanded", "0")]
         layout = param_layout(tiny_config, index)
         assert "block.0.zll.weight" not in layout
         assert layout["block.0x1.zll.weight"] == (16, 16)
@@ -279,7 +279,7 @@ class TestBatchAxis:
         features = rng.normal(size=(len(lengths), t_max, d)) * 10.0
         mask = np.arange(t_max) < lengths[:, None]
         batched = model.logits(features, mask)
-        assert batched.shape == (len(lengths), model.config.n_classes)
+        assert batched.shape == (len(lengths), N_CLASSES)
         for i, n in enumerate(lengths):
             np.testing.assert_allclose(batched[i], model.logits(features[i, :n]),
                                        rtol=1e-12, atol=1e-12)
@@ -312,16 +312,13 @@ class TestHeadReinit:
             if not name.startswith("head."):
                 assert np.array_equal(model.store.value(name), old), name
 
-    def test_reinit_with_new_class_count(self, tiny_model):
+    def test_reinit_gives_a_trainable_six_class_head(self, tiny_model):
         model = tiny_model.clone()
-        model.reinit_head(n_classes=4)
-        assert model.config.n_classes == 4
-        assert model.store.value("head.weight").shape == (16, 4)
-        assert model.logits(np.zeros((2, 16))).shape == (4,)
-
-    def test_reinit_bad_count(self, tiny_model):
-        with pytest.raises(ConfigError):
-            tiny_model.clone().reinit_head(n_classes=1)
+        model.store.freeze_where(lambda name: True)
+        model.reinit_head()
+        for name, shape in (("head.weight", (16, N_CLASSES)), ("head.bias", (N_CLASSES,))):
+            assert not model.store[name].frozen
+            assert np.array_equal(model.store.grad(name), np.zeros(shape))
 
 
 class TestClone:

@@ -109,7 +109,7 @@ class TestFreezing:
         live = store.add("a.weight", np.array([1.0]))
         frozen = store.add("b.weight", np.array([1.0]), frozen=True)
         live.tensor.grad[...] = 1.0
-        frozen.tensor.grad[...] = 0.0  # frozen grads stay zero by construction
+        assert frozen.tensor.grad is None  # frozen entries hold no gradient
         before = frozen.tensor.data.copy()
         adamw_step(store, AdamWConfig(learning_rate=0.1, weight_decay=0.3))
         assert np.array_equal(frozen.tensor.data, before)
@@ -123,6 +123,7 @@ class TestFreezing:
         store.add("a.bias", np.array([1.0]), frozen=True)
         adamw_step(store, AdamWConfig(learning_rate=0.1))
         store.set_frozen("a.bias", False)
+        assert np.array_equal(store.grad("a.bias"), [0.0])  # thawing gives a zero buffer
         store.grad("a.bias")[...] = 1.0
         adamw_step(store, AdamWConfig(learning_rate=0.1, weight_decay=0.0))
         assert store["a.bias"].step == 1

@@ -294,6 +294,35 @@ class TestCheckpoints:
         frames = rng.normal(size=(5, 16))
         assert np.array_equal(loaded.logits(frames), tiny_model.logits(frames))
 
+    def test_header_with_class_count_and_trainable_still_loads(self, tmp_path, tiny_model, rng):
+        # older headers carry "n_classes": 6 in the config and a "trainable"
+        # flag per block; both are ignored on load
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+
+        def add_old_fields(header):
+            header["config"]["n_classes"] = 6
+            for block in header["block_index"]:
+                block["trainable"] = True
+
+        rewrite_header(path, add_old_fields)
+        loaded = load_checkpoint(path)
+        assert_models_equal(loaded, tiny_model)
+        frames = rng.normal(size=(5, 16))
+        assert np.array_equal(loaded.logits(frames), tiny_model.logits(frames))
+
+    def test_four_wide_head_rejected(self, tmp_path, tiny_model):
+        # the label space is six classes; a stored 4-class head is corrupt
+        # even when its header claims "n_classes": 4
+        model = tiny_model.clone()
+        model.store.replace("head.weight", np.zeros((16, 4)))
+        model.store.replace("head.bias", np.zeros(4))
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(n_classes=4))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_rng_state_preserved(self, tmp_path, tiny_model):
         model = tiny_model.clone()
         model.reinit_head()  # advance the RNG away from the seed
