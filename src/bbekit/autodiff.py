@@ -389,29 +389,18 @@ def softmax_last(a, additive_mask: np.ndarray | None = None) -> Tensor:
 
 
 def cross_entropy_with_logits(logits, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits[i])[labels[i]], max-subtracted.
-
-    ``logits`` is [B, C] with a length-B label vector; a 1-d logit vector
-    with an int label is the B=1 case.
-    """
+    """Mean over rows of -log softmax(logits[i])[labels[i]], max-subtracted,
+    for [B, C] logits and a length-B label vector."""
     logits = _wrap(logits)
-    if np.ndim(labels) == 0:
-        if logits.ndim != 1:
-            raise DimensionError(f"an int label needs 1-d logits, got {logits.shape}")
-        rows = logits.data[None, :]
-        labels = np.array([int(labels)])
-    else:
-        labels = np.asarray(labels, dtype=np.int64)
-        if logits.ndim != 2 or labels.shape != logits.shape[:1]:
-            raise DimensionError(
-                f"cross entropy expects [B, C] logits with B labels, got "
-                f"{logits.shape} and {labels.shape}")
-        rows = logits.data
-    n_rows, n = rows.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise DimensionError(f"cross entropy expects [B, C] logits with B labels, got "
+                             f"{logits.shape} and {labels.shape}")
+    n_rows, n = logits.shape
     bad = labels[(labels < 0) | (labels >= n)]
     if bad.size:
         raise LabelError(f"label {int(bad[0])} out of range for {n} classes")
-    z = rows - rows.max(axis=1, keepdims=True)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1)
     picked = (np.arange(n_rows), labels)
@@ -420,34 +409,34 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     def backward(g):
         grad = e / total[:, None]
         grad[picked] -= 1.0
-        return ((g / n_rows * grad).reshape(logits.shape),)
+        return (g / n_rows * grad,)
 
     return _node(np.float64(loss), (logits,), backward)
 
 
 def unfold1d(a, kernel: int, stride: int) -> Tensor:
-    """Frame [L, c] or [B, L, c] sequences into [..., T, kernel*c] sliding
-    windows along the L axis."""
+    """Frame [B, L, c] sequences into [B, T, kernel*c] sliding windows
+    along the L axis."""
     a = _wrap(a)
-    if a.ndim not in (2, 3):
-        raise DimensionError(f"unfold1d expects [L, c] or [B, L, c], got {a.shape}")
-    *lead, length, channels = a.shape
+    if a.ndim != 3:
+        raise DimensionError(f"unfold1d expects [B, L, c], got {a.shape}")
+    batch, length, channels = a.shape
     if kernel < 1 or stride < 1:
         raise DimensionError(f"kernel/stride must be positive, got {kernel}/{stride}")
     n_out = (length - kernel) // stride + 1
     if n_out < 1:
         raise DimensionError(f"input length {length} shorter than kernel {kernel}")
-    # [..., L-kernel+1, c, kernel] -> every stride-th window as [..., T, kernel, c]
-    windows = np.lib.stride_tricks.sliding_window_view(a.data, kernel, axis=-2)
-    windows = np.array(np.swapaxes(windows[..., ::stride, :, :], -1, -2))
-    out = windows.reshape(tuple(lead) + (n_out, kernel * channels))
+    # [B, L-kernel+1, c, kernel] -> every stride-th window as [B, T, kernel, c]
+    windows = np.lib.stride_tricks.sliding_window_view(a.data, kernel, axis=1)
+    windows = np.array(np.swapaxes(windows[:, ::stride], 2, 3))
+    out = windows.reshape(batch, n_out, kernel * channels)
     span = stride * (n_out - 1) + 1
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        gw = g.reshape(tuple(lead) + (n_out, kernel, channels))
+        gw = g.reshape(batch, n_out, kernel, channels)
         for j in range(kernel):
-            ga[..., j:j + span:stride, :] += gw[..., j, :]
+            ga[:, j:j + span:stride] += gw[:, :, j]
         return (ga,)
 
     return _node(out, (a,), backward)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .expansion import FREEZE_POLICIES
 from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
@@ -84,10 +85,15 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             config = EncoderConfig.from_dict(header["config"])
             block_index = [BlockInfo.from_dict(b) for b in header["block_index"]]
             n_params = int(header["n_params"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: incomplete header ({exc})") from exc
         except ConfigError as exc:
             raise FormatError(f"{path}: invalid model config in header ({exc})") from exc
+        expansion = header.get("expansion")
+        _check_blocks(path, config, block_index, expansion)
+        layout = param_layout(config, block_index)
+        if n_params != len(layout):
+            raise FormatError(f"{path}: {n_params} parameters, its config lays out {len(layout)}")
 
         store = ParameterStore()
         for _ in range(n_params):
@@ -98,6 +104,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
                 raise FormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
+            if layout.get(name) != shape:
+                raise FormatError(f"{path}: {name} {shape} is not in the header's layout")
             count = math.prod(shape)
             # values and both moments, checked before anything is allocated
             if 3 * 8 * count > size - fh.tell():
@@ -119,21 +127,27 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")
 
-    model = EncoderModel(config, store, block_index, rng_state,
-                         expansion=header.get("expansion"))
-    _check_structure(model)
-    return model
+    # each name is in the layout, none twice, and the counts agree: store == layout
+    return EncoderModel(config, store, block_index, rng_state, expansion=expansion)
 
 
-def _check_structure(model: EncoderModel) -> None:
-    """The block ids must be distinct, and the store must hold exactly the
-    parameters, names and shapes, that the config and the block index lay
-    out."""
-    ids = [b.block_id for b in model.block_index]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"checkpoint block index repeats a block id: {ids}")
-    want = param_layout(model.config, model.block_index)
-    have = {name: entry.tensor.shape for name, entry in model.store.items()}
-    if have != want:
-        diff = sorted(set(have.items()) ^ set(want.items()))
-        raise FormatError(f"checkpoint parameters disagree with its config: {diff[:4]}")
+def _check_blocks(path, config, block_index: list[BlockInfo], expansion) -> None:
+    """``config.n_blocks`` distinct string ids, each an original without a
+    source or a copy of an original; copies need the record ``expand``
+    writes, with one more than each original's copies as its multiplier."""
+    ids = [b.block_id for b in block_index]
+    originals = [b.block_id for b in block_index if b.origin == "original" and b.source is None]
+    sources = [b.source for b in block_index if b.origin == "expanded"]
+    if (not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids)
+            or len(ids) != config.n_blocks or len(originals) + len(sources) != len(ids)
+            or not all(s in originals for s in sources)):
+        raise FormatError(f"{path}: block index {ids} disagrees with itself or the config")
+    if expansion is None and not sources:
+        return
+    if not (isinstance(expansion, dict)
+            and set(expansion) == {"multiplier", "freeze_policy", "source_blocks"}
+            and type(expansion["multiplier"]) is int and expansion["multiplier"] >= 2
+            and expansion["source_blocks"] == originals
+            and expansion["freeze_policy"] in FREEZE_POLICIES
+            and all(sources.count(o) == expansion["multiplier"] - 1 for o in originals)):
+        raise FormatError(f"{path}: expansion record {expansion!r} disagrees with the blocks")

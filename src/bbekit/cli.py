@@ -58,6 +58,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part} is not a section")
         node[parts[-1]] = value
+    if not all(isinstance(section, dict) for section in cfg.values()):
+        raise ConfigError(f"config sections must be JSON objects, got {cfg!r}")
     return cfg
 
 
@@ -122,8 +124,6 @@ def _variant_name(model: EncoderModel) -> str:
 # -- commands ----------------------------------------------------------------
 
 def cmd_synth_data(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    s = dict(cfg.get("synth", {}))
     run = RunDir(args.out, "synth-data")
     manifests = []
     entries = []
@@ -133,14 +133,14 @@ def cmd_synth_data(args) -> int:
             shift = args.target_shift
         spec = SyntheticSpec(
             corpus_id=f"syn{i:02d}",
-            n_speakers=int(s.get("n_speakers", args.speakers)),
-            samples_per_speaker=int(s.get("samples_per_speaker", args.samples_per_speaker)),
-            d=int(s.get("d", args.dim)),
-            class_means_seed=int(s.get("class_means_seed", args.class_means_seed)),
-            noise_std=float(s.get("noise_std", args.noise_std)),
-            corpus_shift=float(shift),
+            n_speakers=args.speakers,
+            samples_per_speaker=args.samples_per_speaker,
+            d=args.dim,
+            class_means_seed=args.class_means_seed,
+            noise_std=args.noise_std,
+            corpus_shift=shift,
             seed=derive_seed(args.seed, i),
-            frame_rate=float(s.get("frame_rate", args.frame_rate)),
+            frame_rate=args.frame_rate,
         )
         manifest_path = generate_synthetic_corpus(spec, run.path)
         manifests.append(load_manifest(manifest_path, corpus_id=spec.corpus_id))
@@ -152,7 +152,7 @@ def cmd_synth_data(args) -> int:
     run.write_text("durations.csv", histogram_csv(bins))
     for start in sorted(bins):
         print(f"[{start:>4g} s) {bins[start]:>6d}  " + "#" * min(60, bins[start]))
-    _summary(run, {"synth": s, "corpora": args.corpora, "seed": args.seed},
+    _summary(run, {"corpora": args.corpora, "seed": args.seed},
              corpus_set="corpus_set.json")
     run.finish()
     print(f"wrote {args.corpora} corpora under {run.path}")
@@ -289,13 +289,16 @@ def cmd_report(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-def _common(sub: argparse.ArgumentParser, out_required: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, default=0)
-    if out_required:
+def _common(sub: argparse.ArgumentParser, config=False, seed=True, out=True) -> None:
+    """The shared flags, each given only to the subcommands that read it."""
+    if config:
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--set", action="append", metavar="KEY=VALUE",
+                         help="override a config entry (dotted keys)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if out:
         sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override a config entry (dotted keys)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_data)
 
     p = subs.add_parser("train", help="multi-corpus round-robin training")
-    _common(p)
+    _common(p, config=True)
     p.add_argument("--corpus-set", required=True, help="corpus set JSON file")
     p.add_argument("--steps", type=int, default=None,
                    help="override step count (default 3000)")
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = subs.add_parser("finetune", help="single-corpus transfer fine-tuning")
-    _common(p)
+    _common(p, config=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", required=True, help="target corpus manifest")
     p.add_argument("--steps", type=int, default=None,
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on one split")
-    _common(p)
+    _common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="corpus manifest")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient check")
-    _common(p, out_required=False)
+    _common(p, out=False)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--heads", type=int, default=2)
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("report", help="combine eval results into a table")
-    _common(p)
+    _common(p, seed=False)
     p.add_argument("results", nargs="+", help="eval.json files")
     p.set_defaults(func=cmd_report)
 

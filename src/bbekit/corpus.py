@@ -10,6 +10,7 @@ Feature paths are resolved relative to the manifest file.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .labels import MappingTable, load_mapping_table
 from .rngutil import derive_seed
 
 SPLITS = ("train", "val", "test")
+ROW_FIELDS = {"feature": str, "label": str, "speaker": object, "duration_s": (int, float)}
 
 
 @dataclass
@@ -86,20 +88,22 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
         corpus_id = path.stem
 
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise IngestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        for key in ("feature", "label", "speaker", "duration_s"):
-            if key not in row:
-                raise IngestError(f"{path}:{lineno}: missing field {key!r}")
+        if not isinstance(row, dict):
+            raise IngestError(f"{path}:{lineno}: a row must be a JSON object")
+        for key, kind in ROW_FIELDS.items():
+            if key not in row or not isinstance(row[key], kind):
+                raise IngestError(f"{path}:{lineno}: missing or mistyped field {key!r}")
         if row.get("split") is not None and row["split"] not in SPLITS:
             raise IngestError(f"{path}:{lineno}: unknown split {row['split']!r}")
-        if float(row["duration_s"]) < 0:
-            raise IngestError(f"{path}:{lineno}: negative duration")
+        if not 0 <= row["duration_s"] <= np.finfo(float).max:
+            raise IngestError(f"{path}:{lineno}: duration_s must be finite and >= 0")
         rows.append(row)
 
     # label mapping reports the full set of unknowns at once
@@ -118,7 +122,7 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
         feature_path = Path(row["feature"])
         if not feature_path.is_absolute():
             feature_path = path.parent / feature_path
-        if not feature_path.is_file():
+        if not os.path.isfile(feature_path):  # False on any error, e.g. a name too long
             raise IngestError(f"{path}: feature file missing: {feature_path}")
         samples.append(Sample(
             feature_path=str(feature_path), raw_label=row["label"],
@@ -403,14 +407,16 @@ def load_corpus_set(path: str | Path) -> list[CorpusManifest]:
     path = Path(path)
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise IngestError(f"cannot read corpus set {path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise IngestError(f"{path}: corpus set must be a non-empty JSON array")
     manifests = []
     for entry in entries:
-        if "corpus_id" not in entry or "manifest_path" not in entry:
-            raise IngestError(f"{path}: entry needs corpus_id and manifest_path: {entry}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("corpus_id"), str)
+                and isinstance(entry.get("manifest_path"), str)
+                and isinstance(entry.get("mapping_overrides_path") or "", str)):
+            raise IngestError(f"{path}: entry needs string corpus_id and manifest_path: {entry!r}")
         table = None
         if entry.get("mapping_overrides_path"):
             override = Path(entry["mapping_overrides_path"])

@@ -38,8 +38,6 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
     """Return an expanded deep copy; the input model is left untouched."""
     if model.expansion is not None:
         raise StateError("model is already expanded; expansion is single-shot")
-    if any(b.origin != "original" for b in model.block_index):
-        raise StateError("block index contains non-original blocks")
 
     out = model.clone()
     new_index = []

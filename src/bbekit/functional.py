@@ -2,12 +2,11 @@
 
 Each public op validates its shapes, composes autodiff primitives, and
 checks the result for non-finite values (the operation-level hygiene
-contract).  Frame sequences are [B, T, d] with a [B, T] padding mask; a
-single [T, d] sequence with a [T] mask is accepted wherever a batch is.
-Padding masks are boolean arrays with True marking valid frames.  The block
-forward passes take a block's parameters as a ``{suffix: Tensor}`` mapping,
-e.g. ``p["attn.q.weight"]``; an expanded block's mapping also holds
-``zll.weight`` and ``zll.bias``.
+contract).  Frame sequences are [B, T, d] with a required [B, T] padding
+mask, True on valid frames; ``EncoderModel.forward`` turns a single [T, d]
+sequence into a batch of one.  The block forward passes take a block's
+parameters as a ``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``;
+an expanded block's mapping also holds ``zll.weight`` and ``zll.bias``.
 """
 
 from __future__ import annotations
@@ -61,51 +60,36 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
     return _check_finite("layer_norm", centered * rstd * gain + shift)
 
 
-def key_padding_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
-    """Additive bias excluding padded keys from the attention softmax."""
-    if pad_mask is None:
-        return None
-    mask = np.asarray(pad_mask, dtype=bool)
-    return np.where(mask, 0.0, -MASK_NEG)
-
-
 def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                          wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-                         heads: int, pad_mask: np.ndarray | None = None) -> Tensor:
+                         heads: int, pad_mask: np.ndarray) -> Tensor:
     """Bidirectional scaled dot-product attention over [B, T, d] frames.
 
-    Scores are [B, heads, T, T]; a [B, T] pad_mask becomes a [B, 1, 1, T]
-    key bias.  A [T, d] input with a [T] mask runs without the batch axis.
+    Scores are [B, heads, T, T]; the [B, T] pad_mask becomes a [B, 1, 1, T]
+    additive key bias.
     """
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"attention expects [T, d] or [B, T, d], got {x.shape}")
-    *lead, n_frames, d = x.shape
-    lead = tuple(lead)
+    if x.ndim != 3:
+        raise DimensionError(f"attention expects [B, T, d], got {x.shape}")
+    batch, n_frames, d = x.shape
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
+    mask = np.asarray(pad_mask, dtype=bool)
+    if mask.shape != (batch, n_frames):
+        raise DimensionError(f"pad_mask shape {mask.shape} != {(batch, n_frames)}")
     d_head = d // heads
-    n = len(lead)
-    # swaps the frame and head axes: [..., T, heads, d_head] <-> [..., heads, T, d_head]
-    head_axes = tuple(range(n)) + (n + 1, n, n + 2)
 
     q = linear_forward(x, wq, bq)
     k = linear_forward(x, wk, bk)
     v = linear_forward(x, wv, bv)
 
-    def split(t: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(t, lead + (n_frames, heads, d_head)), head_axes)
+    def split(t: Tensor) -> Tensor:  # [B, T, d] -> [B, heads, T, d_head]
+        return ad.transpose(ad.reshape(t, (batch, n_frames, heads, d_head)), (0, 2, 1, 3))
 
     q, k, v = split(q), split(k), split(v)
-    k_t = ad.transpose(k, tuple(range(n + 1)) + (n + 2, n + 1))
-    scores = ad.matmul(q, k_t) * (1.0 / np.sqrt(d_head))
-    bias = key_padding_bias(pad_mask)
-    if bias is not None:
-        if bias.shape != lead + (n_frames,):
-            raise DimensionError(f"pad_mask shape {bias.shape} != {lead + (n_frames,)}")
-        bias = bias.reshape(lead + (1, 1, n_frames))
-    weights = ad.softmax_last(scores, additive_mask=bias)
-    mixed = ad.matmul(weights, v)  # [..., heads, T, d_head]
-    merged = ad.reshape(ad.transpose(mixed, head_axes), lead + (n_frames, d))
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_head))
+    weights = ad.softmax_last(scores, additive_mask=np.where(mask, 0.0, -MASK_NEG)[:, None, None])
+    mixed = ad.matmul(weights, v)  # [B, heads, T, d_head]
+    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, n_frames, d))
     return _check_finite("attention", linear_forward(merged, wo, bo))
 
 
@@ -113,7 +97,7 @@ LN_EPS = 1e-5
 
 
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
-                          pad_mask: np.ndarray | None = None) -> Tensor:
+                          pad_mask: np.ndarray) -> Tensor:
     """Pre-norm block over [B, T, d]: u = x + Attn(LN1(x)); y = u + FFN(LN2(u))."""
     attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"], LN_EPS),
                                     p["attn.q.weight"], p["attn.q.bias"],
@@ -128,7 +112,7 @@ def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
 
 
 def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
-                           pad_mask: np.ndarray | None = None) -> Tensor:
+                           pad_mask: np.ndarray) -> Tensor:
     """Copied block wrapped in a skip connection through its output
     projection: y = x + proj(block(x)).  With the projection still at its
     zero initialization this is bit-exactly the identity."""
@@ -139,23 +123,21 @@ def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean -log softmax over [B, C] logits and B labels (or the scalar loss
-    of 1-d logits and an int label); gradient is (softmax - one_hot) / B."""
+    """Mean -log softmax over [B, C] logits and B labels; gradient is
+    (softmax - one_hot) / B."""
     return _check_finite("cross_entropy", ad.cross_entropy_with_logits(logits, labels))
 
 
-def masked_mean_pool(x: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
-    """Mean over the valid frames of [B, T, d] -> [B, d] (or [T, d] -> [d]);
-    padded rows contribute nothing."""
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"pooling expects [T, d] or [B, T, d], got {x.shape}")
-    if pad_mask is None:
-        return ad.tmean(x, axis=-2)
+def masked_mean_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:
+    """Mean over the valid frames of [B, T, d] -> [B, d]; padded rows
+    contribute nothing."""
+    if x.ndim != 3:
+        raise DimensionError(f"pooling expects [B, T, d], got {x.shape}")
     mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != x.shape[:-1]:
-        raise DimensionError(f"pad_mask shape {mask.shape} != {x.shape[:-1]}")
-    count = mask.sum(axis=-1)
+    if mask.shape != x.shape[:2]:
+        raise DimensionError(f"pad_mask shape {mask.shape} != {x.shape[:2]}")
+    count = mask.sum(axis=1)
     if (count == 0).any():
         raise InputError("all frames masked out")
-    weights = mask.astype(np.float64)[..., None]
-    return ad.mul(ad.tsum(ad.mul(x, weights), axis=-2), (1.0 / count)[..., None])
+    weights = mask.astype(np.float64)[:, :, None]
+    return ad.mul(ad.tsum(ad.mul(x, weights), axis=1), (1.0 / count)[:, None])

@@ -38,19 +38,19 @@ def check_model_gradients(model: EncoderModel, n_probes: int = 100,
 
     def loss_value() -> float:
         with ad.no_grad():
-            return F.softmax_cross_entropy(model.forward(frames, mask), label).item()
+            return F.softmax_cross_entropy(model.forward(frames, mask), labels).item()
 
     worst = (0.0, "", ())
     probes_done = 0
     while probes_done < n_probes:
-        frames = rng.normal(0.0, 1.0, (frames_len, d_in))
-        mask = np.ones(frames_len, dtype=bool)
+        frames = rng.normal(0.0, 1.0, (1, frames_len, d_in))
+        mask = np.ones((1, frames_len), dtype=bool)
         if model.config.frontend == "identity" and frames_len > 2:
-            mask[rng.integers(1, frames_len):] = False  # exercise padding
-        label = int(rng.integers(0, N_CLASSES))
+            mask[0, rng.integers(1, frames_len):] = False  # exercise padding
+        labels = [int(rng.integers(0, N_CLASSES))]
 
         model.store.zero_grads()
-        loss = F.softmax_cross_entropy(model.forward(frames, mask), label)
+        loss = F.softmax_cross_entropy(model.forward(frames, mask), labels)
         loss.backward()
 
         # several parameter probes per input amortize the analytic pass

@@ -128,21 +128,23 @@ def load_mapping_table(path: str | Path) -> MappingTable:
     """
     entries: dict[str, tuple[str, str]] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        lines = Path(path).read_bytes().splitlines()
     except OSError as exc:
         raise IngestError(f"cannot read mapping table {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = [p.strip() for p in stripped.split(",")]
-            if len(parts) != 3 or not all(parts):
-                raise ParseError(f"expected 'raw,arousal,valence', got {stripped!r}", lineno)
-            raw, arousal, valence = parts
-            if normalize(arousal) not in AROUSAL_LEVELS:
-                raise ParseError(f"unknown arousal level {arousal!r}", lineno)
-            if normalize(valence) not in VALENCE_LEVELS:
-                raise ParseError(f"unknown valence level {valence!r}", lineno)
-            entries[raw] = (arousal, valence)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            stripped = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})", lineno) from exc
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = [p.strip() for p in stripped.split(",")]
+        if len(parts) != 3 or not all(parts):
+            raise ParseError(f"expected 'raw,arousal,valence', got {stripped!r}", lineno)
+        raw, arousal, valence = parts
+        if normalize(arousal) not in AROUSAL_LEVELS:
+            raise ParseError(f"unknown arousal level {arousal!r}", lineno)
+        if normalize(valence) not in VALENCE_LEVELS:
+            raise ParseError(f"unknown valence level {valence!r}", lineno)
+        entries[raw] = (arousal, valence)
     return MappingTable(entries)

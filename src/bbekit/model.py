@@ -69,6 +69,8 @@ class EncoderConfig:
                 raise ConfigError("conv frontend requires at least one conv layer")
             if self.conv_layers[-1].channels != self.d_model:
                 raise ConfigError("last conv layer must emit d_model channels")
+            if self.conv_in_dim < 1:
+                raise ConfigError(f"conv_in_dim must be >= 1, got {self.conv_in_dim}")
             for layer in self.conv_layers:
                 if layer.channels < 1 or layer.kernel < 1 or layer.stride < 1:
                     raise ConfigError(f"invalid conv layer {layer}")
@@ -89,7 +91,10 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         cfg = dataclass_from(cls, d)
-        cfg.conv_layers = [ConvLayerSpec(*map(int, c)) for c in cfg.conv_layers]
+        try:
+            cfg.conv_layers = [ConvLayerSpec(*map(int, c)) for c in cfg.conv_layers]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"conv_layers: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -98,17 +103,17 @@ def dataclass_from(cls, section: dict, **fixed):
     """Build the dataclass ``cls`` from a config section.
 
     A key that names a field overrides the field's default and is cast to
-    the default's type when that is int or float; other keys are ignored.
-    ``fixed`` values win over the section.
+    the default's type when that is int or float (null only where the type
+    admits None); other keys are ignored.  ``fixed`` values win.
     """
     kwargs = dict(fixed)
     for f in fields(cls):
         if f.name in section and f.name not in fixed:
             value = section[f.name]
-            if isinstance(f.default, (int, float)) and value is not None:
+            if type(f.default) in (int, float) and not (value is None and "None" in str(f.type)):
                 try:
                     value = type(f.default)(value)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{f.name}: {exc}") from exc
             kwargs[f.name] = value
     return cls(**kwargs)

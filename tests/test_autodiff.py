@@ -167,58 +167,58 @@ class TestPrimitiveGradients:
         assert np.isfinite(ad.softmax_last(ln).data).all()
 
     def test_unfold1d_forward_and_grad(self):
-        x = np.arange(8.0).reshape(8, 1)
+        x = np.arange(8.0).reshape(1, 8, 1)
         out = ad.unfold1d(Tensor(x), kernel=2, stride=2).data
-        np.testing.assert_array_equal(out, [[0, 1], [2, 3], [4, 5], [6, 7]])
+        np.testing.assert_array_equal(out, [[[0, 1], [2, 3], [4, 5], [6, 7]]])
         check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
-                                            ad.unfold1d(t, 3, 2))), (9, 2))
+                                            ad.unfold1d(t, 3, 2))), (1, 9, 2))
 
     def test_unfold1d_batched_matches_per_sample(self):
         x = RNG.normal(size=(3, 9, 2))
         out = ad.unfold1d(Tensor(x), kernel=3, stride=2).data
         assert out.shape == (3, 4, 6)
         for i in range(3):
-            np.testing.assert_array_equal(out[i], ad.unfold1d(Tensor(x[i]), 3, 2).data)
+            np.testing.assert_array_equal(out[i], ad.unfold1d(Tensor(x[i:i + 1]), 3, 2).data[0])
         check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
                                             ad.unfold1d(t, 3, 2))), (2, 9, 2))
 
     def test_unfold1d_too_short(self):
         with pytest.raises(DimensionError):
-            ad.unfold1d(Tensor(np.ones((2, 1))), kernel=3, stride=1)
+            ad.unfold1d(Tensor(np.ones((1, 2, 1))), kernel=3, stride=1)
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = ad.cross_entropy_with_logits(Tensor(np.zeros(6)), 2)
+        loss = ad.cross_entropy_with_logits(Tensor(np.zeros((1, 6))), [2])
         assert loss.item() == pytest.approx(np.log(6.0), abs=1e-15)
 
     def test_saturated_correct(self):
-        loss = ad.cross_entropy_with_logits(Tensor([50.0, -50.0]), 0)
+        loss = ad.cross_entropy_with_logits(Tensor([[50.0, -50.0]]), [0])
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_oracle(self):
         # ln(e^1 + e^2 + e^3) - 3
         expected = np.log(np.exp(1.0) + np.exp(2.0) + np.exp(3.0)) - 3.0
-        loss = ad.cross_entropy_with_logits(Tensor([1.0, 2.0, 3.0]), 2)
+        loss = ad.cross_entropy_with_logits(Tensor([[1.0, 2.0, 3.0]]), [2])
         assert loss.item() == pytest.approx(expected, abs=1e-15)
         assert loss.item() == pytest.approx(0.40760596444438, abs=1e-12)
 
     def test_gradient_is_softmax_minus_onehot(self):
-        logits = Tensor(RNG.normal(size=(5,)), requires_grad=True)
-        ad.cross_entropy_with_logits(logits, 3).backward()
+        logits = Tensor(RNG.normal(size=(1, 5)), requires_grad=True)
+        ad.cross_entropy_with_logits(logits, [3]).backward()
         z = logits.data - logits.data.max()
         soft = np.exp(z) / np.exp(z).sum()
-        soft[3] -= 1.0
+        soft[0, 3] -= 1.0
         np.testing.assert_allclose(logits.grad, soft, atol=1e-14)
 
     def test_grad_vs_fd(self):
-        check_grad(lambda x: ad.cross_entropy_with_logits(x, 1), (6,))
+        check_grad(lambda x: ad.cross_entropy_with_logits(x, [1]), (1, 6))
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
-            ad.cross_entropy_with_logits(Tensor([0.0, 1.0]), 2)
+            ad.cross_entropy_with_logits(Tensor([[0.0, 1.0]]), [2])
         with pytest.raises(LabelError):
-            ad.cross_entropy_with_logits(Tensor([0.0, 1.0]), -1)
+            ad.cross_entropy_with_logits(Tensor([[0.0, 1.0]]), [-1])
 
     def test_requires_1d(self):
         with pytest.raises(DimensionError):
@@ -227,7 +227,7 @@ class TestCrossEntropy:
     def test_batch_is_mean_of_rows(self):
         logits = RNG.normal(size=(3, 5))
         labels = [0, 4, 2]
-        rows = [ad.cross_entropy_with_logits(Tensor(row), lab).item()
+        rows = [ad.cross_entropy_with_logits(Tensor(row[None]), [lab]).item()
                 for row, lab in zip(logits, labels)]
         batch = ad.cross_entropy_with_logits(Tensor(logits), labels).item()
         assert batch == pytest.approx(np.mean(rows), abs=1e-15)

@@ -90,6 +90,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             train_config_from({"train": {"batch_size": "many"}}, "multi_corpus", 0)
 
+    def test_null_frame_cap_means_no_cap(self):
+        tcfg = train_config_from({"train": {"frame_cap": None}}, "multi_corpus", 0)
+        assert tcfg.frame_cap is None
+
     def test_default_steps_per_command(self):
         assert train_config_from({}, "multi_corpus", 0).n_steps == 3000
         assert train_config_from({}, "single_corpus", 0,
@@ -279,6 +283,44 @@ class TestExitCodes:
                    "--steps", "2"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("setting", [
+        "model.n_blocks=null", "train.batch_size=null", "adamw.learning_rate=null",
+        "model.conv_layers=5", "model.conv_layers=[[8,3]]", "train=5",
+    ])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, setting):
+        data = synth(tmp_path, corpora=1)
+        rc = main(["train", "--out", str(tmp_path / "o"),
+                   "--corpus-set", str(data / "corpus_set.json"),
+                   "--set", setting, "--steps", "2"])
+        assert rc == 2
+        key = setting.split("=")[0].split(".")[-1]
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "m.bbex", "--corpus", "c.jsonl", "--out", "o",
+         "--seed", "1"],
+        ["synth-data", "--out", "o", "--set", "synth.d=4"],
+        ["report", "--out", "o", "--config", "cfg.json", "e.json"],
+        ["expand", "--checkpoint", "m.bbex", "--out", "o", "--set", "x=1"],
+        ["gradcheck", "--config", "cfg.json"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_truncated_expansion_record_is_data_error(self, tmp_path, tiny_model, capsys):
+        from test_serialization import rewrite_header
+
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        rewrite_header(ckpt, lambda h: h.update(expansion={"multiplier": 2}))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(tmp_path / "c.jsonl"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "expansion record" in capsys.readouterr().err
 
     def test_ragged_report_inputs(self, tmp_path, capsys):
         e1 = tmp_path / "a.json"

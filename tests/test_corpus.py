@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbekit.corpus import (
     SYNTH_LABELS,
@@ -23,6 +25,7 @@ from bbekit.corpus import (
     write_manifest,
 )
 from bbekit.errors import (
+    BbekitError,
     ConfigError,
     IngestError,
     InputError,
@@ -31,6 +34,12 @@ from bbekit.errors import (
     UnmappedLabelError,
 )
 from bbekit.featfile import read_features, write_features
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
 
 
 def write_rows(tmp_path, rows, name="m.jsonl"):
@@ -145,6 +154,46 @@ class TestManifestIO:
         samples = [Sample("x", "anger", 3, "", "c", "train", 1.0),
                    Sample("y", "anger", 3, "", "c", "test", 1.0)]
         validate_split_disjointness(CorpusManifest("c", samples))  # no raise
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", "abc"), ("duration_s", None), ("duration_s", float("nan")),
+        ("label", 3), ("feature", 5),
+    ])
+    def test_wrong_field_type(self, tmp_path, field, value):
+        bad = row(feat(tmp_path, "a.feat"))
+        bad[field] = value
+        with pytest.raises(IngestError) as exc:
+            load_manifest(write_rows(tmp_path, [row("a.feat"), bad]))
+        assert "m.jsonl:2:" in str(exc.value) and field in str(exc.value)
+
+    def test_row_that_is_not_an_object(self, tmp_path):
+        with pytest.raises(IngestError) as exc:
+            load_manifest(write_rows(tmp_path, [row(feat(tmp_path, "a.feat")), 7]))
+        assert "m.jsonl:2" in str(exc.value)
+
+    def test_manifest_not_utf8(self, tmp_path):
+        path = write_rows(tmp_path, [row(feat(tmp_path, "a.feat"))])
+        path.write_bytes(path.read_bytes() + b'{"label": "\xff"}\n')
+        with pytest.raises(IngestError) as exc:
+            load_manifest(path)
+        assert "m.jsonl:2" in str(exc.value)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_json_only_raises_bbekit_errors(self, tmp_path_factory, data):
+        # any JSON value in a row's fields or in place of a whole row
+        tmp_path = tmp_path_factory.getbasetemp() / "manifest-fuzz"
+        tmp_path.mkdir(exist_ok=True)
+        good = row(feat(tmp_path, "a.feat"))
+        bad = data.draw(st.one_of(
+            st.fixed_dictionaries({key: JSON_VALUES for key in good}),
+            st.builds(lambda key, value: {**good, key: value},
+                      st.sampled_from(sorted(good)), JSON_VALUES),
+            JSON_VALUES))
+        try:
+            load_manifest(write_rows(tmp_path, [good, bad]))
+        except BbekitError:
+            pass
 
     def test_class_counts(self, make_corpus):
         manifest = make_corpus("c0")
@@ -512,6 +561,24 @@ class TestCorpusSet:
     def test_missing_keys(self, tmp_path):
         set_path = tmp_path / "set.json"
         set_path.write_text(json.dumps([{"corpus_id": "a"}]), encoding="utf-8")
+        with pytest.raises(IngestError):
+            load_corpus_set(set_path)
+
+    @pytest.mark.parametrize("entry", [
+        3, {"corpus_id": 3, "manifest_path": "a.jsonl"},
+        {"corpus_id": "a", "manifest_path": 3},
+        {"corpus_id": "a", "manifest_path": "a.jsonl", "mapping_overrides_path": 3},
+    ])
+    def test_entry_of_wrong_type(self, tmp_path, entry):
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            load_corpus_set(set_path)
+        assert "set.json" in str(exc.value)
+
+    def test_set_not_utf8(self, tmp_path):
+        set_path = tmp_path / "set.json"
+        set_path.write_bytes(b'[{"corpus_id": "\xff"}]')
         with pytest.raises(IngestError):
             load_corpus_set(set_path)
 

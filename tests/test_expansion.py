@@ -209,7 +209,7 @@ class TestFreezePolicies:
         from bbekit.functional import softmax_cross_entropy
 
         out = expand(tiny_model, ExpansionSpec(freeze_policy="freeze-original"))
-        loss = softmax_cross_entropy(out.forward(rng.normal(size=(3, 16))), 2)
+        loss = softmax_cross_entropy(out.forward(rng.normal(size=(1, 3, 16))), [2])
         loss.backward()
         for name in out.store.names():
             if name.startswith("block.") and "x" not in name.split(".")[1]:

@@ -136,6 +136,14 @@ class TestMappingFiles:
         table = load_mapping_table(self.write(tmp_path, text))
         assert table.map_emotion("panic").index == 3
 
+    def test_not_utf8_reports_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, "panic,high,negative\n")
+        path.write_bytes(path.read_bytes() + b"caf\xe9,low,positive\n")
+        with pytest.raises(ParseError) as exc:
+            load_mapping_table(path)
+        assert exc.value.line == 2
+        assert "map.csv" in str(exc.value)
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = self.write(tmp_path, "panic,high,negative\noops-no-commas\n")
         with pytest.raises(ParseError) as exc:

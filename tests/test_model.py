@@ -47,6 +47,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             conv_config(conv_layers=[ConvLayerSpec(4, 2, 2)]).validate()
 
+    def test_conv_in_dim_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            conv_config(conv_in_dim=0).validate()
+
     def test_from_dict_defaults_and_unknown_keys(self):
         assert EncoderConfig.from_dict({"unknown": 1}) == EncoderConfig()
 

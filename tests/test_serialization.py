@@ -12,10 +12,10 @@ import pytest
 
 from bbekit import checkpoint
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
-from bbekit.errors import FormatError, InputError
+from bbekit.errors import BbekitError, FormatError, InputError
 from bbekit.expansion import ExpansionSpec, expand
 from bbekit.featfile import read_features, write_features
-from bbekit.model import EncoderConfig, EncoderModel
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.params import ParameterStore
 
 
@@ -329,3 +329,181 @@ class TestCheckpoints:
         path = tmp_path / "m.bbex"
         save_checkpoint(path, model)
         assert load_checkpoint(path).rng_state == model.rng_state
+
+
+def conv_x2_checkpoint(path):
+    """A small 1-block conv model expanded x2 (freeze-original), saved to
+    ``path``."""
+    config = EncoderConfig(n_blocks=1, d_model=4, n_heads=2, d_ffn=4, frontend="conv",
+                           conv_layers=[ConvLayerSpec(4, 2, 2)], conv_in_dim=3)
+    model = expand(EncoderModel.build(config, seed=5), ExpansionSpec(2))
+    save_checkpoint(path, model)
+    return model
+
+
+def parameter_offsets(data: bytes) -> list[int]:
+    """Offsets of each parameter's name length, name, ndim, dims, frozen
+    flag and step fields, and of the trailing RNG state."""
+    _, pos = header_span(data)
+    offsets = []
+    while pos < len(data) - 8:
+        (name_len,) = struct.unpack("<H", data[pos:pos + 2])
+        ndim = data[pos + 2 + name_len]
+        dims = struct.unpack(f"<{ndim}I", data[pos + 3 + name_len:pos + 3 + name_len + 4 * ndim])
+        offsets += range(pos, pos + 3 + name_len + 4 * ndim)
+        pos += 3 + name_len + 4 * ndim + 8 * int(np.prod(dims))
+        offsets.append(pos)  # frozen flag
+        pos += 1 + 16 * int(np.prod(dims))
+        offsets += range(pos, pos + 8)  # step
+        pos += 8
+    return offsets + list(range(pos, len(data)))
+
+
+def header_paths(node, path=()):
+    """Every value's key path in a JSON header, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from header_paths(value, path + (key,))
+
+
+def load_or_bbekit_error(path, probe=None) -> None:
+    """Load ``path``; if it loads, name its variant and evaluate it on
+    ``probe``.  Any failure must be a BbekitError."""
+    from bbekit.cli import _variant_name
+
+    try:
+        model = load_checkpoint(path)
+        _variant_name(model)
+        if probe is not None:
+            model.logits(probe)
+    except BbekitError:
+        pass
+
+
+class TestCorruptCheckpoints:
+    def test_structural_sweep(self, tmp_path):
+        # truncation and 0x00/0xFF at every structural offset, and every
+        # header value replaced by each JSON kind.  A file that still loads
+        # is evaluated too, unless only its parameter fields changed.
+        good = tmp_path / "good.bbex"
+        conv_x2_checkpoint(good)
+        data = good.read_bytes()
+        probe = np.random.default_rng(0).normal(size=(9, 3))
+        _, header_end = header_span(data)
+        offsets = list(range(header_end)) + parameter_offsets(data)
+        assert len(offsets) > 1000
+        bad = tmp_path / "bad.bbex"
+        for off in offsets:
+            bad.write_bytes(data[:off])
+            with pytest.raises(FormatError):
+                load_checkpoint(bad)
+            for byte in (0x00, 0xFF):
+                flipped = bytearray(data)
+                flipped[off] = byte
+                bad.write_bytes(bytes(flipped))
+                load_or_bbekit_error(bad, probe if off < header_end else None)
+        header, _ = header_span(data)
+        for key_path in header_paths(header):
+            for junk in (None, "x", [0], {"k": 0}, 2**40):
+                def replace(h):
+                    node = h
+                    for key in key_path[:-1]:
+                        node = node[key]
+                    node[key_path[-1]] = junk
+
+                bad.write_bytes(data)
+                rewrite_header(bad, replace)
+                load_or_bbekit_error(bad, probe)
+
+    @pytest.mark.parametrize("record", [
+        {"multiplier": 2},  # no freeze_policy or source_blocks
+        {"multiplier": 3, "freeze_policy": "freeze-original", "source_blocks": ["0"]},
+        {"multiplier": 2, "freeze_policy": "freeze-original", "source_blocks": ["1"]},
+        {"multiplier": 2, "freeze_policy": "frozen", "source_blocks": ["0"]},
+        {"multiplier": 2.0, "freeze_policy": "freeze-original", "source_blocks": ["0"]},
+        None,  # copies without a record
+    ])
+    def test_expansion_record_must_match_the_index(self, tmp_path, record):
+        path = tmp_path / "m.bbex"
+        conv_x2_checkpoint(path)
+        rewrite_header(path, lambda h: h.update(expansion=record))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_record_without_copies_rejected(self, tmp_path, tiny_model):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        record = {"multiplier": 2, "freeze_policy": "freeze-original",
+                  "source_blocks": ["0", "1"]}
+        rewrite_header(path, lambda h: h.update(expansion=record))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_block_count_must_match_the_index(self, tmp_path, tiny_model):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        rewrite_header(path, lambda h: h["config"].update(n_blocks=7))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block_id", [["0"], {"id": "0"}, 0])
+    def test_block_id_must_be_a_string(self, tmp_path, tiny_model, block_id):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        rewrite_header(path, lambda h: h["block_index"][0].update(id=block_id))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("conv_in_dim", [None, 0])
+    def test_conv_in_dim_rejected(self, tmp_path, conv_in_dim):
+        path = tmp_path / "m.bbex"
+        conv_x2_checkpoint(path)
+        rewrite_header(path, lambda h: h["config"].update(conv_in_dim=conv_in_dim))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [[1] * 65, [0, 0xFFFFFFFF, 0xFFFFFFFF]])
+    def test_odd_ndim_and_dims_rejected(self, tmp_path, tiny_model, dims):
+        # the first parameter's shape is rewritten in place: 65 dims of 1
+        # (more than numpy allows), or a zero dim beside huge ones
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        data = path.read_bytes()
+        _, start = header_span(data)
+        (name_len,) = struct.unpack("<H", data[start:start + 2])
+        ndim_at = start + 2 + name_len
+        shape_end = ndim_at + 1 + 4 * data[ndim_at]
+        path.write_bytes(data[:ndim_at] + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+                         + data[shape_end:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_thawed_file_still_loads(self, tmp_path):
+        # freeze flags that differ from the record's policy are the
+        # program's own doing (set_frozen), so the file stays loadable
+        path = tmp_path / "m.bbex"
+        model = conv_x2_checkpoint(path)
+        model.store.set_frozen("block.0.ffn.w1.weight", False)
+        save_checkpoint(path, model)
+        assert not load_checkpoint(path).store["block.0.ffn.w1.weight"].frozen
+
+    def test_feature_file_sweep(self, tmp_path):
+        good = tmp_path / "good.feat"
+        write_features(good, np.arange(12.0).reshape(4, 3))
+        data = good.read_bytes()
+        bad = tmp_path / "bad.feat"
+        for off in range(len(data)):
+            bad.write_bytes(data[:off])
+            with pytest.raises(FormatError):
+                read_features(bad)
+        for off in range(12):  # magic, frame count, dim
+            for byte in (0x00, 0xFF):
+                flipped = bytearray(data)
+                flipped[off] = byte
+                bad.write_bytes(bytes(flipped))
+                try:  # a zero byte where the header holds one already is valid
+                    read_features(bad)
+                except BbekitError:
+                    pass
