@@ -6,6 +6,9 @@ Layout (all little-endian):
                  f64 values | u8 frozen | f64 m | f64 v | u64 step
   trailing u64 model RNG state
 
+A frozen parameter keeps no AdamW moments: its m and v are written as
+zeros, and whatever a file stores for them is dropped on load.
+
 The JSON header carries the model config, the ordered block index, the
 expansion record, and the parameter count for a cheap integrity check.
 """
@@ -58,8 +61,11 @@ def save_checkpoint(path: str | Path, model: EncoderModel) -> None:
             fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
             fh.write(value.tobytes())
             fh.write(struct.pack("<B", 1 if entry.frozen else 0))
-            fh.write(np.ascontiguousarray(entry.m, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(entry.v, dtype="<f8").tobytes())
+            if entry.frozen:
+                fh.write(bytes(2 * value.nbytes))
+            else:
+                fh.write(np.ascontiguousarray(entry.m, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(entry.v, dtype="<f8").tobytes())
             fh.write(struct.pack("<Q", entry.step))
         fh.write(struct.pack("<Q", model.rng_state))
 
@@ -121,8 +127,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             (step,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} step"))
             if name in store:
                 raise FormatError(f"{path}: parameter {name} stored twice")
-            store.add(name, value.copy(), frozen=bool(frozen),
-                      m=m.copy(), v=v.copy(), step=step)
+            store.add(name, value.copy(), frozen=bool(frozen), m=m, v=v, step=step)
         (rng_state,) = struct.unpack("<Q", _read_exact(fh, 8, "rng state"))
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")

@@ -4,7 +4,8 @@ synthetic-corpus generator for desk-scale experiments.
 Manifests are JSON-lines, one sample per line:
   {"feature": path, "label": str, "speaker": str,
    "split": "train|val|test" (optional), "duration_s": float}
-Feature paths are resolved relative to the manifest file.
+Feature paths are resolved relative to the manifest file.  A null speaker
+is unknown: its id is the empty string, which split checks exempt.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ class CorpusManifest:
 class Batch:
     features: np.ndarray  # [B, T_max, d], zero-padded
     pad_mask: np.ndarray  # [B, T_max] bool, True on real frames
-    labels: list[int]
+    samples: list[Sample]  # the drawn samples, row by row
     corpus_id: str
+
+    @property
+    def labels(self) -> list[int]:
+        return [s.mapped_class for s in self.samples]
 
     @property
     def size(self) -> int:
@@ -126,7 +131,8 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
             raise IngestError(f"{path}: feature file missing: {feature_path}")
         samples.append(Sample(
             feature_path=str(feature_path), raw_label=row["label"],
-            mapped_class=cls.index, speaker_id=str(row["speaker"]),
+            mapped_class=cls.index,
+            speaker_id="" if row["speaker"] is None else str(row["speaker"]),
             corpus_id=corpus_id, split=row.get("split"),
             duration_s=float(row["duration_s"]),
         ))
@@ -281,8 +287,7 @@ def next_batch(iterator: CorpusIterator, batch_size: int,
     samples = iterator.take(batch_size)
     arrays = [iterator.manifest.features(s)[:frame_cap] for s in samples]
     features, pad_mask = pad_frames(arrays, iterator.manifest.corpus_id)
-    return Batch(features=features, pad_mask=pad_mask,
-                 labels=[s.mapped_class for s in samples],
+    return Batch(features=features, pad_mask=pad_mask, samples=samples,
                  corpus_id=iterator.manifest.corpus_id)
 
 

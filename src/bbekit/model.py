@@ -104,15 +104,21 @@ def dataclass_from(cls, section: dict, **fixed):
 
     A key that names a field overrides the field's default and is cast to
     the default's type when that is int or float (null only where the type
-    admits None); other keys are ignored.  ``fixed`` values win.
+    admits None); other keys are ignored.  ``fixed`` values win.  A bool,
+    or a number with a fractional part for an int field, is a
+    ``ConfigError`` rather than a truncation.
     """
     kwargs = dict(fixed)
     for f in fields(cls):
         if f.name in section and f.name not in fixed:
             value = section[f.name]
-            if type(f.default) in (int, float) and not (value is None and "None" in str(f.type)):
+            kind = type(f.default)
+            if kind in (int, float) and not (value is None and "None" in str(f.type)):
+                if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ConfigError(f"{f.name}: expected {kind.__name__}, got {value!r}")
                 try:
-                    value = type(f.default)(value)
+                    value = kind(value)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{f.name}: {exc}") from exc
             kwargs[f.name] = value
@@ -224,7 +230,7 @@ class EncoderModel:
         store = ParameterStore()
         for name, entry in self.store.items():
             store.add(name, entry.tensor.data.copy(), frozen=entry.frozen,
-                      m=entry.m.copy(), v=entry.v.copy(), step=entry.step)
+                      m=entry.m, v=entry.v, step=entry.step)
         return EncoderModel(copy.deepcopy(self.config), store,
                             [copy.deepcopy(b) for b in self.block_index],
                             self.rng_state, copy.deepcopy(self.expansion))
@@ -284,34 +290,26 @@ class EncoderModel:
             x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b))
         return x, np.arange(x.shape[1]) < out_lengths[:, None]
 
-    def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
-        """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6].
+    def embed(self, frames, pad_mask: np.ndarray) -> Tensor:
+        """Frames [B, T, d_in] with a [B, T] mask -> pooled [B, d_model]
+        embeddings: the frontend, the blocks and masked mean pooling.
 
-        The mask is True on real frames and defaults to all True.  A single
-        [T, d_in] sequence (with a [T] mask) runs as a batch of one and
-        returns [6].
+        The mask is True on real frames; every sample needs one, and the
+        conv frontend needs as many as its receptive field.
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
-        single = frames.ndim == 2
-        if single:
-            frames = ad.reshape(frames, (1,) + frames.shape)
         if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
                              f"got shape {frames.shape}")
         if not np.isfinite(frames.data).all():
             raise InputError("non-finite values in model input")
-        if pad_mask is None:
-            pad_mask = np.ones(frames.shape[:2], dtype=bool)
-        else:
-            pad_mask = np.asarray(pad_mask, dtype=bool)
-            if single:
-                pad_mask = pad_mask[None]
-            if pad_mask.shape != frames.shape[:2]:
-                raise DimensionError(
-                    f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
-            if not pad_mask.any(axis=1).all():
-                raise InputError("pad_mask excludes every frame of a sample")
+        pad_mask = np.asarray(pad_mask, dtype=bool)
+        if pad_mask.shape != frames.shape[:2]:
+            raise DimensionError(
+                f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
+        if not pad_mask.any(axis=1).all():
+            raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
         heads = self.config.n_heads
         params = self.block_params()
@@ -321,9 +319,30 @@ class EncoderModel:
                 x = F.expanded_block_forward(x, p, heads, pad_mask)
             else:
                 x = F.encoder_block_forward(x, p, heads, pad_mask)
-        pooled = F.masked_mean_pool(x, pad_mask)
-        logits = F.linear_forward(pooled, self.store.tensor("head.weight"),
-                                  self.store.tensor("head.bias"))
+        return F.masked_mean_pool(x, pad_mask)
+
+    def head(self, pooled: Tensor) -> Tensor:
+        """Pooled [B, d_model] embeddings -> class logits [B, 6]."""
+        return F.linear_forward(pooled, self.store.tensor("head.weight"),
+                                self.store.tensor("head.bias"))
+
+    def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
+        """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6]:
+        ``head(embed(frames, pad_mask))``.
+
+        The mask defaults to all True.  A single [T, d_in] sequence (with a
+        [T] mask) runs as a batch of one and returns [6].
+        """
+        if not isinstance(frames, Tensor):
+            frames = Tensor(frames)
+        single = frames.ndim == 2
+        if single:
+            frames = ad.reshape(frames, (1,) + frames.shape)
+            if pad_mask is not None:
+                pad_mask = np.asarray(pad_mask, dtype=bool)[None]
+        if pad_mask is None:
+            pad_mask = np.ones(frames.shape[:2], dtype=bool)
+        logits = self.head(self.embed(frames, pad_mask))
         return ad.reshape(logits, logits.shape[1:]) if single else logits
 
     def logits(self, frames, pad_mask: np.ndarray | None = None) -> np.ndarray:

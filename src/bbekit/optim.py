@@ -40,8 +40,8 @@ def decays(name: str) -> bool:
 def adamw_step(store: ParameterStore, cfg: AdamWConfig) -> None:
     """One bias-corrected decoupled-decay update on all non-frozen entries.
 
-    Frozen entries are left bit-identical (values, moments, and step
-    counter).  All gradients are cleared afterwards.
+    Frozen entries, which hold no moments, are left bit-identical (values
+    and step counter).  All gradients are cleared afterwards.
     """
     for name, entry in store.items():
         if entry.frozen:

@@ -13,8 +13,8 @@ from .errors import StateError
 @dataclass
 class ParamEntry:
     tensor: Tensor
-    m: np.ndarray
-    v: np.ndarray
+    m: np.ndarray | None  # AdamW moments; None while the entry is frozen
+    v: np.ndarray | None
     step: int = 0
 
     @property
@@ -25,8 +25,9 @@ class ParamEntry:
 class ParameterStore:
     """Ordered map from dotted names to parameters.
 
-    Frozen entries have ``requires_grad`` off and hold no gradient buffer
-    (``grad is None``), so backward never touches them.
+    Frozen entries have ``requires_grad`` off and hold neither a gradient
+    buffer (``grad is None``) nor AdamW moments (``m`` and ``v`` are None),
+    so backward and the optimizer never touch them.
     """
 
     def __init__(self):
@@ -35,15 +36,20 @@ class ParameterStore:
     def add(self, name: str, value: np.ndarray, frozen: bool = False,
             m: np.ndarray | None = None, v: np.ndarray | None = None,
             step: int = 0) -> ParamEntry:
+        """A trainable entry copies the given moments (zeros by default); a
+        frozen one keeps none, and moments given for it are dropped."""
         if name in self._entries:
             raise StateError(f"duplicate parameter name {name!r}")
         tensor = Tensor(value, requires_grad=not frozen)
-        entry = ParamEntry(
-            tensor=tensor,
-            m=np.zeros_like(tensor.data) if m is None else np.asarray(m, dtype=np.float64).reshape(tensor.data.shape),
-            v=np.zeros_like(tensor.data) if v is None else np.asarray(v, dtype=np.float64).reshape(tensor.data.shape),
-            step=int(step),
-        )
+
+        def moment(given):
+            if frozen:
+                return None
+            if given is None:
+                return np.zeros_like(tensor.data)
+            return np.array(given, dtype=np.float64).reshape(tensor.data.shape)
+
+        entry = ParamEntry(tensor=tensor, m=moment(m), v=moment(v), step=int(step))
         self._entries[name] = entry
         return entry
 
@@ -85,13 +91,19 @@ class ParameterStore:
         return self[name].tensor.grad
 
     def set_frozen(self, name: str, frozen: bool) -> None:
-        """Freezing drops the gradient buffer; thawing gives a zero one."""
-        tensor = self[name].tensor
+        """Freezing drops the gradient buffer and the AdamW moments (the
+        step counter stays); thawing starts fresh: a zero gradient buffer,
+        zero moments and step 0, so bias correction matches the moments."""
+        entry = self[name]
+        tensor = entry.tensor
         tensor.requires_grad = not frozen
         if frozen:
-            tensor.grad = None
+            tensor.grad = entry.m = entry.v = None
         elif tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
+            entry.m = np.zeros_like(tensor.data)
+            entry.v = np.zeros_like(tensor.data)
+            entry.step = 0
 
     def freeze_where(self, predicate) -> None:
         for name in self._entries:
@@ -106,18 +118,35 @@ class ParameterStore:
         return sum(e.tensor.size for e in self._entries.values()
                    if not (only_trainable and e.frozen))
 
-    def snapshot(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-        """Copies of every entry's value, AdamW moments and step counter."""
-        return {name: (e.tensor.data.copy(), e.m.copy(), e.v.copy(), e.step)
+    def snapshot(self) -> dict[str, tuple[np.ndarray, np.ndarray | None,
+                                          np.ndarray | None, int]]:
+        """Copies of every entry's value, AdamW moments (None where frozen)
+        and step counter."""
+        return {name: (e.tensor.data.copy(), _copy(e.m), _copy(e.v), e.step)
                 for name, e in self._entries.items()}
 
     def restore(self, snapshot: dict) -> None:
-        """Write a ``snapshot`` back: values, moments and step counters."""
+        """Write a ``snapshot`` back: values, moments and step counters.
+
+        Freeze flags stay as they are now: an entry frozen since keeps no
+        moments, and one thawed since keeps its fresh state (zero moments,
+        step 0) where the snapshot holds no moments.
+        """
         for name, (value, m, v, step) in snapshot.items():
             entry = self[name]
             if entry.tensor.data.shape != value.shape:
                 raise StateError(f"shape mismatch restoring {name!r}")
             entry.tensor.data[...] = value
-            entry.m[...] = m
-            entry.v[...] = v
-            entry.step = step
+            if entry.frozen:
+                entry.step = step
+            elif m is None:
+                entry.m[...] = entry.v[...] = 0.0
+                entry.step = 0
+            else:
+                entry.m[...] = m
+                entry.v[...] = v
+                entry.step = step
+
+
+def _copy(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a.copy()

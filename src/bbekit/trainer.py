@@ -78,22 +78,29 @@ class TrainLog:
         return [(s, v) for s, c, v in self.vals if c == corpus_id]
 
 
+def _sorted_chunks(frames: list[np.ndarray], corpus_id: str):
+    """Yield (indices, padded features, mask) for ``frames`` sorted stably
+    by frame count and cut into batches of EVAL_CHUNK, so each batch
+    carries little padding."""
+    order = sorted(range(len(frames)), key=lambda i: frames[i].shape[0])
+    for start in range(0, len(order), EVAL_CHUNK):
+        chunk = order[start:start + EVAL_CHUNK]
+        yield (chunk,) + pad_frames([frames[i] for i in chunk], corpus_id)
+
+
 def evaluate(model: EncoderModel, manifest: CorpusManifest,
              split: str = "test") -> dict:
     """Argmax over per-sample logits; returns {"uar", "confusion", "n_samples"}.
 
-    The split is sorted stably by frame count and forwarded in batches of
-    EVAL_CHUNK, so each batch carries little padding.
+    The split runs through ``model.logits`` in length-sorted batches of
+    EVAL_CHUNK.
     """
     samples = manifest.split_samples(split)
     if not samples:
         raise EvalError(f"{manifest.corpus_id}: split {split!r} is empty")
-    frames = [manifest.features(s) for s in samples]
-    order = sorted(range(len(samples)), key=lambda i: frames[i].shape[0])
     preds, labels = [], []
-    for start in range(0, len(order), EVAL_CHUNK):
-        chunk = order[start:start + EVAL_CHUNK]
-        features, pad_mask = pad_frames([frames[i] for i in chunk], manifest.corpus_id)
+    for chunk, features, pad_mask in _sorted_chunks(
+            [manifest.features(s) for s in samples], manifest.corpus_id):
         preds.extend(np.argmax(model.logits(features, pad_mask), axis=1).tolist())
         labels.extend(samples[i].mapped_class for i in chunk)
     cm = confusion(preds, labels, N_CLASSES)
@@ -104,6 +111,41 @@ def _batch_loss(model: EncoderModel, batch) -> ad.Tensor:
     """Unweighted mean cross-entropy over the batch, recorded on one tape."""
     return F.softmax_cross_entropy(model.forward(batch.features, batch.pad_mask),
                                    batch.labels)
+
+
+def _embed_train_splits(model: EncoderModel, manifests: list[CorpusManifest],
+                        frame_cap: int | None) -> dict[str, np.ndarray]:
+    """Pooled embedding of every train sample's ``[:frame_cap]`` crop, keyed
+    by feature path, from length-sorted no-grad batches of EVAL_CHUNK.
+
+    The corpus iterator draws each train sample once per epoch, so when a
+    corpus's steps times ``batch_size`` reach its split size (as at the
+    CLI's default step counts) this embeds only samples the loop would draw
+    anyway, each once instead of once per draw.  A non-finite value is a
+    ``NumericalAbort`` at step 0 naming the corpus.
+    """
+    cache: dict[str, np.ndarray] = {}
+    for manifest in manifests:
+        samples = manifest.split_samples("train")
+        try:
+            with ad.no_grad():
+                for chunk, features, pad_mask in _sorted_chunks(
+                        [manifest.features(s)[:frame_cap] for s in samples],
+                        manifest.corpus_id):
+                    pooled = model.embed(features, pad_mask).data
+                    cache.update((samples[i].feature_path, row)
+                                 for i, row in zip(chunk, pooled))
+        except NumericalError as exc:
+            raise NumericalAbort(f"embedding the train split failed: {exc}", step=0,
+                                 corpus_id=manifest.corpus_id, loss_tail=[]) from exc
+    return cache
+
+
+def _head_loss(model: EncoderModel, batch, embeddings: dict[str, np.ndarray]) -> ad.Tensor:
+    """``_batch_loss`` from the batch samples' cached pooled embeddings:
+    the tape holds only the head and the cross-entropy."""
+    pooled = ad.Tensor(np.stack([embeddings[s.feature_path] for s in batch.samples]))
+    return F.softmax_cross_entropy(model.head(pooled), batch.labels)
 
 
 def _eval_all(model: EncoderModel, manifests: list[CorpusManifest], step: int,
@@ -140,11 +182,19 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
 
     snapshots: dict = {}
     maybe_snapshot(0, _eval_all(model, manifests, 0, log))
+    # with only the head trainable, everything up to the pooled embedding
+    # is a fixed function of the input, so each train sample is embedded once
+    head_only = all(name.startswith("head.") for name, entry in model.store.items()
+                    if not entry.frozen)
+    embeddings = _embed_train_splits(model, manifests, cfg.frame_cap) if head_only else None
 
     for step, corpus_id in enumerate(schedule, start=1):
         batch = next_batch(iterators[corpus_id], cfg.batch_size, cfg.frame_cap)
         try:
-            loss = _batch_loss(model, batch)
+            if embeddings is None:
+                loss = _batch_loss(model, batch)
+            else:
+                loss = _head_loss(model, batch, embeddings)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss {value}")

@@ -11,9 +11,12 @@ run (perfbench/run.py) uses.
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from bbekit.expansion import ExpansionSpec, expand
+from bbekit.optim import AdamWConfig
+from bbekit.trainer import TrainConfig, train_transfer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +45,24 @@ def test_tracing_wraps_the_program(tiny_model, monkeypatch):
     model = expand(tiny_model, ExpansionSpec(2, "head-only"))
     tracing._count_params(tracer, (model.store,))
     assert tracer.counters["optim.params_updated"] == 16 * 6 + 6
+
+
+def test_head_only_steps_keep_the_timed_span(tiny_model, make_corpus, monkeypatch):
+    # the benchmark times a step from next_batch to adamw_step; the cached
+    # head-only step must still make one call to each
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    cfg = TrainConfig(adamw=AdamWConfig(learning_rate=1e-2), n_steps=3, batch_size=4,
+                      frame_cap=20, eval_every=100, seed=2, stage="single_corpus",
+                      expansion=ExpansionSpec(2, "head-only"))
+    with tracing.instrument(tracer, tracing.bbekit_targets(), traced=True):
+        train_transfer(tiny_model, make_corpus("t0"), cfg)
+    per_step = Counter((span[tracing.STEP], span[tracing.NAME]) for span in tracer.spans
+                       if span[tracing.NAME] in ("corpus.next_batch", "optim.adamw_step"))
+    assert per_step == {(step, name): 1 for step in range(3)
+                        for name in ("corpus.next_batch", "optim.adamw_step")}
+    assert len(tracing.step_durations(tracer.spans, "corpus.next_batch",
+                                      "optim.adamw_step")) == 3
+    assert tracer.counters["optim.params_updated"] / 3 == 16 * 6 + 6  # head only: 102

@@ -235,6 +235,21 @@ class TestDeterminism:
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name
 
+    def test_head_only_finetune_rerun_byte_identical(self, tmp_path):
+        data = synth(tmp_path)
+        cfg = cfg_file(tmp_path, SMALL_CFG)
+        assert main(["train", "--config", cfg, "--corpus-set", str(data / "corpus_set.json"),
+                     "--steps", "4", "--out", str(tmp_path / "s1")]) == 0
+        argv = ["finetune", "--config", cfg, "--target", str(data / "syn01.jsonl"),
+                "--checkpoint", str(tmp_path / "s1" / "checkpoint.bbex"), "--expand",
+                "--freeze-policy", "head-only", "--steps", "12", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "f1")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "f2")]) == 0
+        for name in ("checkpoint.bbex", "loss.csv", "val.csv", "summary.json"):
+            a = (tmp_path / "f1" / name).read_bytes()
+            b = (tmp_path / "f2" / name).read_bytes()
+            assert a == b, name
+
     def test_synth_rerun_byte_identical(self, tmp_path):
         d1 = synth(tmp_path, out="d1")
         d2 = synth(tmp_path, out="d2")
@@ -287,6 +302,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "model.n_blocks=null", "train.batch_size=null", "adamw.learning_rate=null",
         "model.conv_layers=5", "model.conv_layers=[[8,3]]", "train=5",
+        "model.n_blocks=2.7", "train.batch_size=true",
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, setting):
         data = synth(tmp_path, corpora=1)

@@ -155,6 +155,17 @@ class TestManifestIO:
                    Sample("y", "anger", 3, "", "c", "test", 1.0)]
         validate_split_disjointness(CorpusManifest("c", samples))  # no raise
 
+    def test_null_speaker_is_unknown(self, tmp_path):
+        # a null speaker is the empty id: exempt from disjointness, and an
+        # unsplit corpus of them splits by sample
+        f = feat(tmp_path, "a.feat")
+        manifest = load_manifest(write_rows(
+            tmp_path, [row(f, speaker=None, split="train"), row(f, speaker=None, split="test")]))
+        assert [s.speaker_id for s in manifest.samples] == ["", ""]
+        manifest = load_manifest(write_rows(tmp_path, [row(f, speaker=None)] * 20, "u.jsonl"))
+        make_splits(manifest, 0.1, 0.1, seed=5)
+        assert sorted({s.split for s in manifest.samples}) == ["test", "train", "val"]
+
     @pytest.mark.parametrize("field, value", [
         ("duration_s", "abc"), ("duration_s", None), ("duration_s", float("nan")),
         ("label", 3), ("feature", 5),
@@ -380,6 +391,14 @@ class TestNextBatch:
         assert fills == [1.0, 2.0]
         assert batch.corpus_id == "var"
         assert batch.labels == [3, 3]
+
+    def test_batch_carries_its_samples_row_by_row(self, tmp_path):
+        manifest = self.make_varlen(tmp_path, [3, 5, 2, 6])
+        batch = next_batch(CorpusIterator(manifest, "train", seed=4), batch_size=4,
+                           frame_cap=4)
+        assert len(batch.samples) == 4
+        for frames, mask, sample in zip(batch.features, batch.pad_mask, batch.samples):
+            assert np.array_equal(frames[mask], manifest.features(sample)[:4])
 
     def test_no_duplicates_within_epoch(self, make_corpus):
         manifest = make_corpus("c0")

@@ -13,8 +13,11 @@ from bbekit.model import (
     EncoderConfig,
     EncoderModel,
     conv_output_length,
+    dataclass_from,
     param_layout,
 )
+from bbekit.optim import AdamWConfig
+from bbekit.trainer import TrainConfig
 
 from test_functional import np_block, np_gelu
 
@@ -53,6 +56,22 @@ class TestConfigValidation:
 
     def test_from_dict_defaults_and_unknown_keys(self):
         assert EncoderConfig.from_dict({"unknown": 1}) == EncoderConfig()
+
+    @pytest.mark.parametrize("cls,key,value", [
+        (EncoderConfig, "n_blocks", 2.7), (EncoderConfig, "d_model", 16.9),
+        (EncoderConfig, "n_blocks", True), (TrainConfig, "batch_size", True),
+        (TrainConfig, "frame_cap", 20.5), (AdamWConfig, "learning_rate", True),
+    ])
+    def test_truncating_value_rejected(self, cls, key, value):
+        with pytest.raises(ConfigError, match=key):
+            dataclass_from(cls, {key: value})
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("batch_size", 4, 4), ("batch_size", 4.0, 4), ("frame_cap", None, None),
+    ])
+    def test_whole_numbers_and_null_still_load(self, key, value, want):
+        got = getattr(dataclass_from(TrainConfig, {key: value}), key)
+        assert got == want and type(got) is type(want)
 
     def test_dict_roundtrip(self):
         cfg = conv_config()
@@ -342,6 +361,18 @@ class TestClone:
         assert clone.store["block.0.ln1.gain"].frozen
         assert np.array_equal(clone.store["head.bias"].m, model.store["head.bias"].m)
         assert clone.store["head.bias"].step == 12
+
+    def test_clone_across_a_freeze(self, tiny_model):
+        # a frozen entry clones without moments, and thaws with zero ones
+        model = tiny_model.clone()
+        model.store["head.bias"].m[...] = 0.25
+        model.store.set_frozen("head.bias", True)
+        clone = model.clone()
+        assert clone.store["head.bias"].m is None and clone.store["head.bias"].v is None
+        clone.store.set_frozen("head.bias", False)
+        assert np.array_equal(clone.store["head.bias"].m, np.zeros(N_CLASSES))
+        assert np.array_equal(clone.store["head.bias"].v, np.zeros(N_CLASSES))
+        assert model.store["head.bias"].m is None
 
     def test_unknown_block_id(self, tiny_model):
         with pytest.raises(StateError):

@@ -114,9 +114,45 @@ class TestFreezing:
         adamw_step(store, AdamWConfig(learning_rate=0.1, weight_decay=0.3))
         assert np.array_equal(frozen.tensor.data, before)
         assert frozen.step == 0
-        assert np.array_equal(frozen.m, [0.0])
-        assert np.array_equal(frozen.v, [0.0])
+        assert frozen.m is None and frozen.v is None  # nor AdamW moments
         assert not np.array_equal(live.tensor.data, before)
+
+    def test_frozen_entries_hold_no_moments(self):
+        store = ParameterStore()
+        frozen = store.add("a.weight", np.ones(2), frozen=True, m=np.ones(2), v=np.ones(2))
+        assert frozen.m is None and frozen.v is None  # given moments are dropped
+        live = store.add("b.weight", np.ones(2), m=[0.5, 0.25])
+        assert np.array_equal(live.m, [0.5, 0.25]) and np.array_equal(live.v, [0.0, 0.0])
+        live.step = 7
+        store.set_frozen("b.weight", True)
+        assert live.m is None and live.v is None and live.tensor.grad is None
+        assert live.step == 7
+        store.set_frozen("b.weight", False)  # thawing starts fresh AdamW state
+        assert np.array_equal(live.m, [0.0, 0.0]) and np.array_equal(live.v, [0.0, 0.0])
+        assert live.step == 0
+
+    def test_snapshot_restore_across_a_freeze(self):
+        store = ParameterStore()
+        store.add("a.bias", np.array([1.0]), m=[0.5], v=[0.25], step=3)
+        store.add("b.bias", np.array([2.0]), frozen=True, step=4)
+        snap = store.snapshot()
+        assert snap["b.bias"][1:] == (None, None, 4)
+        store.set_frozen("a.bias", True)
+        store.set_frozen("b.bias", False)
+        store["b.bias"].m[...] = 9.0
+        store.value("a.bias")[...] = 7.0
+        store.restore(snap)
+        # flags stay as they are now: no moments for the frozen entry, and
+        # zero ones where the snapshot held none
+        assert store.value("a.bias")[0] == 1.0 and store["a.bias"].step == 3
+        assert store["a.bias"].m is None and store["a.bias"].v is None
+        assert np.array_equal(store["b.bias"].m, [0.0]) and store["b.bias"].step == 0
+        assert store.value("b.bias")[0] == 2.0
+        store.set_frozen("a.bias", False)
+        store.restore(snap)
+        assert store["a.bias"].step == 3
+        assert np.array_equal(store["a.bias"].m, [0.5])
+        assert np.array_equal(store["a.bias"].v, [0.25])
 
     def test_unfreezing_resumes_updates(self):
         store = ParameterStore()

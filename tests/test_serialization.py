@@ -359,6 +359,24 @@ def parameter_offsets(data: bytes) -> list[int]:
     return offsets + list(range(pos, len(data)))
 
 
+def moment_spans(data: bytes) -> dict[str, tuple[bool, int, int]]:
+    """Per parameter name: its frozen flag and the start and end offsets of
+    its two stored AdamW moments."""
+    _, pos = header_span(data)
+    spans = {}
+    while pos < len(data) - 8:
+        (name_len,) = struct.unpack("<H", data[pos:pos + 2])
+        name = data[pos + 2:pos + 2 + name_len].decode("utf-8")
+        ndim = data[pos + 2 + name_len]
+        dims = struct.unpack(f"<{ndim}I", data[pos + 3 + name_len:pos + 3 + name_len + 4 * ndim])
+        pos += 3 + name_len + 4 * ndim + 8 * int(np.prod(dims))
+        start = pos + 1
+        pos = start + 16 * int(np.prod(dims))
+        spans[name] = (bool(data[start - 1]), start, pos)
+        pos += 8
+    return spans
+
+
 def header_paths(node, path=()):
     """Every value's key path in a JSON header, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -479,6 +497,40 @@ class TestCorruptCheckpoints:
                          + data[shape_end:])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_frozen_entries_written_with_zero_moments(self, tmp_path):
+        path = tmp_path / "m.bbex"
+        model = conv_x2_checkpoint(path)
+        data = path.read_bytes()
+        spans = moment_spans(data)
+        assert list(spans) == model.store.names()
+        frozen = [name for name, (flag, _, _) in spans.items() if flag]
+        assert frozen == [n for n, e in model.store.items() if e.frozen] and frozen
+        for name in frozen:
+            _, start, end = spans[name]
+            assert data[start:end] == bytes(end - start), name
+            assert load_checkpoint(path).store[name].m is None, name
+
+    def test_file_with_frozen_moments_still_loads(self, tmp_path):
+        # older files stored the moments a frozen entry carried; a load
+        # drops them, evaluates the same, and writes zeros back
+        path = tmp_path / "m.bbex"
+        model = conv_x2_checkpoint(path)
+        clean = path.read_bytes()
+        data = bytearray(clean)
+        for flag, start, end in moment_spans(clean).values():
+            if flag:
+                data[start:end] = np.full((end - start) // 8, 0.375, dtype="<f8").tobytes()
+        old = tmp_path / "old.bbex"
+        old.write_bytes(bytes(data))
+        loaded = load_checkpoint(old)
+        for name, entry in loaded.store.items():
+            if entry.frozen:
+                assert entry.m is None and entry.v is None, name
+        probe = np.random.default_rng(3).normal(size=(2, 20, 3))
+        assert np.array_equal(loaded.logits(probe), model.logits(probe))
+        save_checkpoint(tmp_path / "again.bbex", loaded)
+        assert (tmp_path / "again.bbex").read_bytes() == clean
 
     def test_thawed_file_still_loads(self, tmp_path):
         # freeze flags that differ from the record's policy are the

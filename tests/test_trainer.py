@@ -1,12 +1,19 @@
 """Training loops: logging, determinism, freezing, aborts, selection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from bbekit import autodiff as ad
+from bbekit import trainer as trainer_mod
 from bbekit.corpus import CorpusIterator, next_batch
-from bbekit.errors import ConfigError, EvalError, InvariantViolation, NumericalAbort
-from bbekit.expansion import ExpansionSpec, apply_freeze_policy
-from bbekit.optim import AdamWConfig
+from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
+                           NumericalAbort)
+from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
+from bbekit.optim import AdamWConfig, adamw_step
+from bbekit.rngutil import derive_seed
 from bbekit.trainer import (
     TrainConfig,
     TrainLog,
@@ -349,3 +356,157 @@ class TestSelection:
         model, log = train_transfer(tiny_model.clone(), target, cfg)
         final_val = log.val_curve("t0")[-1][1]
         assert evaluate(model, target, "val")["uar"] == final_val
+
+
+def conv_model():
+    config = EncoderConfig(n_blocks=2, d_model=16, n_heads=2, d_ffn=32, frontend="conv",
+                           conv_in_dim=4, conv_layers=[ConvLayerSpec(16, 3, 2)])
+    return EncoderModel.build(config, seed=12)
+
+
+def head_only_case(kind, tiny_model, make_corpus):
+    """A model, its target corpus, and a frame cap that crops most of the
+    corpus's train samples."""
+    if kind == "identity":
+        return tiny_model, make_corpus("t0"), 20  # 5-50 frames
+    return conv_model(), make_corpus("t0", d=4, frame_rate=40.0), 60  # 20-200 frames
+
+
+def spy_model(monkeypatch):
+    """Record the frames every fill call embeds (an ``embed`` outside
+    ``forward``) and how often ``forward`` runs with the tape on."""
+    record = {"embedded": Counter(), "taped_forwards": 0}
+    embed, forward = EncoderModel.embed, EncoderModel.forward
+    depth = [0]
+
+    def embed_spy(self, frames, pad_mask):
+        if not depth[0]:
+            for row, mask in zip(np.asarray(frames), pad_mask):
+                record["embedded"][row[mask].tobytes()] += 1
+        return embed(self, frames, pad_mask)
+
+    def forward_spy(self, frames, pad_mask=None):
+        record["taped_forwards"] += ad.is_grad_enabled()
+        depth[0] += 1
+        try:
+            return forward(self, frames, pad_mask)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(EncoderModel, "embed", embed_spy)
+    monkeypatch.setattr(EncoderModel, "forward", forward_spy)
+    return record
+
+
+def tape_spy(monkeypatch) -> list[int]:
+    """Tape size of every backward pass."""
+    sizes = []
+    backward = ad.Tensor.backward
+
+    def spy(self):
+        sizes.append(tape_nodes(self))
+        return backward(self)
+
+    monkeypatch.setattr(ad.Tensor, "backward", spy)
+    return sizes
+
+
+class TestHeadOnlyCache:
+    @pytest.mark.parametrize("kind", ["identity", "conv"])
+    def test_matches_the_uncached_step(self, kind, tiny_model, make_corpus):
+        # a cached embedding is pooled over another padded length than the
+        # batch's, so the two agree to rounding, not bit for bit
+        model, target, cap = head_only_case(kind, tiny_model, make_corpus)
+        cfg = quick_cfg(stage="single_corpus", n_steps=6, frame_cap=cap, eval_every=100,
+                        selection="last", adamw=AdamWConfig(learning_rate=1e-2),
+                        expansion=ExpansionSpec(2, "head-only"))
+        assert max(len(target.features(s)) for s in target.split_samples("train")) > cap
+        cached, log = train_transfer(model.clone(), target, cfg)
+
+        reference = expand(model, cfg.expansion)
+        iterator = CorpusIterator(target, "train", derive_seed(cfg.seed, 0))
+        losses = []
+        for _ in range(cfg.n_steps):
+            loss = _batch_loss(reference, next_batch(iterator, cfg.batch_size, cap))
+            losses.append(loss.item())
+            loss.backward()
+            adamw_step(reference.store, cfg.adamw)
+        np.testing.assert_allclose([v for _, _, v in log.losses], losses, rtol=1e-12, atol=0)
+        for name in ("head.weight", "head.bias"):
+            np.testing.assert_allclose(cached.store.value(name),
+                                       reference.store.value(name), rtol=1e-12, atol=0)
+
+    def test_rerun_is_bit_identical(self, tiny_model, make_corpus):
+        target = make_corpus("t0")
+        cfg = quick_cfg(stage="single_corpus", n_steps=12, eval_every=4,
+                        expansion=ExpansionSpec(2, "head-only"))
+        m1, log1 = train_transfer(tiny_model.clone(), target, cfg)
+        m2, log2 = train_transfer(tiny_model.clone(), target, cfg)
+        assert (log1.losses, log1.vals) == (log2.losses, log2.vals)
+        for name in m1.store.names():
+            assert np.array_equal(m1.store.value(name), m2.store.value(name)), name
+
+    def test_round_robin_keeps_the_encoder_byte_identical(self, tiny_model, make_corpus):
+        manifests = [make_corpus("a"), make_corpus("b", seed=41)]
+        model = tiny_model.clone()
+        apply_freeze_policy(model, "head-only")
+        model, log = train_multi(model, manifests, quick_cfg(n_steps=6))
+        assert [c for _, c, _ in log.losses] == ["a", "b"] * 3
+        for name in model.store.names():
+            unchanged = np.array_equal(model.store.value(name),
+                                       tiny_model.store.value(name))
+            assert unchanged != name.startswith("head."), name
+
+    @pytest.mark.parametrize("kind", ["identity", "conv"])
+    def test_fill_embeds_each_train_sample_once(self, kind, tiny_model, make_corpus,
+                                                 monkeypatch):
+        model, target, cap = head_only_case(kind, tiny_model, make_corpus)
+        record = spy_model(monkeypatch)
+        sizes = tape_spy(monkeypatch)
+        cfg = quick_cfg(stage="single_corpus", n_steps=8, frame_cap=cap, eval_every=4,
+                        expansion=ExpansionSpec(2, "head-only"))
+        train_transfer(model, target, cfg)
+        want = Counter(target.features(s)[:cap].tobytes()
+                       for s in target.split_samples("train"))
+        assert record["embedded"] == want
+        assert record["taped_forwards"] == 0
+        assert sizes == [6] * cfg.n_steps  # head matmul, bias, reshapes, loss, leaves
+
+    def test_trainable_encoder_takes_the_full_tape(self, tiny_model, make_corpus,
+                                                   monkeypatch):
+        target = make_corpus("t0")
+        full = tape_nodes(_batch_loss(expand(tiny_model, ExpansionSpec(2)), next_batch(
+            CorpusIterator(target, "train", seed=1), 4, frame_cap=20)))
+        record = spy_model(monkeypatch)
+        sizes = tape_spy(monkeypatch)
+        train_transfer(tiny_model.clone(), target,
+                       quick_cfg(stage="single_corpus", n_steps=4,
+                                 expansion=ExpansionSpec(2, "freeze-original")))
+        assert not record["embedded"]
+        assert record["taped_forwards"] == 4
+        assert sizes == [full] * 4 and full > 6
+
+    def test_non_finite_train_frame_is_input_error(self, tiny_model, make_corpus):
+        target = make_corpus("t0")
+        sample = target.split_samples("train")[3]
+        target._cache[sample.feature_path] = target.features(sample).copy()
+        target.features(sample)[2, 5] = np.nan
+        with pytest.raises(InputError):
+            train_transfer(tiny_model.clone(), target, quick_cfg(
+                stage="single_corpus", n_steps=4, expansion=ExpansionSpec(2, "head-only")))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stub_eval", [False, True])
+    def test_poisoned_frozen_block_aborts_at_step_zero(self, tiny_model, make_corpus,
+                                                       monkeypatch, stub_eval):
+        # the step-0 evaluation aborts first; with it stubbed out, the fill does
+        target = make_corpus("t0")
+        model = expand(tiny_model, ExpansionSpec(2, "head-only"))
+        model.store.value("block.1.ffn.w2.weight")[...] = 1e308
+        if stub_eval:
+            monkeypatch.setattr(trainer_mod, "evaluate",
+                                lambda model, manifest, split: {"uar": 0.0})
+        with pytest.raises(NumericalAbort) as exc:
+            train_transfer(model, target, quick_cfg(stage="single_corpus", n_steps=4))
+        assert (exc.value.step, exc.value.corpus_id, exc.value.exit_code) == (0, "t0", 5)
+        assert ("embedding the train split" in str(exc.value)) == stub_eval
