@@ -122,33 +122,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return NotImplemented
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -189,11 +162,6 @@ def add(a, b) -> Tensor:
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data * b.data
@@ -202,34 +170,10 @@ def mul(a, b) -> Tensor:
                             _unbroadcast(g * a.data, b.shape)))
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with identical (non-broadcast) batch dimensions."""
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        return (g @ np.swapaxes(b.data, -1, -2),
-                np.swapaxes(a.data, -1, -2) @ g)
-
-    return _node(out, (a, b), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     out = a.data.reshape(shape)
     return _node(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes) -> Tensor:
-    a = _wrap(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _node(a.data.transpose(axes), (a,),
-                 lambda g: (g.transpose(inverse),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -246,20 +190,98 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+# -- fused layers: one node each, with hand-written backward passes ----------
+# Each forward evaluates the same float64 expressions, in the same order, as
+# the elementwise composition it replaces, so outputs are bit-identical to
+# it; only the gradients' accumulation order differs.  Shapes are checked by
+# the ``functional`` wrappers.  A gradient is computed only for the parents
+# that require one.
 
 
-def pow_scalar(a, p: float) -> Tensor:
-    a = _wrap(a)
-    p = float(p)
-    out = a.data ** p
-    return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+def linear(x, weight, bias) -> Tensor:
+    """``[..., d_in] @ weight[d_in, d_out] + bias[d_out]``."""
+    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
+    d_in, d_out = weight.shape
+    flat = x.data.reshape(-1, d_in)
+    out = flat @ weight.data
+    out += bias.data
+
+    def backward(g):
+        g = g.reshape(-1, d_out)
+        return ((g @ weight.data.T).reshape(x.shape) if x.requires_grad else None,
+                flat.T @ g if weight.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None)
+
+    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
+
+
+def layer_norm(x, gain, shift, eps: float) -> Tensor:
+    """``(x - mean) * (var + eps)**-0.5 * gain + shift`` over the last axis,
+    with the population variance."""
+    x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_d
+    xhat = x.data - mu  # centered, normalized in place below
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_d
+    rstd = (var + eps) ** -0.5
+    xhat *= rstd
+    out = xhat * gain.data
+    out += shift.data
+    lead = tuple(range(x.ndim - 1))
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            # rstd * (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) with ĝ = g * gain
+            ghat = g * gain.data
+            gx = ghat - ghat.sum(axis=-1, keepdims=True) * inv_d
+            gx -= xhat * ((ghat * xhat).sum(axis=-1, keepdims=True) * inv_d)
+            gx *= rstd
+        return (gx,
+                (g * xhat).sum(axis=lead) if gain.requires_grad else None,
+                g.sum(axis=lead) if shift.requires_grad else None)
+
+    return _node(out, (x, gain, shift), backward)
+
+
+def attention_core(q, k, v, key_bias: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention from projected [B, T, d]
+    queries, keys and values to merged [B, T, d] head outputs.
+
+    Each head sees a d/heads slice.  ``key_bias`` is a constant [B, 1, 1, T]
+    array added to the scaled scores before the max-subtracted softmax over
+    keys; -1e30 on a key gives it exactly zero weight.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    batch, n_frames, d = q.shape
+    split = (batch, n_frames, heads, d // heads)
+    qh = np.ascontiguousarray(q.data.reshape(split).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.data.reshape(split).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.data.reshape(split).transpose(0, 2, 1, 3))
+    scale = 1.0 / np.sqrt(split[-1])
+    weights = qh @ kt  # [B, heads, T, T]
+    weights *= scale
+    weights += key_bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    mixed = weights @ vh  # [B, heads, T, d_head]
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(batch, n_frames, d)
+
+    def backward(g):
+        gh = g.reshape(split).transpose(0, 2, 1, 3)
+        gw = gh @ vh.transpose(0, 1, 3, 2)
+        gv = weights.transpose(0, 1, 3, 2) @ gh
+        gs = gw - (gw * weights).sum(axis=-1, keepdims=True)  # softmax backward
+        gs *= weights
+        gs *= scale
+        return (merge(gs @ kt.transpose(0, 1, 3, 2)),
+                merge(gs.transpose(0, 1, 3, 2) @ qh),
+                merge(gv))
+
+    return _node(merge(mixed), (q, k, v), backward)
 
 
 # erf by the piecewise rational approximations of FDLIBM's s_erf.c; it stays
@@ -367,25 +389,6 @@ def gelu(a) -> Tensor:
         return (g * (cdf + a.data * pdf),)
 
     return _node(out, (a,), backward)
-
-
-def softmax_last(a, additive_mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last axis.
-
-    ``additive_mask`` is a constant array broadcast onto the logits before
-    the max-subtraction; pass large negative values to exclude positions.
-    """
-    a = _wrap(a)
-    z = a.data if additive_mask is None else a.data + additive_mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
-
-    return _node(y, (a,), backward)
 
 
 def cross_entropy_with_logits(logits, labels) -> Tensor:

@@ -1,12 +1,13 @@
 """Composite neural ops for the encoder stack.
 
-Each public op validates its shapes, composes autodiff primitives, and
-checks the result for non-finite values (the operation-level hygiene
-contract).  Frame sequences are [B, T, d] with a required [B, T] padding
-mask, True on valid frames; ``EncoderModel.forward`` turns a single [T, d]
-sequence into a batch of one.  The block forward passes take a block's
-parameters as a ``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``;
-an expanded block's mapping also holds ``zll.weight`` and ``zll.bias``.
+Each public op validates its shapes, calls autodiff primitives (linear,
+layer norm and the attention core are one tape node each), and checks the
+result for non-finite values (the operation-level hygiene contract).  Frame
+sequences are [B, T, d] with a required [B, T] padding mask, True on valid
+frames; ``EncoderModel.forward`` turns a single [T, d] sequence into a batch
+of one.  The block forward passes take a block's parameters as a
+``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``; an expanded
+block's mapping also holds ``zll.weight`` and ``zll.bias``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear input {x.shape} incompatible with weight {weight.shape}")
     if bias.shape != (d_out,):
         raise DimensionError(f"bias shape {bias.shape} != ({d_out},)")
-    lead = x.shape[:-1]
-    flat = ad.reshape(x, (-1, d_in))
-    y = ad.add(ad.matmul(flat, weight), bias)
-    return _check_finite("linear", ad.reshape(y, lead + (d_out,)))
+    return _check_finite("linear", ad.linear(x, weight, bias))
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
@@ -53,11 +51,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
         raise DimensionError("layer_norm over an empty axis")
     if gain.shape != (d,) or shift.shape != (d,):
         raise DimensionError(f"gain/shift must have shape ({d},)")
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    rstd = (var + eps) ** -0.5  # population variance
-    return _check_finite("layer_norm", centered * rstd * gain + shift)
+    return _check_finite("layer_norm", ad.layer_norm(x, gain, shift, eps))
 
 
 def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
@@ -76,21 +70,10 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     mask = np.asarray(pad_mask, dtype=bool)
     if mask.shape != (batch, n_frames):
         raise DimensionError(f"pad_mask shape {mask.shape} != {(batch, n_frames)}")
-    d_head = d // heads
-
-    q = linear_forward(x, wq, bq)
-    k = linear_forward(x, wk, bk)
-    v = linear_forward(x, wv, bv)
-
-    def split(t: Tensor) -> Tensor:  # [B, T, d] -> [B, heads, T, d_head]
-        return ad.transpose(ad.reshape(t, (batch, n_frames, heads, d_head)), (0, 2, 1, 3))
-
-    q, k, v = split(q), split(k), split(v)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_head))
-    weights = ad.softmax_last(scores, additive_mask=np.where(mask, 0.0, -MASK_NEG)[:, None, None])
-    mixed = ad.matmul(weights, v)  # [B, heads, T, d_head]
-    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, n_frames, d))
-    return _check_finite("attention", linear_forward(merged, wo, bo))
+    merged = ad.attention_core(linear_forward(x, wq, bq), linear_forward(x, wk, bk),
+                               linear_forward(x, wv, bv),
+                               np.where(mask, 0.0, -MASK_NEG)[:, None, None], heads)
+    return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
 LN_EPS = 1e-5

@@ -146,5 +146,5 @@ def load_mapping_table(path: str | Path) -> MappingTable:
             raise ParseError(f"unknown arousal level {arousal!r}", lineno)
         if normalize(valence) not in VALENCE_LEVELS:
             raise ParseError(f"unknown valence level {valence!r}", lineno)
-        entries[raw] = (arousal, valence)
+        entries[normalize(raw)] = (arousal, valence)
     return MappingTable(entries)

@@ -245,7 +245,11 @@ def train_transfer(model: EncoderModel, target: CorpusManifest,
 
     if cfg.expansion is not None:
         expanded = expand(model, cfg.expansion)
-        worst = verify_preservation(model, expanded, preservation_probes(model, cfg.seed))
+        try:
+            worst = verify_preservation(model, expanded, preservation_probes(model, cfg.seed))
+        except NumericalError as exc:
+            raise NumericalAbort(f"preservation check failed: {exc}", step=0,
+                                 corpus_id=target.corpus_id) from exc
         if worst != 0.0:
             raise InvariantViolation(
                 f"expansion changed outputs: max |delta| = {worst!r}")

@@ -4,6 +4,7 @@ import pytest
 from bbekit import autodiff as ad
 from bbekit.autodiff import Tensor
 from bbekit.errors import DimensionError, LabelError, StateError
+from bbekit.gradcheck import FD_STEP, TOLERANCE, relative_error
 
 RNG = np.random.default_rng(7)
 
@@ -90,36 +91,13 @@ class TestPrimitiveGradients:
         w = RNG.normal(size=(1, 4))
         check_grad(lambda x: ad.tsum(ad.mul(x, Tensor(w))), (3, 4))
 
-    def test_matmul_2d(self):
-        w = RNG.normal(size=(4, 2))
-        check_grad(lambda x: ad.tsum(ad.matmul(x, Tensor(w))), (3, 4))
-        x = RNG.normal(size=(3, 4))
-        check_grad(lambda w_: ad.tsum(ad.matmul(Tensor(x), w_)), (4, 2))
-
-    def test_matmul_batched(self):
-        b = RNG.normal(size=(2, 4, 3))
-        check_grad(lambda x: ad.tsum(ad.mul(ad.matmul(x, Tensor(b)),
-                                            ad.matmul(x, Tensor(b)))), (2, 3, 4))
-
-    def test_matmul_shape_errors(self):
-        with pytest.raises(DimensionError):
-            ad.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
-        with pytest.raises(DimensionError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         check_grad(lambda x: ad.tsum(ad.mul(ad.reshape(x, (6, 2)),
                                             ad.reshape(x, (6, 2)))), (3, 4))
-        check_grad(lambda x: ad.tsum(ad.mul(ad.transpose(x, (2, 0, 1)),
-                                            ad.transpose(x, (2, 0, 1)))), (2, 3, 4))
 
     def test_sum_axes(self):
         check_grad(lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=0), ad.tsum(x, axis=0))), (3, 4))
         check_grad(lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=1, keepdims=True), x)), (3, 4))
-        check_grad(lambda x: ad.tmean(ad.mul(x, x)), (5,))
-
-    def test_pow_exp(self):
-        check_grad(lambda x: ad.tsum(ad.pow_scalar(ad.mul(x, x) + 1.0, 0.5)), (3,))
 
     def test_gelu_values_and_grad(self):
         # erf form: gelu(0) = 0, gelu(large) ~ x, gelu(-large) ~ 0
@@ -145,26 +123,36 @@ class TestPrimitiveGradients:
         assert out[1] == 0.0 and np.signbit(out[1])
         assert out[2] == 1.0 and out[3] == -1.0 and np.isnan(out[4])
 
+    # the attention core's softmax weights are its output when each key's
+    # value is a one-hot row: one head, v = identity over T = d frames
+    @staticmethod
+    def attention_weights(scores: np.ndarray, key_bias=None) -> np.ndarray:
+        n = scores.shape[-1]
+        q = Tensor(scores[None] * np.sqrt(n))  # undo the 1/sqrt(d_head) scale
+        bias = np.zeros((1, 1, 1, n)) if key_bias is None else np.reshape(key_bias, (1, 1, 1, n))
+        return ad.attention_core(q, Tensor(np.eye(n)[None]), Tensor(np.eye(n)[None]),
+                                 bias, heads=1).data[0]
+
     def test_softmax_rows_sum_to_one(self):
-        y = ad.softmax_last(Tensor(RNG.normal(size=(3, 5)))).data
+        y = self.attention_weights(RNG.normal(size=(5, 5)))
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
         assert (y > 0).all()
 
     def test_softmax_grad(self):
-        t = RNG.normal(size=(4,))
-        check_grad(lambda x: ad.tsum(ad.mul(ad.softmax_last(x), Tensor(t))), (4,))
+        t = RNG.normal(size=(1, 4, 4))
+        eye = Tensor(np.eye(4)[None])
+        check_grad(lambda x: ad.tsum(ad.mul(ad.attention_core(x, eye, eye, np.zeros((1, 1, 1, 4)),
+                                                              heads=1), Tensor(t))), (1, 4, 4))
 
     def test_softmax_additive_mask_excludes(self):
-        mask = np.array([0.0, -1e30, 0.0])
-        y = ad.softmax_last(Tensor([1.0, 5.0, 2.0]), additive_mask=mask).data
-        assert y[1] == 0.0
-        assert y.sum() == pytest.approx(1.0, abs=1e-15)
+        y = self.attention_weights(RNG.normal(size=(3, 3)), key_bias=[0.0, -1e30, 0.0])
+        assert (y[:, 1] == 0.0).all()
+        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-15)
 
     def test_softmax_stable_at_large_magnitudes(self):
-        y = ad.softmax_last(Tensor([1e3, -1e3, 0.0])).data
+        y = self.attention_weights(np.array([[1e3, -1e3, 0.0]] * 3))
         assert np.isfinite(y).all()
-        ln = Tensor(np.full(4, 1e3))
-        assert np.isfinite(ad.softmax_last(ln).data).all()
+        assert np.isfinite(self.attention_weights(np.full((4, 4), 1e3))).all()
 
     def test_unfold1d_forward_and_grad(self):
         x = np.arange(8.0).reshape(1, 8, 1)
@@ -254,11 +242,216 @@ class TestOperatorSugar:
         b = RNG.normal(size=(3,))
         ta, tb = Tensor(a), Tensor(b)
         np.testing.assert_array_equal((ta + tb).data, a + b)
-        np.testing.assert_array_equal((ta - tb).data, a - b)
-        np.testing.assert_array_equal((ta * tb).data, a * b)
-        np.testing.assert_array_equal((-ta).data, -a)
-        np.testing.assert_array_equal((ta * 2.0).data, a * 2.0)
-        np.testing.assert_array_equal((ta / 2.0).data, a / 2.0)
-        np.testing.assert_allclose((ta ** 2).data, a ** 2, atol=1e-15)
-        np.testing.assert_array_equal((1.0 + ta).data, 1.0 + a)
-        np.testing.assert_array_equal((1.0 - ta).data, 1.0 - a)
+        np.testing.assert_array_equal((ta + b).data, a + b)
+        np.testing.assert_array_equal((ta + 2.0).data, a + 2.0)
+
+
+# -- fused layers ----------------------------------------------------------------
+# Numpy oracles: the elementwise compositions the fused nodes replaced, in
+# their float64 operation order, with their reverse-mode gradients written
+# out op by op (each op's backward rule, applied in reverse).
+
+def composite_linear(x, w, b):
+    return ((x.reshape(-1, w.shape[0]) @ w) + b).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def composite_linear_grads(x, w, b, g):
+    g = g.reshape(-1, w.shape[1])
+    return (g @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g, g.sum(axis=0)
+
+
+def _ln_parts(x, eps):
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_d
+    centered = x + (-mu)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    return inv_d, centered, var, (var + eps) ** -0.5
+
+
+def composite_layer_norm(x, gain, shift, eps):
+    _, centered, _, rstd = _ln_parts(x, eps)
+    return ((centered * rstd) * gain) + shift
+
+
+def composite_layer_norm_grads(x, gain, shift, eps, g):
+    inv_d, centered, var, rstd = _ln_parts(x, eps)
+    lead = tuple(range(x.ndim - 1))
+    g_scaled = g * gain                                     # (c * r) * gain
+    g_c = g_scaled * rstd                                   # c * r, via c
+    g_r = (g_scaled * centered).sum(axis=-1, keepdims=True)  # c * r, via r
+    g_cc = g_r * -0.5 * (var + eps) ** -1.5 * inv_d         # r = (mean(c*c) + eps)**-0.5
+    g_c = g_c + g_cc * centered + g_cc * centered           # c * c
+    g_mu = -g_c.sum(axis=-1, keepdims=True)                 # c = x + (-mu)
+    return (g_c + g_mu * inv_d,                             # mu = sum(x) * (1/d)
+            (g * (centered * rstd)).sum(axis=lead), g.sum(axis=lead))
+
+
+def _attention_parts(q, k, v, key_bias, heads):
+    batch, n_frames, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return np.ascontiguousarray(t.reshape(batch, n_frames, heads, dh).transpose(0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    scale = 1.0 / np.sqrt(dh)
+    z = ((qh @ kt) * scale) + key_bias
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return qh, kt, vh, scale, e / e.sum(axis=-1, keepdims=True)
+
+
+def _merge(t):
+    batch, heads, n_frames, dh = t.shape
+    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(batch, n_frames, heads * dh)
+
+
+def composite_attention(q, k, v, key_bias, heads):
+    _, _, vh, _, weights = _attention_parts(q, k, v, key_bias, heads)
+    return _merge(weights @ vh)
+
+
+def composite_attention_grads(q, k, v, key_bias, heads, g):
+    qh, kt, vh, scale, weights = _attention_parts(q, k, v, key_bias, heads)
+    batch, n_frames, d = q.shape
+    g_mixed = g.reshape(batch, n_frames, heads, d // heads).transpose(0, 2, 1, 3)
+    g_w = g_mixed @ vh.transpose(0, 1, 3, 2)                 # weights @ vh
+    g_vh = weights.transpose(0, 1, 3, 2) @ g_mixed
+    g_z = (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * weights  # softmax
+    g_raw = g_z * scale                                      # scores * scale
+    g_qh = g_raw @ kt.transpose(0, 1, 3, 2)                  # qh @ kt
+    g_kh = (qh.transpose(0, 1, 3, 2) @ g_raw).transpose(0, 1, 3, 2)
+    return _merge(g_qh), _merge(g_kh), _merge(g_vh)
+
+
+# ragged [B, T] padding: lengths 5, 2 and 4 of T = 5
+RAGGED = np.arange(5) < np.array([5, 2, 4])[:, None]
+KEY_BIAS = np.where(RAGGED, 0.0, -1e30)[:, None, None]
+EPS = 1e-5
+HEADS = 2
+
+
+def _fused_cases():
+    """Each fused op as {name: (fn over its array arguments, numpy oracle,
+    oracle gradients given the upstream gradient, argument arrays)}."""
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(3, 5, 4))
+    return {
+        "linear": (ad.linear, composite_linear, composite_linear_grads,
+                   [x, rng.normal(size=(4, 6)), rng.normal(size=6)]),
+        "layer_norm": (lambda *a: ad.layer_norm(*a, EPS),
+                       lambda *a: composite_layer_norm(*a, EPS),
+                       lambda *a: composite_layer_norm_grads(*a[:3], EPS, a[3]),
+                       [x * 3.0 + 1.0, rng.normal(size=4), rng.normal(size=4)]),
+        "attention_core": (lambda *a: ad.attention_core(*a, KEY_BIAS, HEADS),
+                           lambda *a: composite_attention(*a, KEY_BIAS, HEADS),
+                           lambda *a: composite_attention_grads(*a[:3], KEY_BIAS, HEADS, a[3]),
+                           [x, rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))]),
+    }
+
+
+FUSED = _fused_cases()
+
+
+def grads_of(fn, arrays, upstream):
+    """Backward of sum(fn(...) * upstream) into every argument."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    ad.tsum(ad.mul(fn(*leaves), Tensor(upstream))).backward()
+    return [leaf.grad for leaf in leaves]
+
+
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_forward_bit_identical_to_composite(self, name):
+        fn, oracle, _, arrays = FUSED[name]
+        assert np.array_equal(fn(*[Tensor(a) for a in arrays]).data, oracle(*arrays))
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_backward_matches_composite(self, name):
+        fn, oracle, oracle_grads, arrays = FUSED[name]
+        upstream = np.random.default_rng(73).normal(size=oracle(*arrays).shape)
+        upstream *= RAGGED[..., None]  # padded frames carry no loss
+        for got, want in zip(grads_of(fn, arrays, upstream), oracle_grads(*arrays, upstream)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_gradients_vs_finite_differences(self, name):
+        fn, _, _, arrays = FUSED[name]
+        upstream = np.random.default_rng(79).normal(size=fn(*arrays).shape) * RAGGED[..., None]
+        analytic = grads_of(fn, arrays, upstream)
+        for i, arr in enumerate(arrays):
+            def loss(a, i=i):
+                args = [Tensor(x) for x in arrays]
+                args[i] = Tensor(a)
+                return float((fn(*args).data * upstream).sum())
+
+            numeric = fd_grad(loss, arr.copy(), h=FD_STEP)
+            worst = max(relative_error(a, n) for a, n in zip(analytic[i].ravel(), numeric.ravel()))
+            assert worst < TOLERANCE, (name, i, worst)
+
+    def test_masked_keys_get_no_weight_and_no_gradient(self):
+        fn, _, _, (q, k, v) = FUSED["attention_core"]
+        k2, v2 = k.copy(), v.copy()
+        k2[~RAGGED] = 1e6  # junk in padded frames
+        v2[~RAGGED] = -1e6
+        out = fn(Tensor(q), Tensor(k2), Tensor(v2)).data
+        assert np.array_equal(out, fn(Tensor(q), Tensor(k), Tensor(v)).data)
+        _, gk, gv = grads_of(fn, [q, k, v], np.ones_like(q))
+        assert (gk[~RAGGED] == 0.0).all() and (gv[~RAGGED] == 0.0).all()
+
+    def test_frozen_parents_get_no_gradient(self):
+        # a parent without requires_grad gets no gradient, and leaving it
+        # out does not change the others'
+        rng = np.random.default_rng(83)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 4)), rng.normal(size=4),
+                  rng.normal(size=4), rng.normal(size=4)]
+        upstream = Tensor(rng.normal(size=(2, 3, 4)))
+
+        def run(trainable):
+            x, w, b, gain, shift = (Tensor(a.copy(), requires_grad=i in trainable)
+                                    for i, a in enumerate(arrays))
+            ad.tsum(ad.mul(ad.layer_norm(ad.linear(x, w, b), gain, shift, EPS),
+                           upstream)).backward()
+            return x, w, b, gain, shift
+
+        every = run(range(5))
+        some = run({0, 2})
+        assert all(some[i].grad is None for i in (1, 3, 4))
+        assert np.array_equal(some[0].grad, every[0].grad)
+        assert np.array_equal(some[2].grad, every[2].grad)
+
+    def test_attention_layer_backward_matches_composite(self):
+        # the q/k/v linears, the core and the output linear chained, against
+        # the composite chain; the key bias's gradient is analytically zero
+        # (it shifts every score of a query row equally), so it is compared
+        # against an absolute floor instead of its own rounding-level size
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(3, 5, 4))
+        params = [rng.normal(0.0, 0.5, shape) for _ in "qkvo" for shape in ((4, 4), (4,))]
+        upstream = rng.normal(size=x.shape) * RAGGED[..., None]
+
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in [x] + params]
+        xt, (wq, bq, wk, bk, wv, bv, wo, bo) = leaves[0], leaves[1:]
+        merged = ad.attention_core(ad.linear(xt, wq, bq), ad.linear(xt, wk, bk),
+                                   ad.linear(xt, wv, bv), KEY_BIAS, HEADS)
+        ad.tsum(ad.mul(ad.linear(merged, wo, bo), Tensor(upstream))).backward()
+
+        q, k, v = (composite_linear(x, params[i], params[i + 1]) for i in (0, 2, 4))
+        merged_np = composite_attention(q, k, v, KEY_BIAS, HEADS)
+        g_merged, g_wo, g_bo = composite_linear_grads(merged_np, params[6], params[7], upstream)
+        g_qkv = composite_attention_grads(q, k, v, KEY_BIAS, HEADS, g_merged)
+        want = [None] * 9
+        g_x = 0.0
+        for j, g in enumerate(g_qkv):
+            g_in, want[1 + 2 * j], want[2 + 2 * j] = composite_linear_grads(
+                x, params[2 * j], params[2 * j + 1], g)
+            g_x = g_x + g_in
+        want[0], want[7], want[8] = g_x, g_wo, g_bo
+
+        scale = max(np.abs(w).max() for w in want)
+        for leaf, w in zip(leaves, want):
+            floor = 1e-12 * scale if w is want[4] else 0.0
+            assert np.abs(leaf.grad - w).max() <= max(1e-12 * np.abs(w).max(), floor)
+        assert np.abs(bk.grad).max() <= 1e-12 * scale

@@ -390,3 +390,90 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(path) in err and repr(missing) in err
+
+
+def corruptions(data: bytes, seed: int, n_flips: int = 12) -> list[bytes]:
+    """Deterministic damaged copies of a file: truncations, single-byte
+    overwrites and inserted junk (NUL, 0xFF, a lone CR, a comma)."""
+    rng = np.random.default_rng(seed)
+    n = len(data)
+    out = [data[:cut] for cut in sorted({0, 1, n // 3, n // 2, n - 1})]
+    for at in rng.integers(0, n, n_flips):
+        for value in (0x00, 0xFF):
+            out.append(data[:at] + bytes([value]) + data[at + 1:])
+    at = int(rng.integers(0, n))
+    out.append(data[:at] + b"\x00\xff\r,\xe9" + data[at:])
+    return [c for c in out if c != data]
+
+
+class TestCorruptInputsExitCodes:
+    """Every subcommand that reads a damaged manifest, mapping table, FEAT or
+    BBEX file ends with a documented exit code, never a traceback."""
+
+    CODES = {0, 2, 3, 4, 5}
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("corrupt-cli")
+        data = synth(tmp_path)
+        (data / "map.csv").write_text("# overrides\nSadness,low,negative\ncalm,low,positive\n",
+                                      encoding="utf-8")
+        entries = json.loads((data / "corpus_set.json").read_text())
+        entries[1]["mapping_overrides_path"] = "map.csv"
+        (data / "corpus_set.json").write_text(json.dumps(entries), encoding="utf-8")
+        cfg = cfg_file(tmp_path, SMALL_CFG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "s1"),
+                     "--corpus-set", str(data / "corpus_set.json"), "--steps", "2"]) == 0
+        return tmp_path, data, cfg
+
+    def sweep(self, path, commands, seed, capsys):
+        original = path.read_bytes()
+        codes = set()
+        try:
+            for i, damaged in enumerate(corruptions(original, seed)):
+                path.write_bytes(damaged)
+                for argv in commands(i):
+                    codes.add(main(argv))
+                    capsys.readouterr()
+        finally:
+            path.write_bytes(original)
+        assert codes <= self.CODES
+        return codes
+
+    def test_manifest(self, run, capsys):
+        tmp_path, data, cfg = run
+        ckpt = str(tmp_path / "s1" / "checkpoint.bbex")
+        codes = self.sweep(data / "syn01.jsonl", lambda i: [
+            ["eval", "--checkpoint", ckpt, "--corpus", str(data / "syn01.jsonl"),
+             "--out", str(tmp_path / f"ev-m{i}")],
+            ["finetune", "--config", cfg, "--checkpoint", ckpt, "--steps", "2",
+             "--target", str(data / "syn01.jsonl"), "--out", str(tmp_path / f"ft-m{i}")],
+        ], seed=1, capsys=capsys)
+        assert 3 in codes
+
+    def test_mapping_table(self, run, capsys):
+        tmp_path, data, cfg = run
+        codes = self.sweep(data / "map.csv", lambda i: [
+            ["train", "--config", cfg, "--corpus-set", str(data / "corpus_set.json"),
+             "--steps", "2", "--out", str(tmp_path / f"tr-t{i}")],
+        ], seed=2, capsys=capsys)
+        assert 3 in codes
+
+    def test_feature_file(self, run, capsys):
+        tmp_path, data, _ = run
+        ckpt = str(tmp_path / "s1" / "checkpoint.bbex")
+        codes = self.sweep(data / "features" / "syn01-spk000-c0-r000.feat", lambda i: [
+            ["eval", "--checkpoint", ckpt, "--corpus", str(data / "syn01.jsonl"),
+             "--out", str(tmp_path / f"ev-f{i}")],
+        ], seed=3, capsys=capsys)
+        assert 3 in codes
+
+    def test_checkpoint(self, run, capsys):
+        tmp_path, data, _ = run
+        ckpt = tmp_path / "s1" / "checkpoint.bbex"
+        codes = self.sweep(ckpt, lambda i: [
+            ["eval", "--checkpoint", str(ckpt), "--corpus", str(data / "syn01.jsonl"),
+             "--out", str(tmp_path / f"ev-c{i}")],
+            ["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / f"ex-c{i}")],
+        ], seed=4, capsys=capsys)
+        assert 3 in codes

@@ -13,7 +13,7 @@ from scipy.special import erf
 
 from bbekit import autodiff as ad
 from bbekit.autodiff import Tensor
-from bbekit.errors import ConfigError, DimensionError, InputError
+from bbekit.errors import ConfigError, DimensionError, InputError, NumericalError
 from bbekit.functional import (
     LN_EPS,
     encoder_block_forward,
@@ -223,16 +223,16 @@ class TestAttention:
         assert np.array_equal(base[:, :3], out[:, :3])
 
     def test_key_bias_values(self, monkeypatch):
-        # the mask reaches the softmax as a [B, 1, 1, T] additive bias: 0 on
-        # valid keys, -1e30 on padded ones
+        # the mask reaches the attention core as a [B, 1, 1, T] additive
+        # bias: 0 on valid keys, -1e30 on padded ones
         seen = []
-        softmax_last = ad.softmax_last
+        attention_core = ad.attention_core
 
-        def spy(scores, additive_mask=None):
-            seen.append(additive_mask)
-            return softmax_last(scores, additive_mask=additive_mask)
+        def spy(q, k, v, key_bias, heads):
+            seen.append(key_bias)
+            return attention_core(q, k, v, key_bias, heads)
 
-        monkeypatch.setattr(ad, "softmax_last", spy)
+        monkeypatch.setattr(ad, "attention_core", spy)
         p = make_params(np.random.default_rng(3), 4, 4)
         multi_head_attention(t(np.ones((1, 3, 4))), *attn(p), 2, np.array([[True, False, True]]))
         assert np.array_equal(seen[0], [[[[0.0, -1e30, 0.0]]]])
@@ -340,6 +340,59 @@ class TestExpandedBlock:
         p = make_params(rng, 4, 8, zll=False)
         with pytest.raises(ConfigError):
             expanded_block_forward(t(np.zeros((1, 2, 4))), p, 2, all_valid(1, 2))
+
+
+def recorded_nodes(out: Tensor) -> int:
+    """Tape nodes recorded between ``out`` and the leaves, leaves excluded."""
+    seen, stack = {id(out)}, [out]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent._backward is not None and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestTapeSize:
+    # layer_norm, the q/k/v linears, the attention core and the output
+    # linear, the residual add, layer_norm, two FFN linears around GELU and
+    # the residual add: one node each
+    def test_encoder_block_records_twelve_nodes(self):
+        p = make_params(np.random.default_rng(59), 8, 16)
+        x = t(np.random.default_rng(60).normal(size=(3, 5, 8)), grad=True)
+        y = encoder_block_forward(x, p, 2, np.arange(5) < np.array([[5], [2], [4]]))
+        assert recorded_nodes(y) == 12
+
+    def test_expanded_block_adds_gate_and_skip(self):
+        p = make_params(np.random.default_rng(59), 8, 16, zll=True)
+        x = t(np.random.default_rng(60).normal(size=(3, 5, 8)), grad=True)
+        y = expanded_block_forward(x, p, 2, np.arange(5) < np.array([[5], [2], [4]]))
+        assert recorded_nodes(y) == 14
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    # each op names itself when its own output is the first non-finite value
+    def test_linear(self):
+        with pytest.raises(NumericalError, match="^linear produced"):
+            linear_forward(t([[1e200, 1e200]]), t(np.full((2, 1), 1e200)), t([0.0]))
+
+    def test_layer_norm(self):
+        # the row sum behind the mean overflows
+        with pytest.raises(NumericalError, match="^layer_norm produced"):
+            layer_norm(t([[1e308, 1e308]]), t(np.ones(2)), t(np.zeros(2)), eps=LN_EPS)
+
+    def test_attention(self):
+        # finite projections whose scores overflow
+        eye = t(np.eye(2))
+        zero = t(np.zeros(2))
+        with pytest.raises(NumericalError, match="^attention produced"):
+            multi_head_attention(t(np.full((1, 2, 2), 1e200)), eye, zero, eye, zero,
+                                 eye, zero, eye, zero, 1, all_valid(1, 2))
+
+    def test_cross_entropy(self):
+        with pytest.raises(NumericalError, match="^cross_entropy produced"):
+            softmax_cross_entropy(t([[np.inf, 0.0]]), [0])
 
 
 class TestPooling:

@@ -1,10 +1,10 @@
 """Label space and emotion-name harmonization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbekit.errors import ConfigError, ParseError, UnmappedLabelError
+from bbekit.errors import BbekitError, ConfigError, ParseError, UnmappedLabelError
 from bbekit.labels import (
     CLASS_NAMES,
     N_CLASSES,
@@ -136,6 +136,14 @@ class TestMappingFiles:
         table = load_mapping_table(self.write(tmp_path, text))
         assert table.map_emotion("panic").index == 3
 
+    def test_case_variants_keep_the_last_entry(self, tmp_path):
+        # the repeats are keyed by their normalized name, so a variant that
+        # comes back after another one still wins
+        text = "Joy,high,positive\njoy,low,negative\nJoy,low,neutral\n"
+        table = load_mapping_table(self.write(tmp_path, text))
+        assert table.map_emotion("joy") == SixClass("low", "neutral")
+        assert table.map_emotion(" JOY ") == SixClass("low", "neutral")
+
     def test_not_utf8_reports_file_and_line(self, tmp_path):
         path = self.write(tmp_path, "panic,high,negative\n")
         path.write_bytes(path.read_bytes() + b"caf\xe9,low,positive\n")
@@ -162,6 +170,34 @@ class TestMappingFiles:
     def test_empty_field_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_mapping_table(self.write(tmp_path, "panic,,negative\n"))
+
+
+TOKENS = st.sampled_from(["low", "high", "negative", "neutral", "positive", "Joy", " joy ",
+                          "", "#", ",", "\x00", "\r", "\x85", "\u2028", "\xa0", "ı", "İ"])
+LINES = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(lambda text: text.encode("utf-8")),
+    st.lists(TOKENS, min_size=1, max_size=5).map(lambda ts: ",".join(ts).encode("utf-8")),
+    st.tuples(st.text(min_size=1, max_size=10), st.sampled_from(["low", "HIGH "]),
+              st.sampled_from(["negative", " Neutral", "positive"])).map(
+        lambda parts: ",".join(parts).encode("utf-8")),
+    st.just(b"x" * 300_000 + b",low,neutral"),
+    st.just(b",".join([b"\xff\xfe"] * 3)),
+)
+
+
+class TestMappingFileFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(lines=st.lists(LINES, max_size=6),
+           ends=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"\x00"]),
+                         min_size=6, max_size=6))
+    def test_arbitrary_bytes_only_raise_bbekit_errors(self, tmp_path_factory, lines, ends):
+        path = tmp_path_factory.getbasetemp() / "mapping-fuzz.csv"
+        path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+        try:
+            load_mapping_table(path)
+        except BbekitError:
+            pass
 
 
 class TestNormalize:

@@ -117,6 +117,16 @@ class TestBatchLoss:
             for size in (1, 8)]
         assert counts[0] == counts[1]
 
+    def test_c07_tape_size(self, make_corpus):
+        # a 4-block d=16 step at B=8: 12 nodes per block, 3 for pooling, the
+        # head's linear and the loss, plus 66 parameter leaves; the benchmark
+        # reports this count as autodiff.tape_nodes_per_step on stage1-rr
+        model = EncoderModel.build(EncoderConfig(n_blocks=4, d_model=16, n_heads=2, d_ffn=32),
+                                   seed=0)
+        batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 8, frame_cap=50)
+        assert batch.size == 8
+        assert tape_nodes(_batch_loss(model, batch)) == 4 * 12 + 3 + 1 + 1 + 66
+
     def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
         batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 5)
         singles = []
@@ -210,6 +220,20 @@ class TestNumericalAbort:
         assert abort.corpus_id == "c0"
         assert abort.loss_tail == []
         assert abort.exit_code == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["head-only", "freeze-original"])
+    def test_poisoned_model_aborts_in_the_preservation_check(self, tiny_model, make_corpus,
+                                                             policy):
+        # the expansion's preservation check is the first forward pass; its
+        # overflow is attributed to step 0 and the target corpus
+        model = tiny_model.clone()
+        model.store.value("block.0.ffn.w2.weight")[...] = 1e308
+        with pytest.raises(NumericalAbort) as exc:
+            train_transfer(model, make_corpus("t0"), quick_cfg(
+                stage="single_corpus", n_steps=4, expansion=ExpansionSpec(2, policy)))
+        assert (exc.value.step, exc.value.corpus_id, exc.value.exit_code) == (0, "t0", 5)
+        assert str(exc.value).startswith("preservation check failed: ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mid_run_abort_carries_loss_tail(self, tiny_model, make_corpus):
@@ -470,7 +494,7 @@ class TestHeadOnlyCache:
                        for s in target.split_samples("train"))
         assert record["embedded"] == want
         assert record["taped_forwards"] == 0
-        assert sizes == [6] * cfg.n_steps  # head matmul, bias, reshapes, loss, leaves
+        assert sizes == [4] * cfg.n_steps  # head linear, loss, two leaves
 
     def test_trainable_encoder_takes_the_full_tape(self, tiny_model, make_corpus,
                                                    monkeypatch):
