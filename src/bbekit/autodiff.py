@@ -244,44 +244,92 @@ def layer_norm(x, gain, shift, eps: float) -> Tensor:
     return _node(out, (x, gain, shift), backward)
 
 
-def attention_core(q, k, v, key_bias: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention from projected [B, T, d]
-    queries, keys and values to merged [B, T, d] head outputs.
+# Additive pre-softmax penalty for padded keys.  exp(x - MASK_NEG) underflows
+# to exactly 0.0 for any |x| within the hygiene bound, so padded keys have
+# bit-exactly zero attention weight.
+MASK_NEG = 1e30
 
-    Each head sees a d/heads slice.  ``key_bias`` is a constant [B, 1, 1, T]
-    array added to the scaled scores before the max-subtracted softmax over
-    keys; -1e30 on a key gives it exactly zero weight.
+
+def attention_core(q, k, v, pad_mask: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention from projected queries, keys
+    and values, packed as [N, d] rows of the real frames, to merged [N, d]
+    head outputs.
+
+    The [B, T] ``pad_mask`` (True on the N real frames, batch-major) places
+    the rows into a zero-padded [B, heads, T, d/heads] layout, and adds
+    -MASK_NEG to the scaled scores of padded keys before the max-subtracted
+    softmax over keys.  Only the real frames' outputs are gathered back.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    batch, n_frames, d = q.shape
-    split = (batch, n_frames, heads, d // heads)
-    qh = np.ascontiguousarray(q.data.reshape(split).transpose(0, 2, 1, 3))
-    kt = np.ascontiguousarray(k.data.reshape(split).transpose(0, 2, 3, 1))
-    vh = np.ascontiguousarray(v.data.reshape(split).transpose(0, 2, 1, 3))
-    scale = 1.0 / np.sqrt(split[-1])
+    batch, n_frames = pad_mask.shape
+    n_rows, d = q.shape
+    d_head = d // heads
+
+    def scatter(rows: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+        # rows into zeros of ``shape``, whose ``axes`` transpose is [B, T, heads, d_head]
+        out = np.zeros(shape)
+        out.transpose(axes)[pad_mask] = rows.reshape(n_rows, heads, d_head)
+        return out
+
+    def gather(t: np.ndarray) -> np.ndarray:  # [B, heads, T, d_head] -> [N, d]
+        return t.transpose(0, 2, 1, 3)[pad_mask].reshape(n_rows, d)
+
+    heads_first = (batch, heads, n_frames, d_head)
+    qh = scatter(q.data, heads_first, (0, 2, 1, 3))
+    kt = scatter(k.data, (batch, heads, d_head, n_frames), (0, 3, 1, 2))
+    vh = scatter(v.data, heads_first, (0, 2, 1, 3))
+    scale = 1.0 / np.sqrt(d_head)
     weights = qh @ kt  # [B, heads, T, T]
     weights *= scale
-    weights += key_bias
+    weights += np.where(pad_mask, 0.0, -MASK_NEG)[:, None, None]
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    mixed = weights @ vh  # [B, heads, T, d_head]
-
-    def merge(t: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(batch, n_frames, d)
 
     def backward(g):
-        gh = g.reshape(split).transpose(0, 2, 1, 3)
+        gh = scatter(g, heads_first, (0, 2, 1, 3))
         gw = gh @ vh.transpose(0, 1, 3, 2)
         gv = weights.transpose(0, 1, 3, 2) @ gh
         gs = gw - (gw * weights).sum(axis=-1, keepdims=True)  # softmax backward
         gs *= weights
         gs *= scale
-        return (merge(gs @ kt.transpose(0, 1, 3, 2)),
-                merge(gs.transpose(0, 1, 3, 2) @ qh),
-                merge(gv))
+        return (gather(gs @ kt.transpose(0, 1, 3, 2)),
+                gather(gs.transpose(0, 1, 3, 2) @ qh),
+                gather(gv))
 
-    return _node(merge(mixed), (q, k, v), backward)
+    return _node(gather(weights @ vh), (q, k, v), backward)
+
+
+def gather_rows(x, pad_mask: np.ndarray) -> Tensor:
+    """[B, T, d] frames -> the [N, d] rows where the [B, T] mask is True,
+    batch-major; the gradient of a dropped frame is zero."""
+    x = _wrap(x)
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[pad_mask] = g
+        return (full,)
+
+    return _node(x.data[pad_mask], (x,), backward)
+
+
+def segment_mean(x, pad_mask: np.ndarray) -> Tensor:
+    """Mean over each sample's rows of packed [N, d] rows -> [B, d]; the
+    [B, T] mask (True on the N real frames, batch-major) marks which rows
+    belong to which sample, and every sample needs at least one.
+
+    The sums run over a zero-padded [B, T, d] copy along T, which adds
+    each sample's rows one after another in frame order (the bits of
+    pooling the padded frames); ``np.add.reduceat`` would sum pairwise.
+    """
+    x = _wrap(x)
+    counts = pad_mask.sum(axis=1)
+    inv_count = (1.0 / counts)[:, None]
+    full = np.zeros(pad_mask.shape + x.shape[1:])
+    full[pad_mask] = x.data
+    out = full.sum(axis=1)
+    out *= inv_count
+    return _node(out, (x,), lambda g: (np.repeat(g * inv_count, counts, axis=0),))
 
 
 # erf by the piecewise rational approximations of FDLIBM's s_erf.c; it stays

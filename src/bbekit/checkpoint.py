@@ -125,6 +125,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             v = np.frombuffer(
                 _read_exact(fh, 8 * count, f"{name} second moment"), dtype="<f8").reshape(shape)
             (step,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} step"))
+            if step >= 1 << 63:
+                raise FormatError(f"{path}: {name} step counter {step} out of range")
             if name in store:
                 raise FormatError(f"{path}: parameter {name} stored twice")
             store.add(name, value.copy(), frozen=bool(frozen), m=m, v=v, step=step)

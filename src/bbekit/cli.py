@@ -12,7 +12,6 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -72,10 +71,11 @@ def train_config_from(cfg: dict, stage: str, seed: int,
     t = {"n_steps": default_steps, **cfg.get("train", {})}
     if n_steps is not None:
         t["n_steps"] = n_steps
+    if type(t.get("frame_cap")) in (int, float) and t["frame_cap"] == 0:
+        t["frame_cap"] = None
     adamw = dataclass_from(AdamWConfig, cfg.get("adamw", {}))
-    tcfg = dataclass_from(TrainConfig, t, adamw=adamw, seed=seed, stage=stage,
+    return dataclass_from(TrainConfig, t, adamw=adamw, seed=seed, stage=stage,
                           expansion=expansion)
-    return replace(tcfg, frame_cap=tcfg.frame_cap or None)
 
 
 def _utcnow() -> str:

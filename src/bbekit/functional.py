@@ -2,10 +2,14 @@
 
 Each public op validates its shapes, calls autodiff primitives (linear,
 layer norm and the attention core are one tape node each), and checks the
-result for non-finite values (the operation-level hygiene contract).  Frame
-sequences are [B, T, d] with a required [B, T] padding mask, True on valid
-frames; ``EncoderModel.forward`` turns a single [T, d] sequence into a batch
-of one.  The block forward passes take a block's parameters as a
+result for non-finite values (the operation-level hygiene contract).  A
+batch of frame sequences is packed: the attention, block and pooling ops
+take the real frames only, as [N, d] rows in batch-major order, plus the
+[B, T] padding mask they came from (True on the N real frames), so every
+position-wise layer runs on N rows.  Only attention and pooling read the
+mask.  ``EncoderModel.embed`` packs the frontend's output, and
+``EncoderModel.forward`` turns a single [T, d] sequence into a batch of
+one.  The block forward passes take a block's parameters as a
 ``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``; an expanded
 block's mapping also holds ``zll.weight`` and ``zll.bias``.
 """
@@ -17,12 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, InputError, NumericalError
-
-# Additive pre-softmax penalty for masked keys.  exp(x - MASK_NEG) underflows
-# to exactly 0.0 for any |x| within the hygiene bound, so masked frames have
-# bit-exactly zero attention weight.
-MASK_NEG = 1e30
-
 
 def _check_finite(name: str, out: Tensor) -> Tensor:
     if not np.isfinite(out.data).all():
@@ -54,25 +52,31 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
     return _check_finite("layer_norm", ad.layer_norm(x, gain, shift, eps))
 
 
+def _packed_mask(x: Tensor, pad_mask: np.ndarray, op: str) -> np.ndarray:
+    """The [B, T] mask as bool, checked against packed [N, d] rows."""
+    mask = np.asarray(pad_mask, dtype=bool)
+    if x.ndim != 2 or mask.ndim != 2:
+        raise DimensionError(f"{op} expects packed [N, d] rows with a [B, T] mask, "
+                             f"got {x.shape} and {mask.shape}")
+    if (n_real := int(mask.sum())) != x.shape[0]:
+        raise DimensionError(f"{op}: {x.shape[0]} rows for a mask with {n_real} real frames")
+    return mask
+
+
 def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                          wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
                          heads: int, pad_mask: np.ndarray) -> Tensor:
-    """Bidirectional scaled dot-product attention over [B, T, d] frames.
+    """Bidirectional scaled dot-product attention over packed [N, d] rows.
 
-    Scores are [B, heads, T, T]; the [B, T] pad_mask becomes a [B, 1, 1, T]
-    additive key bias.
+    Each sample's real frames attend to each other only: scores are
+    [B, heads, T, T] in the attention core, with the padded keys masked.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"attention expects [B, T, d], got {x.shape}")
-    batch, n_frames, d = x.shape
+    mask = _packed_mask(x, pad_mask, "attention")
+    d = x.shape[1]
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
-    mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != (batch, n_frames):
-        raise DimensionError(f"pad_mask shape {mask.shape} != {(batch, n_frames)}")
     merged = ad.attention_core(linear_forward(x, wq, bq), linear_forward(x, wk, bk),
-                               linear_forward(x, wv, bv),
-                               np.where(mask, 0.0, -MASK_NEG)[:, None, None], heads)
+                               linear_forward(x, wv, bv), mask, heads)
     return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
@@ -81,7 +85,8 @@ LN_EPS = 1e-5
 
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                           pad_mask: np.ndarray) -> Tensor:
-    """Pre-norm block over [B, T, d]: u = x + Attn(LN1(x)); y = u + FFN(LN2(u))."""
+    """Pre-norm block over packed [N, d] rows: u = x + Attn(LN1(x));
+    y = u + FFN(LN2(u))."""
     attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"], LN_EPS),
                                     p["attn.q.weight"], p["attn.q.bias"],
                                     p["attn.k.weight"], p["attn.k.bias"],
@@ -112,15 +117,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def masked_mean_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """Mean over the valid frames of [B, T, d] -> [B, d]; padded rows
-    contribute nothing."""
-    if x.ndim != 3:
-        raise DimensionError(f"pooling expects [B, T, d], got {x.shape}")
-    mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != x.shape[:2]:
-        raise DimensionError(f"pad_mask shape {mask.shape} != {x.shape[:2]}")
-    count = mask.sum(axis=1)
-    if (count == 0).any():
+    """Mean over each sample's real frames: packed [N, d] rows -> [B, d]."""
+    mask = _packed_mask(x, pad_mask, "pooling")
+    if not mask.any(axis=1).all():
         raise InputError("all frames masked out")
-    weights = mask.astype(np.float64)[:, :, None]
-    return ad.mul(ad.tsum(ad.mul(x, weights), axis=1), (1.0 / count)[:, None])
+    return ad.segment_mean(x, mask)

@@ -1,7 +1,8 @@
 """Encoder model: feature frontend, block stack, pooling, classifier head.
 
 The forward pass runs on batches of [B, T, d_in] frames with a [B, T]
-padding mask; a single [T, d_in] sequence is a batch of one.
+padding mask; a single [T, d_in] sequence is a batch of one.  After the
+frontend, the blocks and pooling see only the real frames, packed as rows.
 """
 
 from __future__ import annotations
@@ -295,7 +296,9 @@ class EncoderModel:
         embeddings: the frontend, the blocks and masked mean pooling.
 
         The mask is True on real frames; every sample needs one, and the
-        conv frontend needs as many as its receptive field.
+        conv frontend needs as many as its receptive field.  The frontend's
+        real output frames are gathered once into packed [N, d_model] rows,
+        which the blocks and pooling take with the frontend's mask.
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
@@ -311,6 +314,7 @@ class EncoderModel:
         if not pad_mask.any(axis=1).all():
             raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
+        x = ad.gather_rows(x, pad_mask)
         heads = self.config.n_heads
         params = self.block_params()
         for info in self.block_index:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError
-from .params import ParameterStore
+from .errors import ConfigError
+from .params import ParameterStore, decays  # noqa: F401  (AdamW's decay rule)
 
 
 @dataclass(frozen=True)
@@ -31,33 +31,34 @@ class AdamWConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def decays(name: str) -> bool:
-    """Decay applies to weight matrices only, never to biases, norm
-    parameters, or the zero-initialized copy projections."""
-    return name.endswith(".weight") and ".zll." not in name
-
-
 def adamw_step(store: ParameterStore, cfg: AdamWConfig) -> None:
-    """One bias-corrected decoupled-decay update on all non-frozen entries.
+    """One bias-corrected decoupled-decay update on all non-frozen entries,
+    as a fixed handful of numpy operations over the store's flat buffers.
 
-    Frozen entries, which hold no moments, are left bit-identical (values
-    and step counter).  All gradients are cleared afterwards.
+    Each entry's bias correction uses its own step counter (one scalar for
+    all when the counters agree), so the update has the bits of updating
+    entry by entry.  Frozen entries, which hold no moments, are left
+    bit-identical (values and step counter).  All gradients are cleared
+    afterwards.
     """
-    for name, entry in store.items():
-        if entry.frozen:
-            continue
-        grad = entry.tensor.grad
-        value = entry.tensor.data
-        if grad.shape != value.shape:
-            raise StateError(f"grad shape {grad.shape} != value shape {value.shape} for {name!r}")
-        entry.step += 1
-        entry.m *= cfg.beta1
-        entry.m += (1.0 - cfg.beta1) * grad
-        entry.v *= cfg.beta2
-        entry.v += (1.0 - cfg.beta2) * grad * grad
-        m_hat = entry.m / (1.0 - cfg.beta1 ** entry.step)
-        v_hat = entry.v / (1.0 - cfg.beta2 ** entry.step)
-        if cfg.weight_decay != 0.0 and decays(name):
-            value *= 1.0 - cfg.learning_rate * cfg.weight_decay
-        value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    store.zero_grads()
+    flat = store.flat()
+    if not flat.steps.size:
+        return
+    flat.steps += 1
+    lo, hi = int(flat.steps.min()), int(flat.steps.max())
+    if lo == hi:
+        correct1, correct2 = 1.0 - cfg.beta1 ** lo, 1.0 - cfg.beta2 ** lo
+    else:  # e.g. an entry thawed since the others started
+        correct1, correct2 = (np.repeat([1.0 - beta ** int(s) for s in flat.steps], flat.sizes)
+                              for beta in (cfg.beta1, cfg.beta2))
+    grad, value = flat.grad, flat.value
+    flat.m *= cfg.beta1
+    flat.m += (1.0 - cfg.beta1) * grad
+    flat.v *= cfg.beta2
+    flat.v += (1.0 - cfg.beta2) * grad * grad
+    m_hat = flat.m / correct1
+    v_hat = flat.v / correct2
+    if cfg.weight_decay != 0.0:
+        value[:flat.n_decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    grad[...] = 0.0

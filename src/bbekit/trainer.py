@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.frame_cap is not None and self.frame_cap < 1:
+            raise ConfigError(f"frame_cap must be >= 1 or None (no cap), got {self.frame_cap}")
         if self.stage not in ("multi_corpus", "single_corpus"):
             raise ConfigError(f"unknown stage {self.stage!r}")
         if self.selection not in ("best", "last"):
@@ -168,6 +170,8 @@ def _eval_all(model: EncoderModel, manifests: list[CorpusManifest], step: int,
 
 def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
                 schedule: list[str], cfg: TrainConfig) -> TrainLog:
+    # counting the trainable parameters lays out the store's flat AdamW
+    # buffers, so no training step does
     if model.store.n_params(only_trainable=True) == 0:
         raise ConfigError("no trainable parameters under the active freeze flags")
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i))

@@ -124,14 +124,16 @@ class TestPrimitiveGradients:
         assert out[2] == 1.0 and out[3] == -1.0 and np.isnan(out[4])
 
     # the attention core's softmax weights are its output when each key's
-    # value is a one-hot row: one head, v = identity over T = d frames
+    # value is a one-hot row: one head, k = v = identity over T = d frames.
+    # A padded frame has no row, so its column of the output stays zero
+    # and the real keys' weights must sum to one on their own.
     @staticmethod
-    def attention_weights(scores: np.ndarray, key_bias=None) -> np.ndarray:
+    def attention_weights(scores: np.ndarray, mask=None) -> np.ndarray:
         n = scores.shape[-1]
-        q = Tensor(scores[None] * np.sqrt(n))  # undo the 1/sqrt(d_head) scale
-        bias = np.zeros((1, 1, 1, n)) if key_bias is None else np.reshape(key_bias, (1, 1, 1, n))
-        return ad.attention_core(q, Tensor(np.eye(n)[None]), Tensor(np.eye(n)[None]),
-                                 bias, heads=1).data[0]
+        mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask)
+        q = Tensor(scores[mask] * np.sqrt(n))  # undo the 1/sqrt(d_head) scale
+        eye = Tensor(np.eye(n)[mask])
+        return ad.attention_core(q, eye, eye, mask[None], heads=1).data
 
     def test_softmax_rows_sum_to_one(self):
         y = self.attention_weights(RNG.normal(size=(5, 5)))
@@ -139,20 +141,36 @@ class TestPrimitiveGradients:
         assert (y > 0).all()
 
     def test_softmax_grad(self):
-        t = RNG.normal(size=(1, 4, 4))
-        eye = Tensor(np.eye(4)[None])
-        check_grad(lambda x: ad.tsum(ad.mul(ad.attention_core(x, eye, eye, np.zeros((1, 1, 1, 4)),
-                                                              heads=1), Tensor(t))), (1, 4, 4))
+        t = RNG.normal(size=(4, 4))
+        eye = Tensor(np.eye(4))
+        check_grad(lambda x: ad.tsum(ad.mul(ad.attention_core(x, eye, eye, np.ones((1, 4), bool),
+                                                              heads=1), Tensor(t))), (4, 4))
 
     def test_softmax_additive_mask_excludes(self):
-        y = self.attention_weights(RNG.normal(size=(3, 3)), key_bias=[0.0, -1e30, 0.0])
-        assert (y[:, 1] == 0.0).all()
+        y = self.attention_weights(RNG.normal(size=(3, 3)), mask=[True, False, True])
+        assert y.shape == (2, 3) and (y[:, 1] == 0.0).all()
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-15)
 
     def test_softmax_stable_at_large_magnitudes(self):
         y = self.attention_weights(np.array([[1e3, -1e3, 0.0]] * 3))
         assert np.isfinite(y).all()
         assert np.isfinite(self.attention_weights(np.full((4, 4), 1e3))).all()
+
+    def test_gather_rows(self):
+        mask = np.array([[True, False, True], [False, True, False]])
+        x = np.arange(12.0).reshape(2, 3, 2)
+        out = ad.gather_rows(Tensor(x), mask).data
+        np.testing.assert_array_equal(out, [[0, 1], [4, 5], [8, 9]])
+        check_grad(lambda t: ad.tsum(ad.mul(ad.gather_rows(t, mask),
+                                            ad.gather_rows(t, mask))), (2, 3, 2))
+
+    def test_segment_mean(self):
+        mask = np.array([[True, True, False], [True, False, False]])
+        rows = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 9.0]])
+        np.testing.assert_array_equal(ad.segment_mean(Tensor(rows), mask).data,
+                                      [[2.0, 3.5], [7.0, 9.0]])
+        w = Tensor(RNG.normal(size=(2, 2)))
+        check_grad(lambda t: ad.tsum(ad.mul(ad.segment_mean(t, mask), w)), (3, 2))
 
     def test_unfold1d_forward_and_grad(self):
         x = np.arange(8.0).reshape(1, 8, 1)
@@ -307,12 +325,25 @@ def _merge(t):
     return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(batch, n_frames, heads * dh)
 
 
-def composite_attention(q, k, v, key_bias, heads):
-    _, _, vh, _, weights = _attention_parts(q, k, v, key_bias, heads)
-    return _merge(weights @ vh)
+def _padded(rows, mask):
+    """Packed [N, d] rows -> zero-padded [B, T, d] frames."""
+    full = np.zeros(mask.shape + rows.shape[1:])
+    full[mask] = rows
+    return full
 
 
-def composite_attention_grads(q, k, v, key_bias, heads, g):
+def composite_attention(q, k, v, mask, heads):
+    """The composite over the zero-padded frames, with a -1e30 key bias on
+    padded keys, read back at the real frames."""
+    key_bias = np.where(mask, 0.0, -1e30)[:, None, None]
+    _, _, vh, _, weights = _attention_parts(*(_padded(a, mask) for a in (q, k, v)),
+                                            key_bias, heads)
+    return _merge(weights @ vh)[mask]
+
+
+def composite_attention_grads(q, k, v, mask, heads, g):
+    key_bias = np.where(mask, 0.0, -1e30)[:, None, None]
+    q, k, v, g = (_padded(a, mask) for a in (q, k, v, g))
     qh, kt, vh, scale, weights = _attention_parts(q, k, v, key_bias, heads)
     batch, n_frames, d = q.shape
     g_mixed = g.reshape(batch, n_frames, heads, d // heads).transpose(0, 2, 1, 3)
@@ -322,12 +353,12 @@ def composite_attention_grads(q, k, v, key_bias, heads, g):
     g_raw = g_z * scale                                      # scores * scale
     g_qh = g_raw @ kt.transpose(0, 1, 3, 2)                  # qh @ kt
     g_kh = (qh.transpose(0, 1, 3, 2) @ g_raw).transpose(0, 1, 3, 2)
-    return _merge(g_qh), _merge(g_kh), _merge(g_vh)
+    return _merge(g_qh)[mask], _merge(g_kh)[mask], _merge(g_vh)[mask]
 
 
-# ragged [B, T] padding: lengths 5, 2 and 4 of T = 5
+# ragged [B, T] padding: lengths 5, 2 and 4 of T = 5, so N = 11 packed rows
 RAGGED = np.arange(5) < np.array([5, 2, 4])[:, None]
-KEY_BIAS = np.where(RAGGED, 0.0, -1e30)[:, None, None]
+N_ROWS = int(RAGGED.sum())
 EPS = 1e-5
 HEADS = 2
 
@@ -336,7 +367,7 @@ def _fused_cases():
     """Each fused op as {name: (fn over its array arguments, numpy oracle,
     oracle gradients given the upstream gradient, argument arrays)}."""
     rng = np.random.default_rng(71)
-    x = rng.normal(size=(3, 5, 4))
+    x = rng.normal(size=(N_ROWS, 4))
     return {
         "linear": (ad.linear, composite_linear, composite_linear_grads,
                    [x, rng.normal(size=(4, 6)), rng.normal(size=6)]),
@@ -344,10 +375,10 @@ def _fused_cases():
                        lambda *a: composite_layer_norm(*a, EPS),
                        lambda *a: composite_layer_norm_grads(*a[:3], EPS, a[3]),
                        [x * 3.0 + 1.0, rng.normal(size=4), rng.normal(size=4)]),
-        "attention_core": (lambda *a: ad.attention_core(*a, KEY_BIAS, HEADS),
-                           lambda *a: composite_attention(*a, KEY_BIAS, HEADS),
-                           lambda *a: composite_attention_grads(*a[:3], KEY_BIAS, HEADS, a[3]),
-                           [x, rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))]),
+        "attention_core": (lambda *a: ad.attention_core(*a, RAGGED, HEADS),
+                           lambda *a: composite_attention(*a, RAGGED, HEADS),
+                           lambda *a: composite_attention_grads(*a[:3], RAGGED, HEADS, a[3]),
+                           [x, rng.normal(size=(N_ROWS, 4)), rng.normal(size=(N_ROWS, 4))]),
     }
 
 
@@ -371,7 +402,6 @@ class TestFusedPrimitives:
     def test_backward_matches_composite(self, name):
         fn, oracle, oracle_grads, arrays = FUSED[name]
         upstream = np.random.default_rng(73).normal(size=oracle(*arrays).shape)
-        upstream *= RAGGED[..., None]  # padded frames carry no loss
         for got, want in zip(grads_of(fn, arrays, upstream), oracle_grads(*arrays, upstream)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -379,7 +409,7 @@ class TestFusedPrimitives:
     @pytest.mark.parametrize("name", sorted(FUSED))
     def test_gradients_vs_finite_differences(self, name):
         fn, _, _, arrays = FUSED[name]
-        upstream = np.random.default_rng(79).normal(size=fn(*arrays).shape) * RAGGED[..., None]
+        upstream = np.random.default_rng(79).normal(size=fn(*arrays).shape)
         analytic = grads_of(fn, arrays, upstream)
         for i, arr in enumerate(arrays):
             def loss(a, i=i):
@@ -392,14 +422,25 @@ class TestFusedPrimitives:
             assert worst < TOLERANCE, (name, i, worst)
 
     def test_masked_keys_get_no_weight_and_no_gradient(self):
-        fn, _, _, (q, k, v) = FUSED["attention_core"]
-        k2, v2 = k.copy(), v.copy()
-        k2[~RAGGED] = 1e6  # junk in padded frames
-        v2[~RAGGED] = -1e6
-        out = fn(Tensor(q), Tensor(k2), Tensor(v2)).data
-        assert np.array_equal(out, fn(Tensor(q), Tensor(k), Tensor(v)).data)
-        _, gk, gv = grads_of(fn, [q, k, v], np.ones_like(q))
-        assert (gk[~RAGGED] == 0.0).all() and (gv[~RAGGED] == 0.0).all()
+        # each sample's rows and gradients are those of the sample run alone
+        # with no padding: padded keys (zero rows inside the core) get no
+        # weight, and no gradient crosses between samples
+        fn, _, _, arrays = FUSED["attention_core"]
+        upstream = np.random.default_rng(97).normal(size=arrays[0].shape)
+        out = fn(*[Tensor(a) for a in arrays]).data
+        grads = grads_of(fn, arrays, upstream)
+        start = 0
+        for n in RAGGED.sum(axis=1):
+            rows = slice(start, start + n)
+            start += n
+
+            def alone(*a):
+                return ad.attention_core(*a, np.ones((1, n), bool), HEADS)
+
+            parts = [a[rows] for a in arrays]
+            np.testing.assert_allclose(out[rows], alone(*parts).data, rtol=1e-13, atol=1e-13)
+            for got, want in zip(grads, grads_of(alone, parts, upstream[rows])):
+                np.testing.assert_allclose(got[rows], want, rtol=1e-12, atol=1e-13)
 
     def test_frozen_parents_get_no_gradient(self):
         # a parent without requires_grad gets no gradient, and leaving it
@@ -428,20 +469,20 @@ class TestFusedPrimitives:
         # (it shifts every score of a query row equally), so it is compared
         # against an absolute floor instead of its own rounding-level size
         rng = np.random.default_rng(89)
-        x = rng.normal(size=(3, 5, 4))
+        x = rng.normal(size=(N_ROWS, 4))
         params = [rng.normal(0.0, 0.5, shape) for _ in "qkvo" for shape in ((4, 4), (4,))]
-        upstream = rng.normal(size=x.shape) * RAGGED[..., None]
+        upstream = rng.normal(size=x.shape)
 
         leaves = [Tensor(a.copy(), requires_grad=True) for a in [x] + params]
         xt, (wq, bq, wk, bk, wv, bv, wo, bo) = leaves[0], leaves[1:]
         merged = ad.attention_core(ad.linear(xt, wq, bq), ad.linear(xt, wk, bk),
-                                   ad.linear(xt, wv, bv), KEY_BIAS, HEADS)
+                                   ad.linear(xt, wv, bv), RAGGED, HEADS)
         ad.tsum(ad.mul(ad.linear(merged, wo, bo), Tensor(upstream))).backward()
 
         q, k, v = (composite_linear(x, params[i], params[i + 1]) for i in (0, 2, 4))
-        merged_np = composite_attention(q, k, v, KEY_BIAS, HEADS)
+        merged_np = composite_attention(q, k, v, RAGGED, HEADS)
         g_merged, g_wo, g_bo = composite_linear_grads(merged_np, params[6], params[7], upstream)
-        g_qkv = composite_attention_grads(q, k, v, KEY_BIAS, HEADS, g_merged)
+        g_qkv = composite_attention_grads(q, k, v, RAGGED, HEADS, g_merged)
         want = [None] * 9
         g_x = 0.0
         for j, g in enumerate(g_qkv):

@@ -94,6 +94,14 @@ class TestLoadConfig:
         tcfg = train_config_from({"train": {"frame_cap": None}}, "multi_corpus", 0)
         assert tcfg.frame_cap is None
 
+    @pytest.mark.parametrize("cap", [-3, -1, 0.5, True, False])
+    def test_frame_cap_below_one_is_config_error(self, cap):
+        # 0 (or 0.0) is the CLI's "no cap"; anything else below 1 is refused
+        # when the config is built, before any training or evaluation
+        with pytest.raises(ConfigError, match="frame_cap"):
+            train_config_from({"train": {"frame_cap": cap}}, "multi_corpus", 0)
+        assert train_config_from({"train": {"frame_cap": 0.0}}, "multi_corpus", 0).frame_cap is None
+
     def test_default_steps_per_command(self):
         assert train_config_from({}, "multi_corpus", 0).n_steps == 3000
         assert train_config_from({}, "single_corpus", 0,
@@ -302,7 +310,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "model.n_blocks=null", "train.batch_size=null", "adamw.learning_rate=null",
         "model.conv_layers=5", "model.conv_layers=[[8,3]]", "train=5",
-        "model.n_blocks=2.7", "train.batch_size=true",
+        "model.n_blocks=2.7", "train.batch_size=true", "train.frame_cap=-3",
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, setting):
         data = synth(tmp_path, corpora=1)

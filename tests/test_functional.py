@@ -3,6 +3,9 @@
 Every composite (layer norm, attention, encoder block, pooling) is checked
 two ways: documented small examples with pinned expected values, and a
 side-by-side numpy implementation written without the autodiff engine.
+Attention, the blocks and pooling take packed [N, d] rows of the real
+frames with the [B, T] mask they came from; the numpy references run on
+one sample's real frames at a time.
 """
 
 import numpy as np
@@ -37,6 +40,18 @@ def all_valid(batch, n_frames):
     return np.ones((batch, n_frames), dtype=bool)
 
 
+def ragged(*lengths):
+    """[B, max(lengths)] suffix-padding mask for the given real lengths."""
+    return np.arange(max(lengths)) < np.array(lengths)[:, None]
+
+
+def per_sample(reference, rows, mask):
+    """``reference`` applied to each sample's real rows, packed again."""
+    ends = np.cumsum(mask.sum(axis=1))
+    return np.concatenate([reference(rows[end - n:end])
+                           for n, end in zip(mask.sum(axis=1), ends)])
+
+
 def np_layer_norm(x, gain, shift, eps=LN_EPS):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)  # population variance
@@ -56,7 +71,8 @@ def attn(p):
     return [p[suffix] for suffix in ATTN_SUFFIXES]
 
 
-def np_attention(x, p, heads, mask=None):
+def np_attention(x, p, heads):
+    """Attention over one sample's [T, d] real frames."""
     p = {suffix: tensor.data for suffix, tensor in p.items()}
     n_frames, d = x.shape
     dh = d // heads
@@ -67,17 +83,16 @@ def np_attention(x, p, heads, mask=None):
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
         scores = (q[:, cols] @ k[:, cols].T) / np.sqrt(dh)
-        if mask is not None:
-            scores = scores + np.where(mask, 0.0, -1e30)[None, :]
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
         per_head.append(weights @ v[:, cols])
     return np.concatenate(per_head, axis=1) @ p["attn.o.weight"] + p["attn.o.bias"]
 
 
-def np_block(x, p, heads, mask=None):
+def np_block(x, p, heads):
+    """Encoder block over one sample's [T, d] real frames."""
     a = {suffix: tensor.data for suffix, tensor in p.items()}
-    u = x + np_attention(np_layer_norm(x, a["ln1.gain"], a["ln1.shift"]), p, heads, mask)
+    u = x + np_attention(np_layer_norm(x, a["ln1.gain"], a["ln1.shift"]), p, heads)
     hidden = np_gelu(np_layer_norm(u, a["ln2.gain"], a["ln2.shift"]) @ a["ffn.w1.weight"]
                      + a["ffn.w1.bias"])
     return u + hidden @ a["ffn.w2.weight"] + a["ffn.w2.bias"]
@@ -167,7 +182,7 @@ class TestAttention:
         rng = np.random.default_rng(5)
         d, heads = 6, 2
         p = make_params(rng, d, 2 * d)
-        x = rng.normal(size=(1, 1, d))
+        x = rng.normal(size=(1, d))
         y = multi_head_attention(t(x), *attn(p), heads, all_valid(1, 1))
         expected = ((x @ p["attn.v.weight"].data + p["attn.v.bias"].data)
                     @ p["attn.o.weight"].data + p["attn.o.bias"].data)
@@ -177,8 +192,8 @@ class TestAttention:
         d = 4
         zeros = [t(np.zeros((d, d)) if suffix.endswith("weight") else np.zeros(d))
                  for suffix in ATTN_SUFFIXES]
-        y = multi_head_attention(t(np.zeros((1, 3, d))), *zeros, 2, all_valid(1, 3))
-        assert np.array_equal(y.data, np.zeros((1, 3, d)))
+        y = multi_head_attention(t(np.zeros((3, d))), *zeros, 2, all_valid(1, 3))
+        assert np.array_equal(y.data, np.zeros((3, d)))
 
     def test_two_frame_hand_oracle(self):
         # d=2, one head, written out step by step with plain numpy
@@ -195,59 +210,64 @@ class TestAttention:
         weights = e / e.sum(axis=-1, keepdims=True)
         expected = weights @ v @ wo
 
-        y = multi_head_attention(t(x[None]), t(wq), t(zero), t(wk), t(zero),
+        y = multi_head_attention(t(x), t(wq), t(zero), t(wk), t(zero),
                                  t(wv), t(zero), t(wo), t(zero), 1, all_valid(1, 2))
-        np.testing.assert_allclose(y.data[0], expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(y.data, expected, rtol=1e-14, atol=1e-14)
 
     def test_matches_reference_with_mask(self):
         rng = np.random.default_rng(17)
         d, heads, n = 8, 4, 7
         p = make_params(rng, d, 2 * d)
-        x = rng.normal(size=(n, d))
-        mask = np.array([True, True, True, True, True, False, False])
-        y = multi_head_attention(t(x[None]), *attn(p), heads, pad_mask=mask[None])
-        np.testing.assert_allclose(y.data[0], np_attention(x, p, heads, mask),
+        x = rng.normal(size=(5, d))  # the real frames of a sample padded to n
+        mask = np.arange(n) < 5
+        y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask[None])
+        np.testing.assert_allclose(y.data, np_attention(x, p, heads),
                                    rtol=1e-12, atol=1e-12)
 
     def test_masked_keys_have_no_influence(self):
         rng = np.random.default_rng(19)
         d, heads = 4, 2
         p = make_params(rng, d, d)
-        x = rng.normal(size=(1, 5, d))
-        mask = np.array([[True, True, True, False, False]])
+        mask = ragged(3, 2)
+        x = rng.normal(size=(5, d))
         base = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask).data
         x2 = x.copy()
-        x2[:, 3:] = 1e6  # arbitrary junk in padded rows
+        x2[3:] = 1e6  # arbitrary junk in the other sample's frames
         out = multi_head_attention(t(x2), *attn(p), heads, pad_mask=mask).data
-        # valid rows are bit-identical: masked weights are exactly zero
-        assert np.array_equal(base[:, :3], out[:, :3])
+        # the first sample's rows are bit-identical: its padded keys and
+        # the other sample's frames get exactly zero weight
+        assert np.array_equal(base[:3], out[:3])
+        alone = multi_head_attention(t(x[:3]), *attn(p), heads, pad_mask=all_valid(1, 3)).data
+        np.testing.assert_allclose(base[:3], alone, rtol=1e-13, atol=1e-13)
 
     def test_key_bias_values(self, monkeypatch):
-        # the mask reaches the attention core as a [B, 1, 1, T] additive
-        # bias: 0 on valid keys, -1e30 on padded ones
+        # the [B, T] mask reaches the attention core as it is, with the two
+        # real frames' q/k/v rows; the core adds -1e30 to padded keys
         seen = []
         attention_core = ad.attention_core
 
-        def spy(q, k, v, key_bias, heads):
-            seen.append(key_bias)
-            return attention_core(q, k, v, key_bias, heads)
+        def spy(q, k, v, pad_mask, heads):
+            seen.append((q.shape, pad_mask))
+            return attention_core(q, k, v, pad_mask, heads)
 
         monkeypatch.setattr(ad, "attention_core", spy)
         p = make_params(np.random.default_rng(3), 4, 4)
-        multi_head_attention(t(np.ones((1, 3, 4))), *attn(p), 2, np.array([[True, False, True]]))
-        assert np.array_equal(seen[0], [[[[0.0, -1e30, 0.0]]]])
+        multi_head_attention(t(np.ones((2, 4))), *attn(p), 2, np.array([[True, False, True]]))
+        assert seen[0][0] == (2, 4)
+        assert np.array_equal(seen[0][1], [[True, False, True]])
+        assert ad.MASK_NEG == 1e30
 
     def test_head_divisibility_enforced(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(ConfigError):
-            multi_head_attention(t(np.zeros((1, 2, 4))), *attn(p), 3, all_valid(1, 2))
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 3, all_valid(1, 2))
 
     def test_mask_length_mismatch(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
-        with pytest.raises(DimensionError):
-            multi_head_attention(t(np.zeros((1, 2, 4))), *attn(p), 2, all_valid(1, 3))
+        with pytest.raises(DimensionError):  # 2 rows for 3 real frames
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 2, all_valid(1, 3))
 
 
 class TestBatchedAttention:
@@ -255,19 +275,18 @@ class TestBatchedAttention:
         rng = np.random.default_rng(53)
         d, heads, n = 8, 2, 6
         p = make_params(rng, d, 2 * d)
-        x = rng.normal(size=(3, n, d))
-        mask = np.arange(n) < np.array([6, 2, 4])[:, None]
+        mask = ragged(n, 2, 4)
+        x = rng.normal(size=(12, d))
         y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask)
-        assert y.shape == (3, n, d)
-        for i in range(3):
-            np.testing.assert_allclose(y.data[i], np_attention(x[i], p, heads, mask[i]),
-                                       rtol=1e-12, atol=1e-12)
+        assert y.shape == (12, d)
+        np.testing.assert_allclose(y.data, per_sample(lambda r: np_attention(r, p, heads),
+                                                      x, mask), rtol=1e-12, atol=1e-12)
 
     def test_mask_shape_must_match_batch(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(DimensionError):
-            multi_head_attention(t(np.zeros((2, 3, 4))), *attn(p), heads=2,
+            multi_head_attention(t(np.zeros((6, 4))), *attn(p), heads=2,
                                  pad_mask=np.ones((3, 3), dtype=bool))
 
 
@@ -278,22 +297,23 @@ class TestEncoderBlock:
         p = make_params(rng, 6, 12)
         for suffix in ("attn.o.weight", "attn.o.bias", "ffn.w2.weight", "ffn.w2.bias"):
             p[suffix].data[...] = 0.0
-        x = rng.normal(size=(1, 4, 6))
+        x = rng.normal(size=(4, 6))
         y = encoder_block_forward(t(x), p, 2, all_valid(1, 4))
         assert np.array_equal(y.data, x)
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(29)
         p = make_params(rng, 8, 16)
-        x = rng.normal(size=(5, 8))
-        mask = np.array([True] * 4 + [False])
-        y = encoder_block_forward(t(x[None]), p, heads=2, pad_mask=mask[None])
-        np.testing.assert_allclose(y.data[0], np_block(x, p, 2, mask), rtol=1e-12, atol=1e-12)
+        mask = ragged(4, 5, 1)
+        x = rng.normal(size=(10, 8))
+        y = encoder_block_forward(t(x), p, heads=2, pad_mask=mask)
+        np.testing.assert_allclose(y.data, per_sample(lambda r: np_block(r, p, 2), x, mask),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         p = make_params(rng, 4, 8)
-        x = rng.normal(size=(1, 3, 4))
+        x = rng.normal(size=(3, 4))
         a = encoder_block_forward(t(x), p, 2, all_valid(1, 3)).data
         b = encoder_block_forward(t(x), p, 2, all_valid(1, 3)).data
         assert np.array_equal(a, b)
@@ -303,8 +323,8 @@ class TestExpandedBlock:
     def test_zero_projection_is_bit_exact_identity(self):
         rng = np.random.default_rng(37)
         p = make_params(rng, 6, 12, zll=True)
-        x = rng.normal(size=(1, 5, 6)) * 10.0
-        y = expanded_block_forward(t(x), p, 3, all_valid(1, 5))
+        x = rng.normal(size=(5, 6)) * 10.0
+        y = expanded_block_forward(t(x), p, 3, ragged(2, 3))
         assert np.array_equal(y.data, x)
 
     @settings(max_examples=25, deadline=None)
@@ -312,7 +332,7 @@ class TestExpandedBlock:
     def test_zero_projection_identity_property(self, seed, n_frames):
         rng = np.random.default_rng(seed)
         p = make_params(rng, 4, 8, zll=True)
-        x = rng.normal(size=(1, n_frames, 4)) * rng.uniform(0.1, 100.0)
+        x = rng.normal(size=(n_frames, 4)) * rng.uniform(0.1, 100.0)
         y = expanded_block_forward(t(x), p, 2, all_valid(1, n_frames))
         assert np.array_equal(y.data, x)
 
@@ -320,7 +340,7 @@ class TestExpandedBlock:
         rng = np.random.default_rng(41)
         p = make_params(rng, 4, 8, zll=True)
         p["zll.weight"].data[...] = np.eye(4)
-        x = rng.normal(size=(1, 3, 4))
+        x = rng.normal(size=(3, 4))
         y = expanded_block_forward(t(x), p, 2, all_valid(1, 3))
         inner = encoder_block_forward(t(x), p, 2, all_valid(1, 3))
         np.testing.assert_allclose(y.data, x + inner.data, rtol=1e-14, atol=1e-14)
@@ -330,16 +350,18 @@ class TestExpandedBlock:
         p = make_params(rng, 6, 12, zll=True)
         p["zll.weight"].data[...] = rng.normal(0.0, 0.3, (6, 6))
         p["zll.bias"].data[...] = rng.normal(0.0, 0.3, 6)
-        x = rng.normal(size=(4, 6))
-        y = expanded_block_forward(t(x[None]), p, 2, all_valid(1, 4))
-        expected = x + np_block(x, p, 2) @ p["zll.weight"].data + p["zll.bias"].data
-        np.testing.assert_allclose(y.data[0], expected, rtol=1e-12, atol=1e-12)
+        mask = ragged(4, 2)
+        x = rng.normal(size=(6, 6))
+        y = expanded_block_forward(t(x), p, 2, mask)
+        expected = x + (per_sample(lambda r: np_block(r, p, 2), x, mask) @ p["zll.weight"].data
+                        + p["zll.bias"].data)
+        np.testing.assert_allclose(y.data, expected, rtol=1e-12, atol=1e-12)
 
     def test_missing_projection_rejected(self):
         rng = np.random.default_rng(47)
         p = make_params(rng, 4, 8, zll=False)
         with pytest.raises(ConfigError):
-            expanded_block_forward(t(np.zeros((1, 2, 4))), p, 2, all_valid(1, 2))
+            expanded_block_forward(t(np.zeros((2, 4))), p, 2, all_valid(1, 2))
 
 
 def recorded_nodes(out: Tensor) -> int:
@@ -359,14 +381,14 @@ class TestTapeSize:
     # the residual add: one node each
     def test_encoder_block_records_twelve_nodes(self):
         p = make_params(np.random.default_rng(59), 8, 16)
-        x = t(np.random.default_rng(60).normal(size=(3, 5, 8)), grad=True)
-        y = encoder_block_forward(x, p, 2, np.arange(5) < np.array([[5], [2], [4]]))
+        x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
+        y = encoder_block_forward(x, p, 2, ragged(5, 2, 4))
         assert recorded_nodes(y) == 12
 
     def test_expanded_block_adds_gate_and_skip(self):
         p = make_params(np.random.default_rng(59), 8, 16, zll=True)
-        x = t(np.random.default_rng(60).normal(size=(3, 5, 8)), grad=True)
-        y = expanded_block_forward(x, p, 2, np.arange(5) < np.array([[5], [2], [4]]))
+        x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
+        y = expanded_block_forward(x, p, 2, ragged(5, 2, 4))
         assert recorded_nodes(y) == 14
 
 
@@ -387,7 +409,7 @@ class TestNonFinite:
         eye = t(np.eye(2))
         zero = t(np.zeros(2))
         with pytest.raises(NumericalError, match="^attention produced"):
-            multi_head_attention(t(np.full((1, 2, 2), 1e200)), eye, zero, eye, zero,
+            multi_head_attention(t(np.full((2, 2), 1e200)), eye, zero, eye, zero,
                                  eye, zero, eye, zero, 1, all_valid(1, 2))
 
     def test_cross_entropy(self):
@@ -398,35 +420,51 @@ class TestNonFinite:
 class TestPooling:
     def test_unmasked_mean(self):
         # every frame valid: the plain mean over frames
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        y = masked_mean_pool(t(x), all_valid(1, 2))
+        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]), all_valid(1, 2))
         assert np.array_equal(y.data, [[2.0, 3.0]])
 
     def test_masked_mean_ignores_padding(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 100.0]]])
-        mask = np.array([[True, True, False]])
-        y = masked_mean_pool(t(x), mask)
+        # two real frames of three: the mean divides by 2
+        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True, False]]))
         assert np.array_equal(y.data, [[2.0, 3.0]])
 
     def test_batched_masks_are_per_sample(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 100.0]],
-                      [[5.0, 6.0], [100.0, 100.0], [100.0, 100.0]]])
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         mask = np.array([[True, True, False], [True, False, False]])
-        y = masked_mean_pool(t(x), mask)
+        y = masked_mean_pool(t(rows), mask)
         assert np.array_equal(y.data, [[2.0, 3.0], [5.0, 6.0]])
+
+    def test_sums_each_sample_in_frame_order(self):
+        # bit for bit the mean of each sample's rows added one after another
+        # (numpy's axis-0 sum of a 2-d slice), whatever the padding
+        rng = np.random.default_rng(101)
+        mask = ragged(40, 3, 17, 9)
+        rows = rng.normal(size=(int(mask.sum()), 8)) * 10.0 ** rng.integers(-8, 8, (1, 8))
+        ends = np.cumsum(mask.sum(axis=1))
+        want = np.stack([rows[end - n:end].sum(axis=0) * (1.0 / n)
+                         for n, end in zip(mask.sum(axis=1), ends)])
+        assert np.array_equal(masked_mean_pool(t(rows), mask).data, want)
+        wider = np.concatenate([mask, np.zeros((4, 9), bool)], axis=1)
+        assert np.array_equal(masked_mean_pool(t(rows), wider).data, want)
+
+    def test_gradient_spreads_over_each_sample_rows(self):
+        x = t(np.ones((3, 2)), grad=True)
+        y = masked_mean_pool(x, ragged(2, 1))
+        ad.tsum(ad.mul(y, t([[1.0, 2.0], [3.0, 4.0]]))).backward()
+        assert np.array_equal(x.grad, [[0.5, 1.0], [0.5, 1.0], [3.0, 4.0]])
 
     def test_batched_sample_without_frames_rejected(self):
         mask = np.array([[True, False], [False, False]])
         with pytest.raises(InputError):
-            masked_mean_pool(t(np.ones((2, 2, 3))), mask)
+            masked_mean_pool(t(np.ones((1, 3))), mask)
 
     def test_all_masked_rejected(self):
         with pytest.raises(InputError):
-            masked_mean_pool(t(np.ones((1, 2, 3))), np.array([[False, False]]))
+            masked_mean_pool(t(np.ones((0, 3))), np.array([[False, False]]))
 
     def test_mask_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            masked_mean_pool(t(np.ones((1, 2, 3))), all_valid(1, 3))
+        with pytest.raises(DimensionError):  # 2 rows for 3 real frames
+            masked_mean_pool(t(np.ones((2, 3))), all_valid(1, 3))
 
 
 class TestCrossEntropyWrapper:
@@ -442,8 +480,8 @@ def _block_params():
     return make_params(np.random.default_rng(61), 4, 8, zll=True)
 
 
-# each op called with the unbatched form it no longer takes: [T, d] frames
-# with a [T] mask, [L, c] frames, or 1-d logits with an int label
+# each op called with a form it does not take: a [T] mask instead of
+# [B, T], [L, c] frames, or 1-d logits with an int label
 UNBATCHED_CALLS = {
     "multi_head_attention": lambda: multi_head_attention(
         t(np.ones((3, 4))), *attn(_block_params()), 2, np.ones(3, dtype=bool)),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bbekit import functional as F
 from bbekit.errors import ConfigError, DimensionError, InputError, StateError
 from bbekit.labels import N_CLASSES
 from bbekit.model import (
@@ -306,6 +307,47 @@ class TestBatchAxis:
         for i, n in enumerate(lengths):
             np.testing.assert_allclose(batched[i], model.logits(features[i, :n]),
                                        rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def ragged_batch(frontend, tiny_model):
+        if frontend == "identity":
+            model, lengths = tiny_model, np.array([7, 3, 5, 1])
+        else:
+            model, lengths = EncoderModel.build(conv_config(), seed=5), np.array([12, 5, 9, 4])
+        rng = np.random.default_rng(9)
+        features = rng.normal(size=(len(lengths), int(lengths.max()) + 2,
+                                    model.config.input_dim))
+        return model, features, np.arange(features.shape[1]) < lengths[:, None]
+
+    @pytest.mark.parametrize("frontend", ["identity", "conv"])
+    def test_padded_frame_values_never_reach_the_logits(self, tiny_model, frontend):
+        model, features, mask = self.ragged_batch(frontend, tiny_model)
+        base = model.logits(features, mask)
+        for junk in (0.0, 1e6, -3.5):
+            other = features.copy()
+            other[~mask] = junk
+            assert np.array_equal(model.logits(other, mask), base)
+
+    @pytest.mark.parametrize("frontend", ["identity", "conv"])
+    def test_ragged_batch_gradient_is_the_sum_over_samples(self, tiny_model, frontend):
+        # the batch loss is the mean over samples, so B times its gradient
+        # is the sum of the gradients of each sample run alone
+        model, features, mask = self.ragged_batch(frontend, tiny_model)
+        labels = np.arange(len(mask)) % N_CLASSES
+        trainable = [name for name, entry in model.store.items() if not entry.frozen]
+
+        def grads(frames, pad_mask, labels):
+            model.store.zero_grads()
+            F.softmax_cross_entropy(model.forward(frames, pad_mask), labels).backward()
+            return {name: model.store.grad(name).copy() for name in trainable}
+
+        batch = grads(features, mask, labels)
+        singles = [grads(features[i:i + 1, :n], np.ones((1, n), bool), labels[i:i + 1])
+                   for i, n in enumerate(mask.sum(axis=1))]
+        scale = max(np.abs(g).max() for g in batch.values())
+        for name in trainable:
+            summed = sum(single[name] for single in singles)
+            assert np.abs(len(mask) * batch[name] - summed).max() <= 1e-12 * scale, name
 
     def test_mask_shape_must_match_frames(self, tiny_model):
         with pytest.raises(DimensionError):

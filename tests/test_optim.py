@@ -190,3 +190,157 @@ class TestMultiStep:
         entry.tensor.grad = np.zeros(2)
         with pytest.raises(StateError):
             adamw_step(store, AdamWConfig())
+
+
+def per_entry_adamw(store, cfg):
+    """The per-entry AdamW loop the flat update replaced, kept as the oracle
+    it must match bit for bit."""
+    for name, entry in store.items():
+        if entry.frozen:
+            continue
+        grad = entry.tensor.grad
+        value = entry.tensor.data
+        entry.step += 1
+        entry.m *= cfg.beta1
+        entry.m += (1.0 - cfg.beta1) * grad
+        entry.v *= cfg.beta2
+        entry.v += (1.0 - cfg.beta2) * grad * grad
+        m_hat = entry.m / (1.0 - cfg.beta1 ** entry.step)
+        v_hat = entry.v / (1.0 - cfg.beta2 ** entry.step)
+        if cfg.weight_decay != 0.0 and decays(name):
+            value *= 1.0 - cfg.learning_rate * cfg.weight_decay
+        value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    for _, entry in store.items():
+        if entry.tensor.grad is not None:
+            entry.tensor.grad[...] = 0.0
+
+
+CFG = AdamWConfig(learning_rate=0.05, weight_decay=0.3)
+
+
+def set_grads(stores, step):
+    """The same seeded gradient on every trainable entry of each store."""
+    for name, entry in stores[0].items():
+        if not entry.frozen:
+            rng = np.random.default_rng([step, *name.encode()])
+            g = rng.normal(size=entry.tensor.shape) * 10.0 ** rng.integers(-3, 2)
+            for store in stores:
+                store.grad(name)[...] = g
+
+
+def assert_same_state(a, b):
+    assert a.names() == b.names()
+    for name, ea in a.items():
+        eb = b[name]
+        assert ea.frozen == eb.frozen and ea.step == eb.step, name
+        assert ea.tensor.data.tobytes() == eb.tensor.data.tobytes(), name
+        if ea.frozen:
+            assert ea.m is None and eb.m is None
+        else:
+            assert ea.m.tobytes() == eb.m.tobytes() and ea.v.tobytes() == eb.v.tobytes(), name
+
+
+class TestFlatUpdate:
+    # names in an order that mixes decaying weights with biases, norm
+    # parameters and ZLL gates, which take no decay
+    NAMES = {"block.0.ln1.gain": (3,), "block.0.attn.q.weight": (3, 3),
+             "block.0.attn.q.bias": (3,), "block.0x1.zll.weight": (3, 3),
+             "block.0x1.zll.bias": (3,), "block.0.ffn.w1.weight": (3, 4),
+             "frontend.conv0.weight": (2, 3), "head.weight": (3, 6), "head.bias": (6,)}
+
+    def build(self):
+        store = ParameterStore()
+        rng = np.random.default_rng(5)
+        for name, shape in self.NAMES.items():
+            store.add(name, rng.normal(size=shape),
+                      frozen=name.startswith("frontend.") or name == "block.0.ffn.w1.weight")
+        return store
+
+    def test_bit_identical_to_the_per_entry_loop(self):
+        flat, oracle = self.build(), self.build()
+        for step in range(1, 7):
+            if step == 3:  # thawed, its counter now runs behind the others'
+                for store in (flat, oracle):
+                    store.set_frozen("block.0.ffn.w1.weight", False)
+            set_grads([flat, oracle], step)
+            adamw_step(flat, CFG)
+            per_entry_adamw(oracle, CFG)
+            assert_same_state(flat, oracle)
+        assert flat["block.0.ffn.w1.weight"].step == 4 and flat["head.bias"].step == 6
+        assert flat["frontend.conv0.weight"].step == 0
+
+    def test_decay_follows_the_name(self):
+        store = self.build()
+        before = {name: store.value(name).copy() for name in store.names()}
+        adamw_step(store, AdamWConfig(learning_rate=0.1, weight_decay=0.5))  # zero gradients
+        for name in store.names():
+            shrunk = 0.95 * before[name] if decays(name) and not store[name].frozen else before[name]
+            assert np.array_equal(store.value(name), shrunk), name
+
+    def test_step_reads_only_the_flat_buffers(self, monkeypatch):
+        # per-step work does not walk the entries, frozen ones included
+        store = self.build()
+        store.n_params(only_trainable=True)  # lays the buffers out
+
+        def walk(*_):
+            raise AssertionError("walked the entries")
+
+        monkeypatch.setattr(store, "items", walk)
+        monkeypatch.setattr(store, "_lay_out", walk)
+        adamw_step(store, CFG)
+        assert store.n_params(only_trainable=True) == 3 + 9 + 3 + 9 + 3 + 18 + 6
+
+    def test_buffers_are_laid_out_once(self):
+        store = self.build()
+        flat = store.flat()
+        adamw_step(store, CFG)
+        store.zero_grads()
+        assert store.flat() is flat
+        assert np.shares_memory(store.value("head.weight"), flat.value)
+        store.set_frozen("head.bias", True)  # keeps its value, in its own array
+        assert store.flat() is not flat
+        assert not np.shares_memory(store.value("head.bias"), flat.value)
+        assert not np.shares_memory(store.value("head.weight"), flat.value)
+
+    def test_updates_seen_after_every_store_change(self, tmp_path):
+        from bbekit.checkpoint import load_checkpoint, save_checkpoint
+        from bbekit.model import EncoderConfig, EncoderModel
+
+        subject = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=4, n_heads=2, d_ffn=8),
+                                     seed=3)
+        subject.store.set_frozen("block.0.attn.q.weight", True)
+        oracle = subject.clone()
+        step = 0
+
+        def train(n=2):
+            nonlocal step
+            for _ in range(n):
+                step += 1
+                set_grads([subject.store, oracle.store], step)
+                adamw_step(subject.store, CFG)
+                per_entry_adamw(oracle.store, CFG)
+            assert_same_state(subject.store, oracle.store)
+
+        train()
+        for model in (subject, oracle):
+            model.reinit_head()  # replace
+        train()
+        for model in (subject, oracle):
+            model.store.set_frozen("block.0.attn.q.weight", False)
+            model.store.set_frozen("block.0.ln1.gain", True)
+        train()
+        snapshots = (subject.store.snapshot(), oracle.store.snapshot())
+        train()
+        subject.store.restore(snapshots[0])
+        oracle.store.restore(snapshots[1])
+        train()
+        subject, oracle = subject.clone(), oracle.clone()
+        train()
+        save_checkpoint(tmp_path / "s.bbex", subject)
+        save_checkpoint(tmp_path / "o.bbex", oracle)
+        assert (tmp_path / "s.bbex").read_bytes() == (tmp_path / "o.bbex").read_bytes()
+        subject, oracle = load_checkpoint(tmp_path / "s.bbex"), load_checkpoint(tmp_path / "o.bbex")
+        train()
+        save_checkpoint(tmp_path / "s.bbex", subject)
+        save_checkpoint(tmp_path / "o.bbex", oracle)
+        assert (tmp_path / "s.bbex").read_bytes() == (tmp_path / "o.bbex").read_bytes()
