@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, LabelError, StateError
+from .errors import DimensionError, InputError, LabelError, StateError
 
 _state = threading.local()
 
@@ -162,32 +163,10 @@ def add(a, b) -> Tensor:
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
-    return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
-
-
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     out = a.data.reshape(shape)
     return _node(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(out, (a,), backward)
 
 
 # -- fused layers: one node each, with hand-written backward passes ----------
@@ -199,20 +178,49 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def linear(x, weight, bias) -> Tensor:
-    """``[..., d_in] @ weight[d_in, d_out] + bias[d_out]``."""
-    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
-    d_in, d_out = weight.shape
+    """``[..., d_in] @ weight[d_in, d_out] + bias[d_out]``.
+
+    ``weight`` and ``bias`` may instead be equally long sequences of column
+    blocks, e.g. ``(wq, wk, wv)`` and ``(bq, bk, bv)``: one GEMM runs over
+    the blocks concatenated column-wise, the output's columns follow the
+    block order, and each block's gradient is its slice of the columns.
+    """
+    x = _wrap(x)
+    if isinstance(weight, (list, tuple)):
+        weights, biases = [_wrap(t) for t in weight], [_wrap(t) for t in bias]
+        w = np.concatenate([t.data for t in weights], axis=1)
+        b = np.concatenate([t.data for t in biases])
+    else:
+        weights, biases = [_wrap(weight)], [_wrap(bias)]
+        w, b = weights[0].data, biases[0].data
+    d_in, d_out = w.shape
     flat = x.data.reshape(-1, d_in)
-    out = flat @ weight.data
-    out += bias.data
+    out = flat @ w
+    out += b
 
     def backward(g):
         g = g.reshape(-1, d_out)
-        return ((g @ weight.data.T).reshape(x.shape) if x.requires_grad else None,
-                flat.T @ g if weight.requires_grad else None,
-                g.sum(axis=0) if bias.requires_grad else None)
+        gw = flat.T @ g if any(t.requires_grad for t in weights) else None
+        gb = g.sum(axis=0) if any(t.requires_grad for t in biases) else None
+        return ((g @ w.T).reshape(x.shape) if x.requires_grad else None,
+                *_split_columns(gw, weights), *_split_columns(gb, biases))
 
-    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
+    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, *weights, *biases), backward)
+
+
+def _split_columns(grad: np.ndarray | None, blocks: list[Tensor]) -> list[np.ndarray | None]:
+    """Each block's column slice of ``grad``, or None where the block needs
+    no gradient (``grad`` is None when none does)."""
+    if grad is None:
+        return [None] * len(blocks)
+    if len(blocks) == 1:
+        return [grad]
+    parts, start = [], 0
+    for block in blocks:
+        stop = start + block.shape[-1]
+        parts.append(grad[..., start:stop] if block.requires_grad else None)
+        start = stop
+    return parts
 
 
 def layer_norm(x, gain, shift, eps: float) -> Tensor:
@@ -244,60 +252,115 @@ def layer_norm(x, gain, shift, eps: float) -> Tensor:
     return _node(out, (x, gain, shift), backward)
 
 
-# Additive pre-softmax penalty for padded keys.  exp(x - MASK_NEG) underflows
-# to exactly 0.0 for any |x| within the hygiene bound, so padded keys have
-# bit-exactly zero attention weight.
+# Additive pre-softmax penalty for keys outside a query's own sample.
+# exp(x - MASK_NEG) underflows to exactly 0.0 for any |x| within the hygiene
+# bound, so those keys have bit-exactly zero attention weight.
 MASK_NEG = 1e30
 
 
-def attention_core(q, k, v, pad_mask: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention from projected queries, keys
-    and values, packed as [N, d] rows of the real frames, to merged [N, d]
-    head outputs.
+@dataclass(frozen=True, eq=False)
+class Packing:
+    """Where a batch's real frames sit in the shared attention sequences.
 
-    The [B, T] ``pad_mask`` (True on the N real frames, batch-major) places
-    the rows into a zero-padded [B, heads, T, d/heads] layout, and adds
-    -MASK_NEG to the scaled scores of padded keys before the max-subtracted
-    softmax over keys.  Only the real frames' outputs are gathered back.
+    ``pack_sequences`` places the B samples into R <= B sequences of length
+    L, the longest sample's frame count; a sequence holds whole samples
+    back to back.  ``slots[i]`` is the row ``r * L + l`` of real frame i
+    (batch-major, as ``gather_rows`` packs them) at position l of sequence
+    r.  ``bias`` is the additive [R, 1, L, L] score bias: 0 where query and
+    key are frames of the same sample, -MASK_NEG across samples and on
+    padding.  ``mask`` is the [B, T] mask the packing was built from.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    batch, n_frames = pad_mask.shape
-    n_rows, d = q.shape
+
+    mask: np.ndarray
+    slots: np.ndarray
+    bias: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.slots.shape[0]
+
+
+def pack_sequences(pad_mask: np.ndarray) -> Packing:
+    """First-fit decreasing over the [B, T] mask's sample lengths: longest
+    first (ties in batch order), each sample goes into the first sequence
+    with room left, else opens one.  Every sample needs a real frame.  A
+    batch of equal-length samples gets one sequence per sample, in batch
+    order."""
+    mask = np.asarray(pad_mask, dtype=bool)
+    if mask.ndim != 2:
+        raise DimensionError(f"packing expects a [B, T] mask, got shape {mask.shape}")
+    lengths = mask.sum(axis=1)
+    if not (lengths.size and lengths.all()):
+        raise InputError("packing needs samples with at least one real frame each")
+    length = int(lengths.max())
+    room: list[int] = []  # free positions left in each sequence
+    first_slot = np.empty_like(lengths)
+    for i in np.argsort(-lengths, kind="stable"):
+        n = int(lengths[i])
+        r = next((r for r, free in enumerate(room) if free >= n), len(room))
+        if r == len(room):
+            room.append(length)
+        first_slot[i] = r * length + length - room[r]
+        room[r] -= n
+    # [R * L, L] rows of the bias: sample i's block sits at its slots'
+    # rows and at the same positions' columns
+    bias = np.full((len(room) * length, length), -MASK_NEG)
+    for start, n in zip(first_slot.tolist(), lengths.tolist()):
+        pos = start % length
+        bias[start:start + n, pos:pos + n] = 0.0
+    first_row = np.cumsum(lengths) - lengths
+    slots = np.arange(int(lengths.sum())) + np.repeat(first_slot - first_row, lengths)
+    return Packing(mask, slots, bias.reshape(len(room), 1, length, length))
+
+
+def attention_core(qkv, packing: Packing, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention from fused [N, 3d] rows of
+    projected queries, keys and values (``[q | k | v]``, one row per real
+    frame, batch-major) to merged [N, d] head outputs.
+
+    The rows are scattered once into the packing's R sequences of length
+    L, viewed as [R, heads, L, d/heads] per projection.  The scaled scores
+    get the packing's bias before the max-subtracted softmax over keys, so
+    each frame attends to its own sample's frames only; the real frames'
+    outputs are gathered back once.
+    """
+    qkv = _wrap(qkv)
+    n_rows, width = qkv.shape
+    d = width // 3
     d_head = d // heads
-
-    def scatter(rows: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-        # rows into zeros of ``shape``, whose ``axes`` transpose is [B, T, heads, d_head]
-        out = np.zeros(shape)
-        out.transpose(axes)[pad_mask] = rows.reshape(n_rows, heads, d_head)
-        return out
-
-    def gather(t: np.ndarray) -> np.ndarray:  # [B, heads, T, d_head] -> [N, d]
-        return t.transpose(0, 2, 1, 3)[pad_mask].reshape(n_rows, d)
-
-    heads_first = (batch, heads, n_frames, d_head)
-    qh = scatter(q.data, heads_first, (0, 2, 1, 3))
-    kt = scatter(k.data, (batch, heads, d_head, n_frames), (0, 3, 1, 2))
-    vh = scatter(v.data, heads_first, (0, 2, 1, 3))
+    n_seqs, _, length, _ = packing.bias.shape
+    slots = packing.slots
+    rows = np.zeros((n_seqs * length, width))
+    rows[slots] = qkv.data
+    # [R, L, 3, heads, d_head] -> q, k and v views of [R, heads, L, d_head]
+    qh, kh, vh = rows.reshape(n_seqs, length, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
     scale = 1.0 / np.sqrt(d_head)
-    weights = qh @ kt  # [B, heads, T, T]
+    weights = qh @ kh.swapaxes(-1, -2)  # [R, heads, L, L]
     weights *= scale
-    weights += np.where(pad_mask, 0.0, -MASK_NEG)[:, None, None]
+    weights += packing.bias
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
+    merged = np.empty((n_seqs, length, heads, d_head))
+    np.matmul(weights, vh, out=merged.transpose(0, 2, 1, 3))
 
     def backward(g):
-        gh = scatter(g, heads_first, (0, 2, 1, 3))
-        gw = gh @ vh.transpose(0, 1, 3, 2)
-        gv = weights.transpose(0, 1, 3, 2) @ gh
-        gs = gw - (gw * weights).sum(axis=-1, keepdims=True)  # softmax backward
+        gh = np.zeros((n_seqs * length, d))
+        gh[slots] = g
+        gh = gh.reshape(n_seqs, length, heads, d_head).transpose(0, 2, 1, 3)
+        grads = np.empty((n_seqs, length, 3, heads, d_head))
+        gq, gk, gv = grads.transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), gh, out=gv)
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= np.einsum("rhqk,rhqk->rhq", gs, weights)[..., None]  # softmax backward
         gs *= weights
-        gs *= scale
-        return (gather(gs @ kt.transpose(0, 1, 3, 2)),
-                gather(gs.transpose(0, 1, 3, 2) @ qh),
-                gather(gv))
+        np.matmul(gs, kh, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
+        out = grads.reshape(-1, width)[slots]
+        out[:, :2 * d] *= scale  # the scores' scale, on the q and k gradients
+        return (out,)
 
-    return _node(gather(weights @ vh), (q, k, v), backward)
+    return _node(merged.reshape(-1, d)[slots], (qkv,), backward)
 
 
 def gather_rows(x, pad_mask: np.ndarray) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,16 @@ class CorpusManifest:
 
 @dataclass
 class Batch:
-    features: np.ndarray  # [B, T_max, d], zero-padded
+    arrays: list[np.ndarray]  # each drawn sample's [T_i, d] frames, row by row
     pad_mask: np.ndarray  # [B, T_max] bool, True on real frames
     samples: list[Sample]  # the drawn samples, row by row
     corpus_id: str
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """[B, T_max, d] frames, zero-padded; built on first access, so a
+        step that reads only the samples never pads."""
+        return _pad(self.arrays, self.pad_mask)
 
     @property
     def labels(self) -> list[int]:
@@ -68,7 +75,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return len(self.samples)
 
 
 def validate_split_disjointness(manifest: CorpusManifest) -> None:
@@ -278,33 +285,43 @@ class CorpusIterator:
 
 def next_batch(iterator: CorpusIterator, batch_size: int,
                frame_cap: int | None = None) -> Batch:
-    """Zero-padded batch with a True-on-real-frames mask; no re-weighting
-    or re-balancing, samples arrive exactly as the epoch stream yields them."""
+    """Batch with a True-on-real-frames mask and lazily zero-padded
+    features; no re-weighting or re-balancing, samples arrive exactly as
+    the epoch stream yields them."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if frame_cap is not None and frame_cap < 1:
         raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
     samples = iterator.take(batch_size)
     arrays = [iterator.manifest.features(s)[:frame_cap] for s in samples]
-    features, pad_mask = pad_frames(arrays, iterator.manifest.corpus_id)
-    return Batch(features=features, pad_mask=pad_mask, samples=samples,
-                 corpus_id=iterator.manifest.corpus_id)
+    corpus_id = iterator.manifest.corpus_id
+    return Batch(arrays, _frame_mask(arrays, corpus_id), samples, corpus_id)
+
+
+def _frame_mask(arrays: list[np.ndarray], corpus_id: str) -> np.ndarray:
+    """[B, T_max] mask of [T_i, d] arrays, True on real frames; every array
+    must have the first one's width d."""
+    d = arrays[0].shape[1]
+    for a in arrays:
+        if a.shape[1] != d:
+            raise InputError(f"inconsistent feature dim in corpus "
+                             f"{corpus_id}: {a.shape[1]} vs {d}")
+    lengths = np.array([a.shape[0] for a in arrays])
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _pad(arrays: list[np.ndarray], pad_mask: np.ndarray) -> np.ndarray:
+    features = np.zeros(pad_mask.shape + arrays[0].shape[1:])
+    for i, a in enumerate(arrays):
+        features[i, :a.shape[0]] = a
+    return features
 
 
 def pad_frames(arrays: list[np.ndarray], corpus_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Stack [T_i, d] arrays into zero-padded [B, T_max, d] features and a
     [B, T_max] mask, True on real frames."""
-    t_max = max(a.shape[0] for a in arrays)
-    d = arrays[0].shape[1]
-    features = np.zeros((len(arrays), t_max, d))
-    pad_mask = np.zeros((len(arrays), t_max), dtype=bool)
-    for i, a in enumerate(arrays):
-        if a.shape[1] != d:
-            raise InputError(f"inconsistent feature dim in corpus "
-                             f"{corpus_id}: {a.shape[1]} vs {d}")
-        features[i, :a.shape[0]] = a
-        pad_mask[i, :a.shape[0]] = True
-    return features, pad_mask
+    pad_mask = _frame_mask(arrays, corpus_id)
+    return _pad(arrays, pad_mask), pad_mask
 
 
 # -- synthetic corpora -------------------------------------------------------

@@ -5,13 +5,15 @@ layer norm and the attention core are one tape node each), and checks the
 result for non-finite values (the operation-level hygiene contract).  A
 batch of frame sequences is packed: the attention, block and pooling ops
 take the real frames only, as [N, d] rows in batch-major order, plus the
-[B, T] padding mask they came from (True on the N real frames), so every
-position-wise layer runs on N rows.  Only attention and pooling read the
-mask.  ``EncoderModel.embed`` packs the frontend's output, and
-``EncoderModel.forward`` turns a single [T, d] sequence into a batch of
-one.  The block forward passes take a block's parameters as a
-``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``; an expanded
-block's mapping also holds ``zll.weight`` and ``zll.bias``.
+batch's ``autodiff.Packing``, so every position-wise layer runs on N rows.
+Only attention and pooling read the packing: attention scores each
+sample's frames inside the shared sequences it lays out, and pooling reads
+the [B, T] mask it carries.  ``EncoderModel.embed`` packs the frontend's
+output and builds the packing, and ``EncoderModel.forward`` turns a single
+[T, d] sequence into a batch of one.  The block forward passes take a
+block's parameters as a ``{suffix: Tensor}`` mapping, e.g.
+``p["attn.q.weight"]``; an expanded block's mapping also holds
+``zll.weight`` and ``zll.bias``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, InputError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError
 
 def _check_finite(name: str, out: Tensor) -> Tensor:
     if not np.isfinite(out.data).all():
@@ -28,8 +30,24 @@ def _check_finite(name: str, out: Tensor) -> Tensor:
     return out
 
 
-def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """y[..., j] = sum_i x[..., i] * weight[i, j] + bias[j]."""
+def linear_forward(x: Tensor, weight, bias) -> Tensor:
+    """y[..., j] = sum_i x[..., i] * weight[i, j] + bias[j].
+
+    ``weight`` and ``bias`` may be equally long sequences of column blocks,
+    e.g. ``(wq, wk, wv)`` and ``(bq, bk, bv)``, which run as one GEMM whose
+    output columns follow the block order.
+    """
+    if isinstance(weight, (list, tuple)):
+        if len(weight) != len(bias):
+            raise DimensionError(f"{len(weight)} weight blocks for {len(bias)} bias blocks")
+        for w, b in zip(weight, bias):
+            _check_linear_shapes(x, w, b)
+    else:
+        _check_linear_shapes(x, weight, bias)
+    return _check_finite("linear", ad.linear(x, weight, bias))
+
+
+def _check_linear_shapes(x: Tensor, weight: Tensor, bias: Tensor) -> None:
     if weight.ndim != 2:
         raise DimensionError(f"weight must be 2-d, got {weight.shape}")
     d_in, d_out = weight.shape
@@ -37,7 +55,6 @@ def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear input {x.shape} incompatible with weight {weight.shape}")
     if bias.shape != (d_out,):
         raise DimensionError(f"bias shape {bias.shape} != ({d_out},)")
-    return _check_finite("linear", ad.linear(x, weight, bias))
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
@@ -52,31 +69,29 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
     return _check_finite("layer_norm", ad.layer_norm(x, gain, shift, eps))
 
 
-def _packed_mask(x: Tensor, pad_mask: np.ndarray, op: str) -> np.ndarray:
-    """The [B, T] mask as bool, checked against packed [N, d] rows."""
-    mask = np.asarray(pad_mask, dtype=bool)
-    if x.ndim != 2 or mask.ndim != 2:
-        raise DimensionError(f"{op} expects packed [N, d] rows with a [B, T] mask, "
-                             f"got {x.shape} and {mask.shape}")
-    if (n_real := int(mask.sum())) != x.shape[0]:
-        raise DimensionError(f"{op}: {x.shape[0]} rows for a mask with {n_real} real frames")
-    return mask
+def _check_packed(x: Tensor, packing: ad.Packing, op: str) -> None:
+    if x.ndim != 2 or x.shape[0] != packing.n_rows:
+        raise DimensionError(f"{op} expects packed [N, d] rows of the packing's "
+                             f"{packing.n_rows} real frames, got {x.shape}")
 
 
 def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                          wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-                         heads: int, pad_mask: np.ndarray) -> Tensor:
+                         heads: int, packing: ad.Packing) -> Tensor:
     """Bidirectional scaled dot-product attention over packed [N, d] rows.
 
-    Each sample's real frames attend to each other only: scores are
-    [B, heads, T, T] in the attention core, with the padded keys masked.
+    Each sample's real frames attend to each other only.  Queries, keys
+    and values come from one GEMM over ``[wq | wk | wv]``; the attention
+    core scores them in the packing's shared sequences.
     """
-    mask = _packed_mask(x, pad_mask, "attention")
+    _check_packed(x, packing, "attention")
     d = x.shape[1]
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
-    merged = ad.attention_core(linear_forward(x, wq, bq), linear_forward(x, wk, bk),
-                               linear_forward(x, wv, bv), mask, heads)
+    if any(w.shape != (d, d) for w in (wq, wk, wv)):
+        raise DimensionError(f"q/k/v weights must be ({d}, {d})")
+    qkv = linear_forward(x, (wq, wk, wv), (bq, bk, bv))
+    merged = ad.attention_core(qkv, packing, heads)
     return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
@@ -84,7 +99,7 @@ LN_EPS = 1e-5
 
 
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
-                          pad_mask: np.ndarray) -> Tensor:
+                          packing: ad.Packing) -> Tensor:
     """Pre-norm block over packed [N, d] rows: u = x + Attn(LN1(x));
     y = u + FFN(LN2(u))."""
     attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"], LN_EPS),
@@ -92,7 +107,7 @@ def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                                     p["attn.k.weight"], p["attn.k.bias"],
                                     p["attn.v.weight"], p["attn.v.bias"],
                                     p["attn.o.weight"], p["attn.o.bias"],
-                                    heads, pad_mask)
+                                    heads, packing)
     u = x + attended
     hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"], LN_EPS),
                                     p["ffn.w1.weight"], p["ffn.w1.bias"]))
@@ -100,13 +115,13 @@ def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
 
 
 def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
-                           pad_mask: np.ndarray) -> Tensor:
+                           packing: ad.Packing) -> Tensor:
     """Copied block wrapped in a skip connection through its output
     projection: y = x + proj(block(x)).  With the projection still at its
     zero initialization this is bit-exactly the identity."""
     if "zll.weight" not in p or "zll.bias" not in p:
         raise ConfigError("expanded block is missing its output projection")
-    inner = encoder_block_forward(x, p, heads, pad_mask)
+    inner = encoder_block_forward(x, p, heads, packing)
     return x + linear_forward(inner, p["zll.weight"], p["zll.bias"])
 
 
@@ -116,9 +131,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _check_finite("cross_entropy", ad.cross_entropy_with_logits(logits, labels))
 
 
-def masked_mean_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:
+def masked_mean_pool(x: Tensor, packing: ad.Packing) -> Tensor:
     """Mean over each sample's real frames: packed [N, d] rows -> [B, d]."""
-    mask = _packed_mask(x, pad_mask, "pooling")
-    if not mask.any(axis=1).all():
-        raise InputError("all frames masked out")
-    return ad.segment_mean(x, mask)
+    _check_packed(x, packing, "pooling")
+    return ad.segment_mean(x, packing.mask)

@@ -2,7 +2,9 @@
 
 The forward pass runs on batches of [B, T, d_in] frames with a [B, T]
 padding mask; a single [T, d_in] sequence is a batch of one.  After the
-frontend, the blocks and pooling see only the real frames, packed as rows.
+frontend, the blocks and pooling see only the real frames, packed as rows,
+and attention scores them in shared sequences that hold several short
+samples each (``autodiff.pack_sequences``).
 """
 
 from __future__ import annotations
@@ -298,7 +300,9 @@ class EncoderModel:
         The mask is True on real frames; every sample needs one, and the
         conv frontend needs as many as its receptive field.  The frontend's
         real output frames are gathered once into packed [N, d_model] rows,
-        which the blocks and pooling take with the frontend's mask.
+        and one ``autodiff.Packing`` of the frontend's mask places the
+        samples into shared attention sequences; the blocks and pooling
+        take the rows with that packing.
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
@@ -314,16 +318,17 @@ class EncoderModel:
         if not pad_mask.any(axis=1).all():
             raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
-        x = ad.gather_rows(x, pad_mask)
+        packing = ad.pack_sequences(pad_mask)
+        x = ad.gather_rows(x, packing.mask)
         heads = self.config.n_heads
         params = self.block_params()
         for info in self.block_index:
             p = params[info.block_id]
             if "zll.weight" in p:
-                x = F.expanded_block_forward(x, p, heads, pad_mask)
+                x = F.expanded_block_forward(x, p, heads, packing)
             else:
-                x = F.encoder_block_forward(x, p, heads, pad_mask)
-        return F.masked_mean_pool(x, pad_mask)
+                x = F.encoder_block_forward(x, p, heads, packing)
+        return F.masked_mean_pool(x, packing)
 
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""

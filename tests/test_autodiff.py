@@ -3,8 +3,10 @@ import pytest
 
 from bbekit import autodiff as ad
 from bbekit.autodiff import Tensor
-from bbekit.errors import DimensionError, LabelError, StateError
+from bbekit.errors import DimensionError, InputError, LabelError, StateError
 from bbekit.gradcheck import FD_STEP, TOLERANCE, relative_error
+
+from tape_ops import mul, tsum
 
 RNG = np.random.default_rng(7)
 
@@ -47,7 +49,7 @@ class TestTensorBasics:
 
     def test_backward_requires_scalar(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
-        out = ad.mul(t, 2.0)
+        out = mul(t, 2.0)
         with pytest.raises(StateError):
             out.backward()
 
@@ -58,26 +60,26 @@ class TestTensorBasics:
     def test_no_grad_suppresses_tape(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with ad.no_grad():
-            out = ad.tsum(ad.mul(t, t))
+            out = tsum(mul(t, t))
         assert out._backward is None and not out.requires_grad
         assert ad.is_grad_enabled()
 
     def test_grad_accumulates_across_backwards(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
-        ad.tsum(t).backward()
-        ad.tsum(t).backward()
+        tsum(t).backward()
+        tsum(t).backward()
         np.testing.assert_array_equal(t.grad, [2.0, 2.0])
 
     def test_unused_leaf_gets_zero_grad(self):
         used = Tensor([1.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
-        ad.tsum(used).backward()
+        tsum(used).backward()
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_diamond_reuse_accumulates(self):
         # y = x*x + x*x: both paths must contribute
         t = Tensor(3.0, requires_grad=True)
-        y = ad.mul(t, t) + ad.mul(t, t)
+        y = mul(t, t) + mul(t, t)
         y.backward()
         assert t.grad == pytest.approx(12.0, abs=1e-12)
 
@@ -85,19 +87,19 @@ class TestTensorBasics:
 class TestPrimitiveGradients:
     def test_add_broadcast(self):
         b = RNG.normal(size=(4,))
-        check_grad(lambda x: ad.tsum(ad.mul(x + Tensor(b), x + Tensor(b))), (3, 4))
+        check_grad(lambda x: tsum(mul(x + Tensor(b), x + Tensor(b))), (3, 4))
 
     def test_mul_broadcast(self):
         w = RNG.normal(size=(1, 4))
-        check_grad(lambda x: ad.tsum(ad.mul(x, Tensor(w))), (3, 4))
+        check_grad(lambda x: tsum(mul(x, Tensor(w))), (3, 4))
 
     def test_reshape(self):
-        check_grad(lambda x: ad.tsum(ad.mul(ad.reshape(x, (6, 2)),
+        check_grad(lambda x: tsum(mul(ad.reshape(x, (6, 2)),
                                             ad.reshape(x, (6, 2)))), (3, 4))
 
     def test_sum_axes(self):
-        check_grad(lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=0), ad.tsum(x, axis=0))), (3, 4))
-        check_grad(lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=1, keepdims=True), x)), (3, 4))
+        check_grad(lambda x: tsum(mul(tsum(x, axis=0), tsum(x, axis=0))), (3, 4))
+        check_grad(lambda x: tsum(mul(tsum(x, axis=1, keepdims=True), x)), (3, 4))
 
     def test_gelu_values_and_grad(self):
         # erf form: gelu(0) = 0, gelu(large) ~ x, gelu(-large) ~ 0
@@ -105,7 +107,7 @@ class TestPrimitiveGradients:
         assert y[0] == 0.0
         assert y[1] == pytest.approx(10.0, abs=1e-12)
         assert y[2] == pytest.approx(0.0, abs=1e-12)
-        check_grad(lambda x: ad.tsum(ad.gelu(x)), (7,))
+        check_grad(lambda x: tsum(ad.gelu(x)), (7,))
 
     def test_erf_matches_scipy_within_a_few_ulp(self):
         from scipy.special import erf as scipy_erf
@@ -124,16 +126,17 @@ class TestPrimitiveGradients:
         assert out[2] == 1.0 and out[3] == -1.0 and np.isnan(out[4])
 
     # the attention core's softmax weights are its output when each key's
-    # value is a one-hot row: one head, k = v = identity over T = d frames.
-    # A padded frame has no row, so its column of the output stays zero
-    # and the real keys' weights must sum to one on their own.
+    # value is a one-hot row: one head, k = v = identity over the N real
+    # frames.  Keys of another sample sharing the sequence, and padding,
+    # must get exactly zero weight, and each sample's keys must sum to one
+    # on their own.
     @staticmethod
     def attention_weights(scores: np.ndarray, mask=None) -> np.ndarray:
         n = scores.shape[-1]
-        mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask)
-        q = Tensor(scores[mask] * np.sqrt(n))  # undo the 1/sqrt(d_head) scale
-        eye = Tensor(np.eye(n)[mask])
-        return ad.attention_core(q, eye, eye, mask[None], heads=1).data
+        mask = np.ones((1, n), dtype=bool) if mask is None else np.asarray(mask)
+        eye = np.eye(n)
+        qkv = np.concatenate([scores * np.sqrt(n), eye, eye], axis=1)  # undo 1/sqrt(d_head)
+        return ad.attention_core(Tensor(qkv), ad.pack_sequences(mask), heads=1).data
 
     def test_softmax_rows_sum_to_one(self):
         y = self.attention_weights(RNG.normal(size=(5, 5)))
@@ -142,13 +145,16 @@ class TestPrimitiveGradients:
 
     def test_softmax_grad(self):
         t = RNG.normal(size=(4, 4))
-        eye = Tensor(np.eye(4))
-        check_grad(lambda x: ad.tsum(ad.mul(ad.attention_core(x, eye, eye, np.ones((1, 4), bool),
-                                                              heads=1), Tensor(t))), (4, 4))
+        packing = ad.pack_sequences(np.ones((1, 4), bool))
+        check_grad(lambda x: tsum(mul(ad.attention_core(x, packing, heads=1), Tensor(t))),
+                   (4, 12))
 
     def test_softmax_additive_mask_excludes(self):
-        y = self.attention_weights(RNG.normal(size=(3, 3)), mask=[True, False, True])
-        assert y.shape == (2, 3) and (y[:, 1] == 0.0).all()
+        # lengths 3, 1, 2: the 1- and 2-frame samples share one sequence
+        mask = np.arange(3) < np.array([3, 1, 2])[:, None]
+        y = self.attention_weights(RNG.normal(size=(6, 6)), mask=mask)
+        owner = np.repeat(np.arange(3), [3, 1, 2])
+        assert y.shape == (6, 6) and (y[owner[:, None] != owner[None, :]] == 0.0).all()
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-15)
 
     def test_softmax_stable_at_large_magnitudes(self):
@@ -161,7 +167,7 @@ class TestPrimitiveGradients:
         x = np.arange(12.0).reshape(2, 3, 2)
         out = ad.gather_rows(Tensor(x), mask).data
         np.testing.assert_array_equal(out, [[0, 1], [4, 5], [8, 9]])
-        check_grad(lambda t: ad.tsum(ad.mul(ad.gather_rows(t, mask),
+        check_grad(lambda t: tsum(mul(ad.gather_rows(t, mask),
                                             ad.gather_rows(t, mask))), (2, 3, 2))
 
     def test_segment_mean(self):
@@ -170,13 +176,13 @@ class TestPrimitiveGradients:
         np.testing.assert_array_equal(ad.segment_mean(Tensor(rows), mask).data,
                                       [[2.0, 3.5], [7.0, 9.0]])
         w = Tensor(RNG.normal(size=(2, 2)))
-        check_grad(lambda t: ad.tsum(ad.mul(ad.segment_mean(t, mask), w)), (3, 2))
+        check_grad(lambda t: tsum(mul(ad.segment_mean(t, mask), w)), (3, 2))
 
     def test_unfold1d_forward_and_grad(self):
         x = np.arange(8.0).reshape(1, 8, 1)
         out = ad.unfold1d(Tensor(x), kernel=2, stride=2).data
         np.testing.assert_array_equal(out, [[[0, 1], [2, 3], [4, 5], [6, 7]]])
-        check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
+        check_grad(lambda t: tsum(mul(ad.unfold1d(t, 3, 2),
                                             ad.unfold1d(t, 3, 2))), (1, 9, 2))
 
     def test_unfold1d_batched_matches_per_sample(self):
@@ -185,12 +191,89 @@ class TestPrimitiveGradients:
         assert out.shape == (3, 4, 6)
         for i in range(3):
             np.testing.assert_array_equal(out[i], ad.unfold1d(Tensor(x[i:i + 1]), 3, 2).data[0])
-        check_grad(lambda t: ad.tsum(ad.mul(ad.unfold1d(t, 3, 2),
+        check_grad(lambda t: tsum(mul(ad.unfold1d(t, 3, 2),
                                             ad.unfold1d(t, 3, 2))), (2, 9, 2))
 
     def test_unfold1d_too_short(self):
         with pytest.raises(DimensionError):
             ad.unfold1d(Tensor(np.ones((1, 2, 1))), kernel=3, stride=1)
+
+
+def random_masks(n_batches=40, seed=113):
+    """Seeded ragged [B, T] suffix masks, T past the longest sample."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_batches):
+        lengths = rng.integers(1, 30, int(rng.integers(1, 12)))
+        yield np.arange(lengths.max() + int(rng.integers(0, 3))) < lengths[:, None]
+
+
+class TestPacking:
+    @staticmethod
+    def owners(packing):
+        """Sample index at each [R, L] position, -1 on padding."""
+        n_seqs, _, length, _ = packing.bias.shape
+        owner = np.full(n_seqs * length, -1)
+        owner[packing.slots] = np.repeat(np.arange(len(packing.mask)),
+                                         packing.mask.sum(axis=1))
+        return owner.reshape(n_seqs, length)
+
+    def test_every_real_frame_gets_its_own_slot(self):
+        for mask in random_masks():
+            packing = ad.pack_sequences(mask)
+            n_seqs, _, length, _ = packing.bias.shape
+            assert packing.n_rows == mask.sum()
+            assert len(np.unique(packing.slots)) == packing.n_rows
+            assert packing.slots.min() >= 0 and packing.slots.max() < n_seqs * length
+
+    def test_samples_stay_contiguous_and_in_order(self):
+        for mask in random_masks():
+            packing = ad.pack_sequences(mask)
+            length = packing.bias.shape[2]
+            ends = np.cumsum(mask.sum(axis=1))
+            for n, end in zip(mask.sum(axis=1), ends):
+                slots = packing.slots[end - n:end]
+                assert np.array_equal(slots, slots[0] + np.arange(n))
+                assert slots[0] // length == slots[-1] // length  # one sequence
+
+    def test_no_sequence_longer_than_the_longest_sample(self):
+        for mask in random_masks():
+            n_seqs, _, length, _ = ad.pack_sequences(mask).bias.shape
+            assert length == mask.sum(axis=1).max()
+            assert n_seqs <= len(mask)
+
+    def test_equal_lengths_give_one_sample_per_sequence(self):
+        mask = np.ones((5, 7), dtype=bool)
+        packing = ad.pack_sequences(mask)
+        assert packing.bias.shape == (5, 1, 7, 7)
+        assert np.array_equal(packing.slots, np.arange(35))
+        assert (packing.bias == 0.0).all()
+
+    def test_first_fit_decreasing_shares_sequences(self):
+        # 12 fills a sequence; 5, 4 and 3 fill the second in that order
+        packing = ad.pack_sequences(np.arange(12) < np.array([12, 5, 4, 3])[:, None])
+        assert packing.bias.shape == (2, 1, 12, 12)
+        assert np.array_equal(self.owners(packing), [[0] * 12, [1] * 5 + [2] * 4 + [3] * 3])
+        assert PACKED.bias.shape[0] == 3  # RAGGED's five samples in three sequences
+
+    def test_bias_keeps_each_frame_to_its_own_sample(self):
+        for mask in random_masks():
+            packing = ad.pack_sequences(mask)
+            owner = self.owners(packing)
+            same = (owner[:, :, None] == owner[:, None, :]) & (owner >= 0)[:, None, :]
+            assert np.array_equal(packing.bias[:, 0], np.where(same, 0.0, -ad.MASK_NEG))
+
+    def test_deterministic(self):
+        for mask in random_masks(10):
+            a, b = ad.pack_sequences(mask), ad.pack_sequences(mask.copy())
+            assert np.array_equal(a.slots, b.slots) and np.array_equal(a.bias, b.bias)
+
+    def test_bad_masks_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.pack_sequences(np.ones(3, dtype=bool))
+        with pytest.raises(InputError):
+            ad.pack_sequences(np.array([[True, False], [False, False]]))
+        with pytest.raises(InputError):
+            ad.pack_sequences(np.ones((0, 3), dtype=bool))
 
 
 class TestCrossEntropy:
@@ -325,39 +408,59 @@ def _merge(t):
     return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(batch, n_frames, heads * dh)
 
 
-def _padded(rows, mask):
-    """Packed [N, d] rows -> zero-padded [B, T, d] frames."""
-    full = np.zeros(mask.shape + rows.shape[1:])
-    full[mask] = rows
-    return full
+def _sequences(rows, packing):
+    """Packed [N, w] rows -> the packing's zero-padded [R, L, w] sequences."""
+    n_seqs, _, length, _ = packing.bias.shape
+    full = np.zeros((n_seqs * length, rows.shape[1]))
+    full[packing.slots] = rows
+    return full.reshape(n_seqs, length, rows.shape[1])
 
 
-def composite_attention(q, k, v, mask, heads):
-    """The composite over the zero-padded frames, with a -1e30 key bias on
-    padded keys, read back at the real frames."""
-    key_bias = np.where(mask, 0.0, -1e30)[:, None, None]
-    _, _, vh, _, weights = _attention_parts(*(_padded(a, mask) for a in (q, k, v)),
-                                            key_bias, heads)
-    return _merge(weights @ vh)[mask]
+def _rows(frames, packing):
+    """[R, L, w] sequences -> the real frames' [N, w] rows."""
+    return frames.reshape(-1, frames.shape[-1])[packing.slots]
 
 
-def composite_attention_grads(q, k, v, mask, heads, g):
-    key_bias = np.where(mask, 0.0, -1e30)[:, None, None]
-    q, k, v, g = (_padded(a, mask) for a in (q, k, v, g))
-    qh, kt, vh, scale, weights = _attention_parts(q, k, v, key_bias, heads)
-    batch, n_frames, d = q.shape
-    g_mixed = g.reshape(batch, n_frames, heads, d // heads).transpose(0, 2, 1, 3)
+def composite_attention(qkv, packing, heads):
+    """The composite over the packing's sequences, with its score bias,
+    read back at the real frames."""
+    q, k, v = np.split(_sequences(qkv, packing), 3, axis=-1)
+    _, _, vh, _, weights = _attention_parts(q, k, v, packing.bias, heads)
+    return _rows(_merge(weights @ vh), packing)
+
+
+def composite_attention_grads(qkv, packing, heads, g):
+    q, k, v = np.split(_sequences(qkv, packing), 3, axis=-1)
+    qh, kt, vh, scale, weights = _attention_parts(q, k, v, packing.bias, heads)
+    n_seqs, length, d = q.shape
+    g_mixed = _sequences(g, packing).reshape(n_seqs, length, heads, d // heads)
+    g_mixed = g_mixed.transpose(0, 2, 1, 3)
     g_w = g_mixed @ vh.transpose(0, 1, 3, 2)                 # weights @ vh
     g_vh = weights.transpose(0, 1, 3, 2) @ g_mixed
     g_z = (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * weights  # softmax
     g_raw = g_z * scale                                      # scores * scale
     g_qh = g_raw @ kt.transpose(0, 1, 3, 2)                  # qh @ kt
     g_kh = (qh.transpose(0, 1, 3, 2) @ g_raw).transpose(0, 1, 3, 2)
-    return _merge(g_qh)[mask], _merge(g_kh)[mask], _merge(g_vh)[mask]
+    return (_rows(np.concatenate([_merge(g_qh), _merge(g_kh), _merge(g_vh)], axis=-1),
+                  packing),)
 
 
-# ragged [B, T] padding: lengths 5, 2 and 4 of T = 5, so N = 11 packed rows
-RAGGED = np.arange(5) < np.array([5, 2, 4])[:, None]
+def composite_linear_blocks(x, w1, w2, b1, b2):
+    return composite_linear(x, np.concatenate([w1, w2], axis=1), np.concatenate([b1, b2]))
+
+
+def composite_linear_blocks_grads(x, w1, w2, b1, b2, g):
+    cut = w1.shape[1]
+    g_x, g_w, g_b = composite_linear_grads(x, np.concatenate([w1, w2], axis=1),
+                                           np.concatenate([b1, b2]), g)
+    return g_x, g_w[:, :cut], g_w[:, cut:], g_b[:cut], g_b[cut:]
+
+
+# ragged [B, T] padding: lengths 5, 2, 4, 1 and 2 of T = 5, so N = 14
+# packed rows in three shared sequences, [5], [4, 1] and [2, 2] plus one
+# padded position
+RAGGED = np.arange(5) < np.array([5, 2, 4, 1, 2])[:, None]
+PACKED = ad.pack_sequences(RAGGED)
 N_ROWS = int(RAGGED.sum())
 EPS = 1e-5
 HEADS = 2
@@ -371,14 +474,18 @@ def _fused_cases():
     return {
         "linear": (ad.linear, composite_linear, composite_linear_grads,
                    [x, rng.normal(size=(4, 6)), rng.normal(size=6)]),
+        "linear_blocks": (lambda x, w1, w2, b1, b2: ad.linear(x, (w1, w2), (b1, b2)),
+                          composite_linear_blocks, composite_linear_blocks_grads,
+                          [x, rng.normal(size=(4, 6)), rng.normal(size=(4, 3)),
+                           rng.normal(size=6), rng.normal(size=3)]),
         "layer_norm": (lambda *a: ad.layer_norm(*a, EPS),
                        lambda *a: composite_layer_norm(*a, EPS),
                        lambda *a: composite_layer_norm_grads(*a[:3], EPS, a[3]),
                        [x * 3.0 + 1.0, rng.normal(size=4), rng.normal(size=4)]),
-        "attention_core": (lambda *a: ad.attention_core(*a, RAGGED, HEADS),
-                           lambda *a: composite_attention(*a, RAGGED, HEADS),
-                           lambda *a: composite_attention_grads(*a[:3], RAGGED, HEADS, a[3]),
-                           [x, rng.normal(size=(N_ROWS, 4)), rng.normal(size=(N_ROWS, 4))]),
+        "attention_core": (lambda qkv: ad.attention_core(qkv, PACKED, HEADS),
+                           lambda qkv: composite_attention(qkv, PACKED, HEADS),
+                           lambda qkv, g: composite_attention_grads(qkv, PACKED, HEADS, g),
+                           [rng.normal(size=(N_ROWS, 12))]),
     }
 
 
@@ -388,7 +495,7 @@ FUSED = _fused_cases()
 def grads_of(fn, arrays, upstream):
     """Backward of sum(fn(...) * upstream) into every argument."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    ad.tsum(ad.mul(fn(*leaves), Tensor(upstream))).backward()
+    tsum(mul(fn(*leaves), Tensor(upstream))).backward()
     return [leaf.grad for leaf in leaves]
 
 
@@ -423,10 +530,10 @@ class TestFusedPrimitives:
 
     def test_masked_keys_get_no_weight_and_no_gradient(self):
         # each sample's rows and gradients are those of the sample run alone
-        # with no padding: padded keys (zero rows inside the core) get no
-        # weight, and no gradient crosses between samples
+        # in a sequence of its own: keys of the other sample in its sequence
+        # and padding get no weight, and no gradient crosses between samples
         fn, _, _, arrays = FUSED["attention_core"]
-        upstream = np.random.default_rng(97).normal(size=arrays[0].shape)
+        upstream = np.random.default_rng(97).normal(size=(N_ROWS, 4))
         out = fn(*[Tensor(a) for a in arrays]).data
         grads = grads_of(fn, arrays, upstream)
         start = 0
@@ -434,8 +541,8 @@ class TestFusedPrimitives:
             rows = slice(start, start + n)
             start += n
 
-            def alone(*a):
-                return ad.attention_core(*a, np.ones((1, n), bool), HEADS)
+            def alone(qkv):
+                return ad.attention_core(qkv, ad.pack_sequences(np.ones((1, n), bool)), HEADS)
 
             parts = [a[rows] for a in arrays]
             np.testing.assert_allclose(out[rows], alone(*parts).data, rtol=1e-13, atol=1e-13)
@@ -453,7 +560,7 @@ class TestFusedPrimitives:
         def run(trainable):
             x, w, b, gain, shift = (Tensor(a.copy(), requires_grad=i in trainable)
                                     for i, a in enumerate(arrays))
-            ad.tsum(ad.mul(ad.layer_norm(ad.linear(x, w, b), gain, shift, EPS),
+            tsum(mul(ad.layer_norm(ad.linear(x, w, b), gain, shift, EPS),
                            upstream)).backward()
             return x, w, b, gain, shift
 
@@ -463,11 +570,26 @@ class TestFusedPrimitives:
         assert np.array_equal(some[0].grad, every[0].grad)
         assert np.array_equal(some[2].grad, every[2].grad)
 
+    def test_frozen_column_block_gets_no_gradient(self):
+        # a column block without requires_grad gets no gradient, and the
+        # other blocks' are their slices of the fused gradient
+        rng = np.random.default_rng(87)
+        x, w1, w2, b1, b2 = (rng.normal(size=shape) for shape in ((5, 4), (4, 3), (4, 2), 3, 2))
+        upstream = Tensor(rng.normal(size=(5, 5)))
+        leaves = [Tensor(a.copy(), requires_grad=i != 2)
+                  for i, a in enumerate((x, w1, w2, b1, b2))]
+        tsum(mul(ad.linear(leaves[0], leaves[1:3], leaves[3:]), upstream)).backward()
+        want = composite_linear_blocks_grads(x, w1, w2, b1, b2, upstream.data)
+        assert leaves[2].grad is None
+        for i in (0, 1, 3, 4):
+            assert np.abs(leaves[i].grad - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
+
     def test_attention_layer_backward_matches_composite(self):
-        # the q/k/v linears, the core and the output linear chained, against
-        # the composite chain; the key bias's gradient is analytically zero
-        # (it shifts every score of a query row equally), so it is compared
-        # against an absolute floor instead of its own rounding-level size
+        # the fused q/k/v linear, the core and the output linear chained,
+        # against the composite chain with separate q/k/v linears; the key
+        # bias's gradient is analytically zero (it shifts every score of a
+        # query row equally), so it is compared against an absolute floor
+        # instead of its own rounding-level size
         rng = np.random.default_rng(89)
         x = rng.normal(size=(N_ROWS, 4))
         params = [rng.normal(0.0, 0.5, shape) for _ in "qkvo" for shape in ((4, 4), (4,))]
@@ -475,17 +597,17 @@ class TestFusedPrimitives:
 
         leaves = [Tensor(a.copy(), requires_grad=True) for a in [x] + params]
         xt, (wq, bq, wk, bk, wv, bv, wo, bo) = leaves[0], leaves[1:]
-        merged = ad.attention_core(ad.linear(xt, wq, bq), ad.linear(xt, wk, bk),
-                                   ad.linear(xt, wv, bv), RAGGED, HEADS)
-        ad.tsum(ad.mul(ad.linear(merged, wo, bo), Tensor(upstream))).backward()
+        merged = ad.attention_core(ad.linear(xt, (wq, wk, wv), (bq, bk, bv)), PACKED, HEADS)
+        tsum(mul(ad.linear(merged, wo, bo), Tensor(upstream))).backward()
 
-        q, k, v = (composite_linear(x, params[i], params[i + 1]) for i in (0, 2, 4))
-        merged_np = composite_attention(q, k, v, RAGGED, HEADS)
+        qkv = np.concatenate([composite_linear(x, params[i], params[i + 1]) for i in (0, 2, 4)],
+                             axis=1)
+        merged_np = composite_attention(qkv, PACKED, HEADS)
         g_merged, g_wo, g_bo = composite_linear_grads(merged_np, params[6], params[7], upstream)
-        g_qkv = composite_attention_grads(q, k, v, RAGGED, HEADS, g_merged)
+        (g_qkv,) = composite_attention_grads(qkv, PACKED, HEADS, g_merged)
         want = [None] * 9
         g_x = 0.0
-        for j, g in enumerate(g_qkv):
+        for j, g in enumerate(np.split(g_qkv, 3, axis=1)):
             g_in, want[1 + 2 * j], want[2 + 2 * j] = composite_linear_grads(
                 x, params[2 * j], params[2 * j + 1], g)
             g_x = g_x + g_in

@@ -19,6 +19,7 @@ from bbekit.corpus import (
     load_manifest,
     make_splits,
     next_batch,
+    pad_frames,
     round_robin_schedule,
     synthetic_class_means,
     validate_split_disjointness,
@@ -399,6 +400,16 @@ class TestNextBatch:
         assert len(batch.samples) == 4
         for frames, mask, sample in zip(batch.features, batch.pad_mask, batch.samples):
             assert np.array_equal(frames[mask], manifest.features(sample)[:4])
+
+    def test_features_and_mask_are_pad_frames_of_the_arrays(self, make_corpus):
+        manifest = make_corpus("c0")
+        batch = next_batch(CorpusIterator(manifest, "train", seed=3), batch_size=5,
+                           frame_cap=7)
+        features, pad_mask = pad_frames([manifest.features(s)[:7] for s in batch.samples], "c0")
+        assert batch.size == 5
+        assert np.array_equal(batch.pad_mask, pad_mask)
+        assert np.array_equal(batch.features, features)
+        assert batch.features is batch.features  # padded once
 
     def test_no_duplicates_within_epoch(self, make_corpus):
         manifest = make_corpus("c0")

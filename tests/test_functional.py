@@ -4,8 +4,8 @@ Every composite (layer norm, attention, encoder block, pooling) is checked
 two ways: documented small examples with pinned expected values, and a
 side-by-side numpy implementation written without the autodiff engine.
 Attention, the blocks and pooling take packed [N, d] rows of the real
-frames with the [B, T] mask they came from; the numpy references run on
-one sample's real frames at a time.
+frames with the packing of the [B, T] mask they came from; the numpy
+references run on one sample's real frames at a time.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from bbekit import autodiff as ad
-from bbekit.autodiff import Tensor
+from bbekit.autodiff import Tensor, pack_sequences
 from bbekit.errors import ConfigError, DimensionError, InputError, NumericalError
 from bbekit.functional import (
     LN_EPS,
@@ -29,6 +29,8 @@ from bbekit.functional import (
 )
 from bbekit.labels import N_CLASSES
 from bbekit.model import EncoderConfig, EncoderModel
+
+from tape_ops import mul, tsum
 
 
 def t(data, grad=False):
@@ -45,8 +47,9 @@ def ragged(*lengths):
     return np.arange(max(lengths)) < np.array(lengths)[:, None]
 
 
-def per_sample(reference, rows, mask):
+def per_sample(reference, rows, packing):
     """``reference`` applied to each sample's real rows, packed again."""
+    mask = packing.mask
     ends = np.cumsum(mask.sum(axis=1))
     return np.concatenate([reference(rows[end - n:end])
                            for n, end in zip(mask.sum(axis=1), ends)])
@@ -145,6 +148,19 @@ class TestLinear:
             linear_forward(t([1.0, 2.0]), t(np.zeros((2, 3))), t([0.0, 0.0]))
         with pytest.raises(DimensionError):
             linear_forward(t([1.0]), t(np.zeros(2)), t([0.0]))
+        with pytest.raises(DimensionError):  # two weight blocks, one bias block
+            linear_forward(t([1.0, 2.0]), [t(np.zeros((2, 1)))] * 2, [t([0.0])])
+        with pytest.raises(DimensionError):  # the second block's bias is too wide
+            linear_forward(t([1.0, 2.0]), [t(np.zeros((2, 1)))] * 2, [t([0.0]), t([0.0, 0.0])])
+
+    def test_column_blocks_match_separate_linears(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(7, 4))
+        ws = [rng.normal(size=(4, n)) for n in (3, 4, 2)]
+        bs = [rng.normal(size=n) for n in (3, 4, 2)]
+        y = linear_forward(t(x), [t(w) for w in ws], [t(b) for b in bs])
+        np.testing.assert_allclose(y.data, np.concatenate([x @ w + b for w, b in zip(ws, bs)],
+                                                          axis=1), rtol=1e-15, atol=1e-15)
 
 
 class TestLayerNorm:
@@ -183,7 +199,7 @@ class TestAttention:
         d, heads = 6, 2
         p = make_params(rng, d, 2 * d)
         x = rng.normal(size=(1, d))
-        y = multi_head_attention(t(x), *attn(p), heads, all_valid(1, 1))
+        y = multi_head_attention(t(x), *attn(p), heads, pack_sequences(all_valid(1, 1)))
         expected = ((x @ p["attn.v.weight"].data + p["attn.v.bias"].data)
                     @ p["attn.o.weight"].data + p["attn.o.bias"].data)
         np.testing.assert_allclose(y.data, expected, rtol=1e-13, atol=1e-13)
@@ -192,7 +208,7 @@ class TestAttention:
         d = 4
         zeros = [t(np.zeros((d, d)) if suffix.endswith("weight") else np.zeros(d))
                  for suffix in ATTN_SUFFIXES]
-        y = multi_head_attention(t(np.zeros((3, d))), *zeros, 2, all_valid(1, 3))
+        y = multi_head_attention(t(np.zeros((3, d))), *zeros, 2, pack_sequences(all_valid(1, 3)))
         assert np.array_equal(y.data, np.zeros((3, d)))
 
     def test_two_frame_hand_oracle(self):
@@ -211,7 +227,8 @@ class TestAttention:
         expected = weights @ v @ wo
 
         y = multi_head_attention(t(x), t(wq), t(zero), t(wk), t(zero),
-                                 t(wv), t(zero), t(wo), t(zero), 1, all_valid(1, 2))
+                                 t(wv), t(zero), t(wo), t(zero), 1,
+                                 pack_sequences(all_valid(1, 2)))
         np.testing.assert_allclose(y.data, expected, rtol=1e-14, atol=1e-14)
 
     def test_matches_reference_with_mask(self):
@@ -220,7 +237,7 @@ class TestAttention:
         p = make_params(rng, d, 2 * d)
         x = rng.normal(size=(5, d))  # the real frames of a sample padded to n
         mask = np.arange(n) < 5
-        y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask[None])
+        y = multi_head_attention(t(x), *attn(p), heads, packing=pack_sequences(mask[None]))
         np.testing.assert_allclose(y.data, np_attention(x, p, heads),
                                    rtol=1e-12, atol=1e-12)
 
@@ -228,46 +245,66 @@ class TestAttention:
         rng = np.random.default_rng(19)
         d, heads = 4, 2
         p = make_params(rng, d, d)
-        mask = ragged(3, 2)
-        x = rng.normal(size=(5, d))
-        base = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask).data
+        packing = pack_sequences(ragged(4, 2, 2))  # the 2-frame samples share a sequence
+        x = rng.normal(size=(8, d))
+        base = multi_head_attention(t(x), *attn(p), heads, packing).data
         x2 = x.copy()
-        x2[3:] = 1e6  # arbitrary junk in the other sample's frames
-        out = multi_head_attention(t(x2), *attn(p), heads, pad_mask=mask).data
-        # the first sample's rows are bit-identical: its padded keys and
-        # the other sample's frames get exactly zero weight
-        assert np.array_equal(base[:3], out[:3])
-        alone = multi_head_attention(t(x[:3]), *attn(p), heads, pad_mask=all_valid(1, 3)).data
-        np.testing.assert_allclose(base[:3], alone, rtol=1e-13, atol=1e-13)
+        x2[6:] = 1e6  # arbitrary junk in the last sample's frames
+        out = multi_head_attention(t(x2), *attn(p), heads, packing).data
+        # the other samples' rows are bit-identical: padded keys and the
+        # frames of another sample in the same sequence get exactly zero
+        # weight
+        assert np.array_equal(base[:6], out[:6])
+        alone = multi_head_attention(t(x[4:6]), *attn(p), heads,
+                                     pack_sequences(all_valid(1, 2))).data
+        np.testing.assert_allclose(base[4:6], alone, rtol=1e-13, atol=1e-13)
 
     def test_key_bias_values(self, monkeypatch):
-        # the [B, T] mask reaches the attention core as it is, with the two
-        # real frames' q/k/v rows; the core adds -1e30 to padded keys
+        # the attention core receives one [N, 3d] row block [q | k | v] of
+        # the real frames and the packing as it is, whose bias is 0 within
+        # a sample and -1e30 across samples and on padding
         seen = []
         attention_core = ad.attention_core
 
-        def spy(q, k, v, pad_mask, heads):
-            seen.append((q.shape, pad_mask))
-            return attention_core(q, k, v, pad_mask, heads)
+        def spy(qkv, packing, heads):
+            seen.append((qkv.data, packing))
+            return attention_core(qkv, packing, heads)
 
         monkeypatch.setattr(ad, "attention_core", spy)
         p = make_params(np.random.default_rng(3), 4, 4)
-        multi_head_attention(t(np.ones((2, 4))), *attn(p), 2, np.array([[True, False, True]]))
-        assert seen[0][0] == (2, 4)
-        assert np.array_equal(seen[0][1], [[True, False, True]])
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        packing = pack_sequences(ragged(3, 1, 1))
+        multi_head_attention(t(x), *attn(p), 2, packing)
+        qkv, got = seen[0]
+        want = np.concatenate([x @ p[f"attn.{proj}.weight"].data + p[f"attn.{proj}.bias"].data
+                               for proj in "qkv"], axis=1)
+        np.testing.assert_allclose(qkv, want, rtol=1e-14, atol=1e-14)
+        assert got is packing
+        neg = -1e30
+        assert np.array_equal(packing.bias[:, 0], [np.zeros((3, 3)),
+                                                   [[0.0, neg, neg], [neg, 0.0, neg],
+                                                    [neg, neg, neg]]])
         assert ad.MASK_NEG == 1e30
 
     def test_head_divisibility_enforced(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(ConfigError):
-            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 3, all_valid(1, 2))
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 3, pack_sequences(all_valid(1, 2)))
+
+    def test_projection_shapes_enforced(self):
+        p = make_params(np.random.default_rng(2), 4, 4)
+        p["attn.k.weight"] = t(np.zeros((4, 5)))
+        p["attn.k.bias"] = t(np.zeros(5))
+        with pytest.raises(DimensionError):
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 2,
+                                 pack_sequences(all_valid(1, 2)))
 
     def test_mask_length_mismatch(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
         with pytest.raises(DimensionError):  # 2 rows for 3 real frames
-            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 2, all_valid(1, 3))
+            multi_head_attention(t(np.zeros((2, 4))), *attn(p), 2, pack_sequences(all_valid(1, 3)))
 
 
 class TestBatchedAttention:
@@ -275,19 +312,19 @@ class TestBatchedAttention:
         rng = np.random.default_rng(53)
         d, heads, n = 8, 2, 6
         p = make_params(rng, d, 2 * d)
-        mask = ragged(n, 2, 4)
+        packing = pack_sequences(ragged(n, 2, 4))
         x = rng.normal(size=(12, d))
-        y = multi_head_attention(t(x), *attn(p), heads, pad_mask=mask)
+        y = multi_head_attention(t(x), *attn(p), heads, packing=packing)
         assert y.shape == (12, d)
         np.testing.assert_allclose(y.data, per_sample(lambda r: np_attention(r, p, heads),
-                                                      x, mask), rtol=1e-12, atol=1e-12)
+                                                      x, packing), rtol=1e-12, atol=1e-12)
 
     def test_mask_shape_must_match_batch(self):
         rng = np.random.default_rng(2)
         p = make_params(rng, 4, 4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError):  # 6 rows for 9 real frames
             multi_head_attention(t(np.zeros((6, 4))), *attn(p), heads=2,
-                                 pad_mask=np.ones((3, 3), dtype=bool))
+                                 packing=pack_sequences(np.ones((3, 3), dtype=bool)))
 
 
 class TestEncoderBlock:
@@ -298,24 +335,24 @@ class TestEncoderBlock:
         for suffix in ("attn.o.weight", "attn.o.bias", "ffn.w2.weight", "ffn.w2.bias"):
             p[suffix].data[...] = 0.0
         x = rng.normal(size=(4, 6))
-        y = encoder_block_forward(t(x), p, 2, all_valid(1, 4))
+        y = encoder_block_forward(t(x), p, 2, pack_sequences(all_valid(1, 4)))
         assert np.array_equal(y.data, x)
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(29)
         p = make_params(rng, 8, 16)
-        mask = ragged(4, 5, 1)
+        packing = pack_sequences(ragged(4, 5, 1))
         x = rng.normal(size=(10, 8))
-        y = encoder_block_forward(t(x), p, heads=2, pad_mask=mask)
-        np.testing.assert_allclose(y.data, per_sample(lambda r: np_block(r, p, 2), x, mask),
+        y = encoder_block_forward(t(x), p, heads=2, packing=packing)
+        np.testing.assert_allclose(y.data, per_sample(lambda r: np_block(r, p, 2), x, packing),
                                    rtol=1e-12, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         p = make_params(rng, 4, 8)
         x = rng.normal(size=(3, 4))
-        a = encoder_block_forward(t(x), p, 2, all_valid(1, 3)).data
-        b = encoder_block_forward(t(x), p, 2, all_valid(1, 3)).data
+        a = encoder_block_forward(t(x), p, 2, pack_sequences(all_valid(1, 3))).data
+        b = encoder_block_forward(t(x), p, 2, pack_sequences(all_valid(1, 3))).data
         assert np.array_equal(a, b)
 
 
@@ -324,7 +361,7 @@ class TestExpandedBlock:
         rng = np.random.default_rng(37)
         p = make_params(rng, 6, 12, zll=True)
         x = rng.normal(size=(5, 6)) * 10.0
-        y = expanded_block_forward(t(x), p, 3, ragged(2, 3))
+        y = expanded_block_forward(t(x), p, 3, pack_sequences(ragged(2, 3)))
         assert np.array_equal(y.data, x)
 
     @settings(max_examples=25, deadline=None)
@@ -333,7 +370,7 @@ class TestExpandedBlock:
         rng = np.random.default_rng(seed)
         p = make_params(rng, 4, 8, zll=True)
         x = rng.normal(size=(n_frames, 4)) * rng.uniform(0.1, 100.0)
-        y = expanded_block_forward(t(x), p, 2, all_valid(1, n_frames))
+        y = expanded_block_forward(t(x), p, 2, pack_sequences(all_valid(1, n_frames)))
         assert np.array_equal(y.data, x)
 
     def test_identity_projection_adds_block_output(self):
@@ -341,8 +378,8 @@ class TestExpandedBlock:
         p = make_params(rng, 4, 8, zll=True)
         p["zll.weight"].data[...] = np.eye(4)
         x = rng.normal(size=(3, 4))
-        y = expanded_block_forward(t(x), p, 2, all_valid(1, 3))
-        inner = encoder_block_forward(t(x), p, 2, all_valid(1, 3))
+        y = expanded_block_forward(t(x), p, 2, pack_sequences(all_valid(1, 3)))
+        inner = encoder_block_forward(t(x), p, 2, pack_sequences(all_valid(1, 3)))
         np.testing.assert_allclose(y.data, x + inner.data, rtol=1e-14, atol=1e-14)
 
     def test_random_projection_compositional(self):
@@ -350,10 +387,10 @@ class TestExpandedBlock:
         p = make_params(rng, 6, 12, zll=True)
         p["zll.weight"].data[...] = rng.normal(0.0, 0.3, (6, 6))
         p["zll.bias"].data[...] = rng.normal(0.0, 0.3, 6)
-        mask = ragged(4, 2)
+        packing = pack_sequences(ragged(4, 2))
         x = rng.normal(size=(6, 6))
-        y = expanded_block_forward(t(x), p, 2, mask)
-        expected = x + (per_sample(lambda r: np_block(r, p, 2), x, mask) @ p["zll.weight"].data
+        y = expanded_block_forward(t(x), p, 2, packing)
+        expected = x + (per_sample(lambda r: np_block(r, p, 2), x, packing) @ p["zll.weight"].data
                         + p["zll.bias"].data)
         np.testing.assert_allclose(y.data, expected, rtol=1e-12, atol=1e-12)
 
@@ -361,7 +398,7 @@ class TestExpandedBlock:
         rng = np.random.default_rng(47)
         p = make_params(rng, 4, 8, zll=False)
         with pytest.raises(ConfigError):
-            expanded_block_forward(t(np.zeros((2, 4))), p, 2, all_valid(1, 2))
+            expanded_block_forward(t(np.zeros((2, 4))), p, 2, pack_sequences(all_valid(1, 2)))
 
 
 def recorded_nodes(out: Tensor) -> int:
@@ -376,20 +413,20 @@ def recorded_nodes(out: Tensor) -> int:
 
 
 class TestTapeSize:
-    # layer_norm, the q/k/v linears, the attention core and the output
-    # linear, the residual add, layer_norm, two FFN linears around GELU and
-    # the residual add: one node each
-    def test_encoder_block_records_twelve_nodes(self):
+    # layer_norm, the fused q/k/v linear, the attention core and the
+    # output linear, the residual add, layer_norm, two FFN linears around
+    # GELU and the residual add: one node each
+    def test_encoder_block_records_ten_nodes(self):
         p = make_params(np.random.default_rng(59), 8, 16)
         x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
-        y = encoder_block_forward(x, p, 2, ragged(5, 2, 4))
-        assert recorded_nodes(y) == 12
+        y = encoder_block_forward(x, p, 2, pack_sequences(ragged(5, 2, 4)))
+        assert recorded_nodes(y) == 10
 
     def test_expanded_block_adds_gate_and_skip(self):
         p = make_params(np.random.default_rng(59), 8, 16, zll=True)
         x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
-        y = expanded_block_forward(x, p, 2, ragged(5, 2, 4))
-        assert recorded_nodes(y) == 14
+        y = expanded_block_forward(x, p, 2, pack_sequences(ragged(5, 2, 4)))
+        assert recorded_nodes(y) == 12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -410,7 +447,7 @@ class TestNonFinite:
         zero = t(np.zeros(2))
         with pytest.raises(NumericalError, match="^attention produced"):
             multi_head_attention(t(np.full((2, 2), 1e200)), eye, zero, eye, zero,
-                                 eye, zero, eye, zero, 1, all_valid(1, 2))
+                                 eye, zero, eye, zero, 1, pack_sequences(all_valid(1, 2)))
 
     def test_cross_entropy(self):
         with pytest.raises(NumericalError, match="^cross_entropy produced"):
@@ -420,18 +457,19 @@ class TestNonFinite:
 class TestPooling:
     def test_unmasked_mean(self):
         # every frame valid: the plain mean over frames
-        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]), all_valid(1, 2))
+        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]), pack_sequences(all_valid(1, 2)))
         assert np.array_equal(y.data, [[2.0, 3.0]])
 
     def test_masked_mean_ignores_padding(self):
         # two real frames of three: the mean divides by 2
-        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True, False]]))
+        y = masked_mean_pool(t([[1.0, 2.0], [3.0, 4.0]]),
+                             pack_sequences(np.array([[True, True, False]])))
         assert np.array_equal(y.data, [[2.0, 3.0]])
 
     def test_batched_masks_are_per_sample(self):
         rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         mask = np.array([[True, True, False], [True, False, False]])
-        y = masked_mean_pool(t(rows), mask)
+        y = masked_mean_pool(t(rows), pack_sequences(mask))
         assert np.array_equal(y.data, [[2.0, 3.0], [5.0, 6.0]])
 
     def test_sums_each_sample_in_frame_order(self):
@@ -443,28 +481,28 @@ class TestPooling:
         ends = np.cumsum(mask.sum(axis=1))
         want = np.stack([rows[end - n:end].sum(axis=0) * (1.0 / n)
                          for n, end in zip(mask.sum(axis=1), ends)])
-        assert np.array_equal(masked_mean_pool(t(rows), mask).data, want)
+        assert np.array_equal(masked_mean_pool(t(rows), pack_sequences(mask)).data, want)
         wider = np.concatenate([mask, np.zeros((4, 9), bool)], axis=1)
-        assert np.array_equal(masked_mean_pool(t(rows), wider).data, want)
+        assert np.array_equal(masked_mean_pool(t(rows), pack_sequences(wider)).data, want)
 
     def test_gradient_spreads_over_each_sample_rows(self):
         x = t(np.ones((3, 2)), grad=True)
-        y = masked_mean_pool(x, ragged(2, 1))
-        ad.tsum(ad.mul(y, t([[1.0, 2.0], [3.0, 4.0]]))).backward()
+        y = masked_mean_pool(x, pack_sequences(ragged(2, 1)))
+        tsum(mul(y, t([[1.0, 2.0], [3.0, 4.0]]))).backward()
         assert np.array_equal(x.grad, [[0.5, 1.0], [0.5, 1.0], [3.0, 4.0]])
 
     def test_batched_sample_without_frames_rejected(self):
         mask = np.array([[True, False], [False, False]])
         with pytest.raises(InputError):
-            masked_mean_pool(t(np.ones((1, 3))), mask)
+            masked_mean_pool(t(np.ones((1, 3))), pack_sequences(mask))
 
     def test_all_masked_rejected(self):
         with pytest.raises(InputError):
-            masked_mean_pool(t(np.ones((0, 3))), np.array([[False, False]]))
+            masked_mean_pool(t(np.ones((0, 3))), pack_sequences(np.array([[False, False]])))
 
     def test_mask_shape_mismatch(self):
         with pytest.raises(DimensionError):  # 2 rows for 3 real frames
-            masked_mean_pool(t(np.ones((2, 3))), all_valid(1, 3))
+            masked_mean_pool(t(np.ones((2, 3))), pack_sequences(all_valid(1, 3)))
 
 
 class TestCrossEntropyWrapper:
@@ -480,16 +518,22 @@ def _block_params():
     return make_params(np.random.default_rng(61), 4, 8, zll=True)
 
 
-# each op called with a form it does not take: a [T] mask instead of
-# [B, T], [L, c] frames, or 1-d logits with an int label
+def _one_sequence():
+    return pack_sequences(all_valid(1, 3))
+
+
+# each op called with a form it does not take: padded [B, T, d] frames
+# instead of packed rows, a [T] mask instead of [B, T], [L, c] frames, or
+# 1-d logits with an int label
 UNBATCHED_CALLS = {
     "multi_head_attention": lambda: multi_head_attention(
-        t(np.ones((3, 4))), *attn(_block_params()), 2, np.ones(3, dtype=bool)),
+        t(np.ones((1, 3, 4))), *attn(_block_params()), 2, _one_sequence()),
     "encoder_block_forward": lambda: encoder_block_forward(
-        t(np.ones((3, 4))), _block_params(), 2, np.ones(3, dtype=bool)),
+        t(np.ones((1, 3, 4))), _block_params(), 2, _one_sequence()),
     "expanded_block_forward": lambda: expanded_block_forward(
-        t(np.ones((3, 4))), _block_params(), 2, np.ones(3, dtype=bool)),
-    "masked_mean_pool": lambda: masked_mean_pool(t(np.ones((3, 4))), np.ones(3, dtype=bool)),
+        t(np.ones((1, 3, 4))), _block_params(), 2, _one_sequence()),
+    "masked_mean_pool": lambda: masked_mean_pool(t(np.ones((1, 3, 4))), _one_sequence()),
+    "pack_sequences": lambda: pack_sequences(np.ones(3, dtype=bool)),
     "cross_entropy_with_logits": lambda: ad.cross_entropy_with_logits(t(np.zeros(6)), 2),
     "unfold1d": lambda: ad.unfold1d(t(np.ones((9, 2))), 3, 2),
 }

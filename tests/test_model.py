@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bbekit import autodiff as ad
 from bbekit import functional as F
+from bbekit.autodiff import Tensor
 from bbekit.errors import ConfigError, DimensionError, InputError, StateError
 from bbekit.labels import N_CLASSES
 from bbekit.model import (
@@ -20,6 +22,7 @@ from bbekit.model import (
 from bbekit.optim import AdamWConfig
 from bbekit.trainer import TrainConfig
 
+from tape_ops import mul, tsum
 from test_functional import np_block, np_gelu
 
 
@@ -363,6 +366,58 @@ class TestBatchAxis:
         mask = np.arange(8) < np.array([8, 3])[:, None]
         with pytest.raises(InputError):
             model.forward(np.zeros((2, 8, 3)), mask)
+
+
+class TestSharedSequences:
+    # lengths 12, 5, 4 and 3 reach the blocks as two attention sequences,
+    # [12] and [5, 4, 3], so three samples sit side by side in one
+    @staticmethod
+    def shared_batch(frontend, tiny_model):
+        if frontend == "identity":
+            model, lengths = tiny_model, np.array([12, 5, 4, 3])
+        else:  # two kernel-2 stride-2 layers: 4 input frames per output frame
+            model, lengths = EncoderModel.build(conv_config(), seed=5), np.array([48, 20, 16, 12])
+        rng = np.random.default_rng(10)
+        features = rng.normal(size=(len(lengths), int(lengths.max()), model.config.input_dim))
+        mask = np.arange(features.shape[1]) < lengths[:, None]
+        out_lengths = [conv_output_length(int(n), model.config.conv_layers) for n in lengths]
+        assert out_lengths == [12, 5, 4, 3]
+        packed = ad.pack_sequences(np.arange(12) < np.array(out_lengths)[:, None])
+        assert packed.bias.shape[0] == 2
+        return model, features, mask
+
+    @pytest.mark.parametrize("frontend", ["identity", "conv"])
+    def test_each_sample_matches_its_run_alone(self, tiny_model, frontend):
+        # logits, and the gradient of a loss on one sample's logits only
+        model, features, mask = self.shared_batch(frontend, tiny_model)
+        weights = np.random.default_rng(11).normal(size=(len(mask), N_CLASSES))
+        trainable = [name for name, entry in model.store.items() if not entry.frozen]
+
+        def grads(frames, pad_mask, w):
+            model.store.zero_grads()
+            tsum(mul(model.forward(frames, pad_mask), Tensor(w))).backward()
+            return {name: model.store.grad(name).copy() for name in trainable}
+
+        batched = model.logits(features, mask)
+        for i, n in enumerate(mask.sum(axis=1)):
+            alone = features[i:i + 1, :n]
+            np.testing.assert_allclose(batched[i], model.logits(alone[0]), rtol=1e-13, atol=1e-13)
+            only_i = np.zeros_like(weights)
+            only_i[i] = weights[i]
+            in_batch = grads(features, mask, only_i)
+            single = grads(alone, np.ones((1, n), bool), weights[i:i + 1])
+            scale = max(np.abs(g).max() for g in single.values())
+            for name in trainable:
+                assert np.abs(in_batch[name] - single[name]).max() <= 1e-12 * scale, (i, name)
+
+    @pytest.mark.parametrize("frontend", ["identity", "conv"])
+    def test_junk_in_a_neighbour_leaves_a_sample_bit_identical(self, tiny_model, frontend):
+        model, features, mask = self.shared_batch(frontend, tiny_model)
+        base = model.logits(features, mask)
+        for junk in (0.0, 1e6, -3.5):
+            other = features.copy()
+            other[3][mask[3]] = junk  # the last sample shares a sequence with 1 and 2
+            assert np.array_equal(model.logits(other, mask)[:3], base[:3])
 
 
 class TestHeadReinit:

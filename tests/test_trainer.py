@@ -1,13 +1,14 @@
 """Training loops: logging, determinism, freezing, aborts, selection."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bbekit import autodiff as ad
 from bbekit import trainer as trainer_mod
-from bbekit.corpus import CorpusIterator, next_batch
+from bbekit.corpus import Batch, CorpusIterator, next_batch
 from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
                            NumericalAbort)
 from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
@@ -122,7 +123,7 @@ class TestBatchLoss:
         assert counts[0] == counts[1]
 
     def test_c07_tape_size(self, make_corpus):
-        # a 4-block d=16 step at B=8: 12 nodes per block, 1 for pooling, the
+        # a 4-block d=16 step at B=8: 10 nodes per block, 1 for pooling, the
         # head's linear and the loss, plus 66 parameter leaves; gathering the
         # real frames records no node, since the input needs no gradient.
         # The benchmark reports this count as autodiff.tape_nodes_per_step
@@ -131,7 +132,7 @@ class TestBatchLoss:
                                    seed=0)
         batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 8, frame_cap=50)
         assert batch.size == 8
-        assert tape_nodes(_batch_loss(model, batch)) == 4 * 12 + 1 + 1 + 1 + 66
+        assert tape_nodes(_batch_loss(model, batch)) == 4 * 10 + 1 + 1 + 1 + 66
 
     def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
         batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 5)
@@ -475,6 +476,25 @@ class TestHeadOnlyCache:
         assert (log1.losses, log1.vals) == (log2.losses, log2.vals)
         for name in m1.store.names():
             assert np.array_equal(m1.store.value(name), m2.store.value(name)), name
+
+    def test_head_only_steps_build_no_padded_batch(self, tiny_model, make_corpus, monkeypatch):
+        # the cached steps read only the drawn samples; each full-path step
+        # reads its batch's padded features once
+        padded = []
+        build = Batch.__dict__["features"].func
+
+        def spy(batch):
+            padded.append(batch)
+            return build(batch)
+
+        monkeypatch.setattr(Batch, "features", property(spy))
+        target = make_corpus("t0")
+        cfg = quick_cfg(stage="single_corpus", n_steps=4, eval_every=100)
+        train_transfer(tiny_model.clone(), target,
+                       replace(cfg, expansion=ExpansionSpec(2, "head-only")))
+        assert padded == []
+        train_transfer(tiny_model.clone(), target, cfg)
+        assert len(padded) == 4
 
     def test_round_robin_keeps_the_encoder_byte_identical(self, tiny_model, make_corpus):
         manifests = [make_corpus("a"), make_corpus("b", seed=41)]
