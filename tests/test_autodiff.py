@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,9 +116,14 @@ class TestPrimitiveGradients:
     def test_erf_matches_scipy_within_a_few_ulp(self):
         from scipy.special import erf as scipy_erf
 
+        # the table's seams: every node k/H and midpoint (k+1/2)/H, each +-1 ulp,
+        # the clamp at 6 and the smallest subnormal
+        nodes = np.arange(12 * ad._ERF_H + 1) / (2 * ad._ERF_H)
+        seams = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 7.0),
+                                [np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0), 5e-324]])
         x = np.concatenate([np.linspace(-7.0, 7.0, 200_001), RNG.normal(0.0, 2.0, 20_000),
                             RNG.normal(0.0, 1e-3, 1_000),
-                            [0.84375, 1.25, 1.0 / 0.35, 6.0, 1e-300, 1e300]])
+                            [0.84375, 1.25, 1.0 / 0.35, 6.0, 1e-300, 1e300], seams, -seams])
         got, want = ad.erf(x), scipy_erf(x)
         assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
         assert ad.erf(np.array([[0.5, -2.0], [3.0, -9.0]])).shape == (2, 2)
@@ -124,6 +133,18 @@ class TestPrimitiveGradients:
         assert out[0] == 0.0 and not np.signbit(out[0])
         assert out[1] == 0.0 and np.signbit(out[1])
         assert out[2] == 1.0 and out[3] == -1.0 and np.isnan(out[4])
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special costs about 25 MB of resident memory per process.  The
+        # tests and the benchmark import scipy themselves, so only a fresh
+        # interpreter shows what the package pulls in.
+        src = str(Path(ad.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import bbekit, bbekit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     # the attention core's softmax weights are its output when each key's
     # value is a one-hot row: one head, k = v = identity over the N real
