@@ -294,6 +294,10 @@ def pack_sequences(pad_mask: np.ndarray) -> Packing:
     if not (lengths.size and lengths.all()):
         raise InputError("packing needs samples with at least one real frame each")
     length = int(lengths.max())
+    if (lengths == length).all():
+        # what the first-fit loop below gives, without the loop and the fill
+        return Packing(mask, np.arange(lengths.size * length),
+                       np.zeros((lengths.size, 1, length, length)))
     room: list[int] = []  # free positions left in each sequence
     first_slot = np.empty_like(lengths)
     for i in np.argsort(-lengths, kind="stable"):

@@ -8,12 +8,12 @@ take the real frames only, as [N, d] rows in batch-major order, plus the
 batch's ``autodiff.Packing``, so every position-wise layer runs on N rows.
 Only attention and pooling read the packing: attention scores each
 sample's frames inside the shared sequences it lays out, and pooling reads
-the [B, T] mask it carries.  ``EncoderModel.embed`` packs the frontend's
-output and builds the packing, and ``EncoderModel.forward`` turns a single
-[T, d] sequence into a batch of one.  The block forward passes take a
-block's parameters as a ``{suffix: Tensor}`` mapping, e.g.
-``p["attn.q.weight"]``; an expanded block's mapping also holds
-``zll.weight`` and ``zll.bias``.
+the [B, T] mask it carries.  ``EncoderModel.frontend_rows`` packs the
+frontend's output, ``EncoderModel.encode_rows`` builds the packing, and
+``EncoderModel.forward`` turns a single [T, d] sequence into a batch of
+one.  The block forward passes take a block's parameters as a
+``{suffix: Tensor}`` mapping, e.g. ``p["attn.q.weight"]``; an expanded
+block's mapping also holds ``zll.weight`` and ``zll.bias``.
 """
 
 from __future__ import annotations

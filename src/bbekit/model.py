@@ -293,16 +293,13 @@ class EncoderModel:
             x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b))
         return x, np.arange(x.shape[1]) < out_lengths[:, None]
 
-    def embed(self, frames, pad_mask: np.ndarray) -> Tensor:
-        """Frames [B, T, d_in] with a [B, T] mask -> pooled [B, d_model]
-        embeddings: the frontend, the blocks and masked mean pooling.
+    def frontend_rows(self, frames, pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """Frames [B, T, d_in] with a [B, T] mask -> the frontend's real
+        output frames as packed [N, d_model] rows (batch-major) and the
+        frontend's [B, T'] mask, True on those N frames.
 
-        The mask is True on real frames; every sample needs one, and the
-        conv frontend needs as many as its receptive field.  The frontend's
-        real output frames are gathered once into packed [N, d_model] rows,
-        and one ``autodiff.Packing`` of the frontend's mask places the
-        samples into shared attention sequences; the blocks and pooling
-        take the rows with that packing.
+        The input mask is True on real frames; every sample needs one, and
+        the conv frontend needs as many as its receptive field.
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
@@ -318,17 +315,30 @@ class EncoderModel:
         if not pad_mask.any(axis=1).all():
             raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
+        return ad.gather_rows(x, pad_mask), pad_mask
+
+    def encode_rows(self, rows: Tensor, pad_mask: np.ndarray) -> Tensor:
+        """Packed [N, d_model] rows with their [B, T'] mask -> pooled
+        [B, d_model] embeddings: the blocks and masked mean pooling.
+
+        One ``autodiff.Packing`` of the mask places the samples into shared
+        attention sequences; the blocks and pooling take the rows with it.
+        """
         packing = ad.pack_sequences(pad_mask)
-        x = ad.gather_rows(x, packing.mask)
         heads = self.config.n_heads
         params = self.block_params()
         for info in self.block_index:
             p = params[info.block_id]
             if "zll.weight" in p:
-                x = F.expanded_block_forward(x, p, heads, packing)
+                rows = F.expanded_block_forward(rows, p, heads, packing)
             else:
-                x = F.encoder_block_forward(x, p, heads, packing)
-        return F.masked_mean_pool(x, packing)
+                rows = F.encoder_block_forward(rows, p, heads, packing)
+        return F.masked_mean_pool(rows, packing)
+
+    def embed(self, frames, pad_mask: np.ndarray) -> Tensor:
+        """Frames [B, T, d_in] with a [B, T] mask -> pooled [B, d_model]
+        embeddings: ``encode_rows(*frontend_rows(frames, pad_mask))``."""
+        return self.encode_rows(*self.frontend_rows(frames, pad_mask))
 
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""

@@ -115,14 +115,32 @@ def _batch_loss(model: EncoderModel, batch) -> ad.Tensor:
                                    batch.labels)
 
 
-def _embed_train_splits(model: EncoderModel, manifests: list[CorpusManifest],
-                        frame_cap: int | None) -> dict[str, np.ndarray]:
-    """Pooled embedding of every train sample's ``[:frame_cap]`` crop, keyed
-    by feature path, from length-sorted no-grad batches of EVAL_CHUNK.
+def _cache_kind(model: EncoderModel) -> str | None:
+    """What the fill keeps of each train sample, read from the freeze flags:
+    "pooled" (the pooled embedding) when only the head trains, "rows" (the
+    frontend's output rows) when the frontend has parameters, all frozen,
+    and a block trains, else None (every step runs the full tape).
+
+    Leading frozen blocks are not cached: the rows stop at the frontend.
+    """
+    trainable = [name for name, entry in model.store.items() if not entry.frozen]
+    if all(name.startswith("head.") for name in trainable):
+        return "pooled"
+    frontend = [entry.frozen for name, entry in model.store.items()
+                if name.startswith("frontend.")]
+    return "rows" if frontend and all(frontend) else None
+
+
+def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
+                      frame_cap: int | None, kind: str) -> dict[str, np.ndarray]:
+    """Every train sample's ``[:frame_cap]`` crop through the frozen part
+    that ``kind`` names, keyed by feature path, from length-sorted no-grad
+    batches of EVAL_CHUNK: its pooled [d_model] embedding for "pooled",
+    its frontend's [n, d_model] rows for "rows".
 
     The corpus iterator draws each train sample once per epoch, so when a
     corpus's steps times ``batch_size`` reach its split size (as at the
-    CLI's default step counts) this embeds only samples the loop would draw
+    CLI's default step counts) this runs only samples the loop would draw
     anyway, each once instead of once per draw.  A non-finite value is a
     ``NumericalAbort`` at step 0 naming the corpus.
     """
@@ -134,19 +152,31 @@ def _embed_train_splits(model: EncoderModel, manifests: list[CorpusManifest],
                 for chunk, features, pad_mask in _sorted_chunks(
                         [manifest.features(s)[:frame_cap] for s in samples],
                         manifest.corpus_id):
-                    pooled = model.embed(features, pad_mask).data
-                    cache.update((samples[i].feature_path, row)
-                                 for i, row in zip(chunk, pooled))
+                    rows, mask = model.frontend_rows(features, pad_mask)
+                    if kind == "pooled":
+                        values = model.encode_rows(rows, mask).data
+                    else:
+                        values = np.split(rows.data, np.cumsum(mask.sum(axis=1))[:-1])
+                    cache.update((samples[i].feature_path, value)
+                                 for i, value in zip(chunk, values))
         except NumericalError as exc:
             raise NumericalAbort(f"embedding the train split failed: {exc}", step=0,
                                  corpus_id=manifest.corpus_id, loss_tail=[]) from exc
     return cache
 
 
-def _head_loss(model: EncoderModel, batch, embeddings: dict[str, np.ndarray]) -> ad.Tensor:
-    """``_batch_loss`` from the batch samples' cached pooled embeddings:
-    the tape holds only the head and the cross-entropy."""
-    pooled = ad.Tensor(np.stack([embeddings[s.feature_path] for s in batch.samples]))
+def _cached_loss(model: EncoderModel, batch, cache: dict[str, np.ndarray],
+                 kind: str) -> ad.Tensor:
+    """``_batch_loss`` from the batch samples' cached values: the tape holds
+    the head and the cross-entropy, and for cached rows also the blocks and
+    pooling, which run on the samples' rows concatenated in batch order."""
+    values = [cache[s.feature_path] for s in batch.samples]
+    if kind == "pooled":
+        pooled = ad.Tensor(np.stack(values))
+    else:
+        lengths = np.array([len(v) for v in values])
+        pooled = model.encode_rows(ad.Tensor(np.concatenate(values)),
+                                   np.arange(lengths.max()) < lengths[:, None])
     return F.softmax_cross_entropy(model.head(pooled), batch.labels)
 
 
@@ -186,19 +216,18 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
 
     snapshots: dict = {}
     maybe_snapshot(0, _eval_all(model, manifests, 0, log))
-    # with only the head trainable, everything up to the pooled embedding
-    # is a fixed function of the input, so each train sample is embedded once
-    head_only = all(name.startswith("head.") for name, entry in model.store.items()
-                    if not entry.frozen)
-    embeddings = _embed_train_splits(model, manifests, cfg.frame_cap) if head_only else None
+    # a frozen prefix is a fixed function of the input, so each train sample
+    # runs through it once
+    kind = _cache_kind(model)
+    cache = _fill_train_cache(model, manifests, cfg.frame_cap, kind) if kind else None
 
     for step, corpus_id in enumerate(schedule, start=1):
         batch = next_batch(iterators[corpus_id], cfg.batch_size, cfg.frame_cap)
         try:
-            if embeddings is None:
+            if cache is None:
                 loss = _batch_loss(model, batch)
             else:
-                loss = _head_loss(model, batch, embeddings)
+                loss = _cached_loss(model, batch, cache, kind)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss {value}")

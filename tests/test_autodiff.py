@@ -220,12 +220,19 @@ class TestPrimitiveGradients:
             ad.unfold1d(Tensor(np.ones((1, 2, 1))), kernel=3, stride=1)
 
 
+# equal-length [B, T] masks: (batch, length, trailing padding columns)
+EQUAL_MASKS = [np.arange(n + pad) < np.full(b, n)[:, None]
+               for b, n, pad in ((5, 7, 0), (5, 7, 2), (1, 4, 0), (1, 4, 3))]
+
+
 def random_masks(n_batches=40, seed=113):
-    """Seeded ragged [B, T] suffix masks, T past the longest sample."""
+    """Seeded ragged [B, T] suffix masks, T past the longest sample, then
+    ``EQUAL_MASKS``."""
     rng = np.random.default_rng(seed)
     for _ in range(n_batches):
         lengths = rng.integers(1, 30, int(rng.integers(1, 12)))
         yield np.arange(lengths.max() + int(rng.integers(0, 3))) < lengths[:, None]
+    yield from EQUAL_MASKS
 
 
 class TestPacking:
@@ -263,11 +270,12 @@ class TestPacking:
             assert n_seqs <= len(mask)
 
     def test_equal_lengths_give_one_sample_per_sequence(self):
-        mask = np.ones((5, 7), dtype=bool)
-        packing = ad.pack_sequences(mask)
-        assert packing.bias.shape == (5, 1, 7, 7)
-        assert np.array_equal(packing.slots, np.arange(35))
-        assert (packing.bias == 0.0).all()
+        for mask in EQUAL_MASKS:
+            batch, length = len(mask), int(mask.sum(axis=1).max())
+            packing = ad.pack_sequences(mask)
+            assert packing.bias.shape == (batch, 1, length, length)
+            assert np.array_equal(packing.slots, np.arange(batch * length))
+            assert (packing.bias == 0.0).all()
 
     def test_first_fit_decreasing_shares_sequences(self):
         # 12 fills a sequence; 5, 4 and 3 fill the second in that order

@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from bbekit.expansion import ExpansionSpec, expand
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.optim import AdamWConfig
 from bbekit.trainer import TrainConfig, train_transfer
 
@@ -48,21 +49,30 @@ def test_tracing_wraps_the_program(tiny_model, monkeypatch):
 
 
 def test_head_only_steps_keep_the_timed_span(tiny_model, make_corpus, monkeypatch):
-    # the benchmark times a step from next_batch to adamw_step; the cached
-    # head-only step must still make one call to each
+    # the benchmark times a step from next_batch to adamw_step; a cached step
+    # (the pooled embedding under head-only, the frontend rows of a conv
+    # model whose blocks train) must still make one call to each
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
 
-    tracer = tracing.Tracer()
-    cfg = TrainConfig(adamw=AdamWConfig(learning_rate=1e-2), n_steps=3, batch_size=4,
-                      frame_cap=20, eval_every=100, seed=2, stage="single_corpus",
-                      expansion=ExpansionSpec(2, "head-only"))
-    with tracing.instrument(tracer, tracing.bbekit_targets(), traced=True):
-        train_transfer(tiny_model, make_corpus("t0"), cfg)
-    per_step = Counter((span[tracing.STEP], span[tracing.NAME]) for span in tracer.spans
-                       if span[tracing.NAME] in ("corpus.next_batch", "optim.adamw_step"))
-    assert per_step == {(step, name): 1 for step in range(3)
-                        for name in ("corpus.next_batch", "optim.adamw_step")}
-    assert len(tracing.step_durations(tracer.spans, "corpus.next_batch",
-                                      "optim.adamw_step")) == 3
-    assert tracer.counters["optim.params_updated"] / 3 == 16 * 6 + 6  # head only: 102
+    conv = EncoderModel.build(EncoderConfig(n_blocks=2, d_model=16, n_heads=2, d_ffn=32,
+                                            frontend="conv", conv_in_dim=4,
+                                            conv_layers=[ConvLayerSpec(16, 3, 2)]), seed=12)
+    cases = [(tiny_model, make_corpus("t0"), ExpansionSpec(2, "head-only"),
+              16 * 6 + 6),  # head only: 102
+             (conv, make_corpus("t1", d=4, frame_rate=40.0), None,
+              2 * 2224 + 102)]  # both blocks and the head
+    for model, target, spec, n_updated in cases:
+        tracer = tracing.Tracer()
+        cfg = TrainConfig(adamw=AdamWConfig(learning_rate=1e-2), n_steps=3, batch_size=4,
+                          frame_cap=20, eval_every=100, seed=2, stage="single_corpus",
+                          expansion=spec)
+        with tracing.instrument(tracer, tracing.bbekit_targets(), traced=True):
+            train_transfer(model, target, cfg)
+        per_step = Counter((span[tracing.STEP], span[tracing.NAME]) for span in tracer.spans
+                           if span[tracing.NAME] in ("corpus.next_batch", "optim.adamw_step"))
+        assert per_step == {(step, name): 1 for step in range(3)
+                            for name in ("corpus.next_batch", "optim.adamw_step")}
+        assert len(tracing.step_durations(tracer.spans, "corpus.next_batch",
+                                          "optim.adamw_step")) == 3
+        assert tracer.counters["optim.params_updated"] / 3 == n_updated

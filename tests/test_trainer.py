@@ -8,6 +8,7 @@ import pytest
 
 from bbekit import autodiff as ad
 from bbekit import trainer as trainer_mod
+from bbekit.checkpoint import save_checkpoint
 from bbekit.corpus import Batch, CorpusIterator, next_batch
 from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
                            NumericalAbort)
@@ -395,26 +396,34 @@ def conv_model():
     return EncoderModel.build(config, seed=12)
 
 
-def head_only_case(kind, tiny_model, make_corpus):
-    """A model, its target corpus, and a frame cap that crops most of the
-    corpus's train samples."""
+def conv_corpus(make_corpus, corpus_id="t0"):
+    return make_corpus(corpus_id, d=4, frame_rate=40.0)  # 20-200 frames
+
+
+def cache_case(kind, tiny_model, make_corpus):
+    """A model, its target corpus, a frame cap that crops most of the
+    corpus's train samples, and the expansion whose freeze flags pick the
+    cache: the pooled embedding under head-only ("identity", "conv"), the
+    frontend rows for a conv model whose blocks train ("frontend")."""
     if kind == "identity":
-        return tiny_model, make_corpus("t0"), 20  # 5-50 frames
-    return conv_model(), make_corpus("t0", d=4, frame_rate=40.0), 60  # 20-200 frames
+        return tiny_model, make_corpus("t0"), 20, ExpansionSpec(2, "head-only")  # 5-50 frames
+    spec = None if kind == "frontend" else ExpansionSpec(2, "head-only")
+    return conv_model(), conv_corpus(make_corpus), 60, spec
 
 
 def spy_model(monkeypatch):
-    """Record the frames every fill call embeds (an ``embed`` outside
-    ``forward``) and how often ``forward`` runs with the tape on."""
+    """Record the frames every fill call runs through the frontend (a
+    ``frontend_rows`` outside ``forward``) and how often ``forward`` runs
+    with the tape on."""
     record = {"embedded": Counter(), "taped_forwards": 0}
-    embed, forward = EncoderModel.embed, EncoderModel.forward
+    frontend_rows, forward = EncoderModel.frontend_rows, EncoderModel.forward
     depth = [0]
 
-    def embed_spy(self, frames, pad_mask):
+    def frontend_spy(self, frames, pad_mask):
         if not depth[0]:
             for row, mask in zip(np.asarray(frames), pad_mask):
                 record["embedded"][row[mask].tobytes()] += 1
-        return embed(self, frames, pad_mask)
+        return frontend_rows(self, frames, pad_mask)
 
     def forward_spy(self, frames, pad_mask=None):
         record["taped_forwards"] += ad.is_grad_enabled()
@@ -424,7 +433,7 @@ def spy_model(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(EncoderModel, "embed", embed_spy)
+    monkeypatch.setattr(EncoderModel, "frontend_rows", frontend_spy)
     monkeypatch.setattr(EncoderModel, "forward", forward_spy)
     return record
 
@@ -443,26 +452,43 @@ def tape_spy(monkeypatch) -> list[int]:
 
 
 class TestHeadOnlyCache:
-    @pytest.mark.parametrize("kind", ["identity", "conv"])
-    def test_matches_the_uncached_step(self, kind, tiny_model, make_corpus):
+    @pytest.mark.parametrize("kind", ["identity", "conv", "frontend"])
+    def test_matches_the_uncached_step(self, kind, tiny_model, make_corpus, tmp_path):
         # a cached embedding is pooled over another padded length than the
-        # batch's, so the two agree to rounding, not bit for bit
-        model, target, cap = head_only_case(kind, tiny_model, make_corpus)
-        cfg = quick_cfg(stage="single_corpus", n_steps=6, frame_cap=cap, eval_every=100,
-                        selection="last", adamw=AdamWConfig(learning_rate=1e-2),
-                        expansion=ExpansionSpec(2, "head-only"))
-        assert max(len(target.features(s)) for s in target.split_samples("train")) > cap
-        cached, log = train_transfer(model.clone(), target, cfg)
+        # batch's, so the two agree to rounding, not bit for bit; cached
+        # frontend rows run the blocks on the batch's own rows and mask
+        model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
+        cfg = quick_cfg(n_steps=6, frame_cap=cap, eval_every=100, selection="last",
+                        adamw=AdamWConfig(learning_rate=1e-2))
+        lengths = [len(target.features(s)) for s in target.split_samples("train")]
+        assert min(lengths) < cap < max(lengths)
+        if spec is None:
+            cached, log = train_multi(model.clone(), [target], cfg)
+            reference = model
+        else:
+            cached, log = train_transfer(model.clone(), target,
+                                         replace(cfg, stage="single_corpus", expansion=spec))
+            reference = expand(model, spec)
 
-        reference = expand(model, cfg.expansion)
         iterator = CorpusIterator(target, "train", derive_seed(cfg.seed, 0))
-        losses = []
-        for _ in range(cfg.n_steps):
+        expected = TrainLog()
+        expected.add_val(0, "t0", evaluate(reference, target, "val")["uar"])
+        for step in range(1, cfg.n_steps + 1):
             loss = _batch_loss(reference, next_batch(iterator, cfg.batch_size, cap))
-            losses.append(loss.item())
+            expected.add_loss(step, "t0", loss.item())
             loss.backward()
             adamw_step(reference.store, cfg.adamw)
-        np.testing.assert_allclose([v for _, _, v in log.losses], losses, rtol=1e-12, atol=0)
+        expected.add_val(cfg.n_steps, "t0", evaluate(reference, target, "val")["uar"])
+        if kind == "frontend":
+            assert log.loss_csv() == expected.loss_csv()
+            assert log.val_csv() == expected.val_csv()
+            save_checkpoint(tmp_path / "cached.bbex", cached)
+            save_checkpoint(tmp_path / "reference.bbex", reference)
+            assert ((tmp_path / "cached.bbex").read_bytes()
+                    == (tmp_path / "reference.bbex").read_bytes())
+            return
+        np.testing.assert_allclose([v for _, _, v in log.losses],
+                                   [v for _, _, v in expected.losses], rtol=1e-12, atol=0)
         for name in ("head.weight", "head.bias"):
             np.testing.assert_allclose(cached.store.value(name),
                                        reference.store.value(name), rtol=1e-12, atol=0)
@@ -507,34 +533,47 @@ class TestHeadOnlyCache:
                                        tiny_model.store.value(name))
             assert unchanged != name.startswith("head."), name
 
-    @pytest.mark.parametrize("kind", ["identity", "conv"])
+    @pytest.mark.parametrize("kind", ["identity", "conv", "frontend"])
     def test_fill_embeds_each_train_sample_once(self, kind, tiny_model, make_corpus,
                                                  monkeypatch):
-        model, target, cap = head_only_case(kind, tiny_model, make_corpus)
+        model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
+        # head-only: head linear, loss, two leaves; with cached rows the
+        # plain step's tape, on which a frozen frontend records no node
+        full = 4 if spec else tape_nodes(_batch_loss(model, next_batch(
+            CorpusIterator(target, "train", seed=1), 4, frame_cap=cap)))
         record = spy_model(monkeypatch)
         sizes = tape_spy(monkeypatch)
         cfg = quick_cfg(stage="single_corpus", n_steps=8, frame_cap=cap, eval_every=4,
-                        expansion=ExpansionSpec(2, "head-only"))
+                        expansion=spec)
         train_transfer(model, target, cfg)
         want = Counter(target.features(s)[:cap].tobytes()
                        for s in target.split_samples("train"))
         assert record["embedded"] == want
         assert record["taped_forwards"] == 0
-        assert sizes == [4] * cfg.n_steps  # head linear, loss, two leaves
+        assert sizes == [full] * cfg.n_steps
 
     def test_trainable_encoder_takes_the_full_tape(self, tiny_model, make_corpus,
                                                    monkeypatch):
-        target = make_corpus("t0")
-        full = tape_nodes(_batch_loss(expand(tiny_model, ExpansionSpec(2)), next_batch(
-            CorpusIterator(target, "train", seed=1), 4, frame_cap=20)))
-        record = spy_model(monkeypatch)
-        sizes = tape_spy(monkeypatch)
-        train_transfer(tiny_model.clone(), target,
-                       quick_cfg(stage="single_corpus", n_steps=4,
-                                 expansion=ExpansionSpec(2, "freeze-original")))
-        assert not record["embedded"]
-        assert record["taped_forwards"] == 4
-        assert sizes == [full] * 4 and full > 6
+        # an identity frontend has nothing to cache, whether block 0 trains
+        # or is frozen; a thawed conv frontend trains itself
+        thawed = conv_model()
+        for name in thawed.store.names():
+            if name.startswith("frontend."):
+                thawed.store.set_frozen(name, False)
+        cases = [(tiny_model, make_corpus("t0"), None),
+                 (tiny_model, make_corpus("t0"), ExpansionSpec(2, "freeze-original")),
+                 (thawed, conv_corpus(make_corpus, "t1"), None)]
+        for model, target, spec in cases:
+            full = tape_nodes(_batch_loss(expand(model, spec) if spec else model, next_batch(
+                CorpusIterator(target, "train", seed=1), 4, frame_cap=20)))
+            with monkeypatch.context() as patch:
+                record = spy_model(patch)
+                sizes = tape_spy(patch)
+                train_transfer(model.clone(), target,
+                               quick_cfg(stage="single_corpus", n_steps=4, expansion=spec))
+            assert not record["embedded"]
+            assert record["taped_forwards"] == 4
+            assert sizes == [full] * 4 and full > 6
 
     def test_non_finite_train_frame_is_input_error(self, tiny_model, make_corpus):
         target = make_corpus("t0")
@@ -560,3 +599,35 @@ class TestHeadOnlyCache:
             train_transfer(model, target, quick_cfg(stage="single_corpus", n_steps=4))
         assert (exc.value.step, exc.value.corpus_id, exc.value.exit_code) == (0, "t0", 5)
         assert ("embedding the train split" in str(exc.value)) == stub_eval
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stub_eval", [False, True])
+    def test_poisoned_frozen_frontend_aborts_at_step_zero(self, make_corpus, monkeypatch,
+                                                          stub_eval):
+        # the blocks train, so the fill caches the frontend's rows
+        target = conv_corpus(make_corpus)
+        model = conv_model()
+        model.store.value("frontend.conv0.weight")[...] = 1e308
+        if stub_eval:
+            monkeypatch.setattr(trainer_mod, "evaluate",
+                                lambda model, manifest, split: {"uar": 0.0})
+        with pytest.raises(NumericalAbort) as exc:
+            train_multi(model, [target], quick_cfg(n_steps=4))
+        assert (exc.value.step, exc.value.corpus_id, exc.value.exit_code) == (0, "t0", 5)
+        assert ("embedding the train split" in str(exc.value)) == stub_eval
+
+    @pytest.mark.parametrize("spec", [None, ExpansionSpec(2, "head-only")])
+    def test_short_train_sample_fails_at_the_fill(self, make_corpus, monkeypatch, spec):
+        # the conv stack's receptive field is 3 frames; the fill runs every
+        # train sample before the first batch is drawn
+        target = conv_corpus(make_corpus)
+        sample = target.split_samples("train")[3]
+        target._cache[sample.feature_path] = target.features(sample)[:2].copy()
+
+        def no_batch(*args):
+            raise AssertionError("a batch was drawn before the fill")
+
+        monkeypatch.setattr(trainer_mod, "next_batch", no_batch)
+        with pytest.raises(InputError, match="receptive field"):
+            train_transfer(conv_model(), target,
+                           quick_cfg(stage="single_corpus", n_steps=4, expansion=spec))
