@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, StateError
 from .model import BlockInfo, EncoderModel, param_layout
 
@@ -47,8 +48,10 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
                       for k in range(1, spec.multiplier)]
     out.block_index = new_index
     out.config.n_blocks = len(new_index)
-    # the copies' parameters are the ones the grown layout adds: block
-    # tensors copied from the source block, ZLL gates at zero
+    # the copies' parameters are the ones the grown layout adds: the source
+    # block's arrays and ZLL gates at zero, added frozen so that a copy
+    # shares its source's arrays while both stay frozen; the freeze policy's
+    # thaw gives a trainable copy its own
     sources = {b.block_id: b.source for b in new_index}
     for name, shape in param_layout(out.config, new_index).items():
         if name in out.store:
@@ -57,8 +60,8 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
         if suffix.startswith("zll."):
             value = np.zeros(shape)
         else:
-            value = out.store.value(f"block.{sources[block_id]}.{suffix}").copy()
-        out.store.add(name, value)
+            value = out.store.value(f"block.{sources[block_id]}.{suffix}")
+        out.store.add(name, value, frozen=True)
     out.expansion = {
         "multiplier": spec.multiplier,
         "freeze_policy": spec.freeze_policy,
@@ -105,7 +108,9 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
 
     With zero-initialized ZLL gates this must be exactly 0.0: every copy
     contributes ``x + 0`` and the surviving compute path is the same float64
-    operation sequence as in the source model.
+    operation sequence as in the source model.  The expanded model runs
+    every copy, also those whose closed gate its forward would skip, since
+    this check proves the identity that the skip relies on.
     """
     if not probes:
         raise ConfigError("preservation check needs at least one probe")
@@ -119,6 +124,8 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
             frames, pad_mask = probe
         else:
             frames, pad_mask = probe, None
-        diff = np.abs(base.logits(frames, pad_mask) - expanded.logits(frames, pad_mask))
+        with ad.no_grad():
+            grown = expanded.forward(frames, pad_mask, every_copy=True).data
+        diff = np.abs(base.logits(frames, pad_mask) - grown)
         worst = max(worst, float(diff.max()))
     return worst

@@ -134,4 +134,4 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 def masked_mean_pool(x: Tensor, packing: ad.Packing) -> Tensor:
     """Mean over each sample's real frames: packed [N, d] rows -> [B, d]."""
     _check_packed(x, packing, "pooling")
-    return ad.segment_mean(x, packing.mask)
+    return _check_finite("pooling", ad.segment_mean(x, packing.mask))

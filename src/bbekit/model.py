@@ -317,40 +317,49 @@ class EncoderModel:
         x, pad_mask = self._frontend(frames, pad_mask)
         return ad.gather_rows(x, pad_mask), pad_mask
 
-    def encode_rows(self, rows: Tensor, pad_mask: np.ndarray) -> Tensor:
+    def encode_rows(self, rows: Tensor, pad_mask: np.ndarray, *,
+                    every_copy: bool = False) -> Tensor:
         """Packed [N, d_model] rows with their [B, T'] mask -> pooled
         [B, d_model] embeddings: the blocks and masked mean pooling.
 
         One ``autodiff.Packing`` of the mask places the samples into shared
         attention sequences; the blocks and pooling take the rows with it.
+
+        An expanded block whose ZLL gate is closed (``zll.weight`` and
+        ``zll.bias`` frozen and all zero, read on every call) is skipped:
+        ``x + ZLL(block(x))`` is then ``x`` whenever ``block(x)`` is finite,
+        and pooling checks what reaches it.  ``every_copy`` runs every block
+        anyway, as the preservation check must.
         """
         packing = ad.pack_sequences(pad_mask)
         heads = self.config.n_heads
         params = self.block_params()
         for info in self.block_index:
             p = params[info.block_id]
-            if "zll.weight" in p:
-                rows = F.expanded_block_forward(rows, p, heads, packing)
-            else:
+            if "zll.weight" not in p:
                 rows = F.encoder_block_forward(rows, p, heads, packing)
+            elif every_copy or not _gate_closed(p):
+                rows = F.expanded_block_forward(rows, p, heads, packing)
         return F.masked_mean_pool(rows, packing)
 
-    def embed(self, frames, pad_mask: np.ndarray) -> Tensor:
+    def embed(self, frames, pad_mask: np.ndarray, *, every_copy: bool = False) -> Tensor:
         """Frames [B, T, d_in] with a [B, T] mask -> pooled [B, d_model]
         embeddings: ``encode_rows(*frontend_rows(frames, pad_mask))``."""
-        return self.encode_rows(*self.frontend_rows(frames, pad_mask))
+        return self.encode_rows(*self.frontend_rows(frames, pad_mask), every_copy=every_copy)
 
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""
         return F.linear_forward(pooled, self.store.tensor("head.weight"),
                                 self.store.tensor("head.bias"))
 
-    def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
+    def forward(self, frames, pad_mask: np.ndarray | None = None, *,
+                every_copy: bool = False) -> Tensor:
         """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6]:
         ``head(embed(frames, pad_mask))``.
 
         The mask defaults to all True.  A single [T, d_in] sequence (with a
-        [T] mask) runs as a batch of one and returns [6].
+        [T] mask) runs as a batch of one and returns [6].  ``every_copy`` is
+        ``encode_rows``'s.
         """
         if not isinstance(frames, Tensor):
             frames = Tensor(frames)
@@ -361,13 +370,19 @@ class EncoderModel:
                 pad_mask = np.asarray(pad_mask, dtype=bool)[None]
         if pad_mask is None:
             pad_mask = np.ones(frames.shape[:2], dtype=bool)
-        logits = self.head(self.embed(frames, pad_mask))
+        logits = self.head(self.embed(frames, pad_mask, every_copy=every_copy))
         return ad.reshape(logits, logits.shape[1:]) if single else logits
 
     def logits(self, frames, pad_mask: np.ndarray | None = None) -> np.ndarray:
         """Tape-free forward for evaluation; same shapes as ``forward``."""
         with ad.no_grad():
             return self.forward(frames, pad_mask).data
+
+
+def _gate_closed(p: dict[str, Tensor]) -> bool:
+    """An expanded block's ZLL gate is frozen and exactly zero."""
+    gate = (p["zll.weight"], p["zll.bias"])
+    return not any(t.requires_grad or t.data.any() for t in gate)
 
 
 def _slice_frames(t: Tensor, n: int) -> Tensor:

@@ -74,6 +74,11 @@ class ParameterStore:
     True)``, ``zero_grads`` and ``adamw_step`` call it), so building a model
     entry by entry copies each array once.  Write an entry's arrays in
     place; an array bound in its stead is not seen by the buffers.
+
+    Only frozen entries share an array: ``expand`` stores a copied block's
+    values as its source block's arrays while both are frozen, and a thaw
+    or a layout gives an entry its own.  Writing one frozen entry in place
+    writes every entry that shares its array.
     """
 
     def __init__(self):
@@ -141,18 +146,23 @@ class ParameterStore:
     def set_frozen(self, name: str, frozen: bool) -> None:
         """Freezing drops the gradient buffer and the AdamW moments (the
         step counter stays); thawing starts fresh: a zero gradient buffer,
-        zero moments and step 0, so bias correction matches the moments."""
+        zero moments and step 0, so bias correction matches the moments.
+
+        A frozen value that is a view (of the flat buffers, say) becomes a
+        copy of its own, and one that is not stays the array it is, which
+        other frozen entries may share; a thawed value is always a copy."""
         entry = self[name]
         tensor = entry.tensor
         if frozen == entry.frozen:
             return
         tensor.requires_grad = not frozen
         if frozen:
-            # the value and counter leave the flat buffers with their own copies
-            tensor.data = tensor.data.copy()
+            if tensor.data.base is not None:
+                tensor.data = tensor.data.copy()
             entry._step, entry._steps = entry.step, None
             tensor.grad = entry.m = entry.v = None
         else:
+            tensor.data = tensor.data.copy()
             tensor.grad = np.zeros_like(tensor.data)
             entry.m = np.zeros_like(tensor.data)
             entry.v = np.zeros_like(tensor.data)

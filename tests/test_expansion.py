@@ -1,10 +1,15 @@
-"""Depth expansion: structure, exact preservation, freeze policies."""
+"""Depth expansion: structure, exact preservation, freeze policies, the
+skip of closed-gate copies and the arrays frozen copies share."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbekit import functional as F
+from bbekit.checkpoint import save_checkpoint
 from bbekit.errors import ConfigError, StateError
 from bbekit.expansion import (
     FREEZE_POLICIES,
@@ -16,6 +21,7 @@ from bbekit.expansion import (
     verify_preservation,
 )
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel, conv_output_length
+from bbekit.trainer import evaluate
 
 
 class TestSpec:
@@ -159,6 +165,142 @@ class TestPreservation:
         out = expand(other, ExpansionSpec())
         with pytest.raises(StateError):
             verify_preservation(tiny_model, out, [rng.normal(size=(2, 16))])
+
+
+def copy_forwards(monkeypatch) -> list:
+    """One entry per ``expanded_block_forward`` call from here on."""
+    calls = []
+    forward = F.expanded_block_forward
+
+    def spy(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(F, "expanded_block_forward", spy)
+    return calls
+
+
+def ragged_batch(rng):
+    """Three samples of 9, 6 and 2 frames, suffix-padded to [3, 9, 16]."""
+    mask = np.arange(9) < np.array([9, 6, 2])[:, None]
+    return rng.normal(size=(3, 9, 16)), mask
+
+
+class TestClosedGateSkip:
+    # a copy whose ZLL gate is frozen and all zero computes x + 0 = x, so
+    # the forward skips it; the preservation check still runs it
+    @pytest.mark.parametrize("multiplier", [2, 3])
+    def test_head_only_runs_no_copy(self, tiny_model, make_corpus, monkeypatch, rng,
+                                    multiplier):
+        out = expand(tiny_model, ExpansionSpec(multiplier, "head-only"))
+        frames, mask = ragged_batch(rng)
+        calls = copy_forwards(monkeypatch)
+        skipped = out.logits(frames, mask)
+        evaluate(out, make_corpus("c0"), "test")
+        assert not calls
+        for name in out.store.names():
+            if ".zll." in name:
+                out.store.set_frozen(name, False)
+        assert out.logits(frames, mask).tobytes() == skipped.tobytes()
+        assert len(calls) == 2 * (multiplier - 1)
+
+    def test_gate_written_in_place_is_not_skipped(self, tiny_model, monkeypatch, rng):
+        out = expand(tiny_model, ExpansionSpec(2, "head-only"))
+        frames, mask = ragged_batch(rng)
+        before = out.logits(frames, mask)
+        calls = copy_forwards(monkeypatch)
+        out.store.value("block.0x1.zll.weight")[0, 0] = 1e-3
+        assert out.store["block.0x1.zll.weight"].frozen
+        after = out.logits(frames, mask)
+        assert len(calls) == 1
+        assert not np.array_equal(after, before)
+
+    def test_trainable_gates_run_every_copy(self, tiny_model, monkeypatch, rng):
+        out = expand(tiny_model, ExpansionSpec(3, "freeze-original"))
+        calls = copy_forwards(monkeypatch)
+        out.logits(*ragged_batch(rng))
+        assert len(calls) == 4
+
+    def test_preservation_runs_every_copy(self, tiny_model, monkeypatch, rng):
+        out = expand(tiny_model, ExpansionSpec(3, "head-only"))
+        probes = [rng.normal(size=(5, 16)) for _ in range(3)]
+        calls = copy_forwards(monkeypatch)
+        assert verify_preservation(tiny_model, out, probes) == 0.0
+        assert len(calls) == 4 * len(probes)
+
+
+def retained_bytes(make) -> int:
+    """Bytes that ``make()`` leaves allocated, its result still held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()  # noqa: F841 (held while measured)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
+class TestSharedCopies:
+    # only frozen entries share an array: under head-only each copy's block
+    # values are its source block's arrays
+    @pytest.mark.parametrize("multiplier", [2, 3])
+    def test_head_only_copies_share_their_source_arrays(self, tiny_model, multiplier):
+        out = expand(tiny_model, ExpansionSpec(multiplier, "head-only"))
+        values = {name: entry.tensor.data for name, entry in out.store.items()}
+        n_shared = 0
+        for name, value in values.items():
+            if not name.startswith("block."):
+                continue
+            _, block_id, suffix = name.split(".", 2)
+            info = out.block_info(block_id)
+            if suffix.startswith("zll."):
+                assert not any(np.shares_memory(value, v)
+                               for n, v in values.items() if n != name), name
+            elif info.origin == "expanded":
+                assert np.shares_memory(value, values[f"block.{info.source}.{suffix}"]), name
+                n_shared += 1
+        assert n_shared == 2 * (multiplier - 1) * len(tiny_model.block_params()["0"])
+
+    def test_input_model_shares_nothing(self, tiny_model):
+        before = tiny_model.store.snapshot()
+        out = expand(tiny_model, ExpansionSpec(3, "head-only"))
+        for name, entry in tiny_model.store.items():
+            assert np.array_equal(entry.tensor.data, before[name][0]), name
+            for _, other in out.store.items():
+                assert not np.shares_memory(entry.tensor.data, other.tensor.data), name
+
+    @pytest.mark.parametrize("policy", ["freeze-original", "non-frozen"])
+    def test_trainable_copies_own_their_arrays(self, tiny_model, policy):
+        out = expand(tiny_model, ExpansionSpec(2, policy))
+        values = [entry.tensor.data for _, entry in out.store.items()]
+        for i, value in enumerate(values):
+            assert not any(np.shares_memory(value, v) for v in values[i + 1:])
+
+    def test_thawed_copy_leaves_its_source(self, tiny_model):
+        out = expand(tiny_model, ExpansionSpec(2, "head-only"))
+        name, source = "block.1x1.ffn.w1.weight", "block.1.ffn.w1.weight"
+        before = out.store.value(source).copy()
+        out.store.set_frozen(name, False)
+        out.store.value(name)[...] = 3.0
+        out.store.flat().value[...] = 5.0
+        assert np.array_equal(out.store.value(source), before)
+        assert np.all(out.store.value(name) == 5.0)
+
+    def test_checkpoint_bytes_equal_the_clone(self, tiny_model, tmp_path):
+        out = expand(tiny_model, ExpansionSpec(3, "head-only"))
+        save_checkpoint(tmp_path / "shared.bbex", out)
+        save_checkpoint(tmp_path / "clone.bbex", out.clone())
+        assert (tmp_path / "shared.bbex").read_bytes() == (tmp_path / "clone.bbex").read_bytes()
+
+    def test_head_only_copies_allocate_no_block_values(self):
+        # measured against a clone, which holds the same frozen entries
+        model = EncoderModel.build(EncoderConfig(), seed=5)
+        apply_freeze_policy(model, "head-only")
+        block_bytes = sum(t.data.nbytes for p in model.block_params().values()
+                          for t in p.values())
+        grown = retained_bytes(lambda: expand(model, ExpansionSpec(2, "head-only")))
+        assert grown - retained_bytes(model.clone) < block_bytes / 2
 
 
 def frozen_names(model):

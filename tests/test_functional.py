@@ -453,6 +453,11 @@ class TestNonFinite:
         with pytest.raises(NumericalError, match="^cross_entropy produced"):
             softmax_cross_entropy(t([[np.inf, 0.0]]), [0])
 
+    def test_pooling(self):
+        # finite rows whose per-sample sum overflows
+        with pytest.raises(NumericalError, match="^pooling produced"):
+            masked_mean_pool(t(np.full((2, 2), 1e308)), pack_sequences(all_valid(1, 2)))
+
 
 class TestPooling:
     def test_unmasked_mean(self):

@@ -425,11 +425,11 @@ def spy_model(monkeypatch):
                 record["embedded"][row[mask].tobytes()] += 1
         return frontend_rows(self, frames, pad_mask)
 
-    def forward_spy(self, frames, pad_mask=None):
+    def forward_spy(self, frames, pad_mask=None, **kwargs):
         record["taped_forwards"] += ad.is_grad_enabled()
         depth[0] += 1
         try:
-            return forward(self, frames, pad_mask)
+            return forward(self, frames, pad_mask, **kwargs)
         finally:
             depth[0] -= 1
 
