@@ -266,10 +266,11 @@ class Packing:
     ``pack_sequences`` places the B samples into R <= B sequences of length
     L, the longest sample's frame count; a sequence holds whole samples
     back to back.  ``slots[i]`` is the row ``r * L + l`` of real frame i
-    (batch-major, as ``gather_rows`` packs them) at position l of sequence
-    r.  ``bias`` is the additive [R, 1, L, L] score bias: 0 where query and
-    key are frames of the same sample, -MASK_NEG across samples and on
-    padding.  ``mask`` is the [B, T] mask the packing was built from.
+    (batch-major, as ``EncoderModel.frontend_rows`` packs them) at position
+    l of sequence r.  ``bias`` is the additive [R, 1, L, L] score bias: 0
+    where query and key are frames of the same sample, -MASK_NEG across
+    samples and on padding.  ``mask`` is the [B, T] mask the packing was
+    built from.
     """
 
     mask: np.ndarray
@@ -366,19 +367,6 @@ def attention_core(qkv, packing: Packing, heads: int) -> Tensor:
         return (out,)
 
     return _node(merged.reshape(-1, d)[slots], (qkv,), backward)
-
-
-def gather_rows(x, pad_mask: np.ndarray) -> Tensor:
-    """[B, T, d] frames -> the [N, d] rows where the [B, T] mask is True,
-    batch-major; the gradient of a dropped frame is zero."""
-    x = _wrap(x)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[pad_mask] = g
-        return (full,)
-
-    return _node(x.data[pad_mask], (x,), backward)
 
 
 def segment_mean(x, pad_mask: np.ndarray) -> Tensor:
@@ -487,10 +475,10 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     return _node(np.float64(loss), (logits,), backward)
 
 
-def unfold1d(a, kernel: int, stride: int) -> Tensor:
+def unfold1d(a: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Frame [B, L, c] sequences into [B, T, kernel*c] sliding windows
-    along the L axis."""
-    a = _wrap(a)
+    along the L axis.  Frames are data, so this records no tape node."""
+    a = np.asarray(a)
     if a.ndim != 3:
         raise DimensionError(f"unfold1d expects [B, L, c], got {a.shape}")
     batch, length, channels = a.shape
@@ -500,16 +488,6 @@ def unfold1d(a, kernel: int, stride: int) -> Tensor:
     if n_out < 1:
         raise DimensionError(f"input length {length} shorter than kernel {kernel}")
     # [B, L-kernel+1, c, kernel] -> every stride-th window as [B, T, kernel, c]
-    windows = np.lib.stride_tricks.sliding_window_view(a.data, kernel, axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(a, kernel, axis=1)
     windows = np.array(np.swapaxes(windows[:, ::stride], 2, 3))
-    out = windows.reshape(batch, n_out, kernel * channels)
-    span = stride * (n_out - 1) + 1
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        gw = g.reshape(batch, n_out, kernel, channels)
-        for j in range(kernel):
-            ga[:, j:j + span:stride] += gw[:, :, j]
-        return (ga,)
-
-    return _node(out, (a,), backward)
+    return windows.reshape(batch, n_out, kernel * channels)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +61,6 @@ class Batch:
     pad_mask: np.ndarray  # [B, T_max] bool, True on real frames
     samples: list[Sample]  # the drawn samples, row by row
     corpus_id: str
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """[B, T_max, d] frames, zero-padded; built on first access, so a
-        step that reads only the samples never pads."""
-        return _pad(self.arrays, self.pad_mask)
 
     @property
     def labels(self) -> list[int]:
@@ -285,9 +278,9 @@ class CorpusIterator:
 
 def next_batch(iterator: CorpusIterator, batch_size: int,
                frame_cap: int | None = None) -> Batch:
-    """Batch with a True-on-real-frames mask and lazily zero-padded
-    features; no re-weighting or re-balancing, samples arrive exactly as
-    the epoch stream yields them."""
+    """Batch of the drawn samples' ``[:frame_cap]`` crops with a
+    True-on-real-frames mask; no re-weighting or re-balancing, samples
+    arrive exactly as the epoch stream yields them."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if frame_cap is not None and frame_cap < 1:
@@ -310,18 +303,14 @@ def _frame_mask(arrays: list[np.ndarray], corpus_id: str) -> np.ndarray:
     return np.arange(lengths.max()) < lengths[:, None]
 
 
-def _pad(arrays: list[np.ndarray], pad_mask: np.ndarray) -> np.ndarray:
-    features = np.zeros(pad_mask.shape + arrays[0].shape[1:])
-    for i, a in enumerate(arrays):
-        features[i, :a.shape[0]] = a
-    return features
-
-
 def pad_frames(arrays: list[np.ndarray], corpus_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Stack [T_i, d] arrays into zero-padded [B, T_max, d] features and a
     [B, T_max] mask, True on real frames."""
     pad_mask = _frame_mask(arrays, corpus_id)
-    return _pad(arrays, pad_mask), pad_mask
+    features = np.zeros(pad_mask.shape + arrays[0].shape[1:])
+    for i, a in enumerate(arrays):
+        features[i, :a.shape[0]] = a
+    return features, pad_mask
 
 
 # -- synthetic corpora -------------------------------------------------------

@@ -263,9 +263,13 @@ class EncoderModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _frontend(self, frames: Tensor,
-                  pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """[B, T, input_dim] frames and mask -> [B, T', d_model] and its mask."""
+    def _frontend(self, frames: np.ndarray,
+                  pad_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[B, T, input_dim] frames and mask -> [B, T', d_model] and its mask.
+
+        The frontend is a fixed function of its input: frames are data and
+        its parameters never train, so its output is data too, on no tape.
+        """
         if frames.shape[2] != self.config.input_dim:
             raise DimensionError(
                 f"{self.config.frontend} frontend needs {self.config.input_dim}-dim "
@@ -283,14 +287,11 @@ class EncoderModel:
         if out_lengths.min() < 1:
             raise InputError(f"input length {int(lengths[out_lengths.argmin()])} "
                              "below the conv receptive field")
-        true_max = int(lengths.max())
-        if true_max < frames.shape[1]:
-            frames = _slice_frames(frames, true_max)
-        x = frames
+        x = frames[:, :int(lengths.max())]
         for i, layer in enumerate(layers):
             w = self.store.tensor(f"frontend.conv{i}.weight")
             b = self.store.tensor(f"frontend.conv{i}.bias")
-            x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b))
+            x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b)).data
         return x, np.arange(x.shape[1]) < out_lengths[:, None]
 
     def frontend_rows(self, frames, pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -299,14 +300,14 @@ class EncoderModel:
         frontend's [B, T'] mask, True on those N frames.
 
         The input mask is True on real frames; every sample needs one, and
-        the conv frontend needs as many as its receptive field.
+        the conv frontend needs as many as its receptive field.  The rows
+        are a tape leaf that needs no gradient.
         """
-        if not isinstance(frames, Tensor):
-            frames = Tensor(frames)
+        frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
                              f"got shape {frames.shape}")
-        if not np.isfinite(frames.data).all():
+        if not np.isfinite(frames).all():
             raise InputError("non-finite values in model input")
         pad_mask = np.asarray(pad_mask, dtype=bool)
         if pad_mask.shape != frames.shape[:2]:
@@ -315,7 +316,7 @@ class EncoderModel:
         if not pad_mask.any(axis=1).all():
             raise InputError("pad_mask excludes every frame of a sample")
         x, pad_mask = self._frontend(frames, pad_mask)
-        return ad.gather_rows(x, pad_mask), pad_mask
+        return Tensor(x[pad_mask]), pad_mask
 
     def encode_rows(self, rows: Tensor, pad_mask: np.ndarray, *,
                     every_copy: bool = False) -> Tensor:
@@ -361,11 +362,10 @@ class EncoderModel:
         [T] mask) runs as a batch of one and returns [6].  ``every_copy`` is
         ``encode_rows``'s.
         """
-        if not isinstance(frames, Tensor):
-            frames = Tensor(frames)
+        frames = np.asarray(frames, dtype=np.float64)
         single = frames.ndim == 2
         if single:
-            frames = ad.reshape(frames, (1,) + frames.shape)
+            frames = frames[None]
             if pad_mask is not None:
                 pad_mask = np.asarray(pad_mask, dtype=bool)[None]
         if pad_mask is None:
@@ -384,13 +384,3 @@ def _gate_closed(p: dict[str, Tensor]) -> bool:
     gate = (p["zll.weight"], p["zll.bias"])
     return not any(t.requires_grad or t.data.any() for t in gate)
 
-
-def _slice_frames(t: Tensor, n: int) -> Tensor:
-    """Differentiable [:, 0:n] frame slice of [B, T, d] (only needed under
-    an active tape)."""
-    def backward(g):
-        full = np.zeros_like(t.data)
-        full[:, :n] = g
-        return (full,)
-
-    return ad._node(t.data[:, :n].copy(), (t,), backward)

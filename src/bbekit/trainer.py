@@ -109,39 +109,31 @@ def evaluate(model: EncoderModel, manifest: CorpusManifest,
     return {"uar": uar(cm), "confusion": cm, "n_samples": len(samples)}
 
 
-def _batch_loss(model: EncoderModel, batch) -> ad.Tensor:
-    """Unweighted mean cross-entropy over the batch, recorded on one tape."""
-    return F.softmax_cross_entropy(model.forward(batch.features, batch.pad_mask),
-                                   batch.labels)
-
-
-def _cache_kind(model: EncoderModel) -> str | None:
+def _cache_kind(model: EncoderModel) -> str:
     """What the fill keeps of each train sample, read from the freeze flags:
-    "pooled" (the pooled embedding) when only the head trains, "rows" (the
-    frontend's output rows) when the frontend has parameters, all frozen,
-    and a block trains, else None (every step runs the full tape).
+    "pooled" (the pooled embedding) when only the head trains, else "rows"
+    (the frontend's output rows; for an identity frontend, the frames).
 
     Leading frozen blocks are not cached: the rows stop at the frontend.
     """
-    trainable = [name for name, entry in model.store.items() if not entry.frozen]
-    if all(name.startswith("head.") for name in trainable):
-        return "pooled"
-    frontend = [entry.frozen for name, entry in model.store.items()
-                if name.startswith("frontend.")]
-    return "rows" if frontend and all(frontend) else None
+    trainable = (name for name, entry in model.store.items() if not entry.frozen)
+    return "pooled" if all(name.startswith("head.") for name in trainable) else "rows"
 
 
 def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
                       frame_cap: int | None, kind: str) -> dict[str, np.ndarray]:
-    """Every train sample's ``[:frame_cap]`` crop through the frozen part
+    """Every train sample's ``[:frame_cap]`` crop through the fixed part
     that ``kind`` names, keyed by feature path, from length-sorted no-grad
     batches of EVAL_CHUNK: its pooled [d_model] embedding for "pooled",
-    its frontend's [n, d_model] rows for "rows".
+    its frontend's [n, d_model] rows for "rows" (the crop's own frames
+    under an identity frontend).
 
     The corpus iterator draws each train sample once per epoch, so when a
     corpus's steps times ``batch_size`` reach its split size (as at the
     CLI's default step counts) this runs only samples the loop would draw
-    anyway, each once instead of once per draw.  A non-finite value is a
+    anyway, each once instead of once per draw.  A non-finite frame, or a
+    crop shorter than the conv frontend's receptive field, is an
+    ``InputError``; a non-finite value the model computes is a
     ``NumericalAbort`` at step 0 naming the corpus.
     """
     cache: dict[str, np.ndarray] = {}
@@ -167,9 +159,12 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
 
 def _cached_loss(model: EncoderModel, batch, cache: dict[str, np.ndarray],
                  kind: str) -> ad.Tensor:
-    """``_batch_loss`` from the batch samples' cached values: the tape holds
-    the head and the cross-entropy, and for cached rows also the blocks and
-    pooling, which run on the samples' rows concatenated in batch order."""
+    """Unweighted mean cross-entropy over the batch, on one tape, from its
+    samples' cached values: the tape holds the head and the cross-entropy,
+    and for cached rows also the blocks and pooling, which run on the
+    samples' rows concatenated in batch order.  From cached rows this is
+    bit for bit the loss of ``forward`` on the batch's padded frames; from
+    pooled embeddings it agrees to rounding."""
     values = [cache[s.feature_path] for s in batch.samples]
     if kind == "pooled":
         pooled = ad.Tensor(np.stack(values))
@@ -204,6 +199,10 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
     # buffers, so no training step does
     if model.store.n_params(only_trainable=True) == 0:
         raise ConfigError("no trainable parameters under the active freeze flags")
+    thawed = [name for name, entry in model.store.items()
+              if name.startswith("frontend.") and not entry.frozen]
+    if thawed:
+        raise ConfigError(f"the frontend is fixed, but {thawed[0]} is trainable")
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i))
                  for i, m in enumerate(manifests)}
     log = TrainLog()
@@ -216,18 +215,15 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
 
     snapshots: dict = {}
     maybe_snapshot(0, _eval_all(model, manifests, 0, log))
-    # a frozen prefix is a fixed function of the input, so each train sample
-    # runs through it once
+    # the frontend, and under head-only the whole encoder, is a fixed
+    # function of the input, so each train sample runs through it once
     kind = _cache_kind(model)
-    cache = _fill_train_cache(model, manifests, cfg.frame_cap, kind) if kind else None
+    cache = _fill_train_cache(model, manifests, cfg.frame_cap, kind)
 
     for step, corpus_id in enumerate(schedule, start=1):
         batch = next_batch(iterators[corpus_id], cfg.batch_size, cfg.frame_cap)
         try:
-            if cache is None:
-                loss = _batch_loss(model, batch)
-            else:
-                loss = _cached_loss(model, batch, cache, kind)
+            loss = _cached_loss(model, batch, cache, kind)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss {value}")

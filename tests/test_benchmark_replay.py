@@ -17,7 +17,7 @@ from pathlib import Path
 from bbekit.expansion import ExpansionSpec, expand
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.optim import AdamWConfig
-from bbekit.trainer import TrainConfig, train_transfer
+from bbekit.trainer import TrainConfig, train_multi, train_transfer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,26 +49,31 @@ def test_tracing_wraps_the_program(tiny_model, monkeypatch):
 
 
 def test_head_only_steps_keep_the_timed_span(tiny_model, make_corpus, monkeypatch):
-    # the benchmark times a step from next_batch to adamw_step; a cached step
-    # (the pooled embedding under head-only, the frontend rows of a conv
-    # model whose blocks train) must still make one call to each
+    # the benchmark times a step from next_batch to adamw_step; every step
+    # starts from cached values (the pooled embedding under head-only, else
+    # the frontend rows: a conv model's, or an identity model's frames, as
+    # on stage1-rr) and must still make one call to each
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
 
     conv = EncoderModel.build(EncoderConfig(n_blocks=2, d_model=16, n_heads=2, d_ffn=32,
                                             frontend="conv", conv_in_dim=4,
                                             conv_layers=[ConvLayerSpec(16, 3, 2)]), seed=12)
-    cases = [(tiny_model, make_corpus("t0"), ExpansionSpec(2, "head-only"),
+    identity = make_corpus("t0")
+    cases = [(train_transfer, tiny_model.clone(), identity, ExpansionSpec(2, "head-only"),
               16 * 6 + 6),  # head only: 102
-             (conv, make_corpus("t1", d=4, frame_rate=40.0), None,
-              2 * 2224 + 102)]  # both blocks and the head
-    for model, target, spec, n_updated in cases:
+             (train_transfer, conv, make_corpus("t1", d=4, frame_rate=40.0), None,
+              2 * 2224 + 102),  # both blocks and the head
+             (train_multi, tiny_model.clone(), [identity], None,
+              tiny_model.store.n_params())]  # every parameter
+    for train, model, data, spec, n_updated in cases:
         tracer = tracing.Tracer()
+        stage = "multi_corpus" if train is train_multi else "single_corpus"
         cfg = TrainConfig(adamw=AdamWConfig(learning_rate=1e-2), n_steps=3, batch_size=4,
-                          frame_cap=20, eval_every=100, seed=2, stage="single_corpus",
+                          frame_cap=20, eval_every=100, seed=2, stage=stage,
                           expansion=spec)
         with tracing.instrument(tracer, tracing.bbekit_targets(), traced=True):
-            train_transfer(model, target, cfg)
+            train(model, data, cfg)
         per_step = Counter((span[tracing.STEP], span[tracing.NAME]) for span in tracer.spans
                            if span[tracing.NAME] in ("corpus.next_batch", "optim.adamw_step"))
         assert per_step == {(step, name): 1 for step in range(3)

@@ -368,27 +368,29 @@ class TestNextBatch:
     def test_padding_and_mask(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [3, 5])
         batch = next_batch(CorpusIterator(manifest, "train", seed=1), batch_size=2)
-        assert batch.features.shape == (2, 5, 3)
+        features, _ = pad_frames(batch.arrays, batch.corpus_id)
+        assert features.shape == (2, 5, 3)
         assert batch.pad_mask.shape == (2, 5)
         for i in range(2):
             n = int(batch.pad_mask[i].sum())
             assert n in (3, 5)
             assert batch.pad_mask[i, :n].all()
             assert not batch.pad_mask[i, n:].any()
-            assert np.array_equal(batch.features[i, n:], np.zeros((5 - n, 3)))
+            assert np.array_equal(features[i, n:], np.zeros((5 - n, 3)))
 
     def test_frame_cap_truncates(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [8, 6])
         batch = next_batch(CorpusIterator(manifest, "train", seed=1),
                            batch_size=2, frame_cap=4)
-        assert batch.features.shape == (2, 4, 3)
+        assert [a.shape for a in batch.arrays] == [(4, 3), (4, 3)]
+        assert pad_frames(batch.arrays, batch.corpus_id)[0].shape == (2, 4, 3)
         assert batch.pad_mask.all()
 
     def test_batch_contents_match_files(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [2, 2])
         it = CorpusIterator(manifest, "train", seed=1)
         batch = next_batch(it, batch_size=2)
-        fills = sorted(batch.features[:, 0, 0].tolist())
+        fills = sorted(pad_frames(batch.arrays, batch.corpus_id)[0][:, 0, 0].tolist())
         assert fills == [1.0, 2.0]
         assert batch.corpus_id == "var"
         assert batch.labels == [3, 3]
@@ -398,18 +400,20 @@ class TestNextBatch:
         batch = next_batch(CorpusIterator(manifest, "train", seed=4), batch_size=4,
                            frame_cap=4)
         assert len(batch.samples) == 4
-        for frames, mask, sample in zip(batch.features, batch.pad_mask, batch.samples):
+        features, _ = pad_frames(batch.arrays, batch.corpus_id)
+        for frames, mask, sample in zip(features, batch.pad_mask, batch.samples):
             assert np.array_equal(frames[mask], manifest.features(sample)[:4])
 
     def test_features_and_mask_are_pad_frames_of_the_arrays(self, make_corpus):
         manifest = make_corpus("c0")
         batch = next_batch(CorpusIterator(manifest, "train", seed=3), batch_size=5,
                            frame_cap=7)
-        features, pad_mask = pad_frames([manifest.features(s)[:7] for s in batch.samples], "c0")
+        crops = [manifest.features(s)[:7] for s in batch.samples]
+        features, pad_mask = pad_frames(crops, "c0")
         assert batch.size == 5
         assert np.array_equal(batch.pad_mask, pad_mask)
-        assert np.array_equal(batch.features, features)
-        assert batch.features is batch.features  # padded once
+        assert all(np.array_equal(a, c) for a, c in zip(batch.arrays, crops))
+        assert np.array_equal(pad_frames(batch.arrays, batch.corpus_id)[0], features)
 
     def test_no_duplicates_within_epoch(self, make_corpus):
         manifest = make_corpus("c0")

@@ -540,7 +540,7 @@ UNBATCHED_CALLS = {
     "masked_mean_pool": lambda: masked_mean_pool(t(np.ones((1, 3, 4))), _one_sequence()),
     "pack_sequences": lambda: pack_sequences(np.ones(3, dtype=bool)),
     "cross_entropy_with_logits": lambda: ad.cross_entropy_with_logits(t(np.zeros(6)), 2),
-    "unfold1d": lambda: ad.unfold1d(t(np.ones((9, 2))), 3, 2),
+    "unfold1d": lambda: ad.unfold1d(np.ones((9, 2)), 3, 2),
 }
 
 

@@ -293,6 +293,17 @@ class TestConvFrontend:
 
 
 class TestBatchAxis:
+    def test_identity_frontend_rows_are_the_masked_frames(self):
+        # batch-major, the dropped frames left out; frames are data, so the
+        # rows need no gradient
+        model = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=2, n_heads=1, d_ffn=4),
+                                   seed=0)
+        mask = np.array([[True, False, True], [False, True, False]])
+        rows, out_mask = model.frontend_rows(np.arange(12.0).reshape(2, 3, 2), mask)
+        np.testing.assert_array_equal(rows.data, [[0, 1], [4, 5], [8, 9]])
+        assert np.array_equal(out_mask, mask)
+        assert not rows.requires_grad
+
     @pytest.mark.parametrize("frontend", ["identity", "conv"])
     def test_batched_rows_match_single_forwards(self, tiny_model, frontend):
         # ragged suffix masks, junk in the padding, and padding beyond the

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from bbekit import autodiff as ad
+from bbekit import functional as F
 from bbekit import trainer as trainer_mod
 from bbekit.checkpoint import save_checkpoint
-from bbekit.corpus import Batch, CorpusIterator, next_batch
+from bbekit.corpus import CorpusIterator, next_batch, pad_frames
 from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
                            NumericalAbort)
 from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
@@ -19,7 +20,9 @@ from bbekit.rngutil import derive_seed
 from bbekit.trainer import (
     TrainConfig,
     TrainLog,
-    _batch_loss,
+    _cache_kind,
+    _cached_loss,
+    _fill_train_cache,
     evaluate,
     train_multi,
     train_transfer,
@@ -115,34 +118,50 @@ def tape_nodes(loss) -> int:
     return len(seen)
 
 
+def step_loss(model, manifest, batch, frame_cap):
+    """The training step's loss on ``batch``, from a fill of ``manifest``'s
+    train split at ``frame_cap``."""
+    kind = _cache_kind(model)
+    return _cached_loss(model, batch, _fill_train_cache(model, [manifest], frame_cap, kind),
+                        kind)
+
+
+def padded_loss(model, batch):
+    """The oracle for a training step: the loss of ``forward`` on the
+    batch's padded frames, run per batch on the tape."""
+    return F.softmax_cross_entropy(model.forward(*pad_frames(batch.arrays, batch.corpus_id)),
+                                   batch.labels)
+
+
 class TestBatchLoss:
     def test_one_tape_whatever_the_batch_size(self, tiny_model, make_corpus):
         manifest = make_corpus("c0")
-        counts = [tape_nodes(_batch_loss(tiny_model, next_batch(
-            CorpusIterator(manifest, "train", seed=1), size, frame_cap=20)))
+        counts = [tape_nodes(step_loss(tiny_model, manifest, next_batch(
+            CorpusIterator(manifest, "train", seed=1), size, frame_cap=20), 20))
             for size in (1, 8)]
         assert counts[0] == counts[1]
 
     def test_c07_tape_size(self, make_corpus):
         # a 4-block d=16 step at B=8: 10 nodes per block, 1 for pooling, the
-        # head's linear and the loss, plus 66 parameter leaves; gathering the
-        # real frames records no node, since the input needs no gradient.
-        # The benchmark reports this count as autodiff.tape_nodes_per_step
-        # on stage1-rr
+        # head's linear and the loss, plus 66 parameter leaves; the cached
+        # frontend rows are a leaf that needs no gradient.  The benchmark
+        # reports this count as autodiff.tape_nodes_per_step on stage1-rr
         model = EncoderModel.build(EncoderConfig(n_blocks=4, d_model=16, n_heads=2, d_ffn=32),
                                    seed=0)
-        batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 8, frame_cap=50)
+        manifest = make_corpus("c0")
+        batch = next_batch(CorpusIterator(manifest, "train", seed=1), 8, frame_cap=50)
         assert batch.size == 8
-        assert tape_nodes(_batch_loss(model, batch)) == 4 * 10 + 1 + 1 + 1 + 66
+        assert tape_nodes(step_loss(model, manifest, batch, 50)) == 4 * 10 + 1 + 1 + 1 + 66
 
     def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
-        batch = next_batch(CorpusIterator(make_corpus("c0"), "train", seed=1), 5)
+        manifest = make_corpus("c0")
+        batch = next_batch(CorpusIterator(manifest, "train", seed=1), 5)
         singles = []
-        for frames, mask, label in zip(batch.features, batch.pad_mask, batch.labels):
-            logits = tiny_model.logits(frames[mask])
+        for frames, label in zip(batch.arrays, batch.labels):
+            logits = tiny_model.logits(frames)
             singles.append(np.log(np.exp(logits - logits.max()).sum())
                            - (logits[label] - logits.max()))
-        assert _batch_loss(tiny_model, batch).item() == pytest.approx(
+        assert step_loss(tiny_model, manifest, batch, None).item() == pytest.approx(
             np.mean(singles), rel=1e-12)
 
 
@@ -244,28 +263,23 @@ class TestNumericalAbort:
         assert str(exc.value).startswith("preservation check failed: ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_mid_run_abort_carries_loss_tail(self, tiny_model, make_corpus):
+    def test_mid_run_abort_carries_loss_tail(self, tiny_model, make_corpus, monkeypatch):
         manifest = make_corpus("c0")
         model = tiny_model.clone()
 
         poisoned_cfg = quick_cfg(n_steps=9, eval_every=3)
-        from bbekit import trainer as trainer_mod
-
-        original = trainer_mod._batch_loss
+        original = trainer_mod._cached_loss
         calls = {"n": 0}
 
-        def sabotage(m, batch):
+        def sabotage(m, *args):
             calls["n"] += 1
             if calls["n"] == 7:
                 m.store.value("head.weight")[...] = np.inf
-            return original(m, batch)
+            return original(m, *args)
 
-        trainer_mod._batch_loss = sabotage
-        try:
-            with pytest.raises(NumericalAbort) as exc:
-                train_multi(model, [manifest], poisoned_cfg)
-        finally:
-            trainer_mod._batch_loss = original
+        monkeypatch.setattr(trainer_mod, "_cached_loss", sabotage)
+        with pytest.raises(NumericalAbort) as exc:
+            train_multi(model, [manifest], poisoned_cfg)
         assert exc.value.step == 7
         assert len(exc.value.loss_tail) == 5
 
@@ -400,13 +414,20 @@ def conv_corpus(make_corpus, corpus_id="t0"):
     return make_corpus(corpus_id, d=4, frame_rate=40.0)  # 20-200 frames
 
 
+CACHE_KINDS = ["identity", "conv", "frontend", "identity-rows", "identity-freeze-original"]
+
+
 def cache_case(kind, tiny_model, make_corpus):
     """A model, its target corpus, a frame cap that crops most of the
     corpus's train samples, and the expansion whose freeze flags pick the
-    cache: the pooled embedding under head-only ("identity", "conv"), the
-    frontend rows for a conv model whose blocks train ("frontend")."""
-    if kind == "identity":
-        return tiny_model, make_corpus("t0"), 20, ExpansionSpec(2, "head-only")  # 5-50 frames
+    cache: the pooled embedding under head-only ("identity", "conv"), else
+    the frontend rows: of a conv model whose blocks train ("frontend"), and
+    the frames themselves for an identity model whose blocks all train
+    ("identity-rows") or whose copies train ("identity-freeze-original")."""
+    if kind.startswith("identity"):
+        spec = {"identity": ExpansionSpec(2, "head-only"), "identity-rows": None,
+                "identity-freeze-original": ExpansionSpec(2, "freeze-original")}[kind]
+        return tiny_model, make_corpus("t0"), 20, spec  # 5-50 frames
     spec = None if kind == "frontend" else ExpansionSpec(2, "head-only")
     return conv_model(), conv_corpus(make_corpus), 60, spec
 
@@ -452,11 +473,12 @@ def tape_spy(monkeypatch) -> list[int]:
 
 
 class TestHeadOnlyCache:
-    @pytest.mark.parametrize("kind", ["identity", "conv", "frontend"])
+    @pytest.mark.parametrize("kind", CACHE_KINDS)
     def test_matches_the_uncached_step(self, kind, tiny_model, make_corpus, tmp_path):
-        # a cached embedding is pooled over another padded length than the
-        # batch's, so the two agree to rounding, not bit for bit; cached
-        # frontend rows run the blocks on the batch's own rows and mask
+        # the oracle runs forward on each batch's padded frames; a cached
+        # embedding is pooled over another padded length than the batch's,
+        # so the two agree to rounding, not bit for bit; cached frontend
+        # rows run the blocks on the batch's own rows and mask
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
         cfg = quick_cfg(n_steps=6, frame_cap=cap, eval_every=100, selection="last",
                         adamw=AdamWConfig(learning_rate=1e-2))
@@ -474,12 +496,12 @@ class TestHeadOnlyCache:
         expected = TrainLog()
         expected.add_val(0, "t0", evaluate(reference, target, "val")["uar"])
         for step in range(1, cfg.n_steps + 1):
-            loss = _batch_loss(reference, next_batch(iterator, cfg.batch_size, cap))
+            loss = padded_loss(reference, next_batch(iterator, cfg.batch_size, cap))
             expected.add_loss(step, "t0", loss.item())
             loss.backward()
             adamw_step(reference.store, cfg.adamw)
         expected.add_val(cfg.n_steps, "t0", evaluate(reference, target, "val")["uar"])
-        if kind == "frontend":
+        if _cache_kind(reference) == "rows":
             assert log.loss_csv() == expected.loss_csv()
             assert log.val_csv() == expected.val_csv()
             save_checkpoint(tmp_path / "cached.bbex", cached)
@@ -503,25 +525,6 @@ class TestHeadOnlyCache:
         for name in m1.store.names():
             assert np.array_equal(m1.store.value(name), m2.store.value(name)), name
 
-    def test_head_only_steps_build_no_padded_batch(self, tiny_model, make_corpus, monkeypatch):
-        # the cached steps read only the drawn samples; each full-path step
-        # reads its batch's padded features once
-        padded = []
-        build = Batch.__dict__["features"].func
-
-        def spy(batch):
-            padded.append(batch)
-            return build(batch)
-
-        monkeypatch.setattr(Batch, "features", property(spy))
-        target = make_corpus("t0")
-        cfg = quick_cfg(stage="single_corpus", n_steps=4, eval_every=100)
-        train_transfer(tiny_model.clone(), target,
-                       replace(cfg, expansion=ExpansionSpec(2, "head-only")))
-        assert padded == []
-        train_transfer(tiny_model.clone(), target, cfg)
-        assert len(padded) == 4
-
     def test_round_robin_keeps_the_encoder_byte_identical(self, tiny_model, make_corpus):
         manifests = [make_corpus("a"), make_corpus("b", seed=41)]
         model = tiny_model.clone()
@@ -533,14 +536,15 @@ class TestHeadOnlyCache:
                                        tiny_model.store.value(name))
             assert unchanged != name.startswith("head."), name
 
-    @pytest.mark.parametrize("kind", ["identity", "conv", "frontend"])
+    @pytest.mark.parametrize("kind", CACHE_KINDS)
     def test_fill_embeds_each_train_sample_once(self, kind, tiny_model, make_corpus,
                                                  monkeypatch):
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
-        # head-only: head linear, loss, two leaves; with cached rows the
-        # plain step's tape, on which a frozen frontend records no node
-        full = 4 if spec else tape_nodes(_batch_loss(model, next_batch(
+        # the oracle's tape, on which the frontend records no node: under
+        # head-only the head linear, the loss and two leaves
+        full = tape_nodes(padded_loss(expand(model, spec) if spec else model, next_batch(
             CorpusIterator(target, "train", seed=1), 4, frame_cap=cap)))
+        assert (full == 4) == (kind in ("identity", "conv"))
         record = spy_model(monkeypatch)
         sizes = tape_spy(monkeypatch)
         cfg = quick_cfg(stage="single_corpus", n_steps=8, frame_cap=cap, eval_every=4,
@@ -552,37 +556,39 @@ class TestHeadOnlyCache:
         assert record["taped_forwards"] == 0
         assert sizes == [full] * cfg.n_steps
 
-    def test_trainable_encoder_takes_the_full_tape(self, tiny_model, make_corpus,
-                                                   monkeypatch):
-        # an identity frontend has nothing to cache, whether block 0 trains
-        # or is frozen; a thawed conv frontend trains itself
-        thawed = conv_model()
-        for name in thawed.store.names():
-            if name.startswith("frontend."):
-                thawed.store.set_frozen(name, False)
-        cases = [(tiny_model, make_corpus("t0"), None),
-                 (tiny_model, make_corpus("t0"), ExpansionSpec(2, "freeze-original")),
-                 (thawed, conv_corpus(make_corpus, "t1"), None)]
-        for model, target, spec in cases:
-            full = tape_nodes(_batch_loss(expand(model, spec) if spec else model, next_batch(
-                CorpusIterator(target, "train", seed=1), 4, frame_cap=20)))
-            with monkeypatch.context() as patch:
-                record = spy_model(patch)
-                sizes = tape_spy(patch)
-                train_transfer(model.clone(), target,
-                               quick_cfg(stage="single_corpus", n_steps=4, expansion=spec))
-            assert not record["embedded"]
-            assert record["taped_forwards"] == 4
-            assert sizes == [full] * 4 and full > 6
+    def test_thawed_frontend_is_a_config_error(self, make_corpus, monkeypatch):
+        # the frontend is fixed: a trainable entry of it (only set_frozen or a
+        # hand-made checkpoint can make one) fails before the step-0
+        # evaluation and before any batch
+        model = conv_model()
+        model.store.set_frozen("frontend.conv0.bias", False)
 
-    def test_non_finite_train_frame_is_input_error(self, tiny_model, make_corpus):
+        def unreachable(*args):
+            raise AssertionError("training went past the freeze-flag check")
+
+        monkeypatch.setattr(trainer_mod, "evaluate", unreachable)
+        monkeypatch.setattr(trainer_mod, "next_batch", unreachable)
+        with pytest.raises(ConfigError, match="frontend.conv0.bias") as exc:
+            train_multi(model, [conv_corpus(make_corpus)], quick_cfg(n_steps=4))
+        assert exc.value.exit_code == 2
+
+    def test_non_finite_train_frame_is_input_error(self, tiny_model, make_corpus,
+                                                   monkeypatch):
+        # the fill checks every train crop before the first batch is drawn,
+        # whether it caches pooled embeddings or rows
         target = make_corpus("t0")
         sample = target.split_samples("train")[3]
         target._cache[sample.feature_path] = target.features(sample).copy()
         target.features(sample)[2, 5] = np.nan
-        with pytest.raises(InputError):
-            train_transfer(tiny_model.clone(), target, quick_cfg(
-                stage="single_corpus", n_steps=4, expansion=ExpansionSpec(2, "head-only")))
+
+        def no_batch(*args):
+            raise AssertionError("a batch was drawn before the fill")
+
+        monkeypatch.setattr(trainer_mod, "next_batch", no_batch)
+        for spec in (ExpansionSpec(2, "head-only"), None):
+            with pytest.raises(InputError, match="non-finite"):
+                train_transfer(tiny_model.clone(), target, quick_cfg(
+                    stage="single_corpus", n_steps=4, expansion=spec))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stub_eval", [False, True])
