@@ -28,6 +28,8 @@ from .optim import AdamWConfig
 from .rngutil import derive_seed
 from .trainer import TrainConfig, evaluate, train_multi, train_transfer
 
+FINETUNE_STEPS = 10000
+
 
 # -- config plumbing ---------------------------------------------------------
 
@@ -65,7 +67,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def train_config_from(cfg: dict, stage: str, seed: int,
                       n_steps: int | None = None,
                       expansion: ExpansionSpec | None = None,
-                      default_steps: int = 3000) -> TrainConfig:
+                      default_steps: int = TrainConfig.n_steps) -> TrainConfig:
     """The "train" and "adamw" sections over the dataclass defaults.  The
     CLI's own policies: its default step count, and frame_cap 0 for no cap."""
     t = {"n_steps": default_steps, **cfg.get("train", {})}
@@ -215,7 +217,7 @@ def cmd_finetune(args) -> int:
     model = load_checkpoint(args.checkpoint)
     target = load_manifest(args.target)
     tcfg = train_config_from(cfg, "single_corpus", args.seed, n_steps=args.steps,
-                             expansion=expansion, default_steps=10000)
+                             expansion=expansion, default_steps=FINETUNE_STEPS)
     model, log = train_transfer(model, target, tcfg, reinit_head=args.reinit_head)
     ckpt = run.path / "checkpoint.bbex"
     save_checkpoint(ckpt, model)
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, config=True)
     p.add_argument("--corpus-set", required=True, help="corpus set JSON file")
     p.add_argument("--steps", type=int, default=None,
-                   help="override step count (default 3000)")
+                   help=f"override step count (default {TrainConfig.n_steps})")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("expand", help="duplicate blocks behind zero gates")
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", required=True, help="target corpus manifest")
     p.add_argument("--steps", type=int, default=None,
-                   help="override step count (default 10000)")
+                   help=f"override step count (default {FINETUNE_STEPS})")
     p.add_argument("--expand", action="store_true",
                    help="expand the model before fine-tuning")
     p.add_argument("--multiplier", type=int, default=None, choices=(2, 3),

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, StateError
+from .corpus import pad_frames
+from .errors import ConfigError, DimensionError, StateError
 from .model import BlockInfo, EncoderModel, param_layout
 
 FREEZE_POLICIES = ("freeze-original", "non-frozen", "head-only")
@@ -104,11 +105,13 @@ def preservation_probes(model: EncoderModel, seed: int,
 
 def verify_preservation(base: EncoderModel, expanded: EncoderModel,
                         probes: list) -> float:
-    """Max absolute logit difference between the two models over the probes.
+    """Max absolute logit difference between the two models over the probes:
+    [T, input_dim] frames, or ``(frames, mask)`` pairs with a [T] mask.
 
-    With zero-initialized ZLL gates this must be exactly 0.0: every copy
-    contributes ``x + 0`` and the surviving compute path is the same float64
-    operation sequence as in the source model.  The expanded model runs
+    The probes run zero-padded as one batch, once through each model.  With
+    zero-initialized ZLL gates this must be exactly 0.0: both models take
+    the same packing, every copy adds an exact ``+ 0``, and the rest is the
+    source model's float64 operation sequence.  The expanded model runs
     every copy, also those whose closed gate its forward would skip, since
     this check proves the identity that the skip relies on.
     """
@@ -118,14 +121,18 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
         raise StateError("second model carries no expansion record")
     if expanded.expansion["source_blocks"] != [b.block_id for b in base.block_index]:
         raise StateError("models are structurally unrelated")
-    worst = 0.0
-    for probe in probes:
-        if isinstance(probe, tuple):
-            frames, pad_mask = probe
-        else:
-            frames, pad_mask = probe, None
-        with ad.no_grad():
-            grown = expanded.forward(frames, pad_mask, every_copy=True).data
-        diff = np.abs(base.logits(frames, pad_mask) - grown)
-        worst = max(worst, float(diff.max()))
-    return worst
+    d = base.config.input_dim
+    pairs = [probe if isinstance(probe, tuple) else (probe, None) for probe in probes]
+    for frames, pad_mask in pairs:
+        shape, mask_shape = np.shape(frames), np.shape(pad_mask)
+        if len(shape) != 2 or shape[1] != d or (pad_mask is not None and mask_shape != shape[:1]):
+            raise DimensionError(f"a probe needs [T, {d}] frames and a [T] mask, "
+                                 f"got {shape} and {mask_shape}")
+    frames, pad_mask = pad_frames([np.asarray(f, dtype=np.float64) for f, _ in pairs], "probes")
+    for row, (probe, own) in zip(pad_mask, pairs):
+        if own is not None:
+            row[:len(probe)] &= np.asarray(own, dtype=bool)
+    with ad.no_grad():
+        grown = expanded.head(expanded.encode_rows(
+            *expanded.frontend_rows(frames, pad_mask), every_copy=True)).data
+    return float(np.abs(base.logits(frames, pad_mask) - grown).max())

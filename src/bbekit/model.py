@@ -263,19 +263,35 @@ class EncoderModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _frontend(self, frames: np.ndarray,
-                  pad_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """[B, T, input_dim] frames and mask -> [B, T', d_model] and its mask.
+    def frontend_rows(self, frames, pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """Frames [B, T, d_in] with a [B, T] mask -> the frontend's real
+        output frames as packed [N, d_model] rows (batch-major) and the
+        frontend's [B, T'] mask, True on those N frames.
 
-        The frontend is a fixed function of its input: frames are data and
-        its parameters never train, so its output is data too, on no tape.
+        The input mask is True on real frames; every sample needs one, and
+        the conv frontend needs as many as its receptive field.  The
+        frontend is a fixed function of its input: frames are data and its
+        parameters never train, so the rows are a tape leaf that needs no
+        gradient.
         """
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
+                             f"got shape {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise InputError("non-finite values in model input")
+        pad_mask = np.asarray(pad_mask, dtype=bool)
+        if pad_mask.shape != frames.shape[:2]:
+            raise DimensionError(
+                f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
+        if not pad_mask.any(axis=1).all():
+            raise InputError("pad_mask excludes every frame of a sample")
         if frames.shape[2] != self.config.input_dim:
             raise DimensionError(
                 f"{self.config.frontend} frontend needs {self.config.input_dim}-dim "
                 f"frames, got {frames.shape[2]}")
         if self.config.frontend == "identity":
-            return frames, pad_mask
+            return Tensor(frames[pad_mask]), pad_mask
         # conv mixes neighbouring frames, so padding must be a suffix; the
         # batch is trimmed to its longest true length, and each sample's
         # outputs past its own conv output length are masked out
@@ -292,30 +308,7 @@ class EncoderModel:
             w = self.store.tensor(f"frontend.conv{i}.weight")
             b = self.store.tensor(f"frontend.conv{i}.bias")
             x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b)).data
-        return x, np.arange(x.shape[1]) < out_lengths[:, None]
-
-    def frontend_rows(self, frames, pad_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Frames [B, T, d_in] with a [B, T] mask -> the frontend's real
-        output frames as packed [N, d_model] rows (batch-major) and the
-        frontend's [B, T'] mask, True on those N frames.
-
-        The input mask is True on real frames; every sample needs one, and
-        the conv frontend needs as many as its receptive field.  The rows
-        are a tape leaf that needs no gradient.
-        """
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
-            raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
-                             f"got shape {frames.shape}")
-        if not np.isfinite(frames).all():
-            raise InputError("non-finite values in model input")
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        if pad_mask.shape != frames.shape[:2]:
-            raise DimensionError(
-                f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
-        if not pad_mask.any(axis=1).all():
-            raise InputError("pad_mask excludes every frame of a sample")
-        x, pad_mask = self._frontend(frames, pad_mask)
+        pad_mask = np.arange(x.shape[1]) < out_lengths[:, None]
         return Tensor(x[pad_mask]), pad_mask
 
     def encode_rows(self, rows: Tensor, pad_mask: np.ndarray, *,
@@ -330,7 +323,8 @@ class EncoderModel:
         ``zll.bias`` frozen and all zero, read on every call) is skipped:
         ``x + ZLL(block(x))`` is then ``x`` whenever ``block(x)`` is finite,
         and pooling checks what reaches it.  ``every_copy`` runs every block
-        anyway, as the preservation check must.
+        anyway, as ``expansion.verify_preservation`` must.  This is the one
+        place that decides which copies run.
         """
         packing = ad.pack_sequences(pad_mask)
         heads = self.config.n_heads
@@ -343,24 +337,17 @@ class EncoderModel:
                 rows = F.expanded_block_forward(rows, p, heads, packing)
         return F.masked_mean_pool(rows, packing)
 
-    def embed(self, frames, pad_mask: np.ndarray, *, every_copy: bool = False) -> Tensor:
-        """Frames [B, T, d_in] with a [B, T] mask -> pooled [B, d_model]
-        embeddings: ``encode_rows(*frontend_rows(frames, pad_mask))``."""
-        return self.encode_rows(*self.frontend_rows(frames, pad_mask), every_copy=every_copy)
-
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""
         return F.linear_forward(pooled, self.store.tensor("head.weight"),
                                 self.store.tensor("head.bias"))
 
-    def forward(self, frames, pad_mask: np.ndarray | None = None, *,
-                every_copy: bool = False) -> Tensor:
+    def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
         """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6]:
-        ``head(embed(frames, pad_mask))``.
+        ``head(encode_rows(*frontend_rows(frames, pad_mask)))``.
 
         The mask defaults to all True.  A single [T, d_in] sequence (with a
-        [T] mask) runs as a batch of one and returns [6].  ``every_copy`` is
-        ``encode_rows``'s.
+        [T] mask) runs as a batch of one and returns [6].
         """
         frames = np.asarray(frames, dtype=np.float64)
         single = frames.ndim == 2
@@ -370,7 +357,7 @@ class EncoderModel:
                 pad_mask = np.asarray(pad_mask, dtype=bool)[None]
         if pad_mask is None:
             pad_mask = np.ones(frames.shape[:2], dtype=bool)
-        logits = self.head(self.embed(frames, pad_mask, every_copy=every_copy))
+        logits = self.head(self.encode_rows(*self.frontend_rows(frames, pad_mask)))
         return ad.reshape(logits, logits.shape[1:]) if single else logits
 
     def logits(self, frames, pad_mask: np.ndarray | None = None) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import ParameterStore, decays  # noqa: F401  (AdamW's decay rule)
+from .params import ParameterStore
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bbekit import functional as F
 from bbekit.checkpoint import save_checkpoint
-from bbekit.errors import ConfigError, StateError
+from bbekit.errors import ConfigError, DimensionError, StateError
 from bbekit.expansion import (
     FREEZE_POLICIES,
     PRESERVE_PROBES,
@@ -125,14 +125,19 @@ class TestPreservation:
         assert verify_preservation(tiny_model, out, probes) == 0.0
 
     def test_exact_zero_with_masks(self, tiny_model, rng):
-        out = expand(tiny_model, ExpansionSpec(multiplier=3))
-        probes = []
-        for _ in range(5):
-            n = int(rng.integers(2, 8))
-            mask = np.ones(n, dtype=bool)
-            mask[int(rng.integers(1, n)):] = False
-            probes.append((rng.normal(size=(n, 16)), mask))
-        assert verify_preservation(tiny_model, out, probes) == 0.0
+        # masked probes of mixed lengths, padded into one batch; a conv
+        # model's probes keep at least its receptive field of 7 frames
+        for base in (tiny_model, conv_model()):
+            out = expand(base, ExpansionSpec(multiplier=3))
+            shortest, d = base.config.min_input_length, base.config.input_dim
+            probes = []
+            for _ in range(5):
+                n = shortest + int(rng.integers(1, 7))
+                mask = np.ones(n, dtype=bool)
+                mask[int(rng.integers(shortest, n)):] = False
+                probes.append((rng.normal(size=(n, d)), mask))
+            assert len({len(frames) for frames, _ in probes}) > 1
+            assert verify_preservation(base, out, probes) == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), multiplier=st.sampled_from([2, 3]))
@@ -159,12 +164,45 @@ class TestPreservation:
         with pytest.raises(StateError):
             verify_preservation(tiny_model, tiny_model, [rng.normal(size=(2, 16))])
 
+    @pytest.mark.parametrize("case", ["mixed widths", "mask too long", "mask too short"])
+    def test_malformed_probe_is_dimension_error(self, tiny_model, rng, case):
+        # each probe is checked before the probes are padded into one batch
+        out = expand(tiny_model, ExpansionSpec())
+        bad = {"mixed widths": rng.normal(size=(3, 8)),
+               "mask too long": (rng.normal(size=(3, 16)), np.ones(5, dtype=bool)),
+               "mask too short": (rng.normal(size=(5, 16)), np.ones(3, dtype=bool))}[case]
+        with pytest.raises(DimensionError):
+            verify_preservation(tiny_model, out, [rng.normal(size=(4, 16)), bad])
+
+    def test_one_forward_per_model(self, tiny_model, monkeypatch, rng):
+        out = expand(tiny_model, ExpansionSpec())
+        calls = []
+        frontend_rows = EncoderModel.frontend_rows
+
+        def spy(self, frames, pad_mask):
+            calls.append(np.shape(frames))
+            return frontend_rows(self, frames, pad_mask)
+
+        monkeypatch.setattr(EncoderModel, "frontend_rows", spy)
+        probes = [rng.normal(size=(int(rng.integers(1, 9)), 16)) for _ in range(8)]
+        assert verify_preservation(tiny_model, out, probes) == 0.0
+        assert len(calls) == 2
+        assert calls[0][0] == calls[1][0] == 8
+
     def test_unrelated_models_rejected(self, tiny_model, rng):
         other = EncoderModel.build(EncoderConfig(n_blocks=3, d_model=16,
                                                  n_heads=2, d_ffn=32), seed=8)
         out = expand(other, ExpansionSpec())
         with pytest.raises(StateError):
             verify_preservation(tiny_model, out, [rng.normal(size=(2, 16))])
+
+
+def conv_model() -> EncoderModel:
+    """Two stride-2 conv layers over 4-dim frames: a receptive field of 7."""
+    layers = [ConvLayerSpec(16, 3, 2), ConvLayerSpec(16, 3, 2)]
+    return EncoderModel.build(EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ffn=32,
+                                            frontend="conv", conv_in_dim=4,
+                                            conv_layers=layers), seed=2)
 
 
 def copy_forwards(monkeypatch) -> list:
@@ -226,7 +264,7 @@ class TestClosedGateSkip:
         probes = [rng.normal(size=(5, 16)) for _ in range(3)]
         calls = copy_forwards(monkeypatch)
         assert verify_preservation(tiny_model, out, probes) == 0.0
-        assert len(calls) == 4 * len(probes)
+        assert len(calls) == 4  # one per copy: the probes run as one batch
 
 
 def retained_bytes(make) -> int:
@@ -370,10 +408,8 @@ class TestProbes:
         assert not np.array_equal(a[0], preservation_probes(tiny_model, 4)[0])
 
     def test_conv_probes_reach_the_receptive_field(self):
-        layers = [ConvLayerSpec(16, 3, 2), ConvLayerSpec(16, 3, 2)]
-        model = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ffn=32,
-                                                 frontend="conv", conv_in_dim=4,
-                                                 conv_layers=layers), seed=2)
+        model = conv_model()
+        layers = model.config.conv_layers
         probes = preservation_probes(model, 0, n=50)
         lengths = [p.shape[0] for p in probes]
         assert model.config.min_input_length == 7

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bbekit.errors import ConfigError, StateError
-from bbekit.optim import AdamWConfig, adamw_step, decays
-from bbekit.params import ParameterStore
+from bbekit.optim import AdamWConfig, adamw_step
+from bbekit.params import ParameterStore, decays
 
 
 def store_with(name, value, grad, frozen=False):

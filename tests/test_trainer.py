@@ -434,28 +434,33 @@ def cache_case(kind, tiny_model, make_corpus):
 
 def spy_model(monkeypatch):
     """Record the frames every fill call runs through the frontend (a
-    ``frontend_rows`` outside ``forward``) and how often ``forward`` runs
-    with the tape on."""
+    ``frontend_rows`` inside ``trainer._fill_train_cache``) and how often
+    ``forward`` runs with the tape on."""
     record = {"embedded": Counter(), "taped_forwards": 0}
     frontend_rows, forward = EncoderModel.frontend_rows, EncoderModel.forward
+    fill = trainer_mod._fill_train_cache
     depth = [0]
 
     def frontend_spy(self, frames, pad_mask):
-        if not depth[0]:
+        if depth[0]:
             for row, mask in zip(np.asarray(frames), pad_mask):
                 record["embedded"][row[mask].tobytes()] += 1
         return frontend_rows(self, frames, pad_mask)
 
-    def forward_spy(self, frames, pad_mask=None, **kwargs):
+    def forward_spy(self, frames, pad_mask=None):
         record["taped_forwards"] += ad.is_grad_enabled()
+        return forward(self, frames, pad_mask)
+
+    def fill_spy(*args):
         depth[0] += 1
         try:
-            return forward(self, frames, pad_mask, **kwargs)
+            return fill(*args)
         finally:
             depth[0] -= 1
 
     monkeypatch.setattr(EncoderModel, "frontend_rows", frontend_spy)
     monkeypatch.setattr(EncoderModel, "forward", forward_spy)
+    monkeypatch.setattr(trainer_mod, "_fill_train_cache", fill_spy)
     return record
 
 
