@@ -19,14 +19,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
                      load_manifest)
 from .errors import BbekitError, ConfigError, InvariantViolation
-from .expansion import (FREEZE_POLICIES, ExpansionSpec, expand, preservation_probes,
-                        verify_preservation)
+from .expansion import FREEZE_POLICIES, ExpansionSpec
 from .gradcheck import TOLERANCE, check_model_gradients
 from .metrics import duration_histogram, histogram_csv, report
 from .model import EncoderConfig, EncoderModel, dataclass_from
 from .optim import AdamWConfig
 from .rngutil import derive_seed
-from .trainer import TrainConfig, evaluate, train_multi, train_transfer
+from .trainer import TrainConfig, evaluate, expand_verified, train_multi, train_transfer
 
 FINETUNE_STEPS = 10000
 
@@ -40,7 +39,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -112,9 +111,7 @@ def _sha256(path: Path) -> str:
 
 
 def _summary(run: RunDir, cfg_echo: dict, **extra) -> None:
-    payload = {"config": cfg_echo}
-    payload.update(extra)
-    run.write_json("summary.json", payload)
+    run.write_json("summary.json", {"config": cfg_echo, **extra})
 
 
 def _variant_name(model: EncoderModel) -> str:
@@ -188,18 +185,15 @@ def cmd_expand(args) -> int:
     run = RunDir(args.out, "expand")
     model = load_checkpoint(args.checkpoint)
     spec = ExpansionSpec(multiplier=args.multiplier, freeze_policy=args.freeze_policy)
-    expanded = expand(model, spec)
-    worst = verify_preservation(model, expanded, preservation_probes(model, args.seed))
+    expanded = expand_verified(model, spec, args.seed, None)  # raises unless exactly 0.0
     print(f"blocks: {len(model.block_index)} -> {len(expanded.block_index)}, "
-          f"preservation max|Δ| = {worst!r}")
-    if worst != 0.0:
-        raise InvariantViolation(f"expansion changed outputs: max |delta| = {worst!r}")
+          "preservation max|Δ| = 0.0")
     ckpt = run.path / "expanded.bbex"
     save_checkpoint(ckpt, expanded)
     _summary(run, {"multiplier": args.multiplier, "freeze_policy": args.freeze_policy,
                    "seed": args.seed},
              checkpoint="expanded.bbex", checkpoint_sha256=_sha256(ckpt),
-             preservation_max_abs_delta=worst)
+             preservation_max_abs_delta=0.0)
     run.finish()
     return 0
 
@@ -273,13 +267,20 @@ def cmd_report(args) -> int:
     for path in args.results:
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ConfigError(f"cannot read eval result {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"eval result {path} must hold a JSON object")
         for key in ("corpus", "variant", "uar"):
             if key not in payload:
                 raise ConfigError(f"eval result {path} lacks key {key!r}")
+            value = payload[key]
+            if key == "uar":
+                valid, kind = type(value) in (int, float) and 0 <= value <= 1, "a number in [0, 1]"
+            else:  # a table name; JSON can spell a lone surrogate, which UTF-8 cannot write
+                valid, kind = isinstance(value, str) and value.isprintable(), "a printable string"
+            if not valid:
+                raise ConfigError(f"eval result {path}: {key!r} must be {kind}, got {value!r}")
         results.setdefault(payload["corpus"], {})[payload["variant"]] = payload["uar"]
     text, csv = report(results)
     run.write_text("report.txt", text)

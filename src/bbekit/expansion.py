@@ -122,16 +122,20 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
     if expanded.expansion["source_blocks"] != [b.block_id for b in base.block_index]:
         raise StateError("models are structurally unrelated")
     d = base.config.input_dim
-    pairs = [probe if isinstance(probe, tuple) else (probe, None) for probe in probes]
+    try:  # a ragged or non-numeric probe, or a tuple that is no (frames, mask) pair
+        pairs = [(np.asarray(f, dtype=np.float64), None if m is None else np.asarray(m, dtype=bool))
+                 for f, m in (p if isinstance(p, tuple) else (p, None) for p in probes)]
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"a probe needs [T, {d}] frames and a [T] mask: {exc}") from exc
     for frames, pad_mask in pairs:
-        shape, mask_shape = np.shape(frames), np.shape(pad_mask)
+        shape, mask_shape = frames.shape, np.shape(pad_mask)
         if len(shape) != 2 or shape[1] != d or (pad_mask is not None and mask_shape != shape[:1]):
             raise DimensionError(f"a probe needs [T, {d}] frames and a [T] mask, "
                                  f"got {shape} and {mask_shape}")
-    frames, pad_mask = pad_frames([np.asarray(f, dtype=np.float64) for f, _ in pairs], "probes")
+    frames, pad_mask = pad_frames([f for f, _ in pairs], "probes")
     for row, (probe, own) in zip(pad_mask, pairs):
         if own is not None:
-            row[:len(probe)] &= np.asarray(own, dtype=bool)
+            row[:len(probe)] &= own
     with ad.no_grad():
         grown = expanded.head(expanded.encode_rows(
             *expanded.frontend_rows(frames, pad_mask), every_copy=True)).data

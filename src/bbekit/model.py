@@ -274,13 +274,13 @@ class EncoderModel:
         parameters never train, so the rows are a tape leaf that needs no
         gradient.
         """
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = _as_array(frames, np.float64)
         if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise InputError(f"expected non-empty [T, d] or [B, T, d] input, "
                              f"got shape {frames.shape}")
         if not np.isfinite(frames).all():
             raise InputError("non-finite values in model input")
-        pad_mask = np.asarray(pad_mask, dtype=bool)
+        pad_mask = _as_array(pad_mask, bool)
         if pad_mask.shape != frames.shape[:2]:
             raise DimensionError(
                 f"pad_mask shape {pad_mask.shape} != frames {frames.shape[:2]}")
@@ -349,12 +349,11 @@ class EncoderModel:
         The mask defaults to all True.  A single [T, d_in] sequence (with a
         [T] mask) runs as a batch of one and returns [6].
         """
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = _as_array(frames, np.float64)
         single = frames.ndim == 2
         if single:
             frames = frames[None]
-            if pad_mask is not None:
-                pad_mask = np.asarray(pad_mask, dtype=bool)[None]
+            pad_mask = None if pad_mask is None else _as_array(pad_mask, bool)[None]
         if pad_mask is None:
             pad_mask = np.ones(frames.shape[:2], dtype=bool)
         logits = self.head(self.encode_rows(*self.frontend_rows(frames, pad_mask)))
@@ -364,6 +363,13 @@ class EncoderModel:
         """Tape-free forward for evaluation; same shapes as ``forward``."""
         with ad.no_grad():
             return self.forward(frames, pad_mask).data
+
+
+def _as_array(value, dtype) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # a ragged nested list, say
+        raise InputError(f"model input is not a {np.dtype(dtype)} array: {exc}") from exc
 
 
 def _gate_closed(p: dict[str, Tensor]) -> bool:

@@ -215,35 +215,19 @@ class ParameterStore:
             return self.flat().value.size
         return sum(e.tensor.size for e in self._entries.values())
 
-    def snapshot(self) -> dict[str, tuple[np.ndarray, np.ndarray | None,
-                                          np.ndarray | None, int]]:
-        """Copies of every entry's value, AdamW moments (None where frozen)
-        and step counter."""
-        return {name: (e.tensor.data.copy(), _copy(e.m), _copy(e.v), e.step)
-                for name, e in self._entries.items()}
+    def snapshot(self) -> tuple:
+        """Copies of the flat ``value``, ``m``, ``v`` and ``steps`` buffers,
+        after the ``FlatState`` they came from: all that training writes,
+        since frozen entries' values and step counters never move."""
+        flat = self.flat()
+        return (flat,) + tuple(b.copy() for b in (flat.value, flat.m, flat.v, flat.steps))
 
-    def restore(self, snapshot: dict) -> None:
-        """Write a ``snapshot`` back: values, moments and step counters.
-
-        Freeze flags stay as they are now: an entry frozen since keeps no
-        moments, and one thawed since keeps its fresh state (zero moments,
-        step 0) where the snapshot holds no moments.
-        """
-        for name, (value, m, v, step) in snapshot.items():
-            entry = self[name]
-            if entry.tensor.data.shape != value.shape:
-                raise StateError(f"shape mismatch restoring {name!r}")
-            entry.tensor.data[...] = value
-            if entry.frozen:
-                entry.step = step
-            elif m is None:
-                entry.m[...] = entry.v[...] = 0.0
-                entry.step = 0
-            else:
-                entry.m[...] = m
-                entry.v[...] = v
-                entry.step = step
-
-
-def _copy(a: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else a.copy()
+    def restore(self, snapshot: tuple) -> None:
+        """Write a ``snapshot``'s copies back into the buffers it came from.
+        A store laid out again since (an entry added, replaced, frozen or
+        thawed) is a ``StateError``: its entries no longer view them."""
+        flat, *copies = snapshot
+        if self._flat is not flat:
+            raise StateError("the store was laid out again since the snapshot")
+        for buffer, copy in zip((flat.value, flat.m, flat.v, flat.steps), copies):
+            buffer[...] = copy

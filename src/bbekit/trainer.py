@@ -176,21 +176,22 @@ def _cached_loss(model: EncoderModel, batch, cache: dict[str, np.ndarray],
 
 
 def _eval_all(model: EncoderModel, manifests: list[CorpusManifest], step: int,
-              log: TrainLog, split: str = "val") -> float:
-    """Record one val-UAR row per corpus; returns the mean over corpora."""
+              log: TrainLog) -> None:
+    """Record one val-UAR row per corpus, and ``step`` as the best step when
+    its mean over corpora beats every earlier one."""
     scores = []
     for manifest in manifests:
         try:
-            score = evaluate(model, manifest, split)["uar"]
-        except NumericalAbort:
-            raise
+            score = evaluate(model, manifest, "val")["uar"]
         except NumericalError as exc:
             tail = [v for _, _, v in log.losses[-LOSS_TAIL:]]
             raise NumericalAbort(f"evaluation failed: {exc}", step=step,
                                  corpus_id=manifest.corpus_id, loss_tail=tail) from exc
         log.add_val(step, manifest.corpus_id, score)
         scores.append(score)
-    return float(np.mean(scores))
+    mean = float(np.mean(scores))
+    if log.best_val_uar is None or mean > log.best_val_uar:
+        log.best_step, log.best_val_uar = step, mean
 
 
 def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
@@ -206,15 +207,9 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i))
                  for i, m in enumerate(manifests)}
     log = TrainLog()
-
-    def maybe_snapshot(step: int, mean_uar: float) -> None:
-        if log.best_val_uar is None or mean_uar > log.best_val_uar:
-            log.best_step = step
-            log.best_val_uar = mean_uar
-            snapshots["best"] = model.store.snapshot()
-
-    snapshots: dict = {}
-    maybe_snapshot(0, _eval_all(model, manifests, 0, log))
+    _eval_all(model, manifests, 0, log)  # step 0 is the first best
+    # only "best" restores, so only "best" copies the store at each new best
+    best = model.store.snapshot() if cfg.selection == "best" else None
     # the frontend, and under head-only the whole encoder, is a fixed
     # function of the input, so each train sample runs through it once
     kind = _cache_kind(model)
@@ -235,10 +230,12 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
                                  loss_tail=tail) from exc
         log.add_loss(step, corpus_id, value)
         if step % cfg.eval_every == 0 or step == len(schedule):
-            maybe_snapshot(step, _eval_all(model, manifests, step, log))
+            _eval_all(model, manifests, step, log)
+            if log.best_step == step and best is not None:
+                best = model.store.snapshot()
 
-    if cfg.selection == "best" and "best" in snapshots:
-        model.store.restore(snapshots["best"])
+    if best is not None:
+        model.store.restore(best)
     return log
 
 
@@ -253,6 +250,22 @@ def train_multi(model: EncoderModel, manifests: list[CorpusManifest],
     schedule = round_robin_schedule([m.corpus_id for m in manifests], cfg.n_steps)
     log = _train_loop(model, manifests, schedule, cfg)
     return model, log
+
+
+def expand_verified(model: EncoderModel, spec: ExpansionSpec, seed: int,
+                    corpus_id: str | None) -> EncoderModel:
+    """``expand``, then ``verify_preservation`` on seeded probes: a nonzero
+    result is an ``InvariantViolation``, a non-finite one a step-0
+    ``NumericalAbort``.  Both run by this module's names, which tracers wrap."""
+    expanded = expand(model, spec)
+    try:
+        worst = verify_preservation(model, expanded, preservation_probes(model, seed))
+    except NumericalError as exc:
+        raise NumericalAbort(f"preservation check failed: {exc}", step=0,
+                             corpus_id=corpus_id) from exc
+    if worst != 0.0:
+        raise InvariantViolation(f"expansion changed outputs: max |delta| = {worst!r}")
+    return expanded
 
 
 def train_transfer(model: EncoderModel, target: CorpusManifest,
@@ -273,16 +286,7 @@ def train_transfer(model: EncoderModel, target: CorpusManifest,
         model.reinit_head()
 
     if cfg.expansion is not None:
-        expanded = expand(model, cfg.expansion)
-        try:
-            worst = verify_preservation(model, expanded, preservation_probes(model, cfg.seed))
-        except NumericalError as exc:
-            raise NumericalAbort(f"preservation check failed: {exc}", step=0,
-                                 corpus_id=target.corpus_id) from exc
-        if worst != 0.0:
-            raise InvariantViolation(
-                f"expansion changed outputs: max |delta| = {worst!r}")
-        model = expanded
+        model = expand_verified(model, cfg.expansion, cfg.seed, target.corpus_id)
 
     schedule = round_robin_schedule([target.corpus_id], cfg.n_steps)
     log = _train_loop(model, [target], schedule, cfg)

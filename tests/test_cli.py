@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_corpus import JSON_VALUES
 
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.cli import load_config, main, train_config_from
@@ -223,6 +226,35 @@ class TestPipeline:
         assert "preservation max|Δ| = 0.0" in capsys.readouterr().out
         assert load_checkpoint(tmp_path / "exp" / "expanded.bbex").config.n_blocks == 4
 
+    def test_expand_runs_through_the_trainer_names(self, tmp_path, tiny_model, monkeypatch,
+                                                   capsys):
+        # a tracer wraps bbekit.trainer.expand and .verify_preservation,
+        # so the CLI expands through the same function as train_transfer
+        from bbekit import trainer as trainer_mod
+
+        calls = []
+        for name in ("expand", "verify_preservation"):
+            def recording(*args, _original=getattr(trainer_mod, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(trainer_mod, name, recording)
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        assert main(["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["expand", "verify_preservation"]
+        capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_expand_of_a_poisoned_checkpoint_is_a_numerical_abort(self, tmp_path, tiny_model,
+                                                                  capsys):
+        tiny_model.store.value("block.0.ffn.w2.weight")[...] = 1e308
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        rc = main(["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert rc == 5
+        assert "preservation check failed: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "expanded.bbex").exists()
+
     def test_gradcheck_command(self, capsys):
         rc = main(["gradcheck", "--blocks", "1", "--dim", "8", "--heads", "2",
                    "--probes", "16"])
@@ -263,6 +295,14 @@ class TestDeterminism:
         d2 = synth(tmp_path, out="d2")
         assert (d1 / "syn00.jsonl").read_bytes() == (d2 / "syn00.jsonl").read_bytes()
         assert (d1 / "durations.csv").read_bytes() == (d2 / "durations.csv").read_bytes()
+
+
+# names and UARs as eval.json files spell them, and anything else JSON can,
+# control characters and lone surrogates included
+REPORT_VALUES = st.one_of(
+    st.sampled_from(["a", "b", "x", "y", ""]), st.floats(-0.5, 1.5), JSON_VALUES,
+    st.text(st.characters(categories=["Cc"]) | st.characters(categories=["Cs"])
+            | st.sampled_from("aé "), max_size=3))
 
 
 class TestExitCodes:
@@ -398,6 +438,47 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(path) in err and repr(missing) in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("uar", "high"), ("uar", None), ("uar", True), ("uar", 1.5), ("uar", -0.1),
+        ("corpus", ["a"]), ("corpus", 3), ("variant", {"x": 1}), ("variant", "\ud800"),
+        ("corpus", "a\nb"),
+    ])
+    def test_report_input_wrong_type(self, tmp_path, capsys, key, value):
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps({"corpus": "a", "variant": "x", "uar": 0.5, key: value}))
+        rc = main(["report", "--out", str(tmp_path / "rep"), str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
+    @pytest.mark.parametrize("text", [b'{"corpus": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not UTF-8", "nested too deep"])
+    @pytest.mark.parametrize("command", ["report", "config"])
+    def test_unreadable_json_input_is_config_error(self, tmp_path, capsys, text, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        out = str(tmp_path / "o")
+        argv = (["report", "--out", out, str(path)] if command == "report" else
+                ["train", "--config", str(path), "--corpus-set", "none.json", "--out", out])
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(payloads=st.lists(st.one_of(
+        st.fixed_dictionaries({key: REPORT_VALUES for key in ("corpus", "variant", "uar")}),
+        st.builds(lambda key, value: {"corpus": "a", "variant": "x", "uar": 0.5, key: value},
+                  st.sampled_from(["corpus", "variant", "uar"]), REPORT_VALUES),
+        JSON_VALUES), min_size=1, max_size=3))
+    def test_arbitrary_eval_json_only_ends_in_exit_codes(self, tmp_path_factory, payloads):
+        tmp_path = tmp_path_factory.getbasetemp() / "report-fuzz"
+        tmp_path.mkdir(exist_ok=True)
+        paths = []
+        for i, payload in enumerate(payloads):
+            paths.append(tmp_path / f"eval{i}.json")
+            paths[-1].write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["report", "--out", str(tmp_path / "rep")] + [str(p) for p in paths])
+        assert rc in (0, 2, 3)
 
 
 def corruptions(data: bytes, seed: int, n_flips: int = 12) -> list[bytes]:

@@ -164,13 +164,19 @@ class TestPreservation:
         with pytest.raises(StateError):
             verify_preservation(tiny_model, tiny_model, [rng.normal(size=(2, 16))])
 
-    @pytest.mark.parametrize("case", ["mixed widths", "mask too long", "mask too short"])
+    @pytest.mark.parametrize("case", ["mixed widths", "mask too long", "mask too short",
+                                      "ragged frames", "ragged mask", "text frames",
+                                      "no pair"])
     def test_malformed_probe_is_dimension_error(self, tiny_model, rng, case):
         # each probe is checked before the probes are padded into one batch
         out = expand(tiny_model, ExpansionSpec())
         bad = {"mixed widths": rng.normal(size=(3, 8)),
                "mask too long": (rng.normal(size=(3, 16)), np.ones(5, dtype=bool)),
-               "mask too short": (rng.normal(size=(5, 16)), np.ones(3, dtype=bool))}[case]
+               "mask too short": (rng.normal(size=(5, 16)), np.ones(3, dtype=bool)),
+               "ragged frames": [[0.0] * 16, [0.0] * 15],
+               "ragged mask": (rng.normal(size=(2, 16)), [True, [True]]),
+               "text frames": [["a"] * 16],
+               "no pair": (rng.normal(size=(2, 16)),)}[case]
         with pytest.raises(DimensionError):
             verify_preservation(tiny_model, out, [rng.normal(size=(4, 16)), bad])
 
@@ -301,10 +307,10 @@ class TestSharedCopies:
         assert n_shared == 2 * (multiplier - 1) * len(tiny_model.block_params()["0"])
 
     def test_input_model_shares_nothing(self, tiny_model):
-        before = tiny_model.store.snapshot()
+        before = {name: e.tensor.data.copy() for name, e in tiny_model.store.items()}
         out = expand(tiny_model, ExpansionSpec(3, "head-only"))
         for name, entry in tiny_model.store.items():
-            assert np.array_equal(entry.tensor.data, before[name][0]), name
+            assert np.array_equal(entry.tensor.data, before[name]), name
             for _, other in out.store.items():
                 assert not np.shares_memory(entry.tensor.data, other.tensor.data), name
 

@@ -209,6 +209,17 @@ class TestForward:
         with pytest.raises(InputError):
             tiny_model.forward(np.zeros((2, 16)), np.zeros(2, dtype=bool))
 
+    @pytest.mark.parametrize("frames, mask", [
+        ([[0.0] * 16, [0.0] * 15], None),  # ragged frames
+        ([[[0.0] * 16] * 2, [[0.0] * 16]], None),  # a ragged batch
+        (np.zeros((2, 16)), [True, [True]]),  # a ragged mask
+        (np.zeros((2, 2, 16)), [[True, True], [True]]),  # a ragged batch mask
+        ("abc", None),
+    ], ids=["ragged frames", "ragged batch", "ragged mask", "ragged batch mask", "text"])
+    def test_input_that_is_no_array_is_input_error(self, tiny_model, frames, mask):
+        with pytest.raises(InputError):
+            tiny_model.logits(frames, mask)
+
     def test_width_mismatch_rejected(self, tiny_model):
         with pytest.raises(DimensionError):
             tiny_model.forward(np.zeros((3, 8)))
@@ -434,7 +445,7 @@ class TestSharedSequences:
 class TestHeadReinit:
     def test_reinit_changes_head_only(self, tiny_model):
         model = tiny_model.clone()
-        before = {n: value for n, (value, *_) in model.store.snapshot().items()}
+        before = {name: e.tensor.data.copy() for name, e in model.store.items()}
         state_before = model.rng_state
         model.reinit_head()
         assert not np.array_equal(model.store.value("head.weight"), before["head.weight"])

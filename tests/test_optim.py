@@ -131,28 +131,40 @@ class TestFreezing:
         assert np.array_equal(live.m, [0.0, 0.0]) and np.array_equal(live.v, [0.0, 0.0])
         assert live.step == 0
 
-    def test_snapshot_restore_across_a_freeze(self):
+    def test_snapshot_restore_brings_back_the_flat_state(self):
         store = ParameterStore()
-        store.add("a.bias", np.array([1.0]), m=[0.5], v=[0.25], step=3)
-        store.add("b.bias", np.array([2.0]), frozen=True, step=4)
+        live = store.add("a.bias", np.array([1.0]), m=[0.5], v=[0.25], step=3)
+        frozen = store.add("b.bias", np.array([2.0]), frozen=True, step=4)
+        flat, value, m, v, steps = snap = store.snapshot()
+        assert flat is store.flat()  # the trainable entry's buffers only
+        assert (value.tolist(), m.tolist(), v.tolist(), steps.tolist()) == (
+            [1.0], [0.5], [0.25], [3])
+        live.tensor.grad[...] = 1.0
+        adamw_step(store, AdamWConfig(learning_rate=0.1))
+        store.restore(snap)
+        assert (live.tensor.data[0], live.m[0], live.v[0], live.step) == (1.0, 0.5, 0.25, 3)
+        assert (frozen.tensor.data[0], frozen.step) == (2.0, 4)
+        store.value("a.bias")[...] = 7.0  # the snapshot holds copies
+        store.restore(snap)
+        assert live.tensor.data[0] == 1.0
+
+    @pytest.mark.parametrize("change", [
+        lambda store: store.set_frozen("a.bias", True),
+        lambda store: store.set_frozen("b.bias", False),
+        lambda store: store.add("c.bias", np.zeros(1)),
+        lambda store: store.replace("a.bias", np.zeros(1)),
+    ], ids=["freeze", "thaw", "add", "replace"])
+    def test_restore_after_a_new_layout_raises(self, change):
+        store = ParameterStore()
+        store.add("a.bias", np.array([1.0]))
+        store.add("b.bias", np.array([2.0]), frozen=True)
         snap = store.snapshot()
-        assert snap["b.bias"][1:] == (None, None, 4)
-        store.set_frozen("a.bias", True)
-        store.set_frozen("b.bias", False)
-        store["b.bias"].m[...] = 9.0
-        store.value("a.bias")[...] = 7.0
-        store.restore(snap)
-        # flags stay as they are now: no moments for the frozen entry, and
-        # zero ones where the snapshot held none
-        assert store.value("a.bias")[0] == 1.0 and store["a.bias"].step == 3
-        assert store["a.bias"].m is None and store["a.bias"].v is None
-        assert np.array_equal(store["b.bias"].m, [0.0]) and store["b.bias"].step == 0
-        assert store.value("b.bias")[0] == 2.0
-        store.set_frozen("a.bias", False)
-        store.restore(snap)
-        assert store["a.bias"].step == 3
-        assert np.array_equal(store["a.bias"].m, [0.5])
-        assert np.array_equal(store["a.bias"].v, [0.25])
+        change(store)
+        with pytest.raises(StateError):
+            store.restore(snap)
+        store.flat()  # laid out again: still not the snapshot's buffers
+        with pytest.raises(StateError):
+            store.restore(snap)
 
     def test_unfreezing_resumes_updates(self):
         store = ParameterStore()

@@ -16,6 +16,7 @@ from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolatio
 from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.optim import AdamWConfig, adamw_step
+from bbekit.params import ParameterStore
 from bbekit.rngutil import derive_seed
 from bbekit.trainer import (
     TrainConfig,
@@ -369,16 +370,19 @@ class TestSelection:
                                                    monkeypatch):
         # values, AdamW moments and step counters all come back from the
         # best step, so a saved checkpoint pairs them consistently
-        from bbekit import trainer as trainer_mod
+        def entry_states(store):
+            return {name: (e.tensor.data.copy(), None if e.frozen else e.m.copy(),
+                           None if e.frozen else e.v.copy(), e.step)
+                    for name, e in store.items()}
 
-        states = []  # store state after each step, step 0 first
+        states = []  # every entry's state after each step, step 0 first
         original = trainer_mod.adamw_step
 
         def recording_step(store, cfg):
             if not states:
-                states.append(store.snapshot())
+                states.append(entry_states(store))
             original(store, cfg)
-            states.append(store.snapshot())
+            states.append(entry_states(store))
 
         monkeypatch.setattr(trainer_mod, "adamw_step", recording_step)
         target = make_corpus("t0")
@@ -394,6 +398,39 @@ class TestSelection:
             assert np.array_equal(entry.m, m), name
             assert np.array_equal(entry.v, v), name
             assert entry.step == step == log.best_step, name
+
+    def test_last_selection_takes_no_snapshot(self, tiny_model, make_corpus, tmp_path,
+                                              monkeypatch):
+        # "last" restores nothing, so it copies nothing; its outputs are
+        # those of a "best" run whose restore does nothing, which snapshots
+        # at every new best as "last" once did
+        calls = Counter()
+        snapshot = ParameterStore.snapshot
+
+        def counting(store):
+            calls[selection] += 1
+            return snapshot(store)
+
+        monkeypatch.setattr(ParameterStore, "snapshot", counting)
+        monkeypatch.setattr(ParameterStore, "restore", lambda store, snap: None)
+        target = make_corpus("t0")
+        outputs = {}
+        for selection in ("last", "best"):
+            model, log = train_transfer(tiny_model.clone(), target, quick_cfg(
+                stage="single_corpus", n_steps=20, eval_every=5, selection=selection,
+                adamw=AdamWConfig(learning_rate=3e-2)))
+            path = tmp_path / f"{selection}.bbex"
+            save_checkpoint(path, model)
+            outputs[selection] = (log.loss_csv(), log.val_csv(), log.best_step,
+                                  path.read_bytes())
+        assert calls["last"] == 0 and calls["best"] >= 2
+        assert outputs["last"] == outputs["best"]
+
+    def test_head_only_snapshot_holds_the_head_alone(self, tiny_model):
+        store = expand(tiny_model, ExpansionSpec(2, "head-only")).store
+        _, value, m, v, steps = store.snapshot()
+        n_head = store.value("head.weight").size + store.value("head.bias").size
+        assert value.size == m.size == v.size == n_head and steps.size == 2
 
     def test_last_selection_keeps_final_parameters(self, tiny_model, make_corpus):
         target = make_corpus("t0")
