@@ -285,9 +285,7 @@ class Packing:
 def pack_sequences(pad_mask: np.ndarray) -> Packing:
     """First-fit decreasing over the [B, T] mask's sample lengths: longest
     first (ties in batch order), each sample goes into the first sequence
-    with room left, else opens one.  Every sample needs a real frame.  A
-    batch of equal-length samples gets one sequence per sample, in batch
-    order."""
+    with room left, else opens one.  Every sample needs a real frame."""
     mask = np.asarray(pad_mask, dtype=bool)
     if mask.ndim != 2:
         raise DimensionError(f"packing expects a [B, T] mask, got shape {mask.shape}")
@@ -295,10 +293,6 @@ def pack_sequences(pad_mask: np.ndarray) -> Packing:
     if not (lengths.size and lengths.all()):
         raise InputError("packing needs samples with at least one real frame each")
     length = int(lengths.max())
-    if (lengths == length).all():
-        # what the first-fit loop below gives, without the loop and the fill
-        return Packing(mask, np.arange(lengths.size * length),
-                       np.zeros((lengths.size, 1, length, length)))
     room: list[int] = []  # free positions left in each sequence
     first_slot = np.empty_like(lengths)
     for i in np.argsort(-lengths, kind="stable"):

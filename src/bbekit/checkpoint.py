@@ -85,7 +85,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         (json_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         try:
             header = json.loads(_read_exact(fh, json_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
             raise FormatError(f"{path}: corrupt header ({exc})") from exc
         try:
             config = EncoderConfig.from_dict(header["config"])

@@ -114,6 +114,19 @@ def _summary(run: RunDir, cfg_echo: dict, **extra) -> None:
     run.write_json("summary.json", {"config": cfg_echo, **extra})
 
 
+def _write_training_run(run: RunDir, model: EncoderModel, log, cfg_echo: dict,
+                        **extra) -> None:
+    """A trained model's checkpoint, loss and validation curves and summary,
+    then the run's sidecar."""
+    ckpt = run.path / "checkpoint.bbex"
+    save_checkpoint(ckpt, model)
+    run.write_text("loss.csv", log.loss_csv())
+    run.write_text("val.csv", log.val_csv())
+    _summary(run, cfg_echo, checkpoint="checkpoint.bbex", checkpoint_sha256=_sha256(ckpt),
+             best_step=log.best_step, best_val_uar=log.best_val_uar, **extra)
+    run.finish()
+
+
 def _variant_name(model: EncoderModel) -> str:
     if model.expansion is None:
         return "base"
@@ -166,16 +179,9 @@ def cmd_train(args) -> int:
     model = EncoderModel.build(model_cfg, args.seed)
     tcfg = train_config_from(cfg, "multi_corpus", args.seed, n_steps=args.steps)
     model, log = train_multi(model, manifests, tcfg)
-    ckpt = run.path / "checkpoint.bbex"
-    save_checkpoint(ckpt, model)
-    run.write_text("loss.csv", log.loss_csv())
-    run.write_text("val.csv", log.val_csv())
-    _summary(run, {"model": model_cfg.to_dict(), "train": cfg.get("train", {}),
-                   "adamw": cfg.get("adamw", {}), "seed": args.seed,
-                   "n_steps": tcfg.n_steps},
-             checkpoint="checkpoint.bbex", checkpoint_sha256=_sha256(ckpt),
-             best_step=log.best_step, best_val_uar=log.best_val_uar)
-    run.finish()
+    _write_training_run(run, model, log, {
+        "model": model_cfg.to_dict(), "train": cfg.get("train", {}),
+        "adamw": cfg.get("adamw", {}), "seed": args.seed, "n_steps": tcfg.n_steps})
     print(f"trained {tcfg.n_steps} steps on {len(manifests)} corpora; "
           f"best val UAR {log.best_val_uar:.4f} at step {log.best_step}")
     return 0
@@ -213,17 +219,10 @@ def cmd_finetune(args) -> int:
     tcfg = train_config_from(cfg, "single_corpus", args.seed, n_steps=args.steps,
                              expansion=expansion, default_steps=FINETUNE_STEPS)
     model, log = train_transfer(model, target, tcfg, reinit_head=args.reinit_head)
-    ckpt = run.path / "checkpoint.bbex"
-    save_checkpoint(ckpt, model)
-    run.write_text("loss.csv", log.loss_csv())
-    run.write_text("val.csv", log.val_csv())
-    _summary(run, {"train": cfg.get("train", {}), "adamw": cfg.get("adamw", {}),
-                   "seed": args.seed, "n_steps": tcfg.n_steps,
-                   "expansion": expansion.to_dict() if expansion else None},
-             checkpoint="checkpoint.bbex", checkpoint_sha256=_sha256(ckpt),
-             variant=_variant_name(model),
-             best_step=log.best_step, best_val_uar=log.best_val_uar)
-    run.finish()
+    _write_training_run(run, model, log, {
+        "train": cfg.get("train", {}), "adamw": cfg.get("adamw", {}), "seed": args.seed,
+        "n_steps": tcfg.n_steps, "expansion": expansion.to_dict() if expansion else None},
+        variant=_variant_name(model))
     print(f"fine-tuned {tcfg.n_steps} steps on {target.corpus_id} "
           f"({_variant_name(model)}); best val UAR {log.best_val_uar:.4f}")
     return 0

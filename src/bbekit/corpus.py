@@ -98,7 +98,7 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
             continue
         try:
             row = json.loads(line)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
             raise IngestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         if not isinstance(row, dict):
             raise IngestError(f"{path}:{lineno}: a row must be a JSON object")
@@ -372,8 +372,7 @@ def corpus_shift_vector(spec: SyntheticSpec) -> np.ndarray:
     return spec.corpus_shift * raw / np.linalg.norm(raw)
 
 
-def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path,
-                              split_seed: int | None = None) -> Path:
+def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Write FEAT files plus a split-assigned manifest; returns the manifest
     path.  Frames = class mean + speaker offset + corpus shift + noise, with
     durations uniform in [duration_lo, duration_hi] seconds."""
@@ -405,8 +404,7 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path,
                 ))
 
     manifest = CorpusManifest(corpus_id=spec.corpus_id, samples=samples)
-    make_splits(manifest, spec.frac_test, spec.frac_val,
-                seed=spec.seed if split_seed is None else split_seed, mode="speaker")
+    make_splits(manifest, spec.frac_test, spec.frac_val, seed=spec.seed, mode="speaker")
     manifest_path = out_dir / f"{spec.corpus_id}.jsonl"
     write_manifest(manifest_path, manifest)
     return manifest_path
@@ -418,7 +416,7 @@ def load_corpus_set(path: str | Path) -> list[CorpusManifest]:
     path = Path(path)
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise IngestError(f"cannot read corpus set {path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise IngestError(f"{path}: corpus set must be a non-empty JSON array")

@@ -3,6 +3,8 @@ duration histograms."""
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +82,9 @@ def report(results: dict[str, dict[str, float]]) -> tuple[str, str]:
     def fmt(value: float, starred: bool) -> str:
         return f"{100.0 * value:.1f}" + ("*" if starred else "")
 
-    csv_lines = ["corpus," + ",".join(variants)]
+    table = io.StringIO()  # the csv module quotes a name holding "," or '"'
+    csv_rows = csv.writer(table, lineterminator="\n")
+    csv_rows.writerow(["corpus"] + variants)
     name_w = max(len(name) for name, _ in rows)
     col_w = max(8, max(len(v) for v in variants) + 1)
     text_lines = [" " * name_w + "  " +
@@ -88,10 +92,10 @@ def report(results: dict[str, dict[str, float]]) -> tuple[str, str]:
     for name, values in rows:
         best = max(values)
         cells = [fmt(v, v == best) for v in values]
-        csv_lines.append(name + "," + ",".join(cells))
+        csv_rows.writerow([name] + cells)
         text_lines.append(f"{name:<{name_w}}  " +
                           "".join(f"{c:>{col_w}}" for c in cells))
-    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
+    return "\n".join(text_lines) + "\n", table.getvalue()
 
 
 def duration_histogram(manifests, bin_width_s: float = 1.0,

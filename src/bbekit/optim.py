@@ -42,14 +42,16 @@ def adamw_step(store: ParameterStore, cfg: AdamWConfig) -> None:
     afterwards.
     """
     flat = store.flat()
-    if not flat.steps.size:
+    if not flat.entries:
         return
-    flat.steps += 1
-    lo, hi = int(flat.steps.min()), int(flat.steps.max())
-    if lo == hi:
-        correct1, correct2 = 1.0 - cfg.beta1 ** lo, 1.0 - cfg.beta2 ** lo
+    for entry in flat.entries:
+        entry.step += 1
+    steps = [entry.step for entry in flat.entries]
+    if min(steps) == max(steps):
+        correct1, correct2 = 1.0 - cfg.beta1 ** steps[0], 1.0 - cfg.beta2 ** steps[0]
     else:  # e.g. an entry thawed since the others started
-        correct1, correct2 = (np.repeat([1.0 - beta ** int(s) for s in flat.steps], flat.sizes)
+        sizes = [entry.tensor.size for entry in flat.entries]
+        correct1, correct2 = (np.repeat([1.0 - beta ** s for s in steps], sizes)
                               for beta in (cfg.beta1, cfg.beta2))
     grad, value = flat.grad, flat.value
     flat.m *= cfg.beta1

@@ -20,26 +20,14 @@ class ParamEntry:
     """A parameter tensor, its AdamW moments (None while frozen) and its
     AdamW step counter."""
 
-    __slots__ = ("tensor", "m", "v", "_step", "_steps")
+    __slots__ = ("tensor", "m", "v", "step")
 
     def __init__(self, tensor: Tensor, m: np.ndarray | None, v: np.ndarray | None,
                  step: int = 0):
         self.tensor = tensor
         self.m = m
         self.v = v
-        self._step = int(step)  # the counter itself, or its index in _steps
-        self._steps: np.ndarray | None = None  # FlatState.steps while laid out
-
-    @property
-    def step(self) -> int:
-        return self._step if self._steps is None else int(self._steps[self._step])
-
-    @step.setter
-    def step(self, value: int) -> None:
-        if self._steps is None:
-            self._step = int(value)
-        else:
-            self._steps[self._step] = value
+        self.step = int(step)
 
     @property
     def frozen(self) -> bool:
@@ -56,8 +44,7 @@ class FlatState:
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    steps: np.ndarray  # int64 step counter per entry, in buffer order
-    sizes: np.ndarray  # element count per entry, in buffer order
+    entries: list[ParamEntry]  # in buffer order
     n_decay: int
 
 
@@ -159,7 +146,6 @@ class ParameterStore:
         if frozen:
             if tensor.data.base is not None:
                 tensor.data = tensor.data.copy()
-            entry._step, entry._steps = entry.step, None
             tensor.grad = entry.m = entry.v = None
         else:
             tensor.data = tensor.data.copy()
@@ -187,13 +173,12 @@ class ParameterStore:
                 raise StateError(
                     f"grad shape {grad.shape} != value shape {value.shape} for {name!r}")
         trainable.sort(key=lambda item: not decays(item[0]))  # stable
-        sizes = np.array([e.tensor.size for _, e in trainable], dtype=np.int64)
-        n = int(sizes.sum())
+        n = sum(e.tensor.size for _, e in trainable)
         flat = FlatState(value=np.empty(n), grad=np.empty(n), m=np.empty(n), v=np.empty(n),
-                         steps=np.empty(len(trainable), dtype=np.int64), sizes=sizes,
+                         entries=[e for _, e in trainable],
                          n_decay=sum(e.tensor.size for name, e in trainable if decays(name)))
         start = 0
-        for i, (_, entry) in enumerate(trainable):
+        for entry in flat.entries:
             tensor = entry.tensor
             end = start + tensor.size
             views = []
@@ -202,8 +187,6 @@ class ParameterStore:
                 buffer[start:end] = array.reshape(-1)
                 views.append(buffer[start:end].reshape(tensor.shape))
             tensor.data, tensor.grad, entry.m, entry.v = views
-            flat.steps[i] = entry.step
-            entry._step, entry._steps = i, flat.steps
             start = end
         return flat
 
@@ -216,18 +199,22 @@ class ParameterStore:
         return sum(e.tensor.size for e in self._entries.values())
 
     def snapshot(self) -> tuple:
-        """Copies of the flat ``value``, ``m``, ``v`` and ``steps`` buffers,
-        after the ``FlatState`` they came from: all that training writes,
-        since frozen entries' values and step counters never move."""
+        """Copies of the flat ``value``, ``m`` and ``v`` buffers and of the
+        trainable entries' step counters, after the ``FlatState`` they came
+        from: all that training writes, since frozen entries' values and
+        step counters never move."""
         flat = self.flat()
-        return (flat,) + tuple(b.copy() for b in (flat.value, flat.m, flat.v, flat.steps))
+        steps = np.array([e.step for e in flat.entries], dtype=np.int64)
+        return (flat,) + tuple(b.copy() for b in (flat.value, flat.m, flat.v)) + (steps,)
 
     def restore(self, snapshot: tuple) -> None:
         """Write a ``snapshot``'s copies back into the buffers it came from.
         A store laid out again since (an entry added, replaced, frozen or
         thawed) is a ``StateError``: its entries no longer view them."""
-        flat, *copies = snapshot
+        flat, *copies, steps = snapshot
         if self._flat is not flat:
             raise StateError("the store was laid out again since the snapshot")
-        for buffer, copy in zip((flat.value, flat.m, flat.v, flat.steps), copies):
+        for buffer, copy in zip((flat.value, flat.m, flat.v), copies):
             buffer[...] = copy
+        for entry, step in zip(flat.entries, steps.tolist()):
+            entry.step = step

@@ -245,6 +245,8 @@ def train_multi(model: EncoderModel, manifests: list[CorpusManifest],
     leaves the model's freeze flags as they are."""
     if cfg.stage != "multi_corpus":
         raise ConfigError(f"train_multi needs stage multi_corpus, got {cfg.stage!r}")
+    if cfg.expansion is not None:
+        raise ConfigError("train_multi does not expand; expansion belongs to train_transfer")
     if not manifests:
         raise ConfigError("train_multi needs at least one corpus")
     schedule = round_robin_schedule([m.corpus_id for m in manifests], cfg.n_steps)

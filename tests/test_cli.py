@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline driven in-process through main()."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -304,6 +306,10 @@ REPORT_VALUES = st.one_of(
     st.text(st.characters(categories=["Cc"]) | st.characters(categories=["Cs"])
             | st.sampled_from("aé "), max_size=3))
 
+# printable table names, biased towards what CSV must quote
+REPORT_NAMES = st.text(st.sampled_from(',"\' ') | st.characters(exclude_categories=["C", "Z"]),
+                       max_size=6)
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
@@ -463,6 +469,37 @@ class TestExitCodes:
                 ["train", "--config", str(path), "--corpus-set", "none.json", "--out", out])
         assert main(argv) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_report_csv_quotes_a_name_with_a_comma(self, tmp_path):
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps({"corpus": "c", "variant": "a,b", "uar": 0.5}))
+        assert main(["report", "--out", str(tmp_path / "rep"), str(path)]) == 0
+        text = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8")
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["corpus", "a,b"], ["c", "50.0*"], ["AVERAGE", "50.0*"]]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(names=st.lists(REPORT_NAMES, min_size=1, max_size=3, unique=True),
+           other=REPORT_NAMES, by_variant=st.booleans())
+    def test_report_csv_reads_back_any_printable_names(self, tmp_path_factory, names, other,
+                                                       by_variant):
+        # one to three eval files: one corpus under several variants, or one
+        # variant over several corpora, so that the rows always agree
+        tmp_path = tmp_path_factory.getbasetemp() / "report-names"
+        tmp_path.mkdir(exist_ok=True)
+        paths = []
+        for i, name in enumerate(names):
+            corpus, variant = (other, name) if by_variant else (name, other)
+            paths.append(tmp_path / f"eval{i}.json")
+            paths[-1].write_text(json.dumps({"corpus": corpus, "variant": variant,
+                                             "uar": i / 4}), encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path / "rep")] + [str(p) for p in paths]) == 0
+        text = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        variants, corpora = (names, [other]) if by_variant else ([other], names)
+        assert header == ["corpus"] + variants
+        assert [row[0] for row in rows] == corpora + ["AVERAGE"]
+        assert all(len(row) == len(header) for row in rows)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(payloads=st.lists(st.one_of(

@@ -190,6 +190,13 @@ class TestManifestIO:
             load_manifest(path)
         assert "m.jsonl:2" in str(exc.value)
 
+    def test_row_nested_too_deep(self, tmp_path):
+        path = write_rows(tmp_path, [row(feat(tmp_path, "a.feat"))])
+        path.write_bytes(path.read_bytes() + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        with pytest.raises(IngestError) as exc:
+            load_manifest(path)
+        assert "m.jsonl:2" in str(exc.value)
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
     def test_arbitrary_json_only_raises_bbekit_errors(self, tmp_path_factory, data):
@@ -615,6 +622,13 @@ class TestCorpusSet:
         set_path.write_bytes(b'[{"corpus_id": "\xff"}]')
         with pytest.raises(IngestError):
             load_corpus_set(set_path)
+
+    def test_set_nested_too_deep(self, tmp_path):
+        set_path = tmp_path / "set.json"
+        set_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            load_corpus_set(set_path)
+        assert "set.json" in str(exc.value)
 
     def test_empty_set(self, tmp_path):
         set_path = tmp_path / "set.json"

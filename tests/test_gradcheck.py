@@ -7,7 +7,7 @@ from bbekit import autodiff as ad
 from bbekit import functional as F
 from bbekit.errors import ConfigError
 from bbekit.gradcheck import TOLERANCE, check_model_gradients, relative_error
-from bbekit.model import EncoderConfig, EncoderModel
+from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 
 
 class TestRelativeError:
@@ -38,7 +38,16 @@ class TestModelGradients:
         from test_model import conv_config
 
         model = EncoderModel.build(conv_config(n_blocks=1), seed=3)
-        result = check_model_gradients(model, n_probes=24, seed=1, frames_len=9)
+        result = check_model_gradients(model, n_probes=24, seed=1)
+        assert result["max_rel_err"] < TOLERANCE
+
+    def test_default_arguments_pass_on_a_receptive_field_of_seven(self):
+        # two stride-2 kernel-3 layers, the shape of the benchmark's conv model
+        config = EncoderConfig(n_blocks=4, d_model=16, n_heads=2, d_ffn=32, frontend="conv",
+                               conv_in_dim=4, conv_layers=[ConvLayerSpec(16, 3, 2)] * 2)
+        assert config.min_input_length == 7
+        result = check_model_gradients(EncoderModel.build(config, 1))
+        assert result["n_probes"] == 100
         assert result["max_rel_err"] < TOLERANCE
 
     def test_leaves_grads_clean(self, tiny_model):

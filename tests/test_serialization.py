@@ -178,6 +178,17 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_header_nested_too_deep(self, tmp_path, tiny_model):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        data = path.read_bytes()
+        _, start = header_span(data)
+        blob = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[start:])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.exit_code == 3
+
     @pytest.mark.parametrize("cut", [10, 100, -9, -1])
     def test_truncation_anywhere(self, tmp_path, tiny_model, cut):
         path = tmp_path / "m.bbex"

@@ -218,6 +218,13 @@ class TestTrainMulti:
         with pytest.raises(ConfigError):
             train_multi(tiny_model, [make_corpus("c0")], quick_cfg(stage="single_corpus"))
 
+    def test_expansion_is_rejected(self, tiny_model, make_corpus):
+        # a one-block model would otherwise come back unexpanded, silently
+        model = tiny_model.clone()
+        with pytest.raises(ConfigError):
+            train_multi(model, [make_corpus("c0")], quick_cfg(expansion=ExpansionSpec(2)))
+        assert model.expansion is None
+
     def test_no_corpora(self, tiny_model):
         with pytest.raises(ConfigError):
             train_multi(tiny_model, [], quick_cfg())
