@@ -224,15 +224,18 @@ def _split_columns(grad: np.ndarray | None, blocks: list[Tensor]) -> list[np.nda
     return parts
 
 
-def layer_norm(x, gain, shift, eps: float) -> Tensor:
-    """``(x - mean) * (var + eps)**-0.5 * gain + shift`` over the last axis,
+LN_EPS = 1e-5
+
+
+def layer_norm(x, gain, shift) -> Tensor:
+    """``(x - mean) * (var + LN_EPS)**-0.5 * gain + shift`` over the last axis,
     with the population variance."""
     x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
     inv_d = 1.0 / x.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * inv_d
     xhat = x.data - mu  # centered, normalized in place below
     var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_d
-    rstd = (var + eps) ** -0.5
+    rstd = (var + LN_EPS) ** -0.5
     xhat *= rstd
     out = xhat * gain.data
     out += shift.data

@@ -7,7 +7,9 @@ Layout (all little-endian):
   trailing u64 model RNG state
 
 A frozen parameter keeps no AdamW moments: its m and v are written as
-zeros, and whatever a file stores for them is dropped on load.
+zeros, and what a file stores for them is dropped on load.  A load
+rejects any entry's non-finite value, NaN moment or negative second
+moment.
 
 The JSON header carries the model config, the ordered block index, the
 expansion record, and the parameter count for a cheap integrity check.
@@ -124,6 +126,9 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
                 _read_exact(fh, 8 * count, f"{name} first moment"), dtype="<f8").reshape(shape)
             v = np.frombuffer(
                 _read_exact(fh, 8 * count, f"{name} second moment"), dtype="<f8").reshape(shape)
+            # no training run writes these; an infinite moment, which AdamW can reach, loads
+            if not (np.isfinite(value).all() and (v >= 0.0).all()) or np.isnan(m).any():
+                raise FormatError(f"{path}: {name} holds state no training run writes")
             (step,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} step"))
             if step >= 1 << 63:
                 raise FormatError(f"{path}: {name} step counter {step} out of range")

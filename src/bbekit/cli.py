@@ -160,7 +160,7 @@ def cmd_synth_data(args) -> int:
                         "manifest_path": manifest_path.name})
     run.write_text("corpus_set.json",
                    json.dumps(entries, sort_keys=True, indent=2) + "\n")
-    bins = duration_histogram(manifests, bin_width_s=1.0)
+    bins = duration_histogram(manifests)
     run.write_text("durations.csv", histogram_csv(bins))
     for start in sorted(bins):
         print(f"[{start:>4g} s) {bins[start]:>6d}  " + "#" * min(60, bins[start]))

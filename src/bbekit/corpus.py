@@ -107,8 +107,8 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
                 raise IngestError(f"{path}:{lineno}: missing or mistyped field {key!r}")
         if row.get("split") is not None and row["split"] not in SPLITS:
             raise IngestError(f"{path}:{lineno}: unknown split {row['split']!r}")
-        if not 0 <= row["duration_s"] <= np.finfo(float).max:
-            raise IngestError(f"{path}:{lineno}: duration_s must be finite and >= 0")
+        if type(row["duration_s"]) is bool or not 0 <= row["duration_s"] <= np.finfo(float).max:
+            raise IngestError(f"{path}:{lineno}: duration_s must be a finite number >= 0")
         rows.append(row)
 
     # label mapping reports the full set of unknowns at once
@@ -317,6 +317,7 @@ def pad_frames(arrays: list[np.ndarray], corpus_id: str) -> tuple[np.ndarray, np
 
 # class index -> corpus-native emotion name, exercising the mapping table
 SYNTH_LABELS = ("sadness", "neutral", "calm", "anger", "surprise", "happiness")
+SYNTH_DURATION_S = (0.5, 5.0)
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,13 @@ class SyntheticSpec:
     frame_rate: float = 25.0
     mean_scale: float = 1.0
     speaker_std: float = 0.05
-    duration_lo: float = 0.5
-    duration_hi: float = 5.0
     frac_test: float = 0.10
     frac_val: float = 0.10
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n_speakers < 3:
             raise ConfigError(f"n_speakers must be >= 3, got {self.n_speakers}")
         if self.samples_per_speaker < 1:
@@ -348,8 +350,6 @@ class SyntheticSpec:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.speaker_std < 0 or self.mean_scale <= 0:
             raise ConfigError("speaker_std must be >= 0 and mean_scale > 0")
-        if not (0 < self.duration_lo <= self.duration_hi):
-            raise ConfigError(f"bad duration range [{self.duration_lo}, {self.duration_hi}]")
         if self.frame_rate <= 0:
             raise ConfigError(f"frame_rate must be > 0, got {self.frame_rate}")
 
@@ -375,7 +375,7 @@ def corpus_shift_vector(spec: SyntheticSpec) -> np.ndarray:
 def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Write FEAT files plus a split-assigned manifest; returns the manifest
     path.  Frames = class mean + speaker offset + corpus shift + noise, with
-    durations uniform in [duration_lo, duration_hi] seconds."""
+    durations uniform in SYNTH_DURATION_S seconds."""
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
@@ -390,7 +390,7 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
         offset = rng.normal(0.0, 1.0, spec.d) * spec.speaker_std
         for cls in range(6):
             for rep in range(spec.samples_per_speaker):
-                duration = rng.uniform(spec.duration_lo, spec.duration_hi)
+                duration = rng.uniform(*SYNTH_DURATION_S)
                 n_frames = max(1, int(round(duration * spec.frame_rate)))
                 frames = np.tile(means[cls] + offset + shift, (n_frames, 1))
                 frames = frames + rng.normal(0.0, 1.0, frames.shape) * spec.noise_std

@@ -94,13 +94,13 @@ def apply_freeze_policy(model: EncoderModel, policy: str) -> None:
         model.expansion["freeze_policy"] = policy
 
 
-def preservation_probes(model: EncoderModel, seed: int,
-                        n: int = PRESERVE_PROBES) -> list[np.ndarray]:
+def preservation_probes(model: EncoderModel, seed: int) -> list[np.ndarray]:
     """Seeded standard-normal frame sequences for ``verify_preservation``;
     their lengths start at the shortest input the model's frontend accepts."""
     rng = np.random.default_rng(seed)
     shortest, d = model.config.min_input_length, model.config.input_dim
-    return [rng.normal(0.0, 1.0, (shortest + int(rng.integers(0, 20)), d)) for _ in range(n)]
+    return [rng.normal(0.0, 1.0, (shortest + int(rng.integers(0, 20)), d))
+            for _ in range(PRESERVE_PROBES)]
 
 
 def verify_preservation(base: EncoderModel, expanded: EncoderModel,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import LN_EPS, Tensor  # noqa: F401 (LN_EPS is re-exported)
 from .errors import ConfigError, DimensionError, NumericalError
 
 def _check_finite(name: str, out: Tensor) -> Tensor:
@@ -57,16 +57,14 @@ def _check_linear_shapes(x: Tensor, weight: Tensor, bias: Tensor) -> None:
         raise DimensionError(f"bias shape {bias.shape} != ({d_out},)")
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
-    """Per last-axis slice: (x - mean) / sqrt(var + eps) * gain + shift."""
-    if eps <= 0.0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+    """Per last-axis slice: (x - mean) / sqrt(var + LN_EPS) * gain + shift."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise DimensionError("layer_norm over an empty axis")
     if gain.shape != (d,) or shift.shape != (d,):
         raise DimensionError(f"gain/shift must have shape ({d},)")
-    return _check_finite("layer_norm", ad.layer_norm(x, gain, shift, eps))
+    return _check_finite("layer_norm", ad.layer_norm(x, gain, shift))
 
 
 def _check_packed(x: Tensor, packing: ad.Packing, op: str) -> None:
@@ -95,21 +93,18 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
-LN_EPS = 1e-5
-
-
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                           packing: ad.Packing) -> Tensor:
     """Pre-norm block over packed [N, d] rows: u = x + Attn(LN1(x));
     y = u + FFN(LN2(u))."""
-    attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"], LN_EPS),
+    attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"]),
                                     p["attn.q.weight"], p["attn.q.bias"],
                                     p["attn.k.weight"], p["attn.k.bias"],
                                     p["attn.v.weight"], p["attn.v.bias"],
                                     p["attn.o.weight"], p["attn.o.bias"],
                                     heads, packing)
     u = x + attended
-    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"], LN_EPS),
+    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"]),
                                     p["ffn.w1.weight"], p["ffn.w1.bias"]))
     return u + linear_forward(hidden, p["ffn.w2.weight"], p["ffn.w2.bias"])
 

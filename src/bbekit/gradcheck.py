@@ -23,8 +23,7 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
 
 
-def check_model_gradients(model: EncoderModel, n_probes: int = 100,
-                          seed: int = 0, h: float = FD_STEP) -> dict:
+def check_model_gradients(model: EncoderModel, n_probes: int = 100, seed: int = 0) -> dict:
     """Compare backprop gradients against central differences on the scalar
     cross-entropy loss at randomly chosen parameter entries.  The input is
     one zero-padded batch of ``preservation_probes``, so every sample is at
@@ -55,13 +54,13 @@ def check_model_gradients(model: EncoderModel, n_probes: int = 100,
         analytic = float(entry.tensor.grad[index])
 
         original = float(entry.tensor.data[index])
-        entry.tensor.data[index] = original + h
+        entry.tensor.data[index] = original + FD_STEP
         plus = loss_value()
-        entry.tensor.data[index] = original - h
+        entry.tensor.data[index] = original - FD_STEP
         minus = loss_value()
         entry.tensor.data[index] = original
 
-        err = relative_error(analytic, (plus - minus) / (2.0 * h))
+        err = relative_error(analytic, (plus - minus) / (2.0 * FD_STEP))
         if err > worst[0]:
             worst = (err, name, index)
 

@@ -98,26 +98,18 @@ def report(results: dict[str, dict[str, float]]) -> tuple[str, str]:
     return "\n".join(text_lines) + "\n", table.getvalue()
 
 
-def duration_histogram(manifests, bin_width_s: float = 1.0,
-                       cap_s: float = 6.0) -> dict[float, int]:
-    """Pooled duration counts per [k*w, (k+1)*w) bin; everything at or above
-    cap_s lands in one overflow bin keyed by cap_s."""
-    if bin_width_s <= 0:
-        raise ConfigError(f"bin_width_s must be > 0, got {bin_width_s}")
-    if cap_s <= 0:
-        raise ConfigError(f"cap_s must be > 0, got {cap_s}")
-    n_bins = int(np.ceil(cap_s / bin_width_s))
-    bins = {round(k * bin_width_s, 10): 0 for k in range(n_bins)}
-    bins[cap_s] = 0
+DURATION_CAP_S = 6.0
+
+
+def duration_histogram(manifests) -> dict[float, int]:
+    """Pooled duration counts per whole-second bin [k, k + 1); everything at
+    or above DURATION_CAP_S lands in one overflow bin keyed by it."""
+    bins = {float(k): 0 for k in range(int(DURATION_CAP_S) + 1)}
     for manifest in manifests:
         for sample in manifest.samples:
             if sample.duration_s < 0:
                 raise InputError(f"negative duration for {sample.feature_path}")
-            if sample.duration_s >= cap_s:
-                bins[cap_s] += 1
-            else:
-                key = round(int(sample.duration_s / bin_width_s) * bin_width_s, 10)
-                bins[key] += 1
+            bins[float(int(min(sample.duration_s, DURATION_CAP_S)))] += 1
     return bins
 
 

@@ -240,9 +240,8 @@ class EncoderModel:
 
     # -- parameter access ----------------------------------------------------
 
-    def block_ids(self, origin: str | None = None) -> list[str]:
-        return [b.block_id for b in self.block_index
-                if origin is None or b.origin == origin]
+    def block_ids(self) -> list[str]:
+        return [b.block_id for b in self.block_index]
 
     def block_info(self, block_id: str) -> BlockInfo:
         for info in self.block_index:

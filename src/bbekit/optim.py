@@ -19,6 +19,9 @@ class AdamWConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < self.beta1 < 1.0:
             raise ConfigError(f"beta1 must be in (0, 1), got {self.beta1}")
         if not 0.0 < self.beta2 < 1.0:

@@ -220,8 +220,6 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
         try:
             loss = _cached_loss(model, batch, cache, kind)
             value = loss.item()
-            if not np.isfinite(value):
-                raise NumericalError(f"non-finite loss {value}")
             loss.backward()
             adamw_step(model.store, cfg.adamw)
         except NumericalError as exc:

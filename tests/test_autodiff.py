@@ -378,26 +378,26 @@ def composite_linear_grads(x, w, b, g):
     return (g @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g, g.sum(axis=0)
 
 
-def _ln_parts(x, eps):
+def _ln_parts(x):
     inv_d = 1.0 / x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) * inv_d
     centered = x + (-mu)
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-    return inv_d, centered, var, (var + eps) ** -0.5
+    return inv_d, centered, var, (var + ad.LN_EPS) ** -0.5
 
 
-def composite_layer_norm(x, gain, shift, eps):
-    _, centered, _, rstd = _ln_parts(x, eps)
+def composite_layer_norm(x, gain, shift):
+    _, centered, _, rstd = _ln_parts(x)
     return ((centered * rstd) * gain) + shift
 
 
-def composite_layer_norm_grads(x, gain, shift, eps, g):
-    inv_d, centered, var, rstd = _ln_parts(x, eps)
+def composite_layer_norm_grads(x, gain, shift, g):
+    inv_d, centered, var, rstd = _ln_parts(x)
     lead = tuple(range(x.ndim - 1))
     g_scaled = g * gain                                     # (c * r) * gain
     g_c = g_scaled * rstd                                   # c * r, via c
     g_r = (g_scaled * centered).sum(axis=-1, keepdims=True)  # c * r, via r
-    g_cc = g_r * -0.5 * (var + eps) ** -1.5 * inv_d         # r = (mean(c*c) + eps)**-0.5
+    g_cc = g_r * -0.5 * (var + ad.LN_EPS) ** -1.5 * inv_d   # r = (mean(c*c) + eps)**-0.5
     g_c = g_c + g_cc * centered + g_cc * centered           # c * c
     g_mu = -g_c.sum(axis=-1, keepdims=True)                 # c = x + (-mu)
     return (g_c + g_mu * inv_d,                             # mu = sum(x) * (1/d)
@@ -479,7 +479,6 @@ def composite_linear_blocks_grads(x, w1, w2, b1, b2, g):
 RAGGED = np.arange(5) < np.array([5, 2, 4, 1, 2])[:, None]
 PACKED = ad.pack_sequences(RAGGED)
 N_ROWS = int(RAGGED.sum())
-EPS = 1e-5
 HEADS = 2
 
 
@@ -495,9 +494,7 @@ def _fused_cases():
                           composite_linear_blocks, composite_linear_blocks_grads,
                           [x, rng.normal(size=(4, 6)), rng.normal(size=(4, 3)),
                            rng.normal(size=6), rng.normal(size=3)]),
-        "layer_norm": (lambda *a: ad.layer_norm(*a, EPS),
-                       lambda *a: composite_layer_norm(*a, EPS),
-                       lambda *a: composite_layer_norm_grads(*a[:3], EPS, a[3]),
+        "layer_norm": (ad.layer_norm, composite_layer_norm, composite_layer_norm_grads,
                        [x * 3.0 + 1.0, rng.normal(size=4), rng.normal(size=4)]),
         "attention_core": (lambda qkv: ad.attention_core(qkv, PACKED, HEADS),
                            lambda qkv: composite_attention(qkv, PACKED, HEADS),
@@ -577,8 +574,7 @@ class TestFusedPrimitives:
         def run(trainable):
             x, w, b, gain, shift = (Tensor(a.copy(), requires_grad=i in trainable)
                                     for i, a in enumerate(arrays))
-            tsum(mul(ad.layer_norm(ad.linear(x, w, b), gain, shift, EPS),
-                           upstream)).backward()
+            tsum(mul(ad.layer_norm(ad.linear(x, w, b), gain, shift), upstream)).backward()
             return x, w, b, gain, shift
 
         every = run(range(5))

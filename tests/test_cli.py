@@ -1,9 +1,11 @@
 """End-to-end command-line pipeline driven in-process through main()."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from test_corpus import JSON_VALUES
 
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.cli import load_config, main, train_config_from
+from bbekit.corpus import SyntheticSpec
 from bbekit.errors import ConfigError
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
+from bbekit.optim import AdamWConfig
 from bbekit.trainer import TrainConfig
 
 
@@ -94,6 +98,21 @@ class TestLoadConfig:
     def test_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):
             train_config_from({"train": {"batch_size": "many"}}, "multi_corpus", 0)
+
+    FLOAT_FIELDS = [(cls, f.name) for cls in (AdamWConfig, SyntheticSpec)
+                    for f in dataclasses.fields(cls) if type(f.default) is float]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(field=st.sampled_from(FLOAT_FIELDS), value=st.floats())
+    def test_any_float_setting_builds_a_finite_config_or_is_config_error(self, field, value):
+        # NaN, infinities and subnormals included; any other exception fails
+        cls, name = field
+        required = {"corpus_id": "x"} if cls is SyntheticSpec else {}
+        try:
+            config = cls(**required, **{name: value})
+        except ConfigError:
+            return
+        assert all(math.isfinite(getattr(config, f)) for c, f in self.FLOAT_FIELDS if c is cls)
 
     def test_null_frame_cap_means_no_cap(self):
         tcfg = train_config_from({"train": {"frame_cap": None}}, "multi_corpus", 0)
@@ -357,6 +376,8 @@ class TestExitCodes:
         "model.n_blocks=null", "train.batch_size=null", "adamw.learning_rate=null",
         "model.conv_layers=5", "model.conv_layers=[[8,3]]", "train=5",
         "model.n_blocks=2.7", "train.batch_size=true", "train.frame_cap=-3",
+        "adamw.learning_rate=NaN", "adamw.learning_rate=Infinity", "adamw.epsilon=NaN",
+        "adamw.weight_decay=Infinity",
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, setting):
         data = synth(tmp_path, corpora=1)

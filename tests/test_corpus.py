@@ -169,7 +169,7 @@ class TestManifestIO:
 
     @pytest.mark.parametrize("field, value", [
         ("duration_s", "abc"), ("duration_s", None), ("duration_s", float("nan")),
-        ("label", 3), ("feature", 5),
+        ("duration_s", True), ("label", 3), ("feature", 5),
     ])
     def test_wrong_field_type(self, tmp_path, field, value):
         bad = row(feat(tmp_path, "a.feat"))
@@ -452,7 +452,7 @@ class TestSyntheticSpec:
     @pytest.mark.parametrize("kwargs", [
         {"n_speakers": 2}, {"samples_per_speaker": 0}, {"d": 0},
         {"noise_std": -0.1}, {"speaker_std": -0.1}, {"mean_scale": 0.0},
-        {"duration_lo": 0.0}, {"duration_lo": 3.0, "duration_hi": 2.0},
+        {"frame_rate": np.inf}, {"noise_std": np.nan},
         {"frame_rate": 0.0},
     ])
     def test_invalid(self, kwargs):

@@ -59,8 +59,9 @@ class TestStructure:
                                                  n_heads=2, d_ffn=16), seed=3)
         out = expand(model, ExpansionSpec(multiplier=2))
         assert len(out.block_index) == 8
-        assert out.block_ids("original") == ["0", "1", "2", "3"]
-        assert out.block_ids("expanded") == ["0x1", "1x1", "2x1", "3x1"]
+        origin = {b.block_id: b.origin for b in out.block_index}
+        assert [i for i in origin if origin[i] == "original"] == ["0", "1", "2", "3"]
+        assert [i for i in origin if origin[i] == "expanded"] == ["0x1", "1x1", "2x1", "3x1"]
 
     def test_copy_metadata(self, tiny_model):
         out = expand(tiny_model, ExpansionSpec())
@@ -416,7 +417,7 @@ class TestProbes:
     def test_conv_probes_reach_the_receptive_field(self):
         model = conv_model()
         layers = model.config.conv_layers
-        probes = preservation_probes(model, 0, n=50)
+        probes = [p for seed in range(7) for p in preservation_probes(model, seed)]
         lengths = [p.shape[0] for p in probes]
         assert model.config.min_input_length == 7
         assert min(lengths) >= 7

@@ -55,10 +55,10 @@ def per_sample(reference, rows, packing):
                            for n, end in zip(mask.sum(axis=1), ends)])
 
 
-def np_layer_norm(x, gain, shift, eps=LN_EPS):
+def np_layer_norm(x, gain, shift):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)  # population variance
-    return (x - mu) / np.sqrt(var + eps) * gain + shift
+    return (x - mu) / np.sqrt(var + LN_EPS) * gain + shift
 
 
 def np_gelu(x):
@@ -166,30 +166,26 @@ class TestLinear:
 class TestLayerNorm:
     def test_constant_row_collapses_to_shift(self):
         # variance 0 -> normalized row is 0, output is the shift
-        y = layer_norm(t([5.0, 5.0, 5.0]), t(np.ones(3)), t(np.zeros(3)), eps=LN_EPS)
+        y = layer_norm(t([5.0, 5.0, 5.0]), t(np.ones(3)), t(np.zeros(3)))
         assert np.array_equal(y.data, np.zeros(3))
 
     def test_documented_two_point_example(self):
-        # [0,2]: mean 1, population std 1; gain 2, shift 1 -> [-1, 3]
-        y = layer_norm(t([0.0, 2.0]), t([2.0, 2.0]), t([1.0, 1.0]), eps=1e-12)
-        np.testing.assert_allclose(y.data, [-1.0, 3.0], rtol=0, atol=1e-9)
+        # [0,2]: mean 1, population variance 1; gain 2, shift 1 -> 1 -/+ 2/sqrt(1 + LN_EPS)
+        y = layer_norm(t([0.0, 2.0]), t([2.0, 2.0]), t([1.0, 1.0]))
+        step = 2.0 / np.sqrt(1.0 + LN_EPS)
+        np.testing.assert_allclose(y.data, [1.0 - step, 1.0 + step], rtol=0, atol=1e-9)
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 8))
         gain = rng.normal(size=8)
         shift = rng.normal(size=8)
-        y = layer_norm(t(x), t(gain), t(shift), eps=LN_EPS)
+        y = layer_norm(t(x), t(gain), t(shift))
         np.testing.assert_allclose(y.data, np_layer_norm(x, gain, shift), rtol=1e-13, atol=1e-13)
-
-    def test_nonpositive_eps_rejected(self):
-        for eps in (0.0, -1e-5):
-            with pytest.raises(ConfigError):
-                layer_norm(t([1.0, 2.0]), t(np.ones(2)), t(np.zeros(2)), eps=eps)
 
     def test_gain_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            layer_norm(t([1.0, 2.0]), t(np.ones(3)), t(np.zeros(3)), eps=LN_EPS)
+            layer_norm(t([1.0, 2.0]), t(np.ones(3)), t(np.zeros(3)))
 
 
 class TestAttention:
@@ -439,7 +435,7 @@ class TestNonFinite:
     def test_layer_norm(self):
         # the row sum behind the mean overflows
         with pytest.raises(NumericalError, match="^layer_norm produced"):
-            layer_norm(t([[1e308, 1e308]]), t(np.ones(2)), t(np.zeros(2)), eps=LN_EPS)
+            layer_norm(t([[1e308, 1e308]]), t(np.ones(2)), t(np.zeros(2)))
 
     def test_attention(self):
         # finite projections whose scores overflow

@@ -543,6 +543,25 @@ class TestCorruptCheckpoints:
         save_checkpoint(tmp_path / "again.bbex", loaded)
         assert (tmp_path / "again.bbex").read_bytes() == clean
 
+    @pytest.mark.parametrize("field, bad", [
+        ("value", np.nan), ("value", np.inf), ("value", -np.inf),
+        ("m", np.nan), ("v", np.nan), ("v", -1.0),
+    ])
+    def test_state_no_training_run_writes_rejected(self, tmp_path, field, bad):
+        # each entry in turn, frozen ones included, gets one bad number
+        path = tmp_path / "m.bbex"
+        conv_x2_checkpoint(path)
+        clean = path.read_bytes()
+        for name, (_, start, end) in moment_spans(clean).items():
+            count = (end - start) // 16
+            at = {"value": start - 1 - 8 * count, "m": start, "v": start + 8 * count}[field]
+            data = bytearray(clean)
+            data[at:at + 8] = struct.pack("<d", bad)
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert name in str(exc.value)
+
     def test_thawed_file_still_loads(self, tmp_path):
         # freeze flags that differ from the record's policy are the
         # program's own doing (set_frozen), so the file stays loadable
