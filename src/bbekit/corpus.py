@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigError, IngestError, InputError, SplitError,
                      SplitViolationError, UnmappedLabelError)
-from .featfile import read_features, write_features
+from .featfile import MAX_FRAMES, read_features, write_features
 from .labels import MappingTable, load_mapping_table
 from .rngutil import derive_seed
 
@@ -246,33 +246,46 @@ class CorpusIterator:
     The order within epoch e is a permutation seeded by (seed, e), so the
     stream is a pure function of (manifest, split, seed) and every sample
     appears exactly once per epoch.
+
+    ``planned`` is the number of samples the caller will take in all.  The
+    constructor draws every epoch those takes cover, back to back, so a take
+    within the plan only slices the stream and builds no generator.  A take
+    past the plan draws further epochs when it reaches them.
     """
 
-    def __init__(self, manifest: CorpusManifest, split: str = "train", seed: int = 0):
+    def __init__(self, manifest: CorpusManifest, split: str = "train", seed: int = 0,
+                 planned: int = 0):
         self.manifest = manifest
         self.samples = manifest.split_samples(split)
         if not self.samples:
             raise InputError(f"{manifest.corpus_id}: no samples in split {split!r}")
         self.seed = seed
-        self.epoch = 0
+        self._stream: list[Sample] = []  # drawn samples; those before the cursor are taken
         self._cursor = 0
-        self._order = self._epoch_order(0)
+        self._epochs = 0  # epochs drawn so far
+        self._draw(planned)
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
         rng = np.random.default_rng(derive_seed(self.seed, epoch))
         return rng.permutation(len(self.samples))
 
+    def _draw(self, wanted: int) -> None:
+        """Drop the taken samples, then append whole epochs until the stream
+        holds ``wanted`` untaken ones."""
+        del self._stream[:self._cursor]
+        self._cursor = 0
+        while len(self._stream) < wanted:
+            order = self._epoch_order(self._epochs)
+            self._stream += [self.samples[i] for i in order.tolist()]
+            self._epochs += 1
+
     def take(self, n: int) -> list[Sample]:
         if n < 1:
             raise ConfigError(f"cannot take {n} samples")
-        out = []
-        while len(out) < n:
-            if self._cursor == len(self._order):
-                self.epoch += 1
-                self._order = self._epoch_order(self.epoch)
-                self._cursor = 0
-            out.append(self.samples[self._order[self._cursor]])
-            self._cursor += 1
+        if self._cursor + n > len(self._stream):
+            self._draw(n)
+        out = self._stream[self._cursor:self._cursor + n]
+        self._cursor += n
         return out
 
 
@@ -352,6 +365,9 @@ class SyntheticSpec:
             raise ConfigError("speaker_std must be >= 0 and mean_scale > 0")
         if self.frame_rate <= 0:
             raise ConfigError(f"frame_rate must be > 0, got {self.frame_rate}")
+        if SYNTH_DURATION_S[1] * self.frame_rate > MAX_FRAMES:
+            raise ConfigError(f"frame_rate {self.frame_rate} gives {SYNTH_DURATION_S[1]} s "
+                              f"samples more than a FEAT file's {MAX_FRAMES} frames")
 
 
 def synthetic_class_means(class_means_seed: int, d: int, mean_scale: float = 1.0) -> np.ndarray:
@@ -393,7 +409,10 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
                 duration = rng.uniform(*SYNTH_DURATION_S)
                 n_frames = max(1, int(round(duration * spec.frame_rate)))
                 frames = np.tile(means[cls] + offset + shift, (n_frames, 1))
-                frames = frames + rng.normal(0.0, 1.0, frames.shape) * spec.noise_std
+                # a noise_std large enough to overflow reaches write_features
+                # as inf frames, which it rejects
+                with np.errstate(over="ignore"):
+                    frames = frames + rng.normal(0.0, 1.0, frames.shape) * spec.noise_std
                 name = f"{speaker_id}-c{cls}-r{rep:03d}.feat"
                 write_features(feat_dir / name, frames)
                 samples.append(Sample(

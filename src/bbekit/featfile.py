@@ -15,14 +15,21 @@ from .errors import FormatError, InputError
 
 MAGIC = b"FEAT"
 _HEADER = struct.Struct("<4sII")
+MAX_FRAMES = 0xFFFFFFFF  # the header's u32 frame count
 
 
 def write_features(path: str | Path, frames: np.ndarray) -> None:
-    frames = np.asarray(frames, dtype=np.float32)
+    """Write [n_frames, dim] frames as float32; a frame that is not finite
+    as float32 (an inf or NaN, or a value past float32's range) is an
+    ``InputError`` and nothing is written."""
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf
+        frames = np.asarray(frames, dtype=np.float32)
     if frames.ndim != 2:
         raise InputError(f"expected [n_frames, dim] array, got shape {frames.shape}")
     if frames.shape[0] < 1 or frames.shape[1] < 1:
         raise InputError(f"empty feature array {frames.shape}")
+    if not np.isfinite(frames).all():
+        raise InputError(f"{path}: non-finite frame values (as float32)")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, frames.shape[0], frames.shape[1]))
         fh.write(np.ascontiguousarray(frames).tobytes())

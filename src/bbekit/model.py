@@ -10,6 +10,7 @@ samples each (``autodiff.pack_sequences``).
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -195,6 +196,8 @@ class EncoderModel:
         self.block_index = block_index
         self.rng_state = int(rng_state)
         self.expansion = expansion
+        self._blocks: dict[str, dict[str, Tensor]] = {}
+        self._blocks_key: tuple | None = None  # (store, store.version) _blocks was built from
 
     # -- construction -------------------------------------------------------
 
@@ -250,15 +253,24 @@ class EncoderModel:
         raise StateError(f"unknown block id {block_id!r}")
 
     def block_params(self) -> dict[str, dict[str, Tensor]]:
-        """Each block's tensors keyed by suffix, e.g. ``p["attn.q.weight"]``,
-        read from the store in one pass; an expanded block also carries
-        ``zll.weight`` and ``zll.bias``."""
-        blocks: dict[str, dict[str, Tensor]] = {}
-        for name, entry in self.store.items():
-            if name.startswith("block."):
-                _, block_id, suffix = name.split(".", 2)
-                blocks.setdefault(block_id, {})[suffix] = entry.tensor
-        return blocks
+        """Each block's tensors keyed by suffix, e.g. ``p["attn.q.weight"]``;
+        an expanded block also carries ``zll.weight`` and ``zll.bias``.
+
+        The map is read from the store in one pass, and again only after the
+        store binds a new tensor (``add``, ``replace``, so also expansion) or
+        the model holds another store.  Callers must not modify it.
+        """
+        key = (self.store, self.store.version)
+        if self._blocks_key != key:
+            self._blocks = {}
+            for name, entry in self.store.items():
+                if name.startswith("block."):
+                    # interned, so every kept model's map shares one copy of
+                    # each id and suffix string
+                    block_id, suffix = map(sys.intern, name.split(".", 2)[1:])
+                    self._blocks.setdefault(block_id, {})[suffix] = entry.tensor
+            self._blocks_key = key
+        return self._blocks
 
     # -- forward -------------------------------------------------------------
 

@@ -71,6 +71,9 @@ class ParameterStore:
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
         self._flat: FlatState | None = None  # None while stale
+        # bumped whenever an entry's tensor is bound anew, so caches of the
+        # tensors (``EncoderModel.block_params``) know to rebuild
+        self.version = 0
 
     def add(self, name: str, value: np.ndarray, frozen: bool = False,
             m: np.ndarray | None = None, v: np.ndarray | None = None,
@@ -91,6 +94,7 @@ class ParameterStore:
         entry = ParamEntry(tensor, moment(m), moment(v), step)
         self._entries[name] = entry
         self._flat = None
+        self.version += 1
         return entry
 
     def replace(self, name: str, value: np.ndarray) -> ParamEntry:
@@ -101,6 +105,7 @@ class ParameterStore:
         entry = ParamEntry(tensor, np.zeros_like(tensor.data), np.zeros_like(tensor.data))
         self._entries[name] = entry
         self._flat = None
+        self.version += 1
         return entry
 
     def __contains__(self, name: str) -> bool:

@@ -204,7 +204,9 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
               if name.startswith("frontend.") and not entry.frozen]
     if thawed:
         raise ConfigError(f"the frontend is fixed, but {thawed[0]} is trainable")
-    iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i))
+    # each iterator draws the epoch orders of all its steps now, so no step does
+    iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i),
+                                             planned=schedule.count(m.corpus_id) * cfg.batch_size)
                  for i, m in enumerate(manifests)}
     log = TrainLog()
     _eval_all(model, manifests, 0, log)  # step 0 is the first best

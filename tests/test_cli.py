@@ -347,6 +347,17 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--frame-rate", "1e308"], 2, "frame_rate"),  # frame counts past a u32
+        (["--noise-std", "1e308"], 3, "non-finite"),  # the noise overflows float64
+        (["--noise-std", "1e39"], 3, "non-finite"),  # the frames overflow float32
+    ])
+    def test_synth_values_past_the_feat_format(self, tmp_path, capsys, flags, code, message):
+        rc = main(["synth-data", "--out", str(tmp_path / "d"), "--corpora", "1",
+                   "--speakers", "3", "--samples-per-speaker", "1", "--dim", "2"] + flags)
+        assert rc == code
+        assert message in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         data = synth(tmp_path)
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.bbex"),

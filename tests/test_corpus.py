@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbekit.corpus import (
+    SYNTH_DURATION_S,
     SYNTH_LABELS,
     CorpusIterator,
     CorpusManifest,
@@ -34,7 +35,8 @@ from bbekit.errors import (
     SplitViolationError,
     UnmappedLabelError,
 )
-from bbekit.featfile import read_features, write_features
+from bbekit.featfile import MAX_FRAMES, read_features, write_features
+from bbekit.rngutil import derive_seed
 
 
 JSON_VALUES = st.recursive(
@@ -364,6 +366,62 @@ class TestIterator:
             CorpusIterator(manifest, "val", seed=0)
 
 
+class EpochLoopIterator:
+    """The reference stream: one fresh generator per epoch, reached sample by
+    sample, each epoch's order ``default_rng(derive_seed(seed, e))
+    .permutation(n)``."""
+
+    def __init__(self, samples, seed):
+        self.samples, self.seed = samples, seed
+        self.epoch, self.cursor = 0, 0
+        self.order = self._order(0)
+
+    def _order(self, epoch):
+        return np.random.default_rng(derive_seed(self.seed, epoch)).permutation(len(self.samples))
+
+    def take(self, n):
+        out = []
+        while len(out) < n:
+            if self.cursor == len(self.order):
+                self.epoch += 1
+                self.order = self._order(self.epoch)
+                self.cursor = 0
+            out.append(self.samples[self.order[self.cursor]])
+            self.cursor += 1
+        return out
+
+
+def plain_corpus(n_train):
+    """A manifest of ``n_train`` train samples; the iterator reads no files."""
+    return CorpusManifest("p", [Sample(f"s{i}.feat", "anger", 3, f"spk{i}", "p", "train", 1.0)
+                                for i in range(n_train)])
+
+
+class TestPlannedStream:
+    @pytest.mark.parametrize("n_train", [1, 7, 90])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 16])
+    def test_yields_the_epoch_loop_sequence(self, n_train, batch):
+        # 12 takes end mid-epoch for every split but the one-sample one, and
+        # n_train takes end on an epoch boundary; each runs to its plan, past
+        # a plan of half as many takes, and past no plan at all
+        manifest = plain_corpus(n_train)
+        for steps in (12, n_train):
+            for planned_steps in (steps, steps // 2, 0):
+                it = CorpusIterator(manifest, "train", seed=9, planned=planned_steps * batch)
+                ref = EpochLoopIterator(manifest.samples, seed=9)
+                for _ in range(steps):
+                    assert it.take(batch) == ref.take(batch)
+
+    def test_planned_takes_draw_no_epoch(self, monkeypatch):
+        it = CorpusIterator(plain_corpus(7), "train", seed=2, planned=5 * 8)
+        drawn = []
+        monkeypatch.setattr(CorpusIterator, "_epoch_order",
+                            lambda self, epoch: drawn.append(epoch))
+        for _ in range(5):
+            it.take(8)
+        assert drawn == []
+
+
 class TestNextBatch:
     def make_varlen(self, tmp_path, lengths, dim=3):
         rows = []
@@ -454,10 +512,19 @@ class TestSyntheticSpec:
         {"noise_std": -0.1}, {"speaker_std": -0.1}, {"mean_scale": 0.0},
         {"frame_rate": np.inf}, {"noise_std": np.nan},
         {"frame_rate": 0.0},
+        # frame counts past a FEAT file's u32, rejected before any frame is drawn
+        {"frame_rate": 1e308},
+        {"frame_rate": np.nextafter(MAX_FRAMES / SYNTH_DURATION_S[1], np.inf)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             SyntheticSpec(corpus_id="x", **kwargs)
+
+    def test_largest_frame_rate_accepted(self):
+        # only built: generating at this rate would allocate gigabytes
+        rate = MAX_FRAMES / SYNTH_DURATION_S[1]
+        assert SYNTH_DURATION_S[1] * rate == MAX_FRAMES
+        assert SyntheticSpec(corpus_id="x", frame_rate=rate).frame_rate == rate
 
 
 class TestClassMeans:

@@ -225,6 +225,30 @@ class TestForward:
             tiny_model.forward(np.zeros((3, 8)))
 
 
+class TestBlockParams:
+    def test_built_once_per_store_change(self, tiny_model, rng):
+        model = tiny_model.clone()
+        blocks = model.block_params()
+        model.logits(rng.normal(size=(4, 16)))
+        model.store.set_frozen("block.0.ln1.gain", True)  # rebinds no tensor
+        assert model.block_params() is blocks
+        model.store.replace("head.bias", np.zeros(N_CLASSES))
+        assert model.block_params() is not blocks
+        model.store = model.clone().store
+        assert model.block_params()["0"]["ln1.gain"] is model.store.tensor("block.0.ln1.gain")
+
+    def test_replaced_block_entry_reaches_the_next_forward(self, tiny_model, rng):
+        model = tiny_model.clone()
+        frames = rng.normal(size=(5, 16))
+        before = model.logits(frames)
+        model.store.replace("block.1.ffn.w2.bias", np.full(16, 0.5))
+        fresh = model.store.tensor("block.1.ffn.w2.bias")
+        assert model.block_params()["1"]["ffn.w2.bias"] is fresh
+        after = model.logits(frames)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, model.clone().logits(frames))  # a fresh map
+
+
 class TestConvFrontend:
     def test_output_length_formula(self):
         # kernel 2 stride 2 halves the length: 8 -> 4

@@ -39,6 +39,15 @@ class TestFeatureFiles:
         with pytest.raises(InputError):
             write_features(tmp_path / "bad.feat", np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39, -1e308])
+    def test_rejects_frames_not_finite_as_float32(self, tmp_path, value):
+        frames = np.ones((3, 2))
+        frames[1, 0] = value
+        path = tmp_path / "x.feat"
+        with pytest.raises(InputError, match="non-finite"):
+            write_features(path, frames)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.feat"
         write_features(path, np.ones((2, 2)))

@@ -311,6 +311,33 @@ class TestTransfer:
                       expansion=ExpansionSpec(multiplier=2)))
         assert log.val_curve("t0")[0] == (0, zero_shot)
 
+    def test_no_step_draws_an_epoch_order(self, tiny_model, make_corpus, monkeypatch):
+        # a step runs from next_batch to adamw_step; every epoch order its
+        # batches need is drawn before step 1
+        events = []
+
+        def record(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(CorpusIterator, "_epoch_order",
+                            record("order", CorpusIterator._epoch_order))
+        monkeypatch.setattr(trainer_mod, "next_batch", record("batch", next_batch))
+        monkeypatch.setattr(trainer_mod, "adamw_step", record("adamw", adamw_step))
+        target = make_corpus("t0")
+        cfg = quick_cfg(stage="single_corpus", n_steps=30, expansion=ExpansionSpec(2, "head-only"))
+        train_transfer(tiny_model.clone(), target, cfg)
+        # the steps cross epochs: ceil(30 * 4 / n_train) orders, more than one
+        n_train = len(target.split_samples("train"))
+        assert events.count("order") == -(-cfg.n_steps * cfg.batch_size // n_train) > 1
+        assert events.count("batch") == events.count("adamw") == cfg.n_steps
+        in_step = False
+        for event in events:
+            assert not (in_step and event == "order"), "a step drew an epoch order"
+            in_step = {"batch": True, "adamw": False}.get(event, in_step)
+
     def test_expansion_grows_model(self, tiny_model, make_corpus):
         target = make_corpus("t0")
         model, _ = train_transfer(
