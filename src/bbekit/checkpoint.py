@@ -11,8 +11,11 @@ zeros, and what a file stores for them is dropped on load.  A load
 rejects any entry's non-finite value, NaN moment or negative second
 moment.
 
-The JSON header carries the model config, the ordered block index, the
-expansion record, and the parameter count for a cheap integrity check.
+The JSON header carries the model config, the ordered block index, and
+the parameter count for a cheap integrity check.  An expansion needs no
+record of its own: the block index and the frozen flags are the whole of
+it (``EncoderModel.expansion``), and the ``expansion`` header key that
+earlier files carry is ignored.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .expansion import FREEZE_POLICIES
 from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
 MAGIC = b"BBEX"
 VERSION = 1
+# model config keys that earlier headers carry and no field reads any more
+OLD_CONFIG_KEYS = ("pooling", "n_classes")
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -45,7 +49,6 @@ def save_checkpoint(path: str | Path, model: EncoderModel) -> None:
     header = {
         "config": model.config.to_dict(),
         "block_index": [b.to_dict() for b in model.block_index],
-        "expansion": model.expansion,
         "n_params": len(model.store),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -90,15 +93,15 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
             raise FormatError(f"{path}: corrupt header ({exc})") from exc
         try:
-            config = EncoderConfig.from_dict(header["config"])
+            config = EncoderConfig.from_dict(
+                {k: v for k, v in dict(header["config"]).items() if k not in OLD_CONFIG_KEYS})
             block_index = [BlockInfo.from_dict(b) for b in header["block_index"]]
             n_params = int(header["n_params"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: incomplete header ({exc})") from exc
         except ConfigError as exc:
             raise FormatError(f"{path}: invalid model config in header ({exc})") from exc
-        expansion = header.get("expansion")
-        _check_blocks(path, config, block_index, expansion)
+        _check_blocks(path, config, block_index)
         layout = param_layout(config, block_index)
         if n_params != len(layout):
             raise FormatError(f"{path}: {n_params} parameters, its config lays out {len(layout)}")
@@ -140,26 +143,18 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")
 
     # each name is in the layout, none twice, and the counts agree: store == layout
-    return EncoderModel(config, store, block_index, rng_state, expansion=expansion)
+    return EncoderModel(config, store, block_index, rng_state)
 
 
-def _check_blocks(path, config, block_index: list[BlockInfo], expansion) -> None:
+def _check_blocks(path, config, block_index: list[BlockInfo]) -> None:
     """``config.n_blocks`` distinct string ids, each an original without a
-    source or a copy of an original; copies need the record ``expand``
-    writes, with one more than each original's copies as its multiplier."""
+    source or a copy of an original, and every original with as many copies
+    as the others, as ``expand`` leaves them."""
     ids = [b.block_id for b in block_index]
     originals = [b.block_id for b in block_index if b.origin == "original" and b.source is None]
     sources = [b.source for b in block_index if b.origin == "expanded"]
     if (not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids)
             or len(ids) != config.n_blocks or len(originals) + len(sources) != len(ids)
-            or not all(s in originals for s in sources)):
+            or not all(s in originals for s in sources)
+            or len({sources.count(o) for o in originals}) > 1):
         raise FormatError(f"{path}: block index {ids} disagrees with itself or the config")
-    if expansion is None and not sources:
-        return
-    if not (isinstance(expansion, dict)
-            and set(expansion) == {"multiplier", "freeze_policy", "source_blocks"}
-            and type(expansion["multiplier"]) is int and expansion["multiplier"] >= 2
-            and expansion["source_blocks"] == originals
-            and expansion["freeze_policy"] in FREEZE_POLICIES
-            and all(sources.count(o) == expansion["multiplier"] - 1 for o in originals)):
-        raise FormatError(f"{path}: expansion record {expansion!r} disagrees with the blocks")

@@ -8,6 +8,7 @@ clock and host details go to a `run.meta` sidecar so outputs stay hashable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -28,6 +29,7 @@ from .rngutil import derive_seed
 from .trainer import TrainConfig, evaluate, expand_verified, train_multi, train_transfer
 
 FINETUNE_STEPS = 10000
+CONFIG_SECTIONS = ("model", "train", "adamw")
 
 
 # -- config plumbing ---------------------------------------------------------
@@ -60,6 +62,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         node[parts[-1]] = value
     if not all(isinstance(section, dict) for section in cfg.values()):
         raise ConfigError(f"config sections must be JSON objects, got {cfg!r}")
+    for name in cfg:
+        if name not in CONFIG_SECTIONS:
+            raise ConfigError(f"unknown config section {name!r}; "
+                              f"the sections are {', '.join(CONFIG_SECTIONS)}")
     return cfg
 
 
@@ -68,7 +74,9 @@ def train_config_from(cfg: dict, stage: str, seed: int,
                       expansion: ExpansionSpec | None = None,
                       default_steps: int = TrainConfig.n_steps) -> TrainConfig:
     """The "train" and "adamw" sections over the dataclass defaults.  The
-    CLI's own policies: its default step count, and frame_cap 0 for no cap."""
+    CLI's own policies: its default step count, and frame_cap 0 for no cap.
+    The seed, stage, expansion and AdamW settings come from the command and
+    the "adamw" section, so a "train" key for one of them is a ConfigError."""
     t = {"n_steps": default_steps, **cfg.get("train", {})}
     if n_steps is not None:
         t["n_steps"] = n_steps
@@ -127,15 +135,26 @@ def _write_training_run(run: RunDir, model: EncoderModel, log, cfg_echo: dict,
     run.finish()
 
 
+def _resolved(model_cfg: EncoderConfig, tcfg: TrainConfig) -> dict:
+    """The summary's echo of the settings a run used, defaults included."""
+    return {"model": model_cfg.to_dict(), "train": dataclasses.asdict(tcfg)}
+
+
 def _variant_name(model: EncoderModel) -> str:
-    if model.expansion is None:
+    """The name reports give a model: base, or expanded-x<multiplier>,
+    with -<policy> when the freeze flags follow one."""
+    record = model.expansion
+    if record is None:
         return "base"
-    return f"expanded-x{model.expansion['multiplier']}-{model.expansion['freeze_policy']}"
+    policy = record["freeze_policy"]
+    return f"expanded-x{record['multiplier']}" + (f"-{policy}" if policy else "")
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_synth_data(args) -> int:
+    if args.corpora < 1:
+        raise ConfigError(f"--corpora must be >= 1, got {args.corpora}")
     run = RunDir(args.out, "synth-data")
     manifests = []
     entries = []
@@ -179,9 +198,7 @@ def cmd_train(args) -> int:
     model = EncoderModel.build(model_cfg, args.seed)
     tcfg = train_config_from(cfg, "multi_corpus", args.seed, n_steps=args.steps)
     model, log = train_multi(model, manifests, tcfg)
-    _write_training_run(run, model, log, {
-        "model": model_cfg.to_dict(), "train": cfg.get("train", {}),
-        "adamw": cfg.get("adamw", {}), "seed": args.seed, "n_steps": tcfg.n_steps})
+    _write_training_run(run, model, log, _resolved(model_cfg, tcfg))
     print(f"trained {tcfg.n_steps} steps on {len(manifests)} corpora; "
           f"best val UAR {log.best_val_uar:.4f} at step {log.best_step}")
     return 0
@@ -215,14 +232,16 @@ def cmd_finetune(args) -> int:
     cfg = load_config(args.config, args.set or [])
     run = RunDir(args.out, "finetune")
     model = load_checkpoint(args.checkpoint)
+    # the model comes from the checkpoint; a "model" section may only repeat it
+    if "model" in cfg and EncoderConfig.from_dict(cfg["model"]) != model.config:
+        raise ConfigError(f"the config's model section {cfg['model']} differs from "
+                          f"the checkpoint's model {model.config.to_dict()}")
     target = load_manifest(args.target)
     tcfg = train_config_from(cfg, "single_corpus", args.seed, n_steps=args.steps,
                              expansion=expansion, default_steps=FINETUNE_STEPS)
+    echo = _resolved(model.config, tcfg)
     model, log = train_transfer(model, target, tcfg, reinit_head=args.reinit_head)
-    _write_training_run(run, model, log, {
-        "train": cfg.get("train", {}), "adamw": cfg.get("adamw", {}), "seed": args.seed,
-        "n_steps": tcfg.n_steps, "expansion": expansion.to_dict() if expansion else None},
-        variant=_variant_name(model))
+    _write_training_run(run, model, log, echo, variant=_variant_name(model))
     print(f"fine-tuned {tcfg.n_steps} steps on {target.corpus_id} "
           f"({_variant_name(model)}); best val UAR {log.best_val_uar:.4f}")
     return 0

@@ -21,7 +21,7 @@ from .errors import (ConfigError, IngestError, InputError, SplitError,
                      SplitViolationError, UnmappedLabelError)
 from .featfile import MAX_FRAMES, read_features, write_features
 from .labels import MappingTable, load_mapping_table
-from .rngutil import derive_seed
+from .rngutil import derive_seed, generator
 
 SPLITS = ("train", "val", "test")
 ROW_FIELDS = {"feature": str, "label": str, "speaker": object, "duration_s": (int, float)}
@@ -178,7 +178,7 @@ def make_splits(manifest: CorpusManifest, frac_test: float = 0.10,
     if mode == "auto":
         mode = "speaker" if all(s.speaker_id for s in manifest.samples) else "sample"
 
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     n = len(manifest.samples)
     if mode == "speaker":
         by_speaker: dict[str, list[int]] = {}
@@ -373,7 +373,7 @@ class SyntheticSpec:
 def synthetic_class_means(class_means_seed: int, d: int, mean_scale: float = 1.0) -> np.ndarray:
     """Six well-separated class mean vectors, shared by every corpus that
     uses the same seed (unit directions scaled to mean_scale)."""
-    rng = np.random.default_rng(class_means_seed)
+    rng = generator(class_means_seed)
     raw = rng.normal(0.0, 1.0, (6, d))
     return mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 

@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import pad_frames
 from .errors import ConfigError, DimensionError, StateError
-from .model import BlockInfo, EncoderModel, param_layout
+from .model import FREEZE_POLICIES, BlockInfo, EncoderModel, param_layout
+from .rngutil import generator
 
-FREEZE_POLICIES = ("freeze-original", "non-frozen", "head-only")
 PRESERVE_PROBES = 8
 
 
@@ -32,13 +32,10 @@ class ExpansionSpec:
         if self.freeze_policy not in FREEZE_POLICIES:
             raise ConfigError(f"unknown freeze policy {self.freeze_policy!r}")
 
-    def to_dict(self) -> dict:
-        return {"multiplier": self.multiplier, "freeze_policy": self.freeze_policy}
-
 
 def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
     """Return an expanded deep copy; the input model is left untouched."""
-    if model.expansion is not None:
+    if any(b.origin == "expanded" for b in model.block_index):
         raise StateError("model is already expanded; expansion is single-shot")
 
     out = model.clone()
@@ -63,41 +60,21 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
         else:
             value = out.store.value(f"block.{sources[block_id]}.{suffix}")
         out.store.add(name, value, frozen=True)
-    out.expansion = {
-        "multiplier": spec.multiplier,
-        "freeze_policy": spec.freeze_policy,
-        "source_blocks": [b.block_id for b in model.block_index],
-    }
     apply_freeze_policy(out, spec.freeze_policy)
     return out
 
 
 def apply_freeze_policy(model: EncoderModel, policy: str) -> None:
-    """Set the store's frozen flags; the expansion record notes the policy."""
+    """Set the store's frozen flags by ``EncoderModel.frozen_under``."""
     if policy not in FREEZE_POLICIES:
         raise ConfigError(f"unknown freeze policy {policy!r}")
-
-    def frozen(name: str) -> bool:
-        if name.startswith("frontend."):
-            return True  # the frontend stays fixed under every policy
-        if policy == "head-only":
-            return not name.startswith("head.")
-        if policy == "non-frozen":
-            return False
-        if name.startswith("head."):
-            return False
-        block_id = name.split(".")[1]
-        return model.block_info(block_id).origin == "original"
-
-    model.store.freeze_where(frozen)
-    if model.expansion is not None:
-        model.expansion["freeze_policy"] = policy
+    model.store.freeze_where(lambda name: model.frozen_under(policy, name))
 
 
 def preservation_probes(model: EncoderModel, seed: int) -> list[np.ndarray]:
     """Seeded standard-normal frame sequences for ``verify_preservation``;
     their lengths start at the shortest input the model's frontend accepts."""
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     shortest, d = model.config.min_input_length, model.config.input_dim
     return [rng.normal(0.0, 1.0, (shortest + int(rng.integers(0, 20)), d))
             for _ in range(PRESERVE_PROBES)]
@@ -117,9 +94,10 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
     """
     if not probes:
         raise ConfigError("preservation check needs at least one probe")
-    if expanded.expansion is None:
-        raise StateError("second model carries no expansion record")
-    if expanded.expansion["source_blocks"] != [b.block_id for b in base.block_index]:
+    originals = [b.block_id for b in expanded.block_index if b.origin == "original"]
+    if len(originals) == len(expanded.block_index):
+        raise StateError("second model has no expanded blocks")
+    if originals != base.block_ids():
         raise StateError("models are structurally unrelated")
     d = base.config.input_dim
     try:  # a ragged or non-numeric probe, or a tuple that is no (frames, mask) pair

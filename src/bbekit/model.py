@@ -24,6 +24,7 @@ from .params import ParameterStore
 from .rngutil import generator, splitmix64, truncated_normal
 
 INIT_STD = 0.02
+FREEZE_POLICIES = ("freeze-original", "non-frozen", "head-only")
 
 
 @dataclass(frozen=True)
@@ -106,26 +107,32 @@ class EncoderConfig:
 def dataclass_from(cls, section: dict, **fixed):
     """Build the dataclass ``cls`` from a config section.
 
-    A key that names a field overrides the field's default and is cast to
-    the default's type when that is int or float (null only where the type
-    admits None); other keys are ignored.  ``fixed`` values win.  A bool,
+    Each key names a field other than the ``fixed`` ones, whose values the
+    caller sets; any other key is a ``ConfigError`` that names it.  A value
+    overrides the field's default and is cast to the default's type when
+    that is int or float (null only where the type admits None).  A bool,
     or a number with a fractional part for an int field, is a
     ``ConfigError`` rather than a truncation.
     """
+    names = {f.name: f for f in fields(cls)}
     kwargs = dict(fixed)
-    for f in fields(cls):
-        if f.name in section and f.name not in fixed:
-            value = section[f.name]
-            kind = type(f.default)
-            if kind in (int, float) and not (value is None and "None" in str(f.type)):
-                if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                               and not value.is_integer()):
-                    raise ConfigError(f"{f.name}: expected {kind.__name__}, got {value!r}")
-                try:
-                    value = kind(value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{f.name}: {exc}") from exc
-            kwargs[f.name] = value
+    for key, value in section.items():
+        if key in fixed:
+            raise ConfigError(f"{key!r} is fixed by the command (a flag or another "
+                              "section) and cannot be set here")
+        if key not in names:
+            raise ConfigError(f"{cls.__name__} has no setting {key!r}")
+        f = names[key]
+        kind = type(f.default)
+        if kind in (int, float) and not (value is None and "None" in str(f.type)):
+            if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                           and not value.is_integer()):
+                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+            try:
+                value = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -186,16 +193,15 @@ class EncoderModel:
     Parameter names follow ``block.<id>.<suffix>`` plus ``frontend.*`` and
     ``head.*``; the block index carries each block's origin and source,
     which expansion sets.  Freeze flags live on the store's tensors only.
+    The two are the whole record of an expansion (``expansion``).
     """
 
     def __init__(self, config: EncoderConfig, store: ParameterStore,
-                 block_index: list[BlockInfo], rng_state: int,
-                 expansion: dict | None = None):
+                 block_index: list[BlockInfo], rng_state: int):
         self.config = config
         self.store = store
         self.block_index = block_index
         self.rng_state = int(rng_state)
-        self.expansion = expansion
         self._blocks: dict[str, dict[str, Tensor]] = {}
         self._blocks_key: tuple | None = None  # (store, store.version) _blocks was built from
 
@@ -238,8 +244,36 @@ class EncoderModel:
             store.add(name, entry.tensor.data.copy(), frozen=entry.frozen,
                       m=entry.m, v=entry.v, step=entry.step)
         return EncoderModel(copy.deepcopy(self.config), store,
-                            [copy.deepcopy(b) for b in self.block_index],
-                            self.rng_state, copy.deepcopy(self.expansion))
+                            [copy.deepcopy(b) for b in self.block_index], self.rng_state)
+
+    # -- expansion record ----------------------------------------------------
+
+    def frozen_under(self, policy: str, name: str) -> bool:
+        """Whether a freeze policy freezes parameter ``name``: the frontend
+        always; under head-only all but the head; under freeze-original the
+        original blocks; under non-frozen nothing else."""
+        if name.startswith("frontend."):
+            return True
+        if policy == "head-only":
+            return not name.startswith("head.")
+        if policy == "non-frozen" or name.startswith("head."):
+            return False
+        return self.block_info(name.split(".")[1]).origin == "original"
+
+    @property
+    def expansion(self) -> dict | None:
+        """``{"multiplier", "source_blocks", "freeze_policy"}`` read from the
+        block index and the freeze flags, or None without copies.  The
+        policy is the one whose rule the flags follow, None if none does."""
+        originals = [b.block_id for b in self.block_index if b.origin == "original"]
+        copies = len(self.block_index) - len(originals)
+        if not copies:
+            return None
+        policy = next((p for p in FREEZE_POLICIES
+                       if all(entry.frozen == self.frozen_under(p, name)
+                              for name, entry in self.store.items())), None)
+        return {"multiplier": 1 + copies // len(originals), "source_blocks": originals,
+                "freeze_policy": policy}
 
     # -- parameter access ----------------------------------------------------
 

@@ -26,6 +26,8 @@ def derive_seed(base: int, index: int) -> int:
 
 
 def generator(state: int) -> np.random.Generator:
+    """A numpy Generator seeded by ``state`` mod 2**64: any int, a negative
+    one too, is a seed, and seeds in [0, 2**64) keep their streams."""
     return np.random.default_rng(state & _MASK64)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline driven in-process through main()."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from test_corpus import JSON_VALUES
 
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
-from bbekit.cli import load_config, main, train_config_from
+from bbekit.cli import _variant_name, build_parser, load_config, main, train_config_from
 from bbekit.corpus import SyntheticSpec
 from bbekit.errors import ConfigError
+from bbekit.expansion import ExpansionSpec, expand
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.optim import AdamWConfig
 from bbekit.trainer import TrainConfig
@@ -91,9 +93,52 @@ class TestLoadConfig:
         assert tcfg.n_steps == 5
 
     def test_defaults_come_from_the_dataclasses(self):
-        tcfg = train_config_from({"train": {"unknown": 1}, "adamw": {"unknown": 2}},
-                                 "multi_corpus", 0)
-        assert tcfg == TrainConfig(seed=0, stage="multi_corpus")
+        # keys that name no setting are refused, not ignored in favour of a default
+        assert train_config_from({}, "multi_corpus", 0) == TrainConfig(seed=0,
+                                                                       stage="multi_corpus")
+        for section in ("train", "adamw"):
+            with pytest.raises(ConfigError, match="'unknown'"):
+                train_config_from({section: {"unknown": 1}}, "multi_corpus", 0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 5), ("stage", "single_corpus"), ("expansion", {"multiplier": 3}),
+        ("adamw", {"learning_rate": 0.5}),
+    ])
+    def test_train_keys_the_command_sets_are_config_errors(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            train_config_from({"train": {key: value}}, "multi_corpus", 0)
+
+    @pytest.mark.parametrize("setting", ["tarin.batch_size=4", "synth.d=4"])
+    def test_unknown_section_is_config_error(self, setting):
+        with pytest.raises(ConfigError, match=repr(setting.split(".")[0])):
+            load_config(None, [setting])
+
+    SECTION_CLASSES = {"model": EncoderConfig, "train": TrainConfig, "adamw": AdamWConfig}
+    CLI_OWNED = {"seed", "stage", "expansion", "adamw"}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(section=st.sampled_from(sorted(SECTION_CLASSES)) | st.text(max_size=6),
+           key=st.sampled_from(sorted({f.name for cls in SECTION_CLASSES.values()
+                                       for f in dataclasses.fields(cls)})) | st.text(),
+           value=JSON_VALUES)
+    def test_any_config_key_is_used_or_is_config_error(self, tmp_path_factory, section,
+                                                       key, value):
+        # the resolution `bbekit train` applies to a config file; any other
+        # exception fails
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        cls = self.SECTION_CLASSES.get(section)
+        known = cls is not None and key in {f.name for f in dataclasses.fields(cls)}
+        owned = section == "train" and key in self.CLI_OWNED
+        try:
+            cfg = load_config(str(path), [])
+            EncoderConfig.from_dict(cfg.get("model", {}))
+            train_config_from(cfg, "multi_corpus", 0)
+        except ConfigError as exc:
+            if not known or owned:
+                assert repr(section if cls is None else key) in str(exc)
+            return
+        assert known and not owned
 
     def test_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -282,6 +327,42 @@ class TestPipeline:
         assert rc == 0
         assert "max rel err" in capsys.readouterr().out
 
+    def test_summary_echoes_the_resolved_config(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        cfg = cfg_file(tmp_path, SMALL_CFG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "s1"), "--seed", "4",
+                     "--corpus-set", str(data / "corpus_set.json"), "--steps", "3"]) == 0
+        assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft"),
+                     "--checkpoint", str(tmp_path / "s1" / "checkpoint.bbex"),
+                     "--target", str(data / "syn01.jsonl"), "--steps", "2", "--expand"]) == 0
+        capsys.readouterr()
+        model = EncoderConfig(**SMALL_CFG["model"]).to_dict()
+        adamw = AdamWConfig(**SMALL_CFG["adamw"])
+        want = {"s1": TrainConfig(**SMALL_CFG["train"], adamw=adamw, seed=4, n_steps=3),
+                "ft": TrainConfig(**SMALL_CFG["train"], adamw=adamw, stage="single_corpus",
+                                  n_steps=2, expansion=ExpansionSpec())}
+        for run, tcfg in want.items():
+            summary = json.loads((tmp_path / run / "summary.json").read_text())
+            assert summary["config"] == {"model": model, "train": dataclasses.asdict(tcfg)}
+
+    def test_finetune_model_section_must_match_the_checkpoint(self, tmp_path, tiny_model,
+                                                               capsys):
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        other = {**tiny_model.config.to_dict(), "n_blocks": 3}
+        rc = main(["finetune", "--config", cfg_file(tmp_path, {"model": other}),
+                   "--checkpoint", str(ckpt), "--target", str(tmp_path / "none.jsonl"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "model section" in capsys.readouterr().err
+
+    def test_variant_of_flags_that_follow_no_policy(self, tiny_model):
+        expanded = expand(tiny_model, ExpansionSpec(2, "freeze-original"))
+        assert _variant_name(expanded) == "expanded-x2-freeze-original"
+        expanded.store.set_frozen("head.weight", True)
+        assert expanded.expansion["freeze_policy"] is None
+        assert _variant_name(expanded) == "expanded-x2"
+
 
 class TestDeterminism:
     def test_train_rerun_byte_identical(self, tmp_path):
@@ -399,6 +480,25 @@ class TestExitCodes:
         key = setting.split("=")[0].split(".")[-1]
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["train.seed=5", "adamw.learing_rate=0.5",
+                                         "model.extra=1", "tarin.batch_size=4"])
+    def test_config_key_the_run_does_not_use_is_config_error(self, tmp_path, capsys,
+                                                             setting):
+        data = synth(tmp_path, corpora=1)
+        rc = main(["train", "--out", str(tmp_path / "o"),
+                   "--corpus-set", str(data / "corpus_set.json"),
+                   "--set", setting, "--steps", "2"])
+        assert rc == 2
+        key = setting.split("=")[0].split(".")
+        assert repr(key[0] if key[0] == "tarin" else key[1]) in capsys.readouterr().err
+
+    def test_no_corpora_is_config_error_before_any_write(self, tmp_path, capsys):
+        for count in ("0", "-2"):
+            rc = main(["synth-data", "--out", str(tmp_path / "o"), "--corpora", count])
+            assert rc == 2
+            assert "--corpora" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--checkpoint", "m.bbex", "--corpus", "c.jsonl", "--out", "o",
          "--seed", "1"],
@@ -412,17 +512,6 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_truncated_expansion_record_is_data_error(self, tmp_path, tiny_model, capsys):
-        from test_serialization import rewrite_header
-
-        ckpt = tmp_path / "m.bbex"
-        save_checkpoint(ckpt, tiny_model)
-        rewrite_header(ckpt, lambda h: h.update(expansion={"multiplier": 2}))
-        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(tmp_path / "c.jsonl"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert "expansion record" in capsys.readouterr().err
 
     def test_ragged_report_inputs(self, tmp_path, capsys):
         e1 = tmp_path / "a.json"
@@ -635,3 +724,59 @@ class TestCorruptInputsExitCodes:
             ["expand", "--checkpoint", str(ckpt), "--out", str(tmp_path / f"ex-c{i}")],
         ], seed=4, capsys=capsys)
         assert 3 in codes
+
+
+def _int_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every integer-valued option of the parser."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, sub in subs.choices.items()
+            for action in sub._actions if action.type is int]
+
+
+class TestIntegerFlags:
+    """Every integer flag at -1 and 0 ends in exit 0 or a documented exit
+    code, never in a traceback; a seed is any integer."""
+
+    @pytest.fixture(scope="class")
+    def base_argv(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("int-flags")
+        data = synth(tmp_path)
+        cfg = cfg_file(tmp_path, SMALL_CFG)
+        ckpt = str(tmp_path / "s1" / "checkpoint.bbex")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "s1"),
+                     "--corpus-set", str(data / "corpus_set.json"), "--steps", "2"]) == 0
+        return tmp_path, {
+            "synth-data": ["synth-data", "--corpora", "1", "--speakers", "3",
+                           "--samples-per-speaker", "1", "--dim", "4", "--frame-rate", "2.0"],
+            "train": ["train", "--config", cfg, "--corpus-set", str(data / "corpus_set.json"),
+                      "--steps", "2"],
+            "expand": ["expand", "--checkpoint", ckpt],
+            "finetune": ["finetune", "--config", cfg, "--checkpoint", ckpt, "--expand",
+                         "--target", str(data / "syn01.jsonl"), "--steps", "2"],
+            "gradcheck": ["gradcheck", "--blocks", "1", "--dim", "4", "--heads", "2",
+                          "--probes", "3"],
+        }
+
+    def test_every_command_with_an_integer_flag_is_swept(self, base_argv):
+        assert {cmd for cmd, _ in _int_flags()} == set(base_argv[1])
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("command,flag", _int_flags())
+    def test_flag_ends_in_a_documented_exit_code(self, base_argv, capsys, command, flag,
+                                                 value):
+        tmp_path, argvs = base_argv
+        argv = list(argvs[command])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / f"{command}{flag}{value}")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, for a value outside its choices
+            code = exc.code
+        capsys.readouterr()
+        assert code in {0, 2, 3, 4, 5}
+        if flag == "--seed" or flag.endswith("-seed"):
+            assert code == 0

@@ -1,6 +1,7 @@
 """Depth expansion: structure, exact preservation, freeze policies, the
 skip of closed-gate copies and the arrays frozen copies share."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,8 +40,9 @@ class TestSpec:
             ExpansionSpec(**kwargs)
 
     def test_dict_roundtrip(self):
+        # a run's summary.json echoes the spec as dataclasses.asdict gives it
         spec = ExpansionSpec(multiplier=3, freeze_policy="non-frozen")
-        assert ExpansionSpec(**spec.to_dict()) == spec
+        assert ExpansionSpec(**dataclasses.asdict(spec)) == spec
 
 
 class TestStructure:

@@ -59,7 +59,9 @@ class TestConfigValidation:
             conv_config(conv_in_dim=0).validate()
 
     def test_from_dict_defaults_and_unknown_keys(self):
-        assert EncoderConfig.from_dict({"unknown": 1}) == EncoderConfig()
+        assert EncoderConfig.from_dict({}) == EncoderConfig()
+        with pytest.raises(ConfigError, match="'unknown'"):
+            EncoderConfig.from_dict({"unknown": 1})
 
     @pytest.mark.parametrize("cls,key,value", [
         (EncoderConfig, "n_blocks", 2.7), (EncoderConfig, "d_model", 16.9),

@@ -455,29 +455,25 @@ class TestCorruptCheckpoints:
                 rewrite_header(bad, replace)
                 load_or_bbekit_error(bad, probe)
 
-    @pytest.mark.parametrize("record", [
-        {"multiplier": 2},  # no freeze_policy or source_blocks
-        {"multiplier": 3, "freeze_policy": "freeze-original", "source_blocks": ["0"]},
-        {"multiplier": 2, "freeze_policy": "freeze-original", "source_blocks": ["1"]},
-        {"multiplier": 2, "freeze_policy": "frozen", "source_blocks": ["0"]},
-        {"multiplier": 2.0, "freeze_policy": "freeze-original", "source_blocks": ["0"]},
-        None,  # copies without a record
-    ])
-    def test_expansion_record_must_match_the_index(self, tmp_path, record):
+    def test_originals_with_unequal_copy_counts_rejected(self, tmp_path, tiny_model):
+        # copy 1x1 claims block 0 as its source: block 0 has two copies, block 1 none
         path = tmp_path / "m.bbex"
-        conv_x2_checkpoint(path)
-        rewrite_header(path, lambda h: h.update(expansion=record))
-        with pytest.raises(FormatError):
+        save_checkpoint(path, expand(tiny_model, ExpansionSpec(2)))
+        rewrite_header(path, lambda h: h["block_index"][3].update(source="0"))
+        with pytest.raises(FormatError, match="block index"):
             load_checkpoint(path)
 
-    def test_record_without_copies_rejected(self, tmp_path, tiny_model):
+    def test_old_expansion_key_is_ignored(self, tmp_path):
+        # files written before the record was derived carry it in the
+        # header; the block index and freeze flags win over a stale one
         path = tmp_path / "m.bbex"
-        save_checkpoint(path, tiny_model)
-        record = {"multiplier": 2, "freeze_policy": "freeze-original",
-                  "source_blocks": ["0", "1"]}
-        rewrite_header(path, lambda h: h.update(expansion=record))
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        model = conv_x2_checkpoint(path)
+        stale = {"multiplier": 2, "freeze_policy": "head-only", "source_blocks": ["0"]}
+        rewrite_header(path, lambda h: h.update(expansion=stale))
+        loaded = load_checkpoint(path)
+        assert_models_equal(loaded, model)
+        assert loaded.expansion == {"multiplier": 2, "source_blocks": ["0"],
+                                    "freeze_policy": "freeze-original"}
 
     def test_block_count_must_match_the_index(self, tmp_path, tiny_model):
         path = tmp_path / "m.bbex"
