@@ -5,14 +5,13 @@ and a closure that maps the output gradient to parent gradients.  Only the
 primitives needed by the encoder stack are provided.  All math is float64
 and bit-deterministic for a fixed call order.
 
-Gradient recording is thread-local, so a model with no active tape can be
-shared read-only across threads for evaluation under ``no_grad``.
+Gradient recording is one module-level flag, which ``no_grad`` switches
+off for the block it wraps.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,22 +20,22 @@ import numpy as np
 
 from .errors import DimensionError, InputError, LabelError, StateError
 
-_state = threading.local()
+_grad_enabled = True
 
 
 def is_grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (evaluation fast path)."""
-    prev = is_grad_enabled()
-    _state.grad_enabled = False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
 
 
 def _as_array(data) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, open_input, parse_json
 from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
@@ -76,11 +76,7 @@ def save_checkpoint(path: str | Path, model: EncoderModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    with fh:
+    with open_input(path, FormatError, "checkpoint") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -88,10 +84,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (json_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, json_len, "header").decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-            raise FormatError(f"{path}: corrupt header ({exc})") from exc
+        header = parse_json(_read_exact(fh, json_len, "header"), FormatError,
+                            f"{path}: header", dict)
         try:
             config = EncoderConfig.from_dict(
                 {k: v for k, v in dict(header["config"]).items() if k not in OLD_CONFIG_KEYS})

@@ -19,7 +19,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
                      load_manifest)
-from .errors import BbekitError, ConfigError, InvariantViolation
+from .errors import BbekitError, ConfigError, InvariantViolation, open_input, parse_json
 from .expansion import FREEZE_POLICIES, ExpansionSpec
 from .gradcheck import TOLERANCE, check_model_gradients
 from .metrics import duration_histogram, histogram_csv, report
@@ -37,21 +37,15 @@ CONFIG_SECTIONS = ("model", "train", "adamw")
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg: dict = {}
     if path:
-        try:
-            cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+        with open_input(path, ConfigError, "config") as fh:
+            cfg = parse_json(fh.read(), ConfigError, f"config {path}", dict)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = parse_json(raw, ConfigError, f"--set {key}")
+        except ConfigError:  # a value that is not JSON is the raw string
             value = raw
         node = cfg
         parts = key.split(".")
@@ -92,26 +86,32 @@ def _utcnow() -> str:
 
 
 class RunDir:
-    """Output directory plus the timestamped sidecar."""
+    """A command's ``--out`` directory, made at the first write (the first
+    read of ``path``), plus the timestamped sidecar.  A command that fails
+    before it writes leaves no directory."""
 
     def __init__(self, out: str, command: str):
-        self.path = Path(out)
-        self.path.mkdir(parents=True, exist_ok=True)
+        self._out = Path(out)
         self.meta = {"command": command, "started_utc": _utcnow(),
                      "host": platform.node(), "python": platform.python_version()}
 
-    def write_text(self, name: str, text: str) -> Path:
-        target = self.path / name
-        target.write_text(text, encoding="utf-8")
-        return target
+    @property
+    def path(self) -> Path:
+        try:
+            self._out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+            raise ConfigError(f"--out {self._out} cannot be made a directory: {exc}") from exc
+        return self._out
 
-    def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    def write_text(self, name: str, text: str) -> None:
+        (self.path / name).write_text(text, encoding="utf-8")
+
+    def write_json(self, name: str, payload) -> None:
+        self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def finish(self) -> None:
         self.meta["finished_utc"] = _utcnow()
-        (self.path / "run.meta").write_text(
-            json.dumps(self.meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        self.write_json("run.meta", self.meta)
 
 
 def _sha256(path: Path) -> str:
@@ -155,35 +155,30 @@ def _variant_name(model: EncoderModel) -> str:
 def cmd_synth_data(args) -> int:
     if args.corpora < 1:
         raise ConfigError(f"--corpora must be >= 1, got {args.corpora}")
+    shifts = [args.corpus_shift] * args.corpora
+    if args.target_shift is not None:
+        shifts[-1] = args.target_shift
+    # every spec is checked before anything is written
+    specs = [SyntheticSpec(corpus_id=f"syn{i:02d}", n_speakers=args.speakers,
+                           samples_per_speaker=args.samples_per_speaker, d=args.dim,
+                           class_means_seed=args.class_means_seed, noise_std=args.noise_std,
+                           corpus_shift=shift, seed=derive_seed(args.seed, i),
+                           frame_rate=args.frame_rate)
+             for i, shift in enumerate(shifts)]
     run = RunDir(args.out, "synth-data")
     manifests = []
     entries = []
-    for i in range(args.corpora):
-        shift = args.corpus_shift
-        if args.target_shift is not None and i == args.corpora - 1:
-            shift = args.target_shift
-        spec = SyntheticSpec(
-            corpus_id=f"syn{i:02d}",
-            n_speakers=args.speakers,
-            samples_per_speaker=args.samples_per_speaker,
-            d=args.dim,
-            class_means_seed=args.class_means_seed,
-            noise_std=args.noise_std,
-            corpus_shift=shift,
-            seed=derive_seed(args.seed, i),
-            frame_rate=args.frame_rate,
-        )
+    for spec in specs:
         manifest_path = generate_synthetic_corpus(spec, run.path)
         manifests.append(load_manifest(manifest_path, corpus_id=spec.corpus_id))
         entries.append({"corpus_id": spec.corpus_id,
                         "manifest_path": manifest_path.name})
-    run.write_text("corpus_set.json",
-                   json.dumps(entries, sort_keys=True, indent=2) + "\n")
+    run.write_json("corpus_set.json", entries)
     bins = duration_histogram(manifests)
     run.write_text("durations.csv", histogram_csv(bins))
     for start in sorted(bins):
         print(f"[{start:>4g} s) {bins[start]:>6d}  " + "#" * min(60, bins[start]))
-    _summary(run, {"corpora": args.corpora, "seed": args.seed},
+    _summary(run, {"seed": args.seed, "specs": [dataclasses.asdict(s) for s in specs]},
              corpus_set="corpus_set.json")
     run.finish()
     print(f"wrote {args.corpora} corpora under {run.path}")
@@ -283,12 +278,8 @@ def cmd_report(args) -> int:
     run = RunDir(args.out, "report")
     results: dict[str, dict[str, float]] = {}
     for path in args.results:
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-            raise ConfigError(f"cannot read eval result {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"eval result {path} must hold a JSON object")
+        with open_input(path, ConfigError, "eval result") as fh:
+            payload = parse_json(fh.read(), ConfigError, f"eval result {path}", dict)
         for key in ("corpus", "variant", "uar"):
             if key not in payload:
                 raise ConfigError(f"eval result {path} lacks key {key!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, IngestError, InputError, SplitError,
-                     SplitViolationError, UnmappedLabelError)
+                     SplitViolationError, UnmappedLabelError, open_input, parse_json)
 from .featfile import MAX_FRAMES, read_features, write_features
 from .labels import MappingTable, load_mapping_table
 from .rngutil import derive_seed, generator
@@ -85,23 +85,18 @@ def validate_split_disjointness(manifest: CorpusManifest) -> None:
 def load_manifest(path: str | Path, table: MappingTable | None = None,
                   corpus_id: str | None = None) -> CorpusManifest:
     path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"manifest not found: {path}")
     if table is None:
         table = MappingTable()
     if corpus_id is None:
         corpus_id = path.stem
+    with open_input(path, IngestError, "manifest") as fh:
+        lines = fh.read().splitlines()
 
     rows = []
-    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
-            raise IngestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(row, dict):
-            raise IngestError(f"{path}:{lineno}: a row must be a JSON object")
+        row = parse_json(line, IngestError, f"{path}:{lineno}", dict)
         for key, kind in ROW_FIELDS.items():
             if key not in row or not isinstance(row[key], kind):
                 raise IngestError(f"{path}:{lineno}: missing or mistyped field {key!r}")
@@ -433,11 +428,9 @@ def load_corpus_set(path: str | Path) -> list[CorpusManifest]:
     """Corpus set file: JSON array of {corpus_id, manifest_path,
     mapping_overrides_path?}; relative paths resolve against the set file."""
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise IngestError(f"cannot read corpus set {path}: {exc}") from exc
-    if not isinstance(entries, list) or not entries:
+    with open_input(path, IngestError, "corpus set") as fh:
+        entries = parse_json(fh.read(), IngestError, f"corpus set {path}", list)
+    if not entries:
         raise IngestError(f"{path}: corpus set must be a non-empty JSON array")
     manifests = []
     for entry in entries:

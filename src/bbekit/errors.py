@@ -1,9 +1,13 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the one reader of outside
+input.
 
 The CLI maps these onto process exit codes via the ``exit_code`` attribute:
 2 = configuration problem, 3 = data problem, 4 = violated invariant,
-5 = numerical abort.
+5 = numerical abort.  ``open_input`` and ``parse_json`` are the only code
+that turns a failed open or bad JSON into the caller's ``BbekitError``.
 """
+
+import json
 
 
 class BbekitError(Exception):
@@ -117,3 +121,25 @@ class NumericalAbort(NumericalError):
         if self.loss_tail:
             detail += "; recent losses: " + ", ".join(f"{x:g}" for x in self.loss_tail)
         super().__init__(detail)
+
+
+def open_input(path, error: type[BbekitError], what: str):
+    """``path`` opened for binary reading; a path that cannot be opened
+    (missing, a directory, unreadable, a NUL byte) is ``error``."""
+    try:
+        return open(path, "rb")
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(data, error: type[BbekitError], what: str, kind: type = object):
+    """``json.loads(data)``, which reads bytes in UTF-8 (with or without a
+    BOM), UTF-16 or UTF-32; text that is not JSON, nesting too deep to
+    parse, or a top-level value that is not a ``kind`` is ``error``."""
+    try:
+        value = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # ValueError includes UnicodeDecodeError
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise error(f"{what} must hold a JSON {'array' if kind is list else 'object'}")
+    return value

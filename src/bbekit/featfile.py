@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, open_input
 
 MAGIC = b"FEAT"
 _HEADER = struct.Struct("<4sII")
@@ -36,11 +36,7 @@ def write_features(path: str | Path, frames: np.ndarray) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read feature file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, FormatError, "feature file") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, IngestError, ParseError, UnmappedLabelError
+from .errors import ConfigError, IngestError, ParseError, UnmappedLabelError, open_input
 
 AROUSAL_LEVELS = ("low", "high")
 VALENCE_LEVELS = ("negative", "neutral", "positive")
@@ -127,10 +127,8 @@ def load_mapping_table(path: str | Path) -> MappingTable:
     the last entry.
     """
     entries: dict[str, tuple[str, str]] = {}
-    try:
-        lines = Path(path).read_bytes().splitlines()
-    except OSError as exc:
-        raise IngestError(f"cannot read mapping table {path}: {exc}") from exc
+    with open_input(path, IngestError, "mapping table") as fh:
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         try:
             stripped = line.decode("utf-8").strip()

@@ -22,6 +22,9 @@ from .rngutil import derive_seed
 LOSS_TAIL = 5
 # evaluate runs the length-sorted split through no-grad batches of this size
 EVAL_CHUNK = 16
+# the most samples a run may plan to draw (n_steps * batch_size), drawn
+# before step 1: 100 times finetune's default of 10,000 steps of 16
+MAX_PLANNED_DRAWS = 1 << 24
 
 
 @dataclass
@@ -43,6 +46,9 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.n_steps * self.batch_size > MAX_PLANNED_DRAWS:
+            raise ConfigError(f"n_steps {self.n_steps} * batch_size {self.batch_size} "
+                              f"plans more than {MAX_PLANNED_DRAWS} draws")
         if self.frame_cap is not None and self.frame_cap < 1:
             raise ConfigError(f"frame_cap must be >= 1 or None (no cap), got {self.frame_cap}")
         if self.stage not in ("multi_corpus", "single_corpus"):

@@ -68,6 +68,15 @@ class TestTensorBasics:
         assert out._backward is None and not out.requires_grad
         assert ad.is_grad_enabled()
 
+    def test_no_grad_nests_and_restores_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    assert not ad.is_grad_enabled()
+                assert not ad.is_grad_enabled()
+                raise RuntimeError
+        assert ad.is_grad_enabled()
+
     def test_grad_accumulates_across_backwards(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         tsum(t).backward()

@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline driven in-process through main()."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from test_corpus import JSON_VALUES
 from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.cli import _variant_name, build_parser, load_config, main, train_config_from
 from bbekit.corpus import SyntheticSpec
+from bbekit.rngutil import derive_seed
 from bbekit.errors import ConfigError
 from bbekit.expansion import ExpansionSpec, expand
 from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
@@ -210,6 +214,27 @@ class TestSynthData:
         norm1 = np.mean([np.linalg.norm(read_features(s.feature_path).mean(0))
                          for s in m1.samples])
         assert norm1 > norm0
+
+    def test_summary_echoes_every_spec(self, tmp_path):
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--corpora", "2",
+                     "--speakers", "3", "--samples-per-speaker", "1", "--dim", "4",
+                     "--noise-std", "0.2", "--frame-rate", "2.0", "--target-shift", "1.5",
+                     "--seed", "9"]) == 0
+        summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+        specs = [SyntheticSpec(corpus_id=f"syn{i:02d}", n_speakers=3, samples_per_speaker=1,
+                               d=4, noise_std=0.2, corpus_shift=shift,
+                               seed=derive_seed(9, i), frame_rate=2.0)
+                 for i, shift in enumerate([0.0, 1.5])]
+        assert summary["config"] == {"seed": 9,
+                                     "specs": [dataclasses.asdict(s) for s in specs]}
+
+    def test_bad_spec_fails_before_any_corpus_is_written(self, tmp_path, capsys):
+        rc = main(["synth-data", "--out", str(tmp_path / "d"), "--corpora", "2",
+                   "--speakers", "3", "--samples-per-speaker", "1", "--dim", "4",
+                   "--frame-rate", "2.0", "--target-shift", "nan"])
+        assert rc == 2
+        assert "corpus_shift" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestPipeline:
@@ -780,3 +805,172 @@ class TestIntegerFlags:
         assert code in {0, 2, 3, 4, 5}
         if flag == "--seed" or flag.endswith("-seed"):
             assert code == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bbekit"
+DEEP = b"[" * 100_000 + b"]" * 100_000
+PATH_CASES = ["missing", "directory", "NUL byte"]
+JSON_CASES = ["nested too deep", "wrong top-level type"]
+# the exit code of each reader of outside input, reached through main
+JSON_READERS = {"config": 2, "corpus set": 3, "manifest": 3, "checkpoint": 3, "eval result": 2}
+PATH_READERS = {**JSON_READERS, "mapping table": 3}
+# a top-level value each JSON reader rejects (the checkpoint's is its header)
+WRONG_TYPE = {"config": b"[1]", "corpus set": b"{}", "manifest": b"[1]\n",
+              "checkpoint": b"[1]", "eval result": b"[1]"}
+COMMANDS = ["synth-data", "train", "finetune", "expand", "eval", "report"]
+
+
+def reads_of_outside_input(tree):
+    """(line, name) of each call that parses JSON or opens a file for reading."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+            node.func, "id", None)
+        if name in ("loads", "load", "read_bytes", "read_text"):
+            yield node.lineno, name
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not (modes and isinstance(modes[0], ast.Constant)
+                    and set(modes[0].value) & set("wax")):
+                yield node.lineno, name
+
+
+def test_only_errors_reads_outside_input():
+    """errors.open_input and errors.parse_json are the one reader of outside
+    input; cli._sha256 alone hashes the checkpoint its command just wrote."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            sha = next(n for n in ast.walk(tree)
+                       if isinstance(n, ast.FunctionDef) and n.name == "_sha256")
+            allowed = set(range(sha.lineno, sha.end_lineno + 1))
+        found += [f"{path.name}:{line} {name}" for line, name in reads_of_outside_input(tree)
+                  if line not in allowed]
+    assert found == []
+
+
+class TestOutsideInput:
+    """Every reader of outside input, given a missing path, a directory, a
+    path holding a NUL byte and, where it reads JSON, JSON nested 100,000
+    deep or of the wrong top-level type, ends in its documented exit code;
+    a run that fails writes no --out, and an --out that cannot be a
+    directory exits 2."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("outside-input")
+        data = synth(tmp_path)
+        cfg = cfg_file(tmp_path, SMALL_CFG)
+        ckpt = str(tmp_path / "s1" / "checkpoint.bbex")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "s1"),
+                     "--corpus-set", str(data / "corpus_set.json"), "--steps", "2"]) == 0
+        assert main(["eval", "--checkpoint", ckpt, "--corpus", str(data / "syn01.jsonl"),
+                     "--out", str(tmp_path / "ev")]) == 0
+        return tmp_path
+
+    def command_argv(self, good, command) -> list[str]:
+        """A run of ``command`` that succeeds, without --out."""
+        data, cfg = good / "data", str(good / "cfg.json")
+        ckpt = str(good / "s1" / "checkpoint.bbex")
+        return {
+            "synth-data": ["synth-data", "--corpora", "1", "--speakers", "3",
+                           "--samples-per-speaker", "1", "--dim", "4", "--frame-rate", "2.0"],
+            "train": ["train", "--config", cfg, "--corpus-set", str(data / "corpus_set.json"),
+                      "--steps", "2"],
+            "finetune": ["finetune", "--config", cfg, "--checkpoint", ckpt,
+                         "--target", str(data / "syn01.jsonl"), "--steps", "2"],
+            "expand": ["expand", "--checkpoint", ckpt],
+            "eval": ["eval", "--checkpoint", ckpt, "--corpus", str(data / "syn01.jsonl")],
+            "report": ["report", str(good / "ev" / "eval.json")],
+        }[command]
+
+    def bad_input(self, tmp_path, good, reader, case) -> str:
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "NUL byte":
+            path = tmp_path / "in\0put"
+        elif case in JSON_CASES:
+            blob = DEEP if case == "nested too deep" else WRONG_TYPE[reader]
+            if reader == "checkpoint":
+                from test_serialization import header_span
+
+                data = (good / "s1" / "checkpoint.bbex").read_bytes()
+                _, start = header_span(data)
+                blob = data[:8] + struct.pack("<I", len(blob)) + blob + data[start:]
+            path.write_bytes(blob)
+        return str(path)
+
+    def reader_argv(self, tmp_path, good, reader, bad) -> list[str]:
+        data, cfg = good / "data", str(good / "cfg.json")
+        corpus_set = str(data / "corpus_set.json")
+        if reader == "mapping table":
+            corpus_set = str(tmp_path / "set.json")
+            Path(corpus_set).write_text(json.dumps([{
+                "corpus_id": "syn00", "manifest_path": str(data / "syn00.jsonl"),
+                "mapping_overrides_path": bad}]), encoding="utf-8")
+        argv = {
+            "config": ["train", "--config", bad, "--corpus-set", corpus_set],
+            "corpus set": ["train", "--config", cfg, "--corpus-set", bad],
+            "mapping table": ["train", "--config", cfg, "--corpus-set", corpus_set],
+            "manifest": ["eval", "--checkpoint", str(good / "s1" / "checkpoint.bbex"),
+                         "--corpus", bad],
+            "checkpoint": ["expand", "--checkpoint", bad],
+            "eval result": ["report", bad],
+        }[reader]
+        return argv + (["--steps", "2"] if argv[0] == "train" else [])
+
+    @pytest.mark.parametrize("reader, case", [(r, c) for r in PATH_READERS for c in PATH_CASES]
+                             + [(r, c) for r in JSON_READERS for c in JSON_CASES])
+    def test_reader_ends_in_its_exit_code(self, good, tmp_path, capsys, reader, case):
+        bad = self.bad_input(tmp_path, good, reader, case)
+        out = tmp_path / "out"
+        assert main(self.reader_argv(tmp_path, good, reader, bad) + ["--out", str(out)]) \
+            == PATH_READERS[reader]
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_set_value_nested_too_deep_is_the_raw_string(self, good, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = self.command_argv(good, "train") + [
+            "--set", "train.batch_size=" + "[" * 100_000, "--out", str(out)]
+        assert main(argv) == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["an existing file", "under a file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_that_cannot_be_a_directory_is_config_error(self, good, tmp_path, capsys,
+                                                           command, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept", encoding="utf-8")
+        out = blocker / "out" if under else blocker
+        assert main(self.command_argv(good, command) + ["--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("command, flags, code", [
+        ("synth-data", ["--corpora", "2", "--target-shift", "nan"], 2),
+        ("train", ["--steps", "1000000000000"], 2),
+        ("finetune", ["--set", "train.seed=5"], 2),
+        ("expand", ["--checkpoint", "cfg.json"], 3),
+        ("eval", ["--corpus", "cfg.json"], 3),
+        ("report", ["cfg.json"], 2),
+    ])
+    def test_failing_run_writes_no_out(self, good, tmp_path, capsys, command, flags, code):
+        out = tmp_path / "out"
+        flags = [str(good / f) if f == "cfg.json" else f for f in flags]
+        assert main(self.command_argv(good, command) + flags + ["--out", str(out)]) == code
+        capsys.readouterr()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_json_inputs_read_as_json_loads_reads_bytes(self, tmp_path, encoding):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"batch_size": 4}}), encoding=encoding)
+        assert load_config(str(path), []) == {"train": {"batch_size": 4}}

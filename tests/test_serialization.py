@@ -198,6 +198,15 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert exc.value.exit_code == 3
 
+    def test_header_of_the_wrong_type(self, tmp_path, tiny_model):
+        path = tmp_path / "m.bbex"
+        save_checkpoint(path, tiny_model)
+        data = path.read_bytes()
+        _, start = header_span(data)
+        path.write_bytes(data[:8] + struct.pack("<I", 3) + b"[1]" + data[start:])
+        with pytest.raises(FormatError, match="JSON object"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("cut", [10, 100, -9, -1])
     def test_truncation_anywhere(self, tmp_path, tiny_model, cut):
         path = tmp_path / "m.bbex"
@@ -594,3 +603,12 @@ class TestCorruptCheckpoints:
                     read_features(bad)
                 except BbekitError:
                     pass
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "NUL byte"])
+@pytest.mark.parametrize("read", [read_features, load_checkpoint])
+def test_path_that_cannot_be_opened_is_format_error(tmp_path, read, case):
+    path = {"missing": tmp_path / "none", "directory": tmp_path,
+            "NUL byte": tmp_path / "a\0b"}[case]
+    with pytest.raises(FormatError, match="cannot read"):
+        read(path)

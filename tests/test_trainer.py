@@ -46,6 +46,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    def test_plan_past_the_bound_is_config_error(self):
+        # rejected as a number, before any schedule or stream is built
+        with pytest.raises(ConfigError, match="n_steps .* batch_size"):
+            TrainConfig(n_steps=1 << 24, batch_size=2)
+        assert TrainConfig(n_steps=1 << 20, batch_size=16).n_steps == 1 << 20
+        assert 100 * 10_000 * 16 <= trainer_mod.MAX_PLANNED_DRAWS  # finetune's default plan
+
     def test_no_frame_cap(self):
         assert TrainConfig(frame_cap=None).frame_cap is None
         assert TrainConfig(frame_cap=1).frame_cap == 1
