@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, open_input, parse_json
+from .errors import ConfigError, FormatError, open_input, parse_json, read_exact
 from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
 from .params import ParameterStore
 
@@ -36,13 +36,6 @@ MAGIC = b"BBEX"
 VERSION = 1
 # model config keys that earlier headers carry and no field reads any more
 OLD_CONFIG_KEYS = ("pooling", "n_classes")
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated checkpoint while reading {what}")
-    return data
 
 
 def save_checkpoint(path: str | Path, model: EncoderModel) -> None:
@@ -78,13 +71,13 @@ def save_checkpoint(path: str | Path, model: EncoderModel) -> None:
 def load_checkpoint(path: str | Path) -> EncoderModel:
     with open_input(path, FormatError, "checkpoint") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if _read_exact(fh, 4, "magic") != MAGIC:
+        if read_exact(fh, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (json_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = parse_json(_read_exact(fh, json_len, "header"), FormatError,
+        (json_len,) = struct.unpack("<I", read_exact(fh, 4, "header length"))
+        header = parse_json(read_exact(fh, json_len, "header"), FormatError,
                             f"{path}: header", dict)
         try:
             config = EncoderConfig.from_dict(
@@ -102,13 +95,13 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
 
         store = ParameterStore()
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "name length"))
             try:
-                name = _read_exact(fh, name_len, "name").decode("utf-8")
+                name = read_exact(fh, name_len, "name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
+            (ndim,) = struct.unpack("<B", read_exact(fh, 1, f"{name} ndim"))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, f"{name} shape"))
             if layout.get(name) != shape:
                 raise FormatError(f"{path}: {name} {shape} is not in the header's layout")
             count = math.prod(shape)
@@ -117,22 +110,22 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
                 raise FormatError(f"{path}: {name} declares shape {shape}, "
                                   "more than the file holds")
             value = np.frombuffer(
-                _read_exact(fh, 8 * count, f"{name} values"), dtype="<f8").reshape(shape)
-            (frozen,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} frozen flag"))
+                read_exact(fh, 8 * count, f"{name} values"), dtype="<f8").reshape(shape)
+            (frozen,) = struct.unpack("<B", read_exact(fh, 1, f"{name} frozen flag"))
             m = np.frombuffer(
-                _read_exact(fh, 8 * count, f"{name} first moment"), dtype="<f8").reshape(shape)
+                read_exact(fh, 8 * count, f"{name} first moment"), dtype="<f8").reshape(shape)
             v = np.frombuffer(
-                _read_exact(fh, 8 * count, f"{name} second moment"), dtype="<f8").reshape(shape)
+                read_exact(fh, 8 * count, f"{name} second moment"), dtype="<f8").reshape(shape)
             # no training run writes these; an infinite moment, which AdamW can reach, loads
             if not (np.isfinite(value).all() and (v >= 0.0).all()) or np.isnan(m).any():
                 raise FormatError(f"{path}: {name} holds state no training run writes")
-            (step,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} step"))
+            (step,) = struct.unpack("<Q", read_exact(fh, 8, f"{name} step"))
             if step >= 1 << 63:
                 raise FormatError(f"{path}: {name} step counter {step} out of range")
             if name in store:
                 raise FormatError(f"{path}: parameter {name} stored twice")
             store.add(name, value.copy(), frozen=bool(frozen), m=m, v=v, step=step)
-        (rng_state,) = struct.unpack("<Q", _read_exact(fh, 8, "rng state"))
+        (rng_state,) = struct.unpack("<Q", read_exact(fh, 8, "rng state"))
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")
 

@@ -17,11 +17,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import (SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
-                     load_manifest)
+from .corpus import (SPLITS, SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
+                     load_manifest, synthetic_samples)
 from .errors import BbekitError, ConfigError, InvariantViolation, open_input, parse_json
-from .expansion import FREEZE_POLICIES, ExpansionSpec
-from .gradcheck import TOLERANCE, check_model_gradients
+from .expansion import FREEZE_POLICIES, MULTIPLIERS, ExpansionSpec
+from .featfile import float32_frames
+from .gradcheck import N_PROBES, TOLERANCE, check_model_gradients
 from .metrics import duration_histogram, histogram_csv, report
 from .model import EncoderConfig, EncoderModel, dataclass_from
 from .optim import AdamWConfig
@@ -165,6 +166,9 @@ def cmd_synth_data(args) -> int:
                            corpus_shift=shift, seed=derive_seed(args.seed, i),
                            frame_rate=args.frame_rate)
              for i, shift in enumerate(shifts)]
+    for spec in specs:  # and every frame drawn, which a large --noise-std overflows
+        for sample, frames in synthetic_samples(spec, args.out):
+            float32_frames(sample.feature_path, frames)
     run = RunDir(args.out, "synth-data")
     manifests = []
     entries = []
@@ -345,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("expand", help="duplicate blocks behind zero gates")
     _common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--multiplier", type=int, default=ExpansionSpec.multiplier, choices=(2, 3))
+    p.add_argument("--multiplier", type=int, default=ExpansionSpec.multiplier,
+                   choices=MULTIPLIERS)
     p.add_argument("--freeze-policy", default=ExpansionSpec.freeze_policy,
                    choices=FREEZE_POLICIES)
     p.set_defaults(func=cmd_expand)
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"override step count (default {FINETUNE_STEPS})")
     p.add_argument("--expand", action="store_true",
                    help="expand the model before fine-tuning")
-    p.add_argument("--multiplier", type=int, default=None, choices=(2, 3),
+    p.add_argument("--multiplier", type=int, default=None, choices=MULTIPLIERS,
                    help=f"with --expand (default {ExpansionSpec.multiplier})")
     p.add_argument("--freeze-policy", default=None, choices=FREEZE_POLICIES,
                    help=f"with --expand (default {ExpansionSpec.freeze_policy})")
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="corpus manifest")
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--variant", default=None, help="variant name for reports")
     p.set_defaults(func=cmd_eval)
 
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--probes", type=int, default=100)
+    p.add_argument("--probes", type=int, default=N_PROBES)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("report", help="combine eval results into a table")

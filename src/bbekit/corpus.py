@@ -4,8 +4,9 @@ synthetic-corpus generator for desk-scale experiments.
 Manifests are JSON-lines, one sample per line:
   {"feature": path, "label": str, "speaker": str,
    "split": "train|val|test" (optional), "duration_s": float}
-Feature paths are resolved relative to the manifest file.  A null speaker
-is unknown: its id is the empty string, which split checks exempt.
+A relative path in a manifest or a corpus set is read from the directory
+of the file that names it.  A null speaker is unknown: its id is the empty
+string, which split checks exempt.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, IngestError, InputError, SplitError,
-                     SplitViolationError, UnmappedLabelError, open_input, parse_json)
+from .errors import (ConfigError, IngestError, InputError, SplitError, SplitViolationError,
+                     open_input, parse_json)
 from .featfile import MAX_FRAMES, read_features, write_features
 from .labels import MappingTable, load_mapping_table
 from .rngutil import derive_seed, generator
@@ -50,9 +51,17 @@ class CorpusManifest:
         return [s for s in self.samples if s.split == split]
 
     def features(self, sample: Sample) -> np.ndarray:
-        if sample.feature_path not in self._cache:
-            self._cache[sample.feature_path] = read_features(sample.feature_path)
-        return self._cache[sample.feature_path]
+        """The sample's [T, d] frames, read on first use; a file whose width
+        d differs from the corpus's files read before it is an InputError."""
+        frames = self._cache.get(sample.feature_path)
+        if frames is None:
+            frames = read_features(sample.feature_path)
+            width = next(iter(self._cache.values()), frames).shape[1]
+            if frames.shape[1] != width:
+                raise InputError(f"{sample.feature_path}: {frames.shape[1]} features per "
+                                 f"frame, but corpus {self.corpus_id}'s have {width}")
+            self._cache[sample.feature_path] = frames
+        return frames
 
 
 @dataclass
@@ -60,7 +69,6 @@ class Batch:
     arrays: list[np.ndarray]  # each drawn sample's [T_i, d] frames, row by row
     pad_mask: np.ndarray  # [B, T_max] bool, True on real frames
     samples: list[Sample]  # the drawn samples, row by row
-    corpus_id: str
 
     @property
     def labels(self) -> list[int]:
@@ -106,11 +114,7 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
             raise IngestError(f"{path}:{lineno}: duration_s must be a finite number >= 0")
         rows.append(row)
 
-    # label mapping reports the full set of unknowns at once
-    try:
-        mapped = table.map_all(row["label"] for row in rows)
-    except UnmappedLabelError as exc:
-        raise UnmappedLabelError(exc.labels) from None
+    mapped = table.map_all((row["label"] for row in rows), source=path)
 
     with_split = sum(1 for row in rows if row.get("split") is not None)
     if 0 < with_split < len(rows):
@@ -119,9 +123,7 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
 
     samples = []
     for row, cls in zip(rows, mapped):
-        feature_path = Path(row["feature"])
-        if not feature_path.is_absolute():
-            feature_path = path.parent / feature_path
+        feature_path = _resolve(path, row["feature"])
         if not os.path.isfile(feature_path):  # False on any error, e.g. a name too long
             raise IngestError(f"{path}: feature file missing: {feature_path}")
         samples.append(Sample(
@@ -134,6 +136,11 @@ def load_manifest(path: str | Path, table: MappingTable | None = None,
     manifest = CorpusManifest(corpus_id=corpus_id, samples=samples)
     validate_split_disjointness(manifest)
     return manifest
+
+
+def _resolve(named_in: Path, ref: str) -> Path:
+    """``ref`` as the file ``named_in`` names it: absolute as is, relative from its directory."""
+    return named_in.parent / ref
 
 
 def write_manifest(path: str | Path, manifest: CorpusManifest) -> None:
@@ -295,26 +302,19 @@ def next_batch(iterator: CorpusIterator, batch_size: int,
         raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
     samples = iterator.take(batch_size)
     arrays = [iterator.manifest.features(s)[:frame_cap] for s in samples]
-    corpus_id = iterator.manifest.corpus_id
-    return Batch(arrays, _frame_mask(arrays, corpus_id), samples, corpus_id)
+    return Batch(arrays, _frame_mask(arrays), samples)
 
 
-def _frame_mask(arrays: list[np.ndarray], corpus_id: str) -> np.ndarray:
-    """[B, T_max] mask of [T_i, d] arrays, True on real frames; every array
-    must have the first one's width d."""
-    d = arrays[0].shape[1]
-    for a in arrays:
-        if a.shape[1] != d:
-            raise InputError(f"inconsistent feature dim in corpus "
-                             f"{corpus_id}: {a.shape[1]} vs {d}")
+def _frame_mask(arrays: list[np.ndarray]) -> np.ndarray:
+    """[B, T_max] mask of [T_i, d] arrays, True on real frames."""
     lengths = np.array([a.shape[0] for a in arrays])
     return np.arange(lengths.max()) < lengths[:, None]
 
 
-def pad_frames(arrays: list[np.ndarray], corpus_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stack [T_i, d] arrays into zero-padded [B, T_max, d] features and a
-    [B, T_max] mask, True on real frames."""
-    pad_mask = _frame_mask(arrays, corpus_id)
+def pad_frames(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack [T_i, d] arrays of one width d into zero-padded [B, T_max, d]
+    features and a [B, T_max] mask, True on real frames."""
+    pad_mask = _frame_mask(arrays)
     features = np.zeros(pad_mask.shape + arrays[0].shape[1:])
     for i, a in enumerate(arrays):
         features[i, :a.shape[0]] = a
@@ -383,18 +383,15 @@ def corpus_shift_vector(spec: SyntheticSpec) -> np.ndarray:
     return spec.corpus_shift * raw / np.linalg.norm(raw)
 
 
-def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
-    """Write FEAT files plus a split-assigned manifest; returns the manifest
-    path.  Frames = class mean + speaker offset + corpus shift + noise, with
-    durations uniform in SYNTH_DURATION_S seconds."""
-    out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+def synthetic_samples(spec: SyntheticSpec, out_dir: str | Path):
+    """Yield each (sample, frames) of ``spec``'s corpus under ``out_dir``,
+    writing nothing.  Frames = class mean + speaker offset + corpus shift +
+    noise, durations uniform in SYNTH_DURATION_S seconds; splits unset."""
+    feat_dir = Path(out_dir) / "features"
     means = synthetic_class_means(spec.class_means_seed, spec.d, spec.mean_scale)
     shift = corpus_shift_vector(spec)
     rng = np.random.default_rng(derive_seed(spec.seed, 1))
 
-    samples = []
     for spk in range(spec.n_speakers):
         speaker_id = f"{spec.corpus_id}-spk{spk:03d}"
         # scale after drawing so the rng stream is invariant to the std knobs
@@ -404,19 +401,27 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
                 duration = rng.uniform(*SYNTH_DURATION_S)
                 n_frames = max(1, int(round(duration * spec.frame_rate)))
                 frames = np.tile(means[cls] + offset + shift, (n_frames, 1))
-                # a noise_std large enough to overflow reaches write_features
-                # as inf frames, which it rejects
+                # a noise_std large enough to overflow gives inf frames,
+                # which float32_frames rejects
                 with np.errstate(over="ignore"):
                     frames = frames + rng.normal(0.0, 1.0, frames.shape) * spec.noise_std
-                name = f"{speaker_id}-c{cls}-r{rep:03d}.feat"
-                write_features(feat_dir / name, frames)
-                samples.append(Sample(
-                    feature_path=str(feat_dir / name),
+                yield Sample(
+                    feature_path=str(feat_dir / f"{speaker_id}-c{cls}-r{rep:03d}.feat"),
                     raw_label=SYNTH_LABELS[cls], mapped_class=cls,
                     speaker_id=speaker_id, corpus_id=spec.corpus_id,
                     split=None, duration_s=n_frames / spec.frame_rate,
-                ))
+                ), frames
 
+
+def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
+    """Write ``synthetic_samples``' FEAT files, in one pass, plus a
+    split-assigned manifest; returns the manifest path."""
+    out_dir = Path(out_dir)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    samples = []
+    for sample, frames in synthetic_samples(spec, out_dir):
+        write_features(sample.feature_path, frames)
+        samples.append(sample)
     manifest = CorpusManifest(corpus_id=spec.corpus_id, samples=samples)
     make_splits(manifest, spec.frac_test, spec.frac_val, seed=spec.seed, mode="speaker")
     manifest_path = out_dir / f"{spec.corpus_id}.jsonl"
@@ -436,17 +441,11 @@ def load_corpus_set(path: str | Path) -> list[CorpusManifest]:
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("corpus_id"), str)
                 and isinstance(entry.get("manifest_path"), str)
-                and isinstance(entry.get("mapping_overrides_path") or "", str)):
-            raise IngestError(f"{path}: entry needs string corpus_id and manifest_path: {entry!r}")
-        table = None
-        if entry.get("mapping_overrides_path"):
-            override = Path(entry["mapping_overrides_path"])
-            if not override.is_absolute():
-                override = path.parent / override
-            table = load_mapping_table(override)
-        manifest_path = Path(entry["manifest_path"])
-        if not manifest_path.is_absolute():
-            manifest_path = path.parent / manifest_path
-        manifests.append(load_manifest(manifest_path, table=table,
+                and isinstance(entry.get("mapping_overrides_path"), (str, type(None)))):
+            raise IngestError(f"{path}: entry needs string corpus_id and manifest_path, and "
+                              f"a mapping_overrides_path that is null or a string: {entry!r}")
+        override = entry.get("mapping_overrides_path")
+        table = load_mapping_table(_resolve(path, override)) if override else None
+        manifests.append(load_manifest(_resolve(path, entry["manifest_path"]), table=table,
                                        corpus_id=entry["corpus_id"]))
     return manifests

@@ -3,8 +3,10 @@ input.
 
 The CLI maps these onto process exit codes via the ``exit_code`` attribute:
 2 = configuration problem, 3 = data problem, 4 = violated invariant,
-5 = numerical abort.  ``open_input`` and ``parse_json`` are the only code
-that turns a failed open or bad JSON into the caller's ``BbekitError``.
+5 = numerical abort.  ``open_input``, ``read_exact`` and ``parse_json`` are
+the only code that turns a failed open, a short read or bad JSON into the
+caller's ``BbekitError``.  An input error names its file, as ``<path>:<line>``
+for a line of text.
 """
 
 import json
@@ -42,16 +44,6 @@ class FormatError(DataError):
     """Binary file (checkpoint / feature file) malformed or wrong version."""
 
 
-class ParseError(DataError):
-    """Text file (mapping table, manifest) malformed; carries a line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class LabelError(DataError):
     """Class index or label string outside the expected inventory."""
 
@@ -59,13 +51,14 @@ class LabelError(DataError):
 class UnmappedLabelError(LabelError):
     """One or more raw labels have no entry in the mapping table."""
 
-    def __init__(self, labels):
+    def __init__(self, labels, source=None):
         self.labels = sorted(set(labels))
-        super().__init__("unmapped labels: " + ", ".join(repr(s) for s in self.labels))
+        super().__init__(("" if source is None else f"{source}: ")
+                         + "unmapped labels: " + ", ".join(repr(s) for s in self.labels))
 
 
 class IngestError(DataError):
-    """Manifest refers to unusable data (missing file, negative duration, ...)."""
+    """Corpus set, manifest or mapping table malformed, or naming unusable data."""
 
 
 class SplitError(DataError):
@@ -130,6 +123,15 @@ def open_input(path, error: type[BbekitError], what: str):
         return open(path, "rb")
     except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``, an ``open_input`` file; fewer is a
+    ``FormatError`` naming the file and ``what`` was being read."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise FormatError(f"{fh.name}: truncated while reading {what}")
+    return data
 
 
 def parse_json(data, error: type[BbekitError], what: str, kind: type = object):

@@ -19,6 +19,7 @@ from .model import FREEZE_POLICIES, BlockInfo, EncoderModel, param_layout
 from .rngutil import generator
 
 PRESERVE_PROBES = 8
+MULTIPLIERS = (2, 3)  # the copies per original block, plus one
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,8 @@ class ExpansionSpec:
     freeze_policy: str = "freeze-original"
 
     def __post_init__(self):
-        if self.multiplier not in (2, 3):
-            raise ConfigError(f"multiplier must be 2 or 3, got {self.multiplier}")
+        if self.multiplier not in MULTIPLIERS:
+            raise ConfigError(f"multiplier must be one of {MULTIPLIERS}, got {self.multiplier}")
         if self.freeze_policy not in FREEZE_POLICIES:
             raise ConfigError(f"unknown freeze policy {self.freeze_policy!r}")
 
@@ -110,7 +111,7 @@ def verify_preservation(base: EncoderModel, expanded: EncoderModel,
         if len(shape) != 2 or shape[1] != d or (pad_mask is not None and mask_shape != shape[:1]):
             raise DimensionError(f"a probe needs [T, {d}] frames and a [T] mask, "
                                  f"got {shape} and {mask_shape}")
-    frames, pad_mask = pad_frames([f for f, _ in pairs], "probes")
+    frames, pad_mask = pad_frames([f for f, _ in pairs])
     for row, (probe, own) in zip(pad_mask, pairs):
         if own is not None:
             row[:len(probe)] &= own

@@ -11,25 +11,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, open_input
+from .errors import FormatError, InputError, open_input, read_exact
 
 MAGIC = b"FEAT"
 _HEADER = struct.Struct("<4sII")
 MAX_FRAMES = 0xFFFFFFFF  # the header's u32 frame count
 
 
-def write_features(path: str | Path, frames: np.ndarray) -> None:
-    """Write [n_frames, dim] frames as float32; a frame that is not finite
-    as float32 (an inf or NaN, or a value past float32's range) is an
-    ``InputError`` and nothing is written."""
+def float32_frames(path: str | Path, frames: np.ndarray) -> np.ndarray:
+    """``frames`` as the float32 array a FEAT file at ``path`` would hold.
+    An array that is not [n_frames, dim], or a frame that is not finite as
+    float32 (an inf or NaN, or a value past float32's range), is an
+    ``InputError``."""
     with np.errstate(over="ignore"):  # a value past float32's range casts to inf
         frames = np.asarray(frames, dtype=np.float32)
     if frames.ndim != 2:
-        raise InputError(f"expected [n_frames, dim] array, got shape {frames.shape}")
+        raise InputError(f"{path}: expected [n_frames, dim] array, got shape {frames.shape}")
     if frames.shape[0] < 1 or frames.shape[1] < 1:
-        raise InputError(f"empty feature array {frames.shape}")
+        raise InputError(f"{path}: empty feature array {frames.shape}")
     if not np.isfinite(frames).all():
         raise InputError(f"{path}: non-finite frame values (as float32)")
+    return frames
+
+
+def write_features(path: str | Path, frames: np.ndarray) -> None:
+    """Write [n_frames, dim] frames as float32; frames ``float32_frames``
+    rejects are not written."""
+    frames = float32_frames(path, frames)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, frames.shape[0], frames.shape[1]))
         fh.write(np.ascontiguousarray(frames).tobytes())
@@ -37,10 +45,7 @@ def write_features(path: str | Path, frames: np.ndarray) -> None:
 
 def read_features(path: str | Path) -> np.ndarray:
     with open_input(path, FormatError, "feature file") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, n_frames, dim = _HEADER.unpack(header)
+        magic, n_frames, dim = _HEADER.unpack(read_exact(fh, _HEADER.size, "header"))
         if magic != MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if n_frames < 1 or dim < 1:
@@ -50,7 +55,5 @@ def read_features(path: str | Path) -> np.ndarray:
         n_bytes = 4 * n_frames * dim
         if os.fstat(fh.fileno()).st_size - _HEADER.size != n_bytes:
             raise FormatError(f"{path}: payload size mismatch for {n_frames}x{dim}")
-        payload = fh.read(n_bytes)
-    if len(payload) != n_bytes:
-        raise FormatError(f"{path}: payload size mismatch for {n_frames}x{dim}")
+        payload = read_exact(fh, n_bytes, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(n_frames, dim).astype(np.float64)

@@ -15,6 +15,7 @@ from .rngutil import derive_seed
 
 FD_STEP = 1e-6
 TOLERANCE = 1e-5
+N_PROBES = 100  # parameter entries checked by default
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -23,7 +24,7 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
 
 
-def check_model_gradients(model: EncoderModel, n_probes: int = 100, seed: int = 0) -> dict:
+def check_model_gradients(model: EncoderModel, n_probes: int = N_PROBES, seed: int = 0) -> dict:
     """Compare backprop gradients against central differences on the scalar
     cross-entropy loss at randomly chosen parameter entries.  The input is
     one zero-padded batch of ``preservation_probes``, so every sample is at
@@ -36,7 +37,7 @@ def check_model_gradients(model: EncoderModel, n_probes: int = 100, seed: int = 
     trainable = [name for name, entry in model.store.items() if not entry.frozen]
     if not trainable:
         raise ConfigError("model has no trainable parameters to check")
-    frames, mask = pad_frames(preservation_probes(model, seed), "probes")
+    frames, mask = pad_frames(preservation_probes(model, seed))
     rng = np.random.default_rng(derive_seed(seed, 1))
     labels = rng.integers(0, N_CLASSES, len(frames)).tolist()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, IngestError, ParseError, UnmappedLabelError, open_input
+from .errors import ConfigError, IngestError, UnmappedLabelError, open_input
 
 AROUSAL_LEVELS = ("low", "high")
 VALENCE_LEVELS = ("negative", "neutral", "positive")
@@ -111,12 +111,12 @@ class MappingTable:
             raise UnmappedLabelError([raw])
         return self._table[key]
 
-    def map_all(self, raws) -> list[SixClass]:
-        """Map a batch, reporting every unknown label at once."""
+    def map_all(self, raws, source=None) -> list[SixClass]:
+        """Map a batch, reporting every unknown label, and their file ``source``, at once."""
         raws = list(raws)
         missing = sorted({r for r in raws if normalize(r) not in self._table})
         if missing:
-            raise UnmappedLabelError(missing)
+            raise UnmappedLabelError(missing, source)
         return [self._table[normalize(r)] for r in raws]
 
 
@@ -130,19 +130,20 @@ def load_mapping_table(path: str | Path) -> MappingTable:
     with open_input(path, IngestError, "mapping table") as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
+        where = f"{path}:{lineno}"
         try:
             stripped = line.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})", lineno) from exc
+            raise IngestError(f"{where} is not UTF-8 text ({exc.reason})") from exc
         if not stripped or stripped.startswith("#"):
             continue
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 3 or not all(parts):
-            raise ParseError(f"expected 'raw,arousal,valence', got {stripped!r}", lineno)
+            raise IngestError(f"{where}: expected 'raw,arousal,valence', got {stripped!r}")
         raw, arousal, valence = parts
         if normalize(arousal) not in AROUSAL_LEVELS:
-            raise ParseError(f"unknown arousal level {arousal!r}", lineno)
+            raise IngestError(f"{where}: unknown arousal level {arousal!r}")
         if normalize(valence) not in VALENCE_LEVELS:
-            raise ParseError(f"unknown valence level {valence!r}", lineno)
+            raise IngestError(f"{where}: unknown valence level {valence!r}")
         entries[normalize(raw)] = (arousal, valence)
     return MappingTable(entries)

@@ -23,14 +23,6 @@ class ConfusionMatrix:
         if (self.counts < 0).any():
             raise InputError("confusion matrix entries must be non-negative")
 
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion(preds, labels, n_classes: int) -> ConfusionMatrix:
     preds = list(preds)

@@ -86,14 +86,14 @@ class TrainLog:
         return [(s, v) for s, c, v in self.vals if c == corpus_id]
 
 
-def _sorted_chunks(frames: list[np.ndarray], corpus_id: str):
+def _sorted_chunks(frames: list[np.ndarray]):
     """Yield (indices, padded features, mask) for ``frames`` sorted stably
     by frame count and cut into batches of EVAL_CHUNK, so each batch
     carries little padding."""
     order = sorted(range(len(frames)), key=lambda i: frames[i].shape[0])
     for start in range(0, len(order), EVAL_CHUNK):
         chunk = order[start:start + EVAL_CHUNK]
-        yield (chunk,) + pad_frames([frames[i] for i in chunk], corpus_id)
+        yield (chunk,) + pad_frames([frames[i] for i in chunk])
 
 
 def evaluate(model: EncoderModel, manifest: CorpusManifest,
@@ -107,8 +107,7 @@ def evaluate(model: EncoderModel, manifest: CorpusManifest,
     if not samples:
         raise EvalError(f"{manifest.corpus_id}: split {split!r} is empty")
     preds, labels = [], []
-    for chunk, features, pad_mask in _sorted_chunks(
-            [manifest.features(s) for s in samples], manifest.corpus_id):
+    for chunk, features, pad_mask in _sorted_chunks([manifest.features(s) for s in samples]):
         preds.extend(np.argmax(model.logits(features, pad_mask), axis=1).tolist())
         labels.extend(samples[i].mapped_class for i in chunk)
     cm = confusion(preds, labels, N_CLASSES)
@@ -148,8 +147,7 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
         try:
             with ad.no_grad():
                 for chunk, features, pad_mask in _sorted_chunks(
-                        [manifest.features(s)[:frame_cap] for s in samples],
-                        manifest.corpus_id):
+                        [manifest.features(s)[:frame_cap] for s in samples]):
                     rows, mask = model.frontend_rows(features, pad_mask)
                     if kind == "pooled":
                         values = model.encode_rows(rows, mask).data
@@ -255,7 +253,11 @@ def train_multi(model: EncoderModel, manifests: list[CorpusManifest],
         raise ConfigError("train_multi does not expand; expansion belongs to train_transfer")
     if not manifests:
         raise ConfigError("train_multi needs at least one corpus")
-    schedule = round_robin_schedule([m.corpus_id for m in manifests], cfg.n_steps)
+    ids = [m.corpus_id for m in manifests]
+    for corpus_id in ids:  # the schedule, iterators and val log are keyed by id
+        if ids.count(corpus_id) > 1:
+            raise ConfigError(f"corpus id {corpus_id!r} names more than one corpus")
+    schedule = round_robin_schedule(ids, cfg.n_steps)
     log = _train_loop(model, manifests, schedule, cfg)
     return model, log
 

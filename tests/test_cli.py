@@ -228,6 +228,19 @@ class TestSynthData:
         assert summary["config"] == {"seed": 9,
                                      "specs": [dataclasses.asdict(s) for s in specs]}
 
+    @pytest.mark.parametrize("flags, corpus", [
+        (["--noise-std", "1e39"], "syn00"),  # every corpus overflows float32
+        (["--target-shift", "1e39"], "syn01"),  # only the last one does
+    ])
+    def test_frames_past_float32_write_no_out(self, tmp_path, capsys, flags, corpus):
+        rc = main(["synth-data", "--out", str(tmp_path / "o"), "--corpora", "2",
+                   "--speakers", "3", "--samples-per-speaker", "1", "--dim", "2"] + flags)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'o' / 'features' / corpus}-spk000-c0-r000.feat: "
+            "non-finite frame values (as float32)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_spec_fails_before_any_corpus_is_written(self, tmp_path, capsys):
         rc = main(["synth-data", "--out", str(tmp_path / "d"), "--corpora", "2",
                    "--speakers", "3", "--samples-per-speaker", "1", "--dim", "4",
@@ -516,6 +529,39 @@ class TestExitCodes:
         assert rc == 2
         key = setting.split("=")[0].split(".")
         assert repr(key[0] if key[0] == "tarin" else key[1]) in capsys.readouterr().err
+
+    def test_duplicate_corpus_id_is_config_error_before_any_write(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        (data / "set.json").write_text(json.dumps([
+            {"corpus_id": "x", "manifest_path": "syn00.jsonl"},
+            {"corpus_id": "x", "manifest_path": "syn01.jsonl"}]), encoding="utf-8")
+        rc = main(["train", "--config", cfg_file(tmp_path, SMALL_CFG), "--corpus-set",
+                   str(data / "set.json"), "--steps", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "corpus id 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mapping_table_error_names_its_file_and_line(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        (data / "map.csv").write_text("# overrides\nsaudade,low\n", encoding="utf-8")
+        (data / "set.json").write_text(json.dumps([
+            {"corpus_id": "a", "manifest_path": "syn00.jsonl",
+             "mapping_overrides_path": "map.csv"}]), encoding="utf-8")
+        rc = main(["train", "--corpus-set", str(data / "set.json"), "--steps", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {data / 'map.csv'}:2: expected 'raw,arousal,valence', got 'saudade,low'\n")
+
+    def test_unmapped_label_error_names_the_manifest(self, tmp_path, capsys):
+        data = synth(tmp_path, corpora=1)
+        manifest = data / "syn00.jsonl"
+        manifest.write_text(manifest.read_text().replace('"calm"', '"saudade"'),
+                            encoding="utf-8")
+        rc = main(["train", "--corpus-set", str(data / "corpus_set.json"), "--steps", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {manifest}: unmapped labels: 'saudade'\n"
 
     def test_no_corpora_is_config_error_before_any_write(self, tmp_path, capsys):
         for count in ("0", "-2"):
@@ -852,6 +898,24 @@ def test_only_errors_reads_outside_input():
         found += [f"{path.name}:{line} {name}" for line, name in reads_of_outside_input(tree)
                   if line not in allowed]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    """Each class in errors.py is raised somewhere in the package, or is the
+    base of one that is."""
+    import bbekit.errors as errors
+
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    unused = [c.__name__ for c in classes
+              if not any(issubclass(r, c) for r in classes if r.__name__ in raised)]
+    assert unused == []
 
 
 class TestOutsideInput:

@@ -146,6 +146,12 @@ class TestManifestIO:
             load_manifest(write_rows(tmp_path, rows))
         assert exc.value.labels == ["aaa", "zzz"]
 
+    def test_unmapped_labels_name_the_manifest(self, tmp_path):
+        path = write_rows(tmp_path, [row(feat(tmp_path, "a.feat"), label="saudade")])
+        with pytest.raises(UnmappedLabelError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: unmapped labels: 'saudade'"
+
     def test_speaker_straddling_splits(self, tmp_path):
         f = feat(tmp_path, "a.feat")
         rows = [row(f, split="train"), row(f, split="test"), row(f, speaker="s2", split="val")]
@@ -433,7 +439,7 @@ class TestNextBatch:
     def test_padding_and_mask(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [3, 5])
         batch = next_batch(CorpusIterator(manifest, "train", seed=1), batch_size=2)
-        features, _ = pad_frames(batch.arrays, batch.corpus_id)
+        features, _ = pad_frames(batch.arrays)
         assert features.shape == (2, 5, 3)
         assert batch.pad_mask.shape == (2, 5)
         for i in range(2):
@@ -448,16 +454,15 @@ class TestNextBatch:
         batch = next_batch(CorpusIterator(manifest, "train", seed=1),
                            batch_size=2, frame_cap=4)
         assert [a.shape for a in batch.arrays] == [(4, 3), (4, 3)]
-        assert pad_frames(batch.arrays, batch.corpus_id)[0].shape == (2, 4, 3)
+        assert pad_frames(batch.arrays)[0].shape == (2, 4, 3)
         assert batch.pad_mask.all()
 
     def test_batch_contents_match_files(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [2, 2])
         it = CorpusIterator(manifest, "train", seed=1)
         batch = next_batch(it, batch_size=2)
-        fills = sorted(pad_frames(batch.arrays, batch.corpus_id)[0][:, 0, 0].tolist())
+        fills = sorted(pad_frames(batch.arrays)[0][:, 0, 0].tolist())
         assert fills == [1.0, 2.0]
-        assert batch.corpus_id == "var"
         assert batch.labels == [3, 3]
 
     def test_batch_carries_its_samples_row_by_row(self, tmp_path):
@@ -465,7 +470,7 @@ class TestNextBatch:
         batch = next_batch(CorpusIterator(manifest, "train", seed=4), batch_size=4,
                            frame_cap=4)
         assert len(batch.samples) == 4
-        features, _ = pad_frames(batch.arrays, batch.corpus_id)
+        features, _ = pad_frames(batch.arrays)
         for frames, mask, sample in zip(features, batch.pad_mask, batch.samples):
             assert np.array_equal(frames[mask], manifest.features(sample)[:4])
 
@@ -474,11 +479,11 @@ class TestNextBatch:
         batch = next_batch(CorpusIterator(manifest, "train", seed=3), batch_size=5,
                            frame_cap=7)
         crops = [manifest.features(s)[:7] for s in batch.samples]
-        features, pad_mask = pad_frames(crops, "c0")
+        features, pad_mask = pad_frames(crops)
         assert batch.size == 5
         assert np.array_equal(batch.pad_mask, pad_mask)
         assert all(np.array_equal(a, c) for a, c in zip(batch.arrays, crops))
-        assert np.array_equal(pad_frames(batch.arrays, batch.corpus_id)[0], features)
+        assert np.array_equal(pad_frames(batch.arrays)[0], features)
 
     def test_no_duplicates_within_epoch(self, make_corpus):
         manifest = make_corpus("c0")
@@ -495,6 +500,19 @@ class TestNextBatch:
             next_batch(it, batch_size=0)
         with pytest.raises(ConfigError):
             next_batch(it, batch_size=2, frame_cap=0)
+
+    def test_width_mismatch_is_reported_at_read(self, tmp_path):
+        # the file that differs is named with both widths when it is read,
+        # before any batch is assembled
+        manifest = load_manifest(write_rows(tmp_path, [
+            row(feat(tmp_path, "a.feat", dim=3)), row(feat(tmp_path, "b.feat", dim=4))]))
+        first, second = manifest.samples
+        assert manifest.features(first).shape == (4, 3)
+        with pytest.raises(InputError) as exc:
+            manifest.features(second)
+        assert str(exc.value) == (f"{tmp_path / 'b.feat'}: 4 features per frame, "
+                                  "but corpus m's have 3")
+        assert manifest.features(first).shape == (4, 3)  # the mismatch is not cached
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         f1 = feat(tmp_path, "a.feat", dim=3)
@@ -676,6 +694,9 @@ class TestCorpusSet:
         3, {"corpus_id": 3, "manifest_path": "a.jsonl"},
         {"corpus_id": "a", "manifest_path": 3},
         {"corpus_id": "a", "manifest_path": "a.jsonl", "mapping_overrides_path": 3},
+        # falsy, but not null: no override is absent or null
+        *({"corpus_id": "a", "manifest_path": "a.jsonl", "mapping_overrides_path": falsy}
+          for falsy in (False, 0, [])),
     ])
     def test_entry_of_wrong_type(self, tmp_path, entry):
         set_path = tmp_path / "set.json"

@@ -302,13 +302,13 @@ class TestCheckpoints:
         data[dims:dims + 4 * ndim] = b"\xff" * (4 * ndim)
         path.write_bytes(bytes(data))
 
-        real = checkpoint._read_exact
+        real = checkpoint.read_exact
 
         def bounded(fh, n, what):
             assert 0 <= n <= len(data), f"{what}: read of {n} bytes requested"
             return real(fh, n, what)
 
-        monkeypatch.setattr(checkpoint, "_read_exact", bounded)
+        monkeypatch.setattr(checkpoint, "read_exact", bounded)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -137,7 +137,7 @@ def step_loss(model, manifest, batch, frame_cap):
 def padded_loss(model, batch):
     """The oracle for a training step: the loss of ``forward`` on the
     batch's padded frames, run per batch on the tape."""
-    return F.softmax_cross_entropy(model.forward(*pad_frames(batch.arrays, batch.corpus_id)),
+    return F.softmax_cross_entropy(model.forward(*pad_frames(batch.arrays)),
                                    batch.labels)
 
 
@@ -235,6 +235,15 @@ class TestTrainMulti:
     def test_no_corpora(self, tiny_model):
         with pytest.raises(ConfigError):
             train_multi(tiny_model, [], quick_cfg())
+
+    def test_duplicate_corpus_id_is_config_error(self, tiny_model, make_corpus, monkeypatch):
+        # the schedule, the iterators and the val log are keyed by corpus id,
+        # so a second corpus under one id would take the first one's turns
+        first, second = make_corpus("a"), make_corpus("b", seed=41)
+        second.corpus_id = "a"
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *args: pytest.fail("step 0 ran"))
+        with pytest.raises(ConfigError, match="corpus id 'a' names more than one corpus"):
+            train_multi(tiny_model, [first, second], quick_cfg())
 
     def test_freeze_policy_applied(self, tiny_model, make_corpus):
         manifest = make_corpus("c0")
