@@ -48,7 +48,7 @@ class Tensor:
     Leaf tensors created with ``requires_grad=True`` (parameters) carry a
     zero-initialized ``grad`` buffer that ``backward`` accumulates into.
     Interior nodes keep their gradient only transiently during a backward
-    pass.
+    pass; a node is interior when it holds a ``_backward``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -85,6 +85,8 @@ class Tensor:
         if self._backward is None:
             raise StateError("backward called without a recorded forward tape")
 
+        # only interior nodes are sorted and visited: a leaf's gradient is
+        # added to its ``grad`` where its consumer's backward returns it
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -98,7 +100,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
@@ -106,11 +108,11 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
-                node.grad += g  # leaf: accumulate
-                continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
+                    continue
+                if parent._backward is None:
+                    parent.grad += pg
                     continue
                 key = id(parent)
                 if key in grads:
@@ -174,7 +176,24 @@ def reshape(a, shape) -> Tensor:
 # the elementwise composition it replaces, so outputs are bit-identical to
 # it; only the gradients' accumulation order differs.  Shapes are checked by
 # the ``functional`` wrappers.  A gradient is computed only for the parents
-# that require one.
+# that require one.  Each layer is a forward kernel and a backward kernel
+# over plain arrays; the standalone nodes below and ``encoder_block`` call
+# the same kernels, so a block's forward has the bits of the chain of nodes.
+
+
+def _linear_fwd(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[n, d_in] rows @ w + b."""
+    out = flat @ w
+    out += b
+    return out
+
+
+def _linear_bwd(g, flat, w, need_x: bool, need_w: bool, need_b: bool):
+    """Gradients of ``_linear_fwd`` for [n, d_out] ``g``: (x, w, b), each
+    None unless needed."""
+    return (g @ w.T if need_x else None,
+            flat.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -188,24 +207,28 @@ def linear(x, weight, bias) -> Tensor:
     x = _wrap(x)
     if isinstance(weight, (list, tuple)):
         weights, biases = [_wrap(t) for t in weight], [_wrap(t) for t in bias]
-        w = np.concatenate([t.data for t in weights], axis=1)
-        b = np.concatenate([t.data for t in biases])
     else:
         weights, biases = [_wrap(weight)], [_wrap(bias)]
-        w, b = weights[0].data, biases[0].data
+    w, b = _join_columns(weights), _join_columns(biases)
     d_in, d_out = w.shape
     flat = x.data.reshape(-1, d_in)
-    out = flat @ w
-    out += b
 
     def backward(g):
-        g = g.reshape(-1, d_out)
-        gw = flat.T @ g if any(t.requires_grad for t in weights) else None
-        gb = g.sum(axis=0) if any(t.requires_grad for t in biases) else None
-        return ((g @ w.T).reshape(x.shape) if x.requires_grad else None,
+        gx, gw, gb = _linear_bwd(g.reshape(-1, d_out), flat, w, x.requires_grad,
+                                 any(t.requires_grad for t in weights),
+                                 any(t.requires_grad for t in biases))
+        return (None if gx is None else gx.reshape(x.shape),
                 *_split_columns(gw, weights), *_split_columns(gb, biases))
 
+    out = _linear_fwd(flat, w, b)
     return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, *weights, *biases), backward)
+
+
+def _join_columns(blocks: list[Tensor]) -> np.ndarray:
+    """The blocks' arrays concatenated along the last axis."""
+    if len(blocks) == 1:
+        return blocks[0].data
+    return np.concatenate([t.data for t in blocks], axis=-1)
 
 
 def _split_columns(grad: np.ndarray | None, blocks: list[Tensor]) -> list[np.ndarray | None]:
@@ -226,33 +249,45 @@ def _split_columns(grad: np.ndarray | None, blocks: list[Tensor]) -> list[np.nda
 LN_EPS = 1e-5
 
 
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+    """(out, xhat, rstd): the normalized rows x̂ and their 1/std, kept for
+    the backward."""
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_d
+    xhat = x - mu  # centered, normalized in place below
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_d
+    rstd = (var + LN_EPS) ** -0.5
+    xhat *= rstd
+    out = xhat * gain
+    out += shift
+    return out, xhat, rstd
+
+
+def _layer_norm_bwd(g, xhat, rstd, gain, need_x: bool, need_gain: bool, need_shift: bool):
+    """Gradients of ``_layer_norm_fwd``: (x, gain, shift), each None unless
+    needed."""
+    gx = None
+    if need_x:
+        # rstd * (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) with ĝ = g * gain
+        inv_d = 1.0 / xhat.shape[-1]
+        ghat = g * gain
+        gx = ghat - ghat.sum(axis=-1, keepdims=True) * inv_d
+        gx -= xhat * ((ghat * xhat).sum(axis=-1, keepdims=True) * inv_d)
+        gx *= rstd
+    lead = tuple(range(xhat.ndim - 1))
+    return (gx,
+            (g * xhat).sum(axis=lead) if need_gain else None,
+            g.sum(axis=lead) if need_shift else None)
+
+
 def layer_norm(x, gain, shift) -> Tensor:
     """``(x - mean) * (var + LN_EPS)**-0.5 * gain + shift`` over the last axis,
     with the population variance."""
     x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
-    inv_d = 1.0 / x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_d
-    xhat = x.data - mu  # centered, normalized in place below
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_d
-    rstd = (var + LN_EPS) ** -0.5
-    xhat *= rstd
-    out = xhat * gain.data
-    out += shift.data
-    lead = tuple(range(x.ndim - 1))
-
-    def backward(g):
-        gx = None
-        if x.requires_grad:
-            # rstd * (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) with ĝ = g * gain
-            ghat = g * gain.data
-            gx = ghat - ghat.sum(axis=-1, keepdims=True) * inv_d
-            gx -= xhat * ((ghat * xhat).sum(axis=-1, keepdims=True) * inv_d)
-            gx *= rstd
-        return (gx,
-                (g * xhat).sum(axis=lead) if gain.requires_grad else None,
-                g.sum(axis=lead) if shift.requires_grad else None)
-
-    return _node(out, (x, gain, shift), backward)
+    out, xhat, rstd = _layer_norm_fwd(x.data, gain.data, shift.data)
+    return _node(out, (x, gain, shift),
+                 lambda g: _layer_norm_bwd(g, xhat, rstd, gain.data, x.requires_grad,
+                                           gain.requires_grad, shift.requires_grad))
 
 
 # Additive pre-softmax penalty for keys outside a query's own sample.
@@ -294,25 +329,73 @@ def pack_sequences(pad_mask: np.ndarray) -> Packing:
     lengths = mask.sum(axis=1)
     if not (lengths.size and lengths.all()):
         raise InputError("packing needs samples with at least one real frame each")
-    length = int(lengths.max())
+    sizes = lengths.tolist()
+    length = max(sizes)
     room: list[int] = []  # free positions left in each sequence
-    first_slot = np.empty_like(lengths)
-    for i in np.argsort(-lengths, kind="stable"):
-        n = int(lengths[i])
-        r = next((r for r, free in enumerate(room) if free >= n), len(room))
-        if r == len(room):
+    first_slot = [0] * len(sizes)
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):  # stable
+        n = sizes[i]
+        for r, free in enumerate(room):
+            if free >= n:
+                break
+        else:
+            r = len(room)
             room.append(length)
         first_slot[i] = r * length + length - room[r]
         room[r] -= n
-    # [R * L, L] rows of the bias: sample i's block sits at its slots'
-    # rows and at the same positions' columns
-    bias = np.full((len(room) * length, length), -MASK_NEG)
-    for start, n in zip(first_slot.tolist(), lengths.tolist()):
-        pos = start % length
-        bias[start:start + n, pos:pos + n] = 0.0
     first_row = np.cumsum(lengths) - lengths
-    slots = np.arange(int(lengths.sum())) + np.repeat(first_slot - first_row, lengths)
-    return Packing(mask, slots, bias.reshape(len(room), 1, length, length))
+    slots = np.arange(int(lengths.sum())) + np.repeat(np.array(first_slot) - first_row, lengths)
+    # each slot's sample id, -1 on a query's padding and -2 on a key's: a
+    # query and a key see each other where both hold the same sample
+    ids = np.repeat(np.arange(len(sizes), dtype=np.int32), lengths)
+    query = np.full(len(room) * length, -1, dtype=np.int32)
+    key = np.full(len(room) * length, -2, dtype=np.int32)
+    query[slots] = ids
+    key[slots] = ids
+    same = query.reshape(len(room), 1, length, 1) == key.reshape(len(room), 1, 1, length)
+    return Packing(mask, slots, np.where(same, 0.0, -MASK_NEG))
+
+
+def _attention_fwd(qkv: np.ndarray, packing: Packing, heads: int):
+    """Merged [N, d] head outputs of fused [N, 3d] q/k/v rows, and the
+    state the backward reads: the scattered q/k/v rows and the weights."""
+    n_rows, width = qkv.shape
+    d_head = width // 3 // heads
+    n_seqs, _, length, _ = packing.bias.shape
+    rows = np.zeros((n_seqs * length, width))
+    rows[packing.slots] = qkv
+    # [R, L, 3, heads, d_head] -> q, k and v views of [R, heads, L, d_head]
+    qh, kh, vh = rows.reshape(n_seqs, length, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+    weights = qh @ kh.swapaxes(-1, -2)  # [R, heads, L, L]
+    weights *= 1.0 / np.sqrt(d_head)
+    weights += packing.bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = np.empty((n_seqs, length, heads, d_head))
+    np.matmul(weights, vh, out=merged.transpose(0, 2, 1, 3))
+    return merged.reshape(-1, width // 3)[packing.slots], (packing.slots, qh, kh, vh, weights)
+
+
+def _attention_bwd(g: np.ndarray, state) -> np.ndarray:
+    """The [N, 3d] q/k/v rows' gradient from the merged outputs' [N, d]."""
+    slots, qh, kh, vh, weights = state
+    n_seqs, heads, length, d_head = qh.shape
+    d = heads * d_head
+    gh = np.zeros((n_seqs * length, d))
+    gh[slots] = g
+    gh = gh.reshape(n_seqs, length, heads, d_head).transpose(0, 2, 1, 3)
+    grads = np.empty((n_seqs, length, 3, heads, d_head))
+    gq, gk, gv = grads.transpose(2, 0, 3, 1, 4)
+    np.matmul(weights.swapaxes(-1, -2), gh, out=gv)
+    gs = gh @ vh.swapaxes(-1, -2)
+    gs -= np.einsum("rhqk,rhqk->rhq", gs, weights)[..., None]  # softmax backward
+    gs *= weights
+    np.matmul(gs, kh, out=gq)
+    np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
+    out = grads.reshape(-1, 3 * d)[slots]
+    out[:, :2 * d] *= 1.0 / np.sqrt(d_head)  # the scores' scale, on the q and k gradients
+    return out
 
 
 def attention_core(qkv, packing: Packing, heads: int) -> Tensor:
@@ -327,42 +410,8 @@ def attention_core(qkv, packing: Packing, heads: int) -> Tensor:
     outputs are gathered back once.
     """
     qkv = _wrap(qkv)
-    n_rows, width = qkv.shape
-    d = width // 3
-    d_head = d // heads
-    n_seqs, _, length, _ = packing.bias.shape
-    slots = packing.slots
-    rows = np.zeros((n_seqs * length, width))
-    rows[slots] = qkv.data
-    # [R, L, 3, heads, d_head] -> q, k and v views of [R, heads, L, d_head]
-    qh, kh, vh = rows.reshape(n_seqs, length, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-    scale = 1.0 / np.sqrt(d_head)
-    weights = qh @ kh.swapaxes(-1, -2)  # [R, heads, L, L]
-    weights *= scale
-    weights += packing.bias
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    merged = np.empty((n_seqs, length, heads, d_head))
-    np.matmul(weights, vh, out=merged.transpose(0, 2, 1, 3))
-
-    def backward(g):
-        gh = np.zeros((n_seqs * length, d))
-        gh[slots] = g
-        gh = gh.reshape(n_seqs, length, heads, d_head).transpose(0, 2, 1, 3)
-        grads = np.empty((n_seqs, length, 3, heads, d_head))
-        gq, gk, gv = grads.transpose(2, 0, 3, 1, 4)
-        np.matmul(weights.swapaxes(-1, -2), gh, out=gv)
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= np.einsum("rhqk,rhqk->rhq", gs, weights)[..., None]  # softmax backward
-        gs *= weights
-        np.matmul(gs, kh, out=gq)
-        np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
-        out = grads.reshape(-1, width)[slots]
-        out[:, :2 * d] *= scale  # the scores' scale, on the q and k gradients
-        return (out,)
-
-    return _node(merged.reshape(-1, d)[slots], (qkv,), backward)
+    out, state = _attention_fwd(qkv.data, packing, heads)
+    return _node(out, (qkv,), lambda g: (_attention_bwd(g, state),))
 
 
 def segment_mean(x, pad_mask: np.ndarray) -> Tensor:
@@ -432,17 +481,106 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _gelu_fwd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, cdf), the normal CDF at ``a`` kept for the backward."""
+    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    return a * cdf, cdf
+
+
+def _gelu_bwd(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * a * a) * _INV_SQRT2PI
+    return g * (cdf + a * pdf)
+
+
 def gelu(a) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     a = _wrap(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = a.data * cdf
+    out, cdf = _gelu_fwd(a.data)
+    return _node(out, (a,), lambda g: (_gelu_bwd(g, a.data, cdf),))
+
+
+# -- the encoder block: one node ---------------------------------------------
+
+# A block's parameters by suffix, in the order of the node's parents after x.
+BLOCK_PARAMS = ("ln1.gain", "ln1.shift",
+                "attn.q.weight", "attn.k.weight", "attn.v.weight",
+                "attn.q.bias", "attn.k.bias", "attn.v.bias",
+                "attn.o.weight", "attn.o.bias", "ln2.gain", "ln2.shift",
+                "ffn.w1.weight", "ffn.w1.bias", "ffn.w2.weight", "ffn.w2.bias")
+# The stage that takes each parent (x, then BLOCK_PARAMS), numbered from
+# the input: LN1, q/k/v, attention core, output projection, LN2, w1, GELU,
+# w2.  x's gradient also sums in the residual's, which every stage above
+# LN1 carries down.
+_BLOCK_STAGES = (0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 3, 4, 4, 5, 5, 7, 7)
+
+
+def encoder_block(x, p: dict, heads: int, packing: Packing, check) -> Tensor:
+    """The pre-norm block over packed [N, d] rows, recorded as one node:
+    u = x + Wo(Attn([Wq | Wk | Wv](LN1(x)))), y = u + W2(GELU(W1(LN2(u)))),
+    each W a linear with its bias.  ``p`` maps the ``BLOCK_PARAMS``
+    suffixes to tensors.  ``check(op, values)`` sees each of the seven
+    layer outputs as soon as it is made, named after its layer:
+    ``layer_norm``, ``linear`` or ``attention``.
+
+    The stages run the standalone nodes' kernels in the chain's order, so
+    the output has the chain's bits.  The backward replays the stages in
+    reverse from the forward's buffers, computes only the gradients that
+    some parent needs, and stops at the lowest stage that takes such a
+    parent.  Without a recording (``no_grad``, or nothing needs a
+    gradient) the q/k/v rows and the attention buffers go before the FFN.
+    """
+    x = _wrap(x)
+    params = [p[name] for name in BLOCK_PARAMS]
+    g1, s1, _, _, _, _, _, _, wo, bo, g2, s2, w1, b1, w2, b2 = (t.data for t in params)
+    w_qkv, b_qkv = _join_columns(params[2:5]), _join_columns(params[5:8])
+    h1, xhat1, rstd1 = _layer_norm_fwd(x.data, g1, s1)
+    check("layer_norm", h1)
+    qkv = _linear_fwd(h1, w_qkv, b_qkv)
+    check("linear", qkv)
+    merged, attention = _attention_fwd(qkv, packing, heads)
+    del qkv  # the attention state holds the rows it scattered
+    check("attention", merged)
+    attended = _linear_fwd(merged, wo, bo)
+    check("linear", attended)
+    u = x.data + attended
+    needs = [t.requires_grad for t in (x, *params)]
+    if not (is_grad_enabled() and any(needs)):
+        del merged, attention
+    h2, xhat2, rstd2 = _layer_norm_fwd(u, g2, s2)
+    check("layer_norm", h2)
+    z = _linear_fwd(h2, w1, b1)
+    check("linear", z)
+    hidden, cdf = _gelu_fwd(z)
+    f = _linear_fwd(hidden, w2, b2)
+    check("linear", f)
 
     def backward(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        return (g * (cdf + a.data * pdf),)
+        lowest = min(s for s, need in zip(_BLOCK_STAGES, needs) if need)
+        out = [None] * len(needs)
+        gh, out[15], out[16] = _linear_bwd(g, hidden, w2, lowest < 7, needs[15], needs[16])
+        if lowest < 7:
+            gh = _gelu_bwd(gh, z, cdf)
+            gh, out[13], out[14] = _linear_bwd(gh, h2, w1, lowest < 5, needs[13], needs[14])
+        if lowest < 5:
+            gu, out[11], out[12] = _layer_norm_bwd(gh, xhat2, rstd2, g2, lowest < 4,
+                                                   needs[11], needs[12])
+        if lowest < 4:
+            gu = g + gu
+            gh, out[9], out[10] = _linear_bwd(gu, merged, wo, lowest < 3, needs[9], needs[10])
+        if lowest < 3:
+            gh = _attention_bwd(gh, attention)
+            gh, gw, gb = _linear_bwd(gh, h1, w_qkv, lowest < 1,
+                                     any(needs[3:6]), any(needs[6:9]))
+            out[3:6] = _split_columns(gw, params[2:5])
+            out[6:9] = _split_columns(gb, params[5:8])
+        if lowest < 1:
+            gx, out[1], out[2] = _layer_norm_bwd(gh, xhat1, rstd1, g1, needs[0],
+                                                 needs[1], needs[2])
+            if needs[0]:
+                out[0] = gu + gx
+        return out
 
-    return _node(out, (a,), backward)
+    return _node(u + f, (x, *params), backward)
 
 
 def cross_entropy_with_logits(logits, labels) -> Tensor:

@@ -252,7 +252,8 @@ class CorpusIterator:
     ``planned`` is the number of samples the caller will take in all.  The
     constructor draws every epoch those takes cover, back to back, so a take
     within the plan only slices the stream and builds no generator.  A take
-    past the plan draws further epochs when it reaches them.
+    past the plan draws further epochs when it reaches them.  The stream
+    holds each draw as an int32 index into the split: 4 bytes a draw.
     """
 
     def __init__(self, manifest: CorpusManifest, split: str = "train", seed: int = 0,
@@ -262,7 +263,8 @@ class CorpusIterator:
         if not self.samples:
             raise InputError(f"{manifest.corpus_id}: no samples in split {split!r}")
         self.seed = seed
-        self._stream: list[Sample] = []  # drawn samples; those before the cursor are taken
+        # drawn indices into ``samples``; those before the cursor are taken
+        self._stream = np.empty(0, dtype=np.int32)
         self._cursor = 0
         self._epochs = 0  # epochs drawn so far
         self._draw(planned)
@@ -272,23 +274,26 @@ class CorpusIterator:
         return rng.permutation(len(self.samples))
 
     def _draw(self, wanted: int) -> None:
-        """Drop the taken samples, then append whole epochs until the stream
+        """Drop the taken draws, then append whole epochs until the stream
         holds ``wanted`` untaken ones."""
-        del self._stream[:self._cursor]
-        self._cursor = 0
-        while len(self._stream) < wanted:
-            order = self._epoch_order(self._epochs)
-            self._stream += [self.samples[i] for i in order.tolist()]
+        untaken = self._stream[self._cursor:]
+        n = len(self.samples)
+        epochs = max(0, -(-(wanted - untaken.size) // n))
+        stream = np.empty(untaken.size + epochs * n, dtype=np.int32)
+        stream[:untaken.size] = untaken
+        for start in range(untaken.size, stream.size, n):
+            stream[start:start + n] = self._epoch_order(self._epochs)
             self._epochs += 1
+        self._stream, self._cursor = stream, 0
 
     def take(self, n: int) -> list[Sample]:
         if n < 1:
             raise ConfigError(f"cannot take {n} samples")
-        if self._cursor + n > len(self._stream):
+        if self._cursor + n > self._stream.size:
             self._draw(n)
-        out = self._stream[self._cursor:self._cursor + n]
+        drawn = self._stream[self._cursor:self._cursor + n]
         self._cursor += n
-        return out
+        return [self.samples[i] for i in drawn.tolist()]
 
 
 def next_batch(iterator: CorpusIterator, batch_size: int,

@@ -1,8 +1,9 @@
 """Composite neural ops for the encoder stack.
 
 Each public op validates its shapes, calls autodiff primitives (linear,
-layer norm and the attention core are one tape node each), and checks the
-result for non-finite values (the operation-level hygiene contract).  A
+layer norm and the attention core are one tape node each, and so is a
+whole encoder block), and checks the result for non-finite values (the
+operation-level hygiene contract; a block checks each layer's output).  A
 batch of frame sequences is packed: the attention, block and pooling ops
 take the real frames only, as [N, d] rows in batch-major order, plus the
 batch's ``autodiff.Packing``, so every position-wise layer runs on N rows.
@@ -24,9 +25,13 @@ from . import autodiff as ad
 from .autodiff import LN_EPS, Tensor  # noqa: F401 (LN_EPS is re-exported)
 from .errors import ConfigError, DimensionError, NumericalError
 
-def _check_finite(name: str, out: Tensor) -> Tensor:
-    if not np.isfinite(out.data).all():
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
         raise NumericalError(f"{name} produced non-finite values")
+
+
+def _check_finite(name: str, out: Tensor) -> Tensor:
+    _require_finite(name, out.data)
     return out
 
 
@@ -83,9 +88,7 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     core scores them in the packing's shared sequences.
     """
     _check_packed(x, packing, "attention")
-    d = x.shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ConfigError(f"model width {d} not divisible by {heads} heads")
+    d = _check_heads(x, heads)
     if any(w.shape != (d, d) for w in (wq, wk, wv)):
         raise DimensionError(f"q/k/v weights must be ({d}, {d})")
     qkv = linear_forward(x, (wq, wk, wv), (bq, bk, bv))
@@ -93,20 +96,34 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
+def _check_heads(x: Tensor, heads: int) -> int:
+    """The width of packed rows, which the heads must divide."""
+    d = x.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ConfigError(f"model width {d} not divisible by {heads} heads")
+    return d
+
+
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                           packing: ad.Packing) -> Tensor:
     """Pre-norm block over packed [N, d] rows: u = x + Attn(LN1(x));
-    y = u + FFN(LN2(u))."""
-    attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"]),
-                                    p["attn.q.weight"], p["attn.q.bias"],
-                                    p["attn.k.weight"], p["attn.k.bias"],
-                                    p["attn.v.weight"], p["attn.v.bias"],
-                                    p["attn.o.weight"], p["attn.o.bias"],
-                                    heads, packing)
-    u = x + attended
-    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"]),
-                                    p["ffn.w1.weight"], p["ffn.w1.bias"]))
-    return u + linear_forward(hidden, p["ffn.w2.weight"], p["ffn.w2.bias"])
+    y = u + FFN(LN2(u)).  One tape node (``autodiff.encoder_block``); each
+    of its seven layer outputs is checked for finite values under its op's
+    name.  The parameters must have the shapes that map width d back to
+    d: (d,) norms and biases, (d, d) attention weights, and FFN weights of
+    (d, f) and (f, d) around an (f,) bias."""
+    _check_packed(x, packing, "attention")
+    d = _check_heads(x, heads)
+    if d == 0:
+        raise DimensionError("layer_norm over an empty axis")
+    f = p["ffn.w1.weight"].shape[-1:]  # (f,)
+    vec, square = (d,), (d, d)
+    expected = (vec, vec, square, square, square, vec, vec, vec, square, vec,
+                vec, vec, vec + f, f, f + vec, vec)
+    for name, shape in zip(ad.BLOCK_PARAMS, expected):
+        if p[name].shape != shape:
+            raise DimensionError(f"{name} has shape {p[name].shape}, expected {shape}")
+    return ad.encoder_block(x, p, heads, packing, _require_finite)
 
 
 def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,

@@ -36,7 +36,8 @@ class AdamWConfig:
 
 def adamw_step(store: ParameterStore, cfg: AdamWConfig) -> None:
     """One bias-corrected decoupled-decay update on all non-frozen entries,
-    as a fixed handful of numpy operations over the store's flat buffers.
+    as a fixed handful of numpy operations over the store's flat buffers,
+    in place through two temporaries.
 
     Each entry's bias correction uses its own step counter (one scalar for
     all when the counters agree), so the update has the bits of updating
@@ -56,14 +57,23 @@ def adamw_step(store: ParameterStore, cfg: AdamWConfig) -> None:
         sizes = [entry.tensor.size for entry in flat.entries]
         correct1, correct2 = (np.repeat([1.0 - beta ** s for s in steps], sizes)
                               for beta in (cfg.beta1, cfg.beta2))
-    grad, value = flat.grad, flat.value
-    flat.m *= cfg.beta1
-    flat.m += (1.0 - cfg.beta1) * grad
-    flat.v *= cfg.beta2
-    flat.v += (1.0 - cfg.beta2) * grad * grad
-    m_hat = flat.m / correct1
-    v_hat = flat.v / correct2
+    grad, value, m, v = flat.grad, flat.value, flat.m, flat.v
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    step = np.multiply(grad, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += step
+    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    step *= grad
+    v *= cfg.beta2
+    v += step
+    # step = lr m̂ / (sqrt(v̂) + eps), m̂ = m / correct1 and v̂ = v / correct2
+    np.divide(m, correct1, out=step)
+    step *= cfg.learning_rate
+    denom = np.divide(v, correct2)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step /= denom
     if cfg.weight_decay != 0.0:
         value[:flat.n_decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    value -= step
     grad[...] = 0.0

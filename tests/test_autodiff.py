@@ -10,25 +10,9 @@ from bbekit.autodiff import Tensor
 from bbekit.errors import DimensionError, InputError, LabelError, StateError
 from bbekit.gradcheck import FD_STEP, TOLERANCE, relative_error
 
-from tape_ops import mul, tsum
+from tape_ops import fd_grad, mul, tsum
 
 RNG = np.random.default_rng(7)
-
-
-def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar-valued fn at x."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        orig = x[i]
-        x[i] = orig + h
-        plus = fn(x)
-        x[i] = orig - h
-        minus = fn(x)
-        x[i] = orig
-        g[i] = (plus - minus) / (2 * h)
-    return g
 
 
 def check_grad(make_loss, shape, tol=1e-7):
@@ -88,6 +72,26 @@ class TestTensorBasics:
         unused = Tensor([5.0], requires_grad=True)
         tsum(used).backward()
         np.testing.assert_array_equal(unused.grad, [0.0])
+
+    def test_leaf_used_twice_gets_both_contributions(self):
+        # the leaf's two consumers add their gradients to its buffer in
+        # turn, and a second backward adds to what the first left
+        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        x, up1, up2 = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 2)), RNG.normal(size=(4, 2))
+        bias = Tensor(np.zeros(2))
+        parts = x.T @ up1, x.T @ up2
+
+        def backward():
+            (tsum(mul(ad.linear(x, w, bias), up1))
+             + tsum(mul(ad.linear(x, w, bias), up2))).backward()
+
+        backward()
+        assert np.array_equal(w.grad, parts[0] + parts[1])
+        backward()
+        once = parts[0] + parts[1]
+        assert (np.array_equal(w.grad, once + parts[0] + parts[1])
+                or np.array_equal(w.grad, once + parts[1] + parts[0]))
+        assert bias.grad is None
 
     def test_diamond_reuse_accumulates(self):
         # y = x*x + x*x: both paths must contribute
@@ -287,6 +291,36 @@ class TestPacking:
             owner = self.owners(packing)
             same = (owner[:, :, None] == owner[:, None, :]) & (owner >= 0)[:, None, :]
             assert np.array_equal(packing.bias[:, 0], np.where(same, 0.0, -ad.MASK_NEG))
+
+    @staticmethod
+    def loop_packing(mask):
+        """The first-fit placement with its bias built sample by sample, as
+        ``pack_sequences`` once did: the reference its bits must match."""
+        lengths = mask.sum(axis=1)
+        length = int(lengths.max())
+        room, first_slot = [], np.empty_like(lengths)
+        for i in np.argsort(-lengths, kind="stable"):
+            n = int(lengths[i])
+            r = next((r for r, free in enumerate(room) if free >= n), len(room))
+            if r == len(room):
+                room.append(length)
+            first_slot[i] = r * length + length - room[r]
+            room[r] -= n
+        bias = np.full((len(room) * length, length), -ad.MASK_NEG)
+        for start, n in zip(first_slot.tolist(), lengths.tolist()):
+            pos = start % length
+            bias[start:start + n, pos:pos + n] = 0.0
+        first_row = np.cumsum(lengths) - lengths
+        slots = np.arange(int(lengths.sum())) + np.repeat(first_slot - first_row, lengths)
+        return slots, bias.reshape(len(room), 1, length, length)
+
+    def test_bit_identical_to_the_sample_loop(self):
+        for mask in random_masks(200, seed=127):
+            packing = ad.pack_sequences(mask)
+            slots, bias = self.loop_packing(mask)
+            assert np.array_equal(packing.slots, slots)
+            assert packing.bias.dtype == bias.dtype and packing.bias.shape == bias.shape
+            assert packing.bias.tobytes() == bias.tobytes()
 
     def test_deterministic(self):
         for mask in random_masks(10):

@@ -418,6 +418,14 @@ class TestPlannedStream:
                 for _ in range(steps):
                     assert it.take(batch) == ref.take(batch)
 
+    def test_stream_holds_int32_indices(self):
+        # 4 bytes per planned draw: 64 MiB at the plan bound of 2**24 draws
+        it = CorpusIterator(plain_corpus(7), "train", seed=2, planned=5 * 8)
+        assert it._stream.dtype == np.int32 and it._stream.size == 42  # six epochs
+        it.take(8)
+        it.take(40)  # past the plan: the 34 untaken draws and one more epoch
+        assert it._stream.dtype == np.int32 and it._stream.size == 34 + 7
+
     def test_planned_takes_draw_no_epoch(self, monkeypatch):
         it = CorpusIterator(plain_corpus(7), "train", seed=2, planned=5 * 8)
         drawn = []

@@ -8,6 +8,8 @@ frames with the packing of the [B, T] mask they came from; the numpy
 references run on one sample's real frames at a time.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from bbekit import autodiff as ad
-from bbekit.autodiff import Tensor, pack_sequences
+from bbekit.autodiff import BLOCK_PARAMS, Tensor, pack_sequences
 from bbekit.errors import ConfigError, DimensionError, InputError, NumericalError
 from bbekit.functional import (
     LN_EPS,
@@ -27,10 +29,11 @@ from bbekit.functional import (
     multi_head_attention,
     softmax_cross_entropy,
 )
+from bbekit.gradcheck import TOLERANCE, relative_error
 from bbekit.labels import N_CLASSES
 from bbekit.model import EncoderConfig, EncoderModel
 
-from tape_ops import mul, tsum
+from tape_ops import fd_grad, mul, tsum
 
 
 def t(data, grad=False):
@@ -352,6 +355,113 @@ class TestEncoderBlock:
         assert np.array_equal(a, b)
 
 
+def chain_block(x, p, heads, packing):
+    """The block as the chain of standalone nodes it fuses."""
+    attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"]),
+                                    *attn(p), heads, packing)
+    u = x + attended
+    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"]),
+                                    p["ffn.w1.weight"], p["ffn.w1.bias"]))
+    return u + linear_forward(hidden, p["ffn.w2.weight"], p["ffn.w2.bias"])
+
+
+def block_case(seed, lengths):
+    """Rows and parameter values of one block, keyed "x" and by suffix, an
+    upstream gradient and the packing of samples of these lengths."""
+    rng = np.random.default_rng(seed)
+    packing = pack_sequences(ragged(*lengths))
+    p = make_params(rng, 8, 12)
+    for suffix in ("ln1.gain", "ln1.shift", "ln2.gain", "ln2.shift"):
+        p[suffix].data[...] = rng.normal(1.0 if suffix.endswith("gain") else 0.0, 0.3, 8)
+    x = rng.normal(size=(packing.n_rows, 8))
+    values = {"x": x, **{k: v.data for k, v in p.items()}}
+    return values, rng.normal(size=x.shape), packing
+
+
+def run_block(fn, values, upstream, packing, trainable=None):
+    """Output and gradients of sum(fn(x, p) * upstream) for fresh leaves;
+    ``trainable`` names the leaves that need a gradient, all when None."""
+    leaves = {k: t(v.copy(), grad=trainable is None or k in trainable)
+              for k, v in values.items()}
+    x = leaves.pop("x")
+    y = fn(x, leaves, 2, packing)
+    if y.requires_grad:
+        tsum(mul(y, t(upstream))).backward()
+    return y, {"x": x.grad, **{k: leaf.grad for k, leaf in leaves.items()}}
+
+
+BLOCK_PACKINGS = [(5, 2, 4), (7,), (1, 1, 1), (6, 3, 3, 2, 1, 6), (2, 9, 4, 4)]
+
+
+class TestBlockNode:
+    @pytest.mark.parametrize("lengths", BLOCK_PACKINGS)
+    def test_bit_identical_to_the_chain(self, lengths):
+        values, upstream, packing = block_case(131, lengths)
+        y, grads = run_block(encoder_block_forward, values, upstream, packing)
+        y_chain, grads_chain = run_block(chain_block, values, upstream, packing)
+        assert np.array_equal(y.data, y_chain.data)
+        assert len(grads) == 1 + len(BLOCK_PARAMS)
+        for name in grads:
+            assert np.array_equal(grads[name], grads_chain[name]), name
+        with ad.no_grad():
+            y, _ = run_block(encoder_block_forward, values, upstream, packing)
+            y_chain, _ = run_block(chain_block, values, upstream, packing)
+        assert y._backward is None and not y.requires_grad
+        assert np.array_equal(y.data, y_chain.data)
+
+    @pytest.mark.parametrize("trainable", [
+        None,
+        set(BLOCK_PARAMS),
+        {"ffn.w1.weight", "ffn.w1.bias", "ffn.w2.weight", "ffn.w2.bias", "ln2.gain"},
+        {"x", "ln1.gain", "attn.k.weight", "attn.v.bias"},
+    ], ids=["all", "params", "ffn", "x-and-attention"])
+    def test_gradients_vs_finite_differences(self, trainable):
+        values, upstream, packing = block_case(137, (5, 2, 4))
+        _, grads = run_block(encoder_block_forward, values, upstream, packing, trainable)
+        for name, value in values.items():
+            if trainable is not None and name not in trainable:
+                assert grads[name] is None, name
+                continue
+
+            def loss(a, name=name):
+                args = {k: t(a if k == name else v) for k, v in values.items()}
+                x = args.pop("x")
+                return float((encoder_block_forward(x, args, 2, packing).data
+                              * upstream).sum())
+
+            numeric = fd_grad(loss, value.copy())
+            worst = max(relative_error(a, n)
+                        for a, n in zip(grads[name].ravel(), numeric.ravel()))
+            assert worst < TOLERANCE, (name, worst)
+
+    def test_every_parameter_shape_is_checked(self):
+        values, _, packing = block_case(149, (3, 2))
+        for name in BLOCK_PARAMS:
+            p = {k: t(v) for k, v in values.items() if k != "x"}
+            p[name] = t(np.zeros((p[name].shape[0] + 1,) + p[name].shape[1:]))
+            with pytest.raises(DimensionError, match=f"^{name} has shape"):
+                encoder_block_forward(t(values["x"]), p, 2, packing)
+
+    @pytest.mark.parametrize("trainable, calls", [
+        ({"ffn.w2.bias"}, {"_linear_bwd": 1}),
+        ({"ln2.shift"}, {"_linear_bwd": 2, "_gelu_bwd": 1, "_layer_norm_bwd": 1}),
+        ({"attn.o.weight"}, {"_linear_bwd": 3, "_gelu_bwd": 1, "_layer_norm_bwd": 1}),
+        ({"x"}, {"_linear_bwd": 4, "_gelu_bwd": 1, "_layer_norm_bwd": 2,
+                 "_attention_bwd": 1}),
+    ])
+    def test_runs_only_the_needed_backward_kernels(self, monkeypatch, trainable, calls):
+        counted = Counter()
+        for kernel in ("_linear_bwd", "_gelu_bwd", "_layer_norm_bwd", "_attention_bwd"):
+            def counting(*args, kernel=kernel, original=getattr(ad, kernel)):
+                counted[kernel] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ad, kernel, counting)
+        values, upstream, packing = block_case(139, (3, 2))
+        run_block(encoder_block_forward, values, upstream, packing, trainable)
+        assert counted == calls
+
+
 class TestExpandedBlock:
     def test_zero_projection_is_bit_exact_identity(self):
         rng = np.random.default_rng(37)
@@ -409,20 +519,21 @@ def recorded_nodes(out: Tensor) -> int:
 
 
 class TestTapeSize:
-    # layer_norm, the fused q/k/v linear, the attention core and the
-    # output linear, the residual add, layer_norm, two FFN linears around
-    # GELU and the residual add: one node each
-    def test_encoder_block_records_ten_nodes(self):
+    # the whole block, attention and FFN with both residual adds, is the
+    # node of its output; its parents are x and the block's parameters
+    def test_encoder_block_records_no_inner_nodes(self):
         p = make_params(np.random.default_rng(59), 8, 16)
         x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
         y = encoder_block_forward(x, p, 2, pack_sequences(ragged(5, 2, 4)))
-        assert recorded_nodes(y) == 10
+        assert recorded_nodes(y) == 1
+        assert [id(parent) for parent in y._parents] == [id(x)] + [id(p[k]) for k in BLOCK_PARAMS]
 
     def test_expanded_block_adds_gate_and_skip(self):
+        # the block node, the ZLL linear and the skip add
         p = make_params(np.random.default_rng(59), 8, 16, zll=True)
         x = t(np.random.default_rng(60).normal(size=(11, 8)), grad=True)
         y = expanded_block_forward(x, p, 2, pack_sequences(ragged(5, 2, 4)))
-        assert recorded_nodes(y) == 12
+        assert recorded_nodes(y) == 3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,7 @@
 """Optimizer update rule against closed-form single-step answers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,38 @@ class TestFlatUpdate:
             assert_same_state(flat, oracle)
         assert flat["block.0.ffn.w1.weight"].step == 4 and flat["head.bias"].step == 6
         assert flat["frontend.conv0.weight"].step == 0
+
+    def test_five_steps_in_place_through_two_temporaries(self):
+        # the update writes the flat buffers in place and allocates at most
+        # two buffer-sized temporaries per call, plus the two per-entry
+        # correction arrays while the counters differ (steps 2-5 here)
+        shapes = {"a.weight": (200, 50), "a.bias": (50,), "b.weight": (100, 40)}
+
+        def build():
+            store, rng = ParameterStore(), np.random.default_rng(9)
+            for name, shape in shapes.items():
+                store.add(name, rng.normal(size=shape), frozen=name == "b.weight")
+            return store
+
+        flat, oracle = build(), build()
+        for step in range(1, 6):
+            if step == 2:  # thawed, its counter now runs behind the others'
+                for store in (flat, oracle):
+                    store.set_frozen("b.weight", False)
+            buffers = flat.flat()
+            arrays = [buffers.value, buffers.grad, buffers.m, buffers.v]
+            set_grads([flat, oracle], step)
+            tracemalloc.start()
+            adamw_step(flat, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            per_entry_adamw(oracle, CFG)
+            assert_same_state(flat, oracle)
+            assert all(a is b for a, b in zip(arrays, (buffers.value, buffers.grad,
+                                                       buffers.m, buffers.v)))
+            size = buffers.value.nbytes
+            assert peak <= (2 if step == 1 else 4) * size + 4096, (step, peak, size)
+        assert flat["b.weight"].step == 4 and flat["a.bias"].step == 5
 
     def test_decay_follows_the_name(self):
         store = self.build()

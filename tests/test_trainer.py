@@ -116,7 +116,8 @@ class TestEvaluate:
 
 
 def tape_nodes(loss) -> int:
-    """Nodes backward would visit from ``loss``, leaves included."""
+    """Tensors on the tape behind ``loss``: the nodes and the leaves that
+    need a gradient."""
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:
@@ -150,7 +151,7 @@ class TestBatchLoss:
         assert counts[0] == counts[1]
 
     def test_c07_tape_size(self, make_corpus):
-        # a 4-block d=16 step at B=8: 10 nodes per block, 1 for pooling, the
+        # a 4-block d=16 step at B=8: 1 node per block, 1 for pooling, the
         # head's linear and the loss, plus 66 parameter leaves; the cached
         # frontend rows are a leaf that needs no gradient.  The benchmark
         # reports this count as autodiff.tape_nodes_per_step on stage1-rr
@@ -159,7 +160,7 @@ class TestBatchLoss:
         manifest = make_corpus("c0")
         batch = next_batch(CorpusIterator(manifest, "train", seed=1), 8, frame_cap=50)
         assert batch.size == 8
-        assert tape_nodes(step_loss(model, manifest, batch, 50)) == 4 * 10 + 1 + 1 + 1 + 66
+        assert tape_nodes(step_loss(model, manifest, batch, 50)) == 4 * 1 + 1 + 1 + 1 + 66
 
     def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
         manifest = make_corpus("c0")
