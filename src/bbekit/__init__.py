@@ -3,37 +3,38 @@ across heterogeneous corpora: a from-scratch float64 training stack with
 exact-preservation block expansion, round-robin multi-corpus fine-tuning,
 and UAR-based evaluation."""
 
-from .autodiff import Tensor, no_grad
-from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import (Batch, CorpusIterator, CorpusManifest, Sample,
-                     SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
-                     load_manifest, make_splits, next_batch,
-                     round_robin_schedule)
-from .errors import (BbekitError, ConfigError, DataError, InvariantViolation,
-                     NumericalAbort, NumericalError)
-from .expansion import ExpansionSpec, apply_freeze_policy, expand, verify_preservation
-from .featfile import read_features, write_features
-from .gradcheck import check_model_gradients
-from .labels import CLASS_NAMES, MappingTable, SixClass, load_mapping_table
-from .metrics import ConfusionMatrix, confusion, duration_histogram, report, uar
-from .model import EncoderConfig, EncoderModel
-from .optim import AdamWConfig, adamw_step
-from .params import ParameterStore
-from .trainer import TrainConfig, TrainLog, evaluate, train_multi, train_transfer
+import importlib
+
+# each public name and the module that defines it, imported on first use,
+# so that importing a submodule (the CLI, say) loads only what it needs:
+# ``bbekit.cli`` pins BLAS threads before anything imports numpy
+_EXPORTS = {
+    "autodiff": ("Tensor", "no_grad"),
+    "checkpoint": ("load_checkpoint", "save_checkpoint"),
+    "corpus": ("Batch", "CorpusIterator", "CorpusManifest", "Sample", "SyntheticSpec",
+               "generate_synthetic_corpus", "load_corpus_set", "load_manifest",
+               "make_splits", "next_batch", "round_robin_schedule"),
+    "errors": ("BbekitError", "ConfigError", "DataError", "InvariantViolation",
+               "NumericalAbort", "NumericalError"),
+    "expansion": ("ExpansionSpec", "apply_freeze_policy", "expand", "verify_preservation"),
+    "featfile": ("read_features", "write_features"),
+    "gradcheck": ("check_model_gradients",),
+    "labels": ("CLASS_NAMES", "MappingTable", "SixClass", "load_mapping_table"),
+    "metrics": ("ConfusionMatrix", "confusion", "duration_histogram", "report", "uar"),
+    "model": ("EncoderConfig", "EncoderModel"),
+    "optim": ("AdamWConfig", "adamw_step"),
+    "params": ("ParameterStore",),
+    "trainer": ("TrainConfig", "TrainLog", "evaluate", "train_multi", "train_transfer"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamWConfig", "Batch", "BbekitError", "CLASS_NAMES", "ConfigError",
-    "ConfusionMatrix", "CorpusIterator", "CorpusManifest", "DataError",
-    "EncoderConfig", "EncoderModel", "ExpansionSpec", "InvariantViolation",
-    "MappingTable", "NumericalAbort", "NumericalError", "ParameterStore",
-    "Sample", "SixClass", "SyntheticSpec", "Tensor", "TrainConfig", "TrainLog",
-    "adamw_step", "apply_freeze_policy", "check_model_gradients",
-    "confusion", "duration_histogram", "evaluate",
-    "expand", "generate_synthetic_corpus", "load_checkpoint", "load_corpus_set",
-    "load_manifest", "load_mapping_table", "make_splits", "next_batch",
-    "no_grad", "read_features", "report", "round_robin_schedule",
-    "save_checkpoint", "train_multi", "train_transfer", "uar",
-    "verify_preservation", "write_features",
-]
+__all__ = sorted(_HOME)

@@ -175,10 +175,11 @@ def reshape(a, shape) -> Tensor:
 # Each forward evaluates the same float64 expressions, in the same order, as
 # the elementwise composition it replaces, so outputs are bit-identical to
 # it; only the gradients' accumulation order differs.  Shapes are checked by
-# the ``functional`` wrappers.  A gradient is computed only for the parents
-# that require one.  Each layer is a forward kernel and a backward kernel
-# over plain arrays; the standalone nodes below and ``encoder_block`` call
-# the same kernels, so a block's forward has the bits of the chain of nodes.
+# the ``functional`` wrappers, and a model's parameters where the model binds
+# them.  A gradient is computed only for the parents that require one.  Each
+# layer is a forward kernel and a backward kernel over plain arrays; the
+# standalone nodes below and ``encoder_block`` call the same kernels, so a
+# block's forward has the bits of the chain of nodes.
 
 
 def _linear_fwd(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,10 +206,21 @@ def linear(x, weight, bias) -> Tensor:
     block order, and each block's gradient is its slice of the columns.
     """
     x = _wrap(x)
-    if isinstance(weight, (list, tuple)):
-        weights, biases = [_wrap(t) for t in weight], [_wrap(t) for t in bias]
-    else:
-        weights, biases = [_wrap(weight)], [_wrap(bias)]
+    if not isinstance(weight, (list, tuple)):
+        weight, bias = _wrap(weight), _wrap(bias)
+        w = weight.data
+        d_in, d_out = w.shape
+        flat = x.data.reshape(-1, d_in)
+
+        def backward(g):
+            gx, gw, gb = _linear_bwd(g.reshape(-1, d_out), flat, w, x.requires_grad,
+                                     weight.requires_grad, bias.requires_grad)
+            return None if gx is None else gx.reshape(x.shape), gw, gb
+
+        out = _linear_fwd(flat, w, bias.data)
+        return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
+
+    weights, biases = [_wrap(t) for t in weight], [_wrap(t) for t in bias]
     w, b = _join_columns(weights), _join_columns(biases)
     d_in, d_out = w.shape
     flat = x.data.reshape(-1, d_in)
@@ -226,8 +238,6 @@ def linear(x, weight, bias) -> Tensor:
 
 def _join_columns(blocks: list[Tensor]) -> np.ndarray:
     """The blocks' arrays concatenated along the last axis."""
-    if len(blocks) == 1:
-        return blocks[0].data
     return np.concatenate([t.data for t in blocks], axis=-1)
 
 
@@ -236,8 +246,6 @@ def _split_columns(grad: np.ndarray | None, blocks: list[Tensor]) -> list[np.nda
     no gradient (``grad`` is None when none does)."""
     if grad is None:
         return [None] * len(blocks)
-    if len(blocks) == 1:
-        return [grad]
     parts, start = [], 0
     for block in blocks:
         stop = start + block.shape[-1]
@@ -592,14 +600,15 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
         raise DimensionError(f"cross entropy expects [B, C] logits with B labels, got "
                              f"{logits.shape} and {labels.shape}")
     n_rows, n = logits.shape
-    bad = labels[(labels < 0) | (labels >= n)]
-    if bad.size:
-        raise LabelError(f"label {int(bad[0])} out of range for {n} classes")
+    # one comparison: a negative label is a huge unsigned one
+    bad = labels.view(np.uint64) >= n
+    if bad.any():
+        raise LabelError(f"label {int(labels[bad][0])} out of range for {n} classes")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1)
     picked = (np.arange(n_rows), labels)
-    loss = (np.log(total) - z[picked]).mean()
+    loss = (np.log(total) - z[picked]).sum() / n_rows  # the bits of .mean()
 
     def backward(g):
         grad = e / total[:, None]

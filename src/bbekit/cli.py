@@ -11,23 +11,34 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import (SPLITS, SyntheticSpec, generate_synthetic_corpus, load_corpus_set,
-                     load_manifest, synthetic_samples)
-from .errors import BbekitError, ConfigError, InvariantViolation, open_input, parse_json
-from .expansion import FREEZE_POLICIES, MULTIPLIERS, ExpansionSpec
-from .featfile import float32_frames
-from .gradcheck import N_PROBES, TOLERANCE, check_model_gradients
-from .metrics import duration_histogram, histogram_csv, report
-from .model import EncoderConfig, EncoderModel, dataclass_from
-from .optim import AdamWConfig
-from .rngutil import derive_seed
-from .trainer import TrainConfig, evaluate, expand_verified, train_multi, train_transfer
+# One BLAS thread unless the user chose a count: the CLI's matrices are
+# small, and a second thread doubles the CPU time without cutting the
+# wall time.  Set before numpy loads (the package imports it lazily).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from .corpus import (SPLITS, SyntheticSpec, generate_synthetic_corpus,  # noqa: E402
+                     load_corpus_set, load_manifest, synthetic_samples)
+from .errors import (BbekitError, ConfigError, InvariantViolation, open_input,  # noqa: E402
+                     parse_json)
+from .expansion import FREEZE_POLICIES, MULTIPLIERS, ExpansionSpec  # noqa: E402
+from .featfile import float32_frames  # noqa: E402
+from .gradcheck import N_PROBES, TOLERANCE, check_model_gradients  # noqa: E402
+from .labels import N_CLASSES  # noqa: E402
+from .metrics import (ConfusionMatrix, duration_histogram, histogram_csv, report,  # noqa: E402
+                      uar)
+from .model import EncoderConfig, EncoderModel, dataclass_from  # noqa: E402
+from .optim import AdamWConfig  # noqa: E402
+from .rngutil import derive_seed  # noqa: E402
+from .trainer import (TrainConfig, evaluate, expand_verified, train_multi,  # noqa: E402
+                      train_transfer)
 
 FINETUNE_STEPS = 10000
 CONFIG_SECTIONS = ("model", "train", "adamw")
@@ -278,23 +289,63 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+# the largest confusion count a report reads: six of them sum in an int64
+MAX_COUNT = (2**63 - 1) // N_CLASSES
+
+
+def _counts(value) -> bool:
+    """Whether ``value`` is a 6x6 list of integer counts in [0, MAX_COUNT],
+    not all zero."""
+    return (isinstance(value, list) and len(value) == N_CLASSES
+            and all(isinstance(row, list) and len(row) == N_CLASSES
+                    and all(type(c) is int and 0 <= c <= MAX_COUNT for c in row)
+                    for row in value)
+            and any(map(any, value)))
+
+
+def read_eval_result(path: str) -> tuple[tuple[str, str, str], float]:
+    """An ``eval.json``'s (corpus, split, variant) key and its UAR, which
+    ``metrics.uar`` computes from the file's ``confusion``, a 6x6 matrix of
+    integer counts.  The file's ``uar`` must be that value; any other
+    content is a ConfigError naming the file."""
+    with open_input(path, ConfigError, "eval result") as fh:
+        payload = parse_json(fh.read(), ConfigError, f"eval result {path}", dict)
+    # a table name; JSON can spell a lone surrogate, which UTF-8 cannot write
+    name = (lambda v: isinstance(v, str) and v.isprintable(), "a printable string")
+    checks = {
+        "corpus": name,
+        "split": (lambda v: isinstance(v, str) and v in SPLITS, f"one of {', '.join(SPLITS)}"),
+        "variant": name,
+        "uar": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+        "confusion": (_counts, f"{N_CLASSES} rows of {N_CLASSES} counts >= 0, not all 0"),
+    }
+    for key, (valid, kind) in checks.items():
+        if key not in payload:
+            raise ConfigError(f"eval result {path} lacks key {key!r}")
+        if not valid(payload[key]):
+            raise ConfigError(f"eval result {path}: {key!r} must be {kind}, "
+                              f"got {payload[key]!r}")
+    score = uar(ConfusionMatrix(payload["confusion"]))
+    if payload["uar"] != score:
+        raise ConfigError(f"eval result {path}: 'uar' {payload['uar']!r} is not the UAR of "
+                          f"its confusion matrix, {score!r}")
+    return (payload["corpus"], payload["split"], payload["variant"]), score
+
+
 def cmd_report(args) -> int:
     run = RunDir(args.out, "report")
-    results: dict[str, dict[str, float]] = {}
+    scores: dict[tuple[str, str, str], tuple[str, float]] = {}
     for path in args.results:
-        with open_input(path, ConfigError, "eval result") as fh:
-            payload = parse_json(fh.read(), ConfigError, f"eval result {path}", dict)
-        for key in ("corpus", "variant", "uar"):
-            if key not in payload:
-                raise ConfigError(f"eval result {path} lacks key {key!r}")
-            value = payload[key]
-            if key == "uar":
-                valid, kind = type(value) in (int, float) and 0 <= value <= 1, "a number in [0, 1]"
-            else:  # a table name; JSON can spell a lone surrogate, which UTF-8 cannot write
-                valid, kind = isinstance(value, str) and value.isprintable(), "a printable string"
-            if not valid:
-                raise ConfigError(f"eval result {path}: {key!r} must be {kind}, got {value!r}")
-        results.setdefault(payload["corpus"], {})[payload["variant"]] = payload["uar"]
+        key, score = read_eval_result(path)
+        if key in scores:
+            raise ConfigError(f"eval results {scores[key][0]} and {path} both score variant "
+                              f"{key[2]!r} on {key[0]}/{key[1]}")
+        scores[key] = path, score
+    # a row per corpus, or per corpus and split where the results hold several
+    several = len({split for _, split, _ in scores}) > 1
+    results: dict[str, dict[str, float]] = {}
+    for (corpus, split, variant), (_, score) in scores.items():
+        results.setdefault(f"{corpus} ({split})" if several else corpus, {})[variant] = score
     text, csv = report(results)
     run.write_text("report.txt", text)
     run.write_text("report.csv", csv)

@@ -66,8 +66,7 @@ class CorpusManifest:
 
 @dataclass
 class Batch:
-    arrays: list[np.ndarray]  # each drawn sample's [T_i, d] frames, row by row
-    pad_mask: np.ndarray  # [B, T_max] bool, True on real frames
+    pad_mask: np.ndarray  # [B, T_max] bool, True on each crop's frames
     samples: list[Sample]  # the drawn samples, row by row
 
     @property
@@ -254,14 +253,17 @@ class CorpusIterator:
     within the plan only slices the stream and builds no generator.  A take
     past the plan draws further epochs when it reaches them.  The stream
     holds each draw as an int32 index into the split: 4 bytes a draw.
+
+    The constructor also reads each sample's frame count, once, through
+    ``CorpusManifest.features``, so that ``next_batch`` reads no features.
     """
 
     def __init__(self, manifest: CorpusManifest, split: str = "train", seed: int = 0,
                  planned: int = 0):
-        self.manifest = manifest
         self.samples = manifest.split_samples(split)
         if not self.samples:
             raise InputError(f"{manifest.corpus_id}: no samples in split {split!r}")
+        self.frame_counts = np.array([manifest.features(s).shape[0] for s in self.samples])
         self.seed = seed
         # drawn indices into ``samples``; those before the cursor are taken
         self._stream = np.empty(0, dtype=np.int32)
@@ -287,39 +289,47 @@ class CorpusIterator:
         self._stream, self._cursor = stream, 0
 
     def take(self, n: int) -> list[Sample]:
+        return [self.samples[i] for i in self._take(n).tolist()]
+
+    def _take(self, n: int) -> np.ndarray:
+        """The next ``n`` draws, as indices into ``samples``."""
         if n < 1:
             raise ConfigError(f"cannot take {n} samples")
         if self._cursor + n > self._stream.size:
             self._draw(n)
         drawn = self._stream[self._cursor:self._cursor + n]
         self._cursor += n
-        return [self.samples[i] for i in drawn.tolist()]
+        return drawn
 
 
 def next_batch(iterator: CorpusIterator, batch_size: int,
                frame_cap: int | None = None) -> Batch:
-    """Batch of the drawn samples' ``[:frame_cap]`` crops with a
-    True-on-real-frames mask; no re-weighting or re-balancing, samples
-    arrive exactly as the epoch stream yields them."""
+    """The next ``batch_size`` samples of the stream, with the
+    True-on-real-frames mask of their ``[:frame_cap]`` crops, built from
+    the iterator's frame counts: no feature is read.  No re-weighting or
+    re-balancing: samples arrive exactly as the epoch stream yields them."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if frame_cap is not None and frame_cap < 1:
         raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
-    samples = iterator.take(batch_size)
-    arrays = [iterator.manifest.features(s)[:frame_cap] for s in samples]
-    return Batch(arrays, _frame_mask(arrays), samples)
+    drawn = iterator._take(batch_size)
+    lengths = iterator.frame_counts[drawn]
+    if frame_cap is not None:
+        lengths = np.minimum(lengths, frame_cap)
+    return Batch(length_mask(lengths), [iterator.samples[i] for i in drawn.tolist()])
 
 
-def _frame_mask(arrays: list[np.ndarray]) -> np.ndarray:
-    """[B, T_max] mask of [T_i, d] arrays, True on real frames."""
-    lengths = np.array([a.shape[0] for a in arrays])
+def length_mask(lengths) -> np.ndarray:
+    """[B, max(lengths)] mask, True on the first ``lengths[i]`` entries of
+    row i."""
+    lengths = np.asarray(lengths)
     return np.arange(lengths.max()) < lengths[:, None]
 
 
 def pad_frames(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack [T_i, d] arrays of one width d into zero-padded [B, T_max, d]
     features and a [B, T_max] mask, True on real frames."""
-    pad_mask = _frame_mask(arrays)
+    pad_mask = length_mask([a.shape[0] for a in arrays])
     features = np.zeros(pad_mask.shape + arrays[0].shape[1:])
     for i, a in enumerate(arrays):
         features[i, :a.shape[0]] = a

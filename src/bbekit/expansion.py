@@ -61,6 +61,7 @@ def expand(model: EncoderModel, spec: ExpansionSpec) -> EncoderModel:
         else:
             value = out.store.value(f"block.{sources[block_id]}.{suffix}")
         out.store.add(name, value, frozen=True)
+    out.check_layout()
     apply_freeze_policy(out, spec.freeze_policy)
     return out
 

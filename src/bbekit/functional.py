@@ -1,13 +1,18 @@
 """Composite neural ops for the encoder stack.
 
-Each public op validates its shapes, calls autodiff primitives (linear,
-layer norm and the attention core are one tape node each, and so is a
-whole encoder block), and checks the result for non-finite values (the
-operation-level hygiene contract; a block checks each layer's output).  A
-batch of frame sequences is packed: the attention, block and pooling ops
-take the real frames only, as [N, d] rows in batch-major order, plus the
-batch's ``autodiff.Packing``, so every position-wise layer runs on N rows.
-Only attention and pooling read the packing: attention scores each
+Each public op calls autodiff primitives (linear, layer norm and the
+attention core are one tape node each, and so is a whole encoder block)
+and checks the result for non-finite values (the operation-level hygiene
+contract; a block checks each layer's output).  The standalone ops check
+their arguments' shapes.  The model's own parameters are checked where
+they are bound (``EncoderModel.check_layout``), so the block forwards and
+``bound_linear`` check only their activations: packed rows against the
+packing, and finite values.
+
+A batch of frame sequences is packed: the attention, block and pooling
+ops take the real frames only, as [N, d] rows in batch-major order, plus
+the batch's ``autodiff.Packing``, so every position-wise layer runs on N
+rows.  Only attention and pooling read the packing: attention scores each
 sample's frames inside the shared sequences it lays out, and pooling reads
 the [B, T] mask it carries.  ``EncoderModel.frontend_rows`` packs the
 frontend's output, ``EncoderModel.encode_rows`` builds the packing, and
@@ -52,6 +57,13 @@ def linear_forward(x: Tensor, weight, bias) -> Tensor:
     return _check_finite("linear", ad.linear(x, weight, bias))
 
 
+def bound_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``linear_forward`` of one weight and bias that a model bound at
+    their ``param_layout`` shapes (its head and ZLL gates): the output is
+    checked for finite values, the shapes are not."""
+    return _check_finite("linear", ad.linear(x, weight, bias))
+
+
 def _check_linear_shapes(x: Tensor, weight: Tensor, bias: Tensor) -> None:
     if weight.ndim != 2:
         raise DimensionError(f"weight must be 2-d, got {weight.shape}")
@@ -88,7 +100,9 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     core scores them in the packing's shared sequences.
     """
     _check_packed(x, packing, "attention")
-    d = _check_heads(x, heads)
+    d = x.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ConfigError(f"model width {d} not divisible by {heads} heads")
     if any(w.shape != (d, d) for w in (wq, wk, wv)):
         raise DimensionError(f"q/k/v weights must be ({d}, {d})")
     qkv = linear_forward(x, (wq, wk, wv), (bq, bk, bv))
@@ -96,33 +110,14 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tens
     return linear_forward(_check_finite("attention", merged), wo, bo)
 
 
-def _check_heads(x: Tensor, heads: int) -> int:
-    """The width of packed rows, which the heads must divide."""
-    d = x.shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ConfigError(f"model width {d} not divisible by {heads} heads")
-    return d
-
-
 def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
                           packing: ad.Packing) -> Tensor:
     """Pre-norm block over packed [N, d] rows: u = x + Attn(LN1(x));
     y = u + FFN(LN2(u)).  One tape node (``autodiff.encoder_block``); each
     of its seven layer outputs is checked for finite values under its op's
-    name.  The parameters must have the shapes that map width d back to
-    d: (d,) norms and biases, (d, d) attention weights, and FFN weights of
-    (d, f) and (f, d) around an (f,) bias."""
+    name.  The parameters are a model's, bound at the shapes that map
+    width d back to d, with ``heads`` dividing d."""
     _check_packed(x, packing, "attention")
-    d = _check_heads(x, heads)
-    if d == 0:
-        raise DimensionError("layer_norm over an empty axis")
-    f = p["ffn.w1.weight"].shape[-1:]  # (f,)
-    vec, square = (d,), (d, d)
-    expected = (vec, vec, square, square, square, vec, vec, vec, square, vec,
-                vec, vec, vec + f, f, f + vec, vec)
-    for name, shape in zip(ad.BLOCK_PARAMS, expected):
-        if p[name].shape != shape:
-            raise DimensionError(f"{name} has shape {p[name].shape}, expected {shape}")
     return ad.encoder_block(x, p, heads, packing, _require_finite)
 
 
@@ -134,7 +129,7 @@ def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
     if "zll.weight" not in p or "zll.bias" not in p:
         raise ConfigError("expanded block is missing its output projection")
     inner = encoder_block_forward(x, p, heads, packing)
-    return x + linear_forward(inner, p["zll.weight"], p["zll.bias"])
+    return x + bound_linear(inner, p["zll.weight"], p["zll.bias"])
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

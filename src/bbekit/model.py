@@ -223,6 +223,7 @@ class EncoderModel:
             else:
                 value = np.zeros(shape)
             model.store.add(name, value, frozen=name.startswith("frontend."))
+        model.check_layout()
         return model
 
     def _draw_rng(self) -> np.random.Generator:
@@ -245,6 +246,27 @@ class EncoderModel:
                       m=entry.m, v=entry.v, step=entry.step)
         return EncoderModel(copy.deepcopy(self.config), store,
                             [copy.deepcopy(b) for b in self.block_index], self.rng_state)
+
+    def check_layout(self) -> None:
+        """The store holds the parameters that ``param_layout`` lays out for
+        the config and block index, each at its shape, and no other; else a
+        ``DimensionError`` naming the first that differs.
+
+        Shapes are checked where parameters are bound: here, after ``build``
+        and ``expand``; in ``ParameterStore.replace``, which keeps each
+        entry's shape; and in ``load_checkpoint``, entry by entry.  The
+        forward checks none of them.
+        """
+        layout = param_layout(self.config, self.block_index)
+        shapes = {name: entry.tensor.shape for name, entry in self.store.items()}
+        for name in [*layout, *(n for n in shapes if n not in layout)]:
+            want, have = layout.get(name), shapes.get(name)
+            if have is None:
+                raise DimensionError(f"{name} is laid out as {want} but not bound")
+            if want is None:
+                raise DimensionError(f"{name} is bound but not laid out")
+            if have != want:
+                raise DimensionError(f"{name} has shape {have}, expected {want}")
 
     # -- expansion record ----------------------------------------------------
 
@@ -384,8 +406,8 @@ class EncoderModel:
 
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""
-        return F.linear_forward(pooled, self.store.tensor("head.weight"),
-                                self.store.tensor("head.bias"))
+        return F.bound_linear(pooled, self.store.tensor("head.weight"),
+                              self.store.tensor("head.bias"))
 
     def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
         """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6]:

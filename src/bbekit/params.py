@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import StateError
+from .errors import DimensionError, StateError
 
 
 def decays(name: str) -> bool:
@@ -98,10 +98,12 @@ class ParameterStore:
         return entry
 
     def replace(self, name: str, value: np.ndarray) -> ParamEntry:
-        """Swap in a fresh trainable value, resetting optimizer state."""
-        if name not in self._entries:
-            raise StateError(f"unknown parameter {name!r}")
+        """Swap in a fresh trainable value of the entry's shape, resetting
+        optimizer state; a value of another shape is a DimensionError."""
+        shape = self[name].tensor.shape
         tensor = Tensor(value, requires_grad=True)
+        if tensor.shape != shape:
+            raise DimensionError(f"{name} has shape {tensor.shape}, expected {shape}")
         entry = ParamEntry(tensor, np.zeros_like(tensor.data), np.zeros_like(tensor.data))
         self._entries[name] = entry
         self._flat = None

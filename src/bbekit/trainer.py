@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import functional as F
-from .corpus import (CorpusIterator, CorpusManifest, next_batch, pad_frames,
+from .corpus import (CorpusIterator, CorpusManifest, length_mask, next_batch, pad_frames,
                      round_robin_schedule)
 from .errors import ConfigError, EvalError, InvariantViolation, NumericalAbort, NumericalError
 from .expansion import ExpansionSpec, expand, preservation_probes, verify_preservation
@@ -126,12 +126,16 @@ def _cache_kind(model: EncoderModel) -> str:
 
 
 def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
-                      frame_cap: int | None, kind: str) -> dict[str, np.ndarray]:
+                      frame_cap: int | None,
+                      kind: str) -> tuple[dict[str, int], np.ndarray | list[np.ndarray]]:
     """Every train sample's ``[:frame_cap]`` crop through the fixed part
-    that ``kind`` names, keyed by feature path, from length-sorted no-grad
-    batches of EVAL_CHUNK: its pooled [d_model] embedding for "pooled",
-    its frontend's [n, d_model] rows for "rows" (the crop's own frames
-    under an identity frontend).
+    that ``kind`` names, from length-sorted no-grad batches of EVAL_CHUNK,
+    as ``(row_of, values)``: ``row_of`` maps each feature path to its row
+    of ``values``, which is one [n_paths, d_model] array of the pooled
+    embeddings for "pooled", and a list of each crop's frontend rows,
+    [n, d_model] (the crop's own frames under an identity frontend), for
+    "rows".  A feature path that two train samples share holds the value
+    computed last.
 
     The corpus iterator draws each train sample once per epoch, so when a
     corpus's steps times ``batch_size`` reach its split size (as at the
@@ -141,7 +145,12 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
     ``InputError``; a non-finite value the model computes is a
     ``NumericalAbort`` at step 0 naming the corpus.
     """
-    cache: dict[str, np.ndarray] = {}
+    row_of: dict[str, int] = {}
+    for manifest in manifests:
+        for s in manifest.split_samples("train"):
+            row_of.setdefault(s.feature_path, len(row_of))
+    values = (np.empty((len(row_of), model.config.d_model)) if kind == "pooled"
+              else [None] * len(row_of))
     for manifest in manifests:
         samples = manifest.split_samples("train")
         try:
@@ -150,32 +159,35 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
                         [manifest.features(s)[:frame_cap] for s in samples]):
                     rows, mask = model.frontend_rows(features, pad_mask)
                     if kind == "pooled":
-                        values = model.encode_rows(rows, mask).data
+                        computed = model.encode_rows(rows, mask).data
                     else:
-                        values = np.split(rows.data, np.cumsum(mask.sum(axis=1))[:-1])
-                    cache.update((samples[i].feature_path, value)
-                                 for i, value in zip(chunk, values))
+                        computed = np.split(rows.data, np.cumsum(mask.sum(axis=1))[:-1])
+                    for i, value in zip(chunk, computed):
+                        values[row_of[samples[i].feature_path]] = value
         except NumericalError as exc:
             raise NumericalAbort(f"embedding the train split failed: {exc}", step=0,
                                  corpus_id=manifest.corpus_id, loss_tail=[]) from exc
-    return cache
+    return row_of, values
 
 
-def _cached_loss(model: EncoderModel, batch, cache: dict[str, np.ndarray],
+def _cached_loss(model: EncoderModel, batch,
+                 cache: tuple[dict[str, int], np.ndarray | list[np.ndarray]],
                  kind: str) -> ad.Tensor:
     """Unweighted mean cross-entropy over the batch, on one tape, from its
     samples' cached values: the tape holds the head and the cross-entropy,
     and for cached rows also the blocks and pooling, which run on the
-    samples' rows concatenated in batch order.  From cached rows this is
-    bit for bit the loss of ``forward`` on the batch's padded frames; from
-    pooled embeddings it agrees to rounding."""
-    values = [cache[s.feature_path] for s in batch.samples]
+    samples' rows concatenated in batch order.  Pooled embeddings are
+    gathered from the cache's array with one indexing op.  From cached rows
+    this is bit for bit the loss of ``forward`` on the batch's padded
+    frames; from pooled embeddings it agrees to rounding."""
+    row_of, values = cache
+    index = [row_of[s.feature_path] for s in batch.samples]
     if kind == "pooled":
-        pooled = ad.Tensor(np.stack(values))
+        pooled = ad.Tensor(values[index])
     else:
-        lengths = np.array([len(v) for v in values])
-        pooled = model.encode_rows(ad.Tensor(np.concatenate(values)),
-                                   np.arange(lengths.max()) < lengths[:, None])
+        parts = [values[i] for i in index]
+        pooled = model.encode_rows(ad.Tensor(np.concatenate(parts)),
+                                   length_mask([len(p) for p in parts]))
     return F.softmax_cross_entropy(model.head(pooled), batch.labels)
 
 

@@ -369,6 +369,22 @@ class TestCrossEntropy:
         with pytest.raises(LabelError):
             ad.cross_entropy_with_logits(Tensor([[0.0, 1.0]]), [-1])
 
+    @pytest.mark.parametrize("labels, first", [
+        ([0, 6, -1], 6), ([-1, 9], -1), ([2, -2**63], -2**63), ([2**63 - 1], 2**63 - 1),
+    ])
+    def test_label_error_names_the_first_bad_label(self, labels, first):
+        with pytest.raises(LabelError, match=f"^label {first} out of range for 6 classes$"):
+            ad.cross_entropy_with_logits(Tensor(np.zeros((len(labels), 6))), labels)
+
+    def test_mean_has_the_bits_of_np_mean(self):
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 3, 7, 8, 16, 33, 200):
+            logits = rng.normal(size=(n, 6)) * 5.0
+            labels = rng.integers(0, 6, n)
+            z = logits - logits.max(axis=1, keepdims=True)
+            want = (np.log(np.exp(z).sum(axis=1)) - z[np.arange(n), labels]).mean()
+            assert ad.cross_entropy_with_logits(Tensor(logits), labels).item() == want
+
     def test_requires_1d(self):
         with pytest.raises(DimensionError):
             ad.cross_entropy_with_logits(Tensor(np.zeros((2, 3))), 0)
@@ -639,6 +655,27 @@ class TestFusedPrimitives:
         assert leaves[2].grad is None
         for i in (0, 1, 3, 4):
             assert np.abs(leaves[i].grad - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
+
+    @pytest.mark.parametrize("trainable", [{0, 1, 2}, {1, 2}, {0}, {2}])
+    def test_one_weight_matches_one_column_block(self, trainable):
+        # a plain weight and bias run without the column join and split; the
+        # output and every gradient have the bits of the one-block form
+        rng = np.random.default_rng(91)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
+        upstream = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def run(blocks):
+            x, w, b = (Tensor(a.copy(), requires_grad=i in trainable)
+                       for i, a in enumerate(arrays))
+            y = ad.linear(x, [w], [b]) if blocks else ad.linear(x, w, b)
+            tsum(mul(y, upstream)).backward()
+            return y.data, [t.grad for t in (x, w, b)]
+
+        (plain, plain_grads), (block, block_grads) = run(False), run(True)
+        assert np.array_equal(plain, block)
+        for i, (got, want) in enumerate(zip(plain_grads, block_grads)):
+            assert (got is None) == (i not in trainable)
+            assert got is None or np.array_equal(got, want)
 
     def test_attention_layer_backward_matches_composite(self):
         # the fused q/k/v linear, the core and the output linear chained,

@@ -8,7 +8,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -437,12 +440,25 @@ class TestDeterminism:
         assert (d1 / "durations.csv").read_bytes() == (d2 / "durations.csv").read_bytes()
 
 
-# names and UARs as eval.json files spell them, and anything else JSON can,
-# control characters and lone surrogates included
+def eval_payload(corpus="a", variant="x", uar=0.5, split="test"):
+    """An eval.json payload whose one-class confusion matrix has recall
+    ``uar``, a multiple of 1/4."""
+    hits = round(4 * uar)
+    confusion = [[hits, 4 - hits, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)]
+    return {"corpus": corpus, "split": split, "variant": variant, "uar": uar,
+            "n_samples": 4, "confusion": confusion, "label_space": "six-class"}
+
+
+# names, splits, UARs and confusion matrices as eval.json files spell them,
+# and anything else JSON can, control characters and lone surrogates included
 REPORT_VALUES = st.one_of(
-    st.sampled_from(["a", "b", "x", "y", ""]), st.floats(-0.5, 1.5), JSON_VALUES,
+    st.sampled_from(["a", "b", "x", "y", "", "val", "test"]), st.floats(-0.5, 1.5),
+    st.sampled_from([0, 0.25, 0.5, 1]), JSON_VALUES,
     st.text(st.characters(categories=["Cc"]) | st.characters(categories=["Cs"])
-            | st.sampled_from("aé "), max_size=3))
+            | st.sampled_from("aé "), max_size=3),
+    st.lists(st.lists(st.integers(-1, 3) | st.sampled_from([2**63, 1.0, True]),
+                      min_size=5, max_size=7), min_size=5, max_size=7))
+REPORT_KEYS = ("corpus", "split", "variant", "uar", "confusion")
 
 # printable table names, biased towards what CSV must quote
 REPORT_NAMES = st.text(st.sampled_from(',"\' ') | st.characters(exclude_categories=["C", "Z"]),
@@ -587,8 +603,8 @@ class TestExitCodes:
     def test_ragged_report_inputs(self, tmp_path, capsys):
         e1 = tmp_path / "a.json"
         e2 = tmp_path / "b.json"
-        e1.write_text(json.dumps({"corpus": "a", "variant": "x", "uar": 0.5}))
-        e2.write_text(json.dumps({"corpus": "b", "variant": "y", "uar": 0.5}))
+        e1.write_text(json.dumps(eval_payload("a", "x")))
+        e2.write_text(json.dumps(eval_payload("b", "y")))
         rc = main(["report", "--out", str(tmp_path / "rep"), str(e1), str(e2)])
         assert rc == 3
         capsys.readouterr()
@@ -626,9 +642,9 @@ class TestExitCodes:
         assert rc == 3
         assert "n_heads 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("missing", ["corpus", "variant", "uar"])
+    @pytest.mark.parametrize("missing", REPORT_KEYS)
     def test_report_input_missing_key(self, tmp_path, capsys, missing):
-        payload = {"corpus": "a", "variant": "x", "uar": 0.5}
+        payload = eval_payload()
         del payload[missing]
         path = tmp_path / "eval.json"
         path.write_text(json.dumps(payload))
@@ -640,11 +656,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("uar", "high"), ("uar", None), ("uar", True), ("uar", 1.5), ("uar", -0.1),
         ("corpus", ["a"]), ("corpus", 3), ("variant", {"x": 1}), ("variant", "\ud800"),
-        ("corpus", "a\nb"),
+        ("corpus", "a\nb"), ("split", "dev"), ("split", None), ("split", ["test"]),
+        ("confusion", [[1]]), ("confusion", "[[1]]"), ("confusion", [[0] * 6] * 6),
+        ("confusion", [[1, -1, 0, 0, 0, 0]] + [[0] * 6] * 5),
+        ("confusion", [[1.0, 0, 0, 0, 0, 0]] + [[0] * 6] * 5),
+        ("confusion", [[True, 0, 0, 0, 0, 0]] + [[0] * 6] * 5),
+        ("confusion", [[2**63, 0, 0, 0, 0, 0]] + [[0] * 6] * 5),
+        ("confusion", [[1, 0, 0, 0, 0, 0]] * 5 + [[0] * 5]),
+        ("uar", 0.75),  # the confusion matrix gives 0.5
     ])
     def test_report_input_wrong_type(self, tmp_path, capsys, key, value):
         path = tmp_path / "eval.json"
-        path.write_text(json.dumps({"corpus": "a", "variant": "x", "uar": 0.5, key: value}))
+        path.write_text(json.dumps({**eval_payload(), key: value}))
         rc = main(["report", "--out", str(tmp_path / "rep"), str(path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -664,7 +687,7 @@ class TestExitCodes:
 
     def test_report_csv_quotes_a_name_with_a_comma(self, tmp_path):
         path = tmp_path / "eval.json"
-        path.write_text(json.dumps({"corpus": "c", "variant": "a,b", "uar": 0.5}))
+        path.write_text(json.dumps(eval_payload("c", "a,b")))
         assert main(["report", "--out", str(tmp_path / "rep"), str(path)]) == 0
         text = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8")
         assert list(csv.reader(io.StringIO(text))) == [
@@ -683,8 +706,8 @@ class TestExitCodes:
         for i, name in enumerate(names):
             corpus, variant = (other, name) if by_variant else (name, other)
             paths.append(tmp_path / f"eval{i}.json")
-            paths[-1].write_text(json.dumps({"corpus": corpus, "variant": variant,
-                                             "uar": i / 4}), encoding="utf-8")
+            paths[-1].write_text(json.dumps(eval_payload(corpus, variant, i / 4)),
+                                 encoding="utf-8")
         assert main(["report", "--out", str(tmp_path / "rep")] + [str(p) for p in paths]) == 0
         text = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8")
         header, *rows = csv.reader(io.StringIO(text, newline=""))
@@ -695,9 +718,9 @@ class TestExitCodes:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(payloads=st.lists(st.one_of(
-        st.fixed_dictionaries({key: REPORT_VALUES for key in ("corpus", "variant", "uar")}),
-        st.builds(lambda key, value: {"corpus": "a", "variant": "x", "uar": 0.5, key: value},
-                  st.sampled_from(["corpus", "variant", "uar"]), REPORT_VALUES),
+        st.fixed_dictionaries({key: REPORT_VALUES for key in REPORT_KEYS}),
+        st.builds(lambda key, value, uar: {**eval_payload(uar=uar), key: value},
+                  st.sampled_from(REPORT_KEYS), REPORT_VALUES, st.sampled_from([0, 0.5, 1])),
         JSON_VALUES), min_size=1, max_size=3))
     def test_arbitrary_eval_json_only_ends_in_exit_codes(self, tmp_path_factory, payloads):
         tmp_path = tmp_path_factory.getbasetemp() / "report-fuzz"
@@ -708,6 +731,93 @@ class TestExitCodes:
             paths[-1].write_text(json.dumps(payload), encoding="utf-8")
         rc = main(["report", "--out", str(tmp_path / "rep")] + [str(p) for p in paths])
         assert rc in (0, 2, 3)
+
+
+class TestReport:
+    """``report`` keys eval results on (corpus, split, variant) and reads
+    each UAR from its confusion matrix."""
+
+    def write(self, tmp_path, name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_a_repeated_key_names_both_files_in_either_order(self, tmp_path, capsys):
+        # a doctored copy with another UAR used to win silently, whichever came last
+        a = self.write(tmp_path, "a.json", eval_payload(uar=0.75))
+        b = self.write(tmp_path, "b.json", eval_payload(uar=0.25))
+        for first, second in ((a, b), (b, a)):
+            assert main(["report", "--out", str(tmp_path / "rep"), first, second]) == 2
+            err = capsys.readouterr().err
+            assert f"{first} and {second}" in err and "'x'" in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_the_uar_is_the_confusion_matrix_s(self, tmp_path, capsys):
+        doctored = {**eval_payload(uar=0.5), "uar": 0.1}
+        path = self.write(tmp_path, "e.json", doctored)
+        assert main(["report", "--out", str(tmp_path / "rep"), path]) == 2
+        assert "is not the UAR of its confusion matrix, 0.5" in capsys.readouterr().err
+
+    def test_several_splits_show_the_split(self, tmp_path, capsys):
+        paths = [self.write(tmp_path, f"{split}-{variant}.json",
+                            eval_payload("syn", variant, uar, split))
+                 for split, variant, uar in (("val", "base", 0.5), ("val", "grown", 1.0),
+                                             ("test", "base", 0.25), ("test", "grown", 0.75))]
+        assert main(["report", "--out", str(tmp_path / "rep")] + paths) == 0
+        assert capsys.readouterr().out == (
+            "                base   grown\n"
+            "syn (val)       50.0  100.0*\n"
+            "syn (test)      25.0   75.0*\n"
+            "AVERAGE         37.5   87.5*\n")
+        assert main(["report", "--out", str(tmp_path / "one"), paths[0], paths[1]]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("syn ")
+        assert "(val)" not in (tmp_path / "one" / "report.txt").read_text()
+
+    def test_a_pipeline_eval_reads_back(self, tmp_path, tiny_model, make_corpus):
+        # what eval writes, report reads: the stored UAR is the matrix's
+        manifest = make_corpus("c0", d=16)
+        ckpt = tmp_path / "m.bbex"
+        save_checkpoint(ckpt, tiny_model)
+        for split in ("val", "test"):
+            assert main(["eval", "--checkpoint", str(ckpt), "--corpus",
+                         str(tmp_path / "c0" / "c0.jsonl"), "--split", split,
+                         "--out", str(tmp_path / split)]) == 0
+        assert main(["report", "--out", str(tmp_path / "rep"),
+                     str(tmp_path / "val" / "eval.json"),
+                     str(tmp_path / "test" / "eval.json")]) == 0
+        rows = (tmp_path / "rep" / "report.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["corpus", "c0 (val)", "c0 (test)", "AVERAGE"]
+
+
+# prints the BLAS thread count the environment holds when numpy is first
+# imported, in a fresh interpreter that imports the CLI
+BLAS_PROBE = """
+import os, sys
+sys.path.insert(0, {src!r})
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"),
+                  os.environ.get("OMP_NUM_THREADS"), os.environ.get("MKL_NUM_THREADS"))
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, Probe())
+import bbekit.cli
+"""
+
+
+@pytest.mark.parametrize("given, seen", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")],
+                         ids=["unset", "set by the user"])
+def test_cli_pins_blas_threads_before_numpy_loads(given, seen):
+    # one thread unless the user chose a count
+    src = str(Path(load_checkpoint.__code__.co_filename).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE.format(src=src)],
+                            env={**env, **given}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == seen
 
 
 def corruptions(data: bytes, seed: int, n_flips: int = 12) -> list[bytes]:

@@ -398,9 +398,11 @@ class EpochLoopIterator:
 
 
 def plain_corpus(n_train):
-    """A manifest of ``n_train`` train samples; the iterator reads no files."""
-    return CorpusManifest("p", [Sample(f"s{i}.feat", "anger", 3, f"spk{i}", "p", "train", 1.0)
-                                for i in range(n_train)])
+    """A manifest of ``n_train`` train samples whose one-frame features are
+    already in its cache, so the iterator reads no files."""
+    samples = [Sample(f"s{i}.feat", "anger", 3, f"spk{i}", "p", "train", 1.0)
+               for i in range(n_train)]
+    return CorpusManifest("p", samples, {s.feature_path: np.zeros((1, 1)) for s in samples})
 
 
 class TestPlannedStream:
@@ -436,6 +438,11 @@ class TestPlannedStream:
         assert drawn == []
 
 
+def crops(manifest, batch, frame_cap=None):
+    """The ``[:frame_cap]`` crops of a batch's samples, row by row."""
+    return [manifest.features(s)[:frame_cap] for s in batch.samples]
+
+
 class TestNextBatch:
     def make_varlen(self, tmp_path, lengths, dim=3):
         rows = []
@@ -447,7 +454,7 @@ class TestNextBatch:
     def test_padding_and_mask(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [3, 5])
         batch = next_batch(CorpusIterator(manifest, "train", seed=1), batch_size=2)
-        features, _ = pad_frames(batch.arrays)
+        features, _ = pad_frames(crops(manifest, batch))
         assert features.shape == (2, 5, 3)
         assert batch.pad_mask.shape == (2, 5)
         for i in range(2):
@@ -461,15 +468,14 @@ class TestNextBatch:
         manifest = self.make_varlen(tmp_path, [8, 6])
         batch = next_batch(CorpusIterator(manifest, "train", seed=1),
                            batch_size=2, frame_cap=4)
-        assert [a.shape for a in batch.arrays] == [(4, 3), (4, 3)]
-        assert pad_frames(batch.arrays)[0].shape == (2, 4, 3)
+        assert batch.pad_mask.shape == (2, 4)
         assert batch.pad_mask.all()
 
     def test_batch_contents_match_files(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [2, 2])
         it = CorpusIterator(manifest, "train", seed=1)
         batch = next_batch(it, batch_size=2)
-        fills = sorted(pad_frames(batch.arrays)[0][:, 0, 0].tolist())
+        fills = sorted(pad_frames(crops(manifest, batch))[0][:, 0, 0].tolist())
         assert fills == [1.0, 2.0]
         assert batch.labels == [3, 3]
 
@@ -478,7 +484,7 @@ class TestNextBatch:
         batch = next_batch(CorpusIterator(manifest, "train", seed=4), batch_size=4,
                            frame_cap=4)
         assert len(batch.samples) == 4
-        features, _ = pad_frames(batch.arrays)
+        features, _ = pad_frames(crops(manifest, batch, 4))
         for frames, mask, sample in zip(features, batch.pad_mask, batch.samples):
             assert np.array_equal(frames[mask], manifest.features(sample)[:4])
 
@@ -486,12 +492,46 @@ class TestNextBatch:
         manifest = make_corpus("c0")
         batch = next_batch(CorpusIterator(manifest, "train", seed=3), batch_size=5,
                            frame_cap=7)
-        crops = [manifest.features(s)[:7] for s in batch.samples]
-        features, pad_mask = pad_frames(crops)
         assert batch.size == 5
-        assert np.array_equal(batch.pad_mask, pad_mask)
-        assert all(np.array_equal(a, c) for a, c in zip(batch.arrays, crops))
-        assert np.array_equal(pad_frames(batch.arrays)[0], features)
+        assert np.array_equal(batch.pad_mask, pad_frames(crops(manifest, batch, 7))[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 40),
+           frame_cap=st.one_of(st.none(), st.integers(1, 60)))
+    def test_mask_is_that_of_the_crops_over_random_draws(self, tmp_path_factory, seed,
+                                                         batch_size, frame_cap):
+        # the iterator's frame counts, capped, give pad_frames' mask of the
+        # crops, whatever the draw; the corpus's frame counts run 5-50
+        manifest = self.varied_corpus(tmp_path_factory)
+        it = CorpusIterator(manifest, "train", seed=seed)
+        for _ in range(3):
+            batch = next_batch(it, batch_size, frame_cap)
+            mask = pad_frames(crops(manifest, batch, frame_cap))[1]
+            assert batch.pad_mask.dtype == mask.dtype
+            assert np.array_equal(batch.pad_mask, mask)
+            assert batch.size == batch_size
+
+    @staticmethod
+    def varied_corpus(tmp_path_factory):
+        out = tmp_path_factory.getbasetemp() / "varied-corpus"
+        path = out / "v.jsonl"
+        if not path.exists():
+            generate_synthetic_corpus(SyntheticSpec("v", d=2, frame_rate=10.0, seed=8), out)
+        return load_manifest(path)
+
+    def test_a_batch_reads_no_features(self, make_corpus, monkeypatch):
+        # the iterator reads each sample's frame count once, when it is built
+        manifest = make_corpus("c0")
+        calls = []
+        features = CorpusManifest.features
+        monkeypatch.setattr(CorpusManifest, "features",
+                            lambda self, s: calls.append(s) or features(self, s))
+        it = CorpusIterator(manifest, "train", seed=3)
+        assert len(calls) == len(manifest.split_samples("train"))
+        calls.clear()
+        for cap in (None, 7, 3):
+            next_batch(it, 5, cap)
+        assert calls == []
 
     def test_no_duplicates_within_epoch(self, make_corpus):
         manifest = make_corpus("c0")
@@ -527,9 +567,8 @@ class TestNextBatch:
         f2 = feat(tmp_path, "b.feat", dim=4)
         manifest = load_manifest(write_rows(
             tmp_path, [row(f1, split="train"), row(f2, speaker="s2", split="train")]))
-        it = CorpusIterator(manifest, "train", seed=1)
-        with pytest.raises(InputError):
-            next_batch(it, batch_size=2)
+        with pytest.raises(InputError):  # the iterator reads every frame count
+            CorpusIterator(manifest, "train", seed=1)
 
 
 class TestSyntheticSpec:

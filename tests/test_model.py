@@ -1,14 +1,17 @@
 """Model construction, parameter accounting, and forward-pass behaviour."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bbekit import autodiff as ad
 from bbekit import functional as F
-from bbekit.autodiff import Tensor
+from bbekit import model as model_mod
+from bbekit.autodiff import BLOCK_PARAMS, Tensor
 from bbekit.errors import ConfigError, DimensionError, InputError, StateError
+from bbekit.expansion import ExpansionSpec, expand
 from bbekit.labels import N_CLASSES
 from bbekit.model import (
     BlockInfo,
@@ -20,6 +23,7 @@ from bbekit.model import (
     param_layout,
 )
 from bbekit.optim import AdamWConfig
+from bbekit.params import ParameterStore
 from bbekit.trainer import TrainConfig
 
 from tape_ops import mul, tsum
@@ -249,6 +253,66 @@ class TestBlockParams:
         after = model.logits(frames)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, model.clone().logits(frames))  # a fresh map
+
+
+def hand_made(model, name, value):
+    """``model`` over a store built entry by entry, with ``name`` bound to
+    ``value``: no bind-time check has seen it."""
+    store = ParameterStore()
+    for key, entry in model.store.items():
+        store.add(key, value if key == name else entry.tensor.data, frozen=entry.frozen)
+    model.store = store
+    return model
+
+
+class TestBoundShapes:
+    """Parameter shapes are checked where parameters are bound, so the
+    forward checks none of them."""
+
+    def test_every_parameter_shape_is_checked(self, tiny_model):
+        # each of a block's parameters, the head and an expanded block's
+        # gate: replace takes only the entry's own shape
+        model = expand(tiny_model, ExpansionSpec(2, "non-frozen"))
+        names = ([f"block.0.{name}" for name in BLOCK_PARAMS]
+                 + ["block.0x1.zll.weight", "block.0x1.zll.bias", "head.weight", "head.bias"])
+        for name in names:
+            entry = model.store[name]
+            for shape in ((entry.tensor.shape[0] + 1,) + entry.tensor.shape[1:],
+                          entry.tensor.shape[::-1] + (1,)):
+                with pytest.raises(DimensionError, match=f"^{re.escape(name)} has shape"):
+                    model.store.replace(name, np.zeros(shape))
+                assert model.store[name] is entry
+
+    def test_build_checks_what_it_draws(self, tiny_config, monkeypatch):
+        # a weight drawn one column too wide never reaches a forward
+        monkeypatch.setattr(model_mod, "truncated_normal",
+                            lambda rng, shape, std: np.zeros(shape[:-1] + (shape[-1] + 1,)))
+        with pytest.raises(DimensionError, match=r"^block\.0\.attn\.q\.weight has shape"):
+            EncoderModel.build(tiny_config, seed=0)
+
+    def test_expand_checks_what_it_binds(self, tiny_model):
+        model = hand_made(tiny_model.clone(), "block.1.ffn.w1.bias", np.zeros(31))
+        with pytest.raises(DimensionError, match=r"^block\.1\.ffn\.w1\.bias has shape \(31,\)"):
+            expand(model, ExpansionSpec(2))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda store: store.add("block.0.extra.weight", np.zeros((2, 2))),
+         "block.0.extra.weight is bound but not laid out"),
+        (lambda store: store._entries.pop("head.bias"),
+         r"head.bias is laid out as \(6,\) but not bound"),
+    ], ids=["extra", "missing"])
+    def test_layout_names_a_missing_or_extra_entry(self, tiny_model, change, message):
+        model = tiny_model.clone()
+        change(model.store)
+        with pytest.raises(DimensionError, match=message):
+            model.check_layout()
+
+    def test_a_bound_model_passes(self, tiny_model, rng):
+        tiny_model.check_layout()
+        grown = expand(tiny_model, ExpansionSpec(3, "head-only"))
+        grown.check_layout()
+        frames = rng.normal(size=(4, 16))
+        assert np.array_equal(grown.logits(frames), tiny_model.logits(frames))
 
 
 class TestConvFrontend:

@@ -342,10 +342,14 @@ class TestCheckpoints:
 
     def test_four_wide_head_rejected(self, tmp_path, tiny_model):
         # the label space is six classes; a stored 4-class head is corrupt
-        # even when its header claims "n_classes": 4
+        # even when its header claims "n_classes": 4; replace keeps a head's
+        # shape, so the model's store is built by hand
         model = tiny_model.clone()
-        model.store.replace("head.weight", np.zeros((16, 4)))
-        model.store.replace("head.bias", np.zeros(4))
+        store = ParameterStore()
+        heads = {"head.weight": np.zeros((16, 4)), "head.bias": np.zeros(4)}
+        for name, entry in model.store.items():
+            store.add(name, heads.get(name, entry.tensor.data), frozen=entry.frozen)
+        model.store = store
         path = tmp_path / "m.bbex"
         save_checkpoint(path, model)
         rewrite_header(path, lambda h: h["config"].update(n_classes=4))

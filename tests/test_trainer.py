@@ -10,7 +10,7 @@ from bbekit import autodiff as ad
 from bbekit import functional as F
 from bbekit import trainer as trainer_mod
 from bbekit.checkpoint import save_checkpoint
-from bbekit.corpus import CorpusIterator, next_batch, pad_frames
+from bbekit.corpus import CorpusIterator, CorpusManifest, next_batch, pad_frames
 from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
                            NumericalAbort)
 from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
@@ -135,11 +135,11 @@ def step_loss(model, manifest, batch, frame_cap):
                         kind)
 
 
-def padded_loss(model, batch):
+def padded_loss(model, manifest, batch, frame_cap):
     """The oracle for a training step: the loss of ``forward`` on the
-    batch's padded frames, run per batch on the tape."""
-    return F.softmax_cross_entropy(model.forward(*pad_frames(batch.arrays)),
-                                   batch.labels)
+    batch's padded ``[:frame_cap]`` crops, run per batch on the tape."""
+    crops = [manifest.features(s)[:frame_cap] for s in batch.samples]
+    return F.softmax_cross_entropy(model.forward(*pad_frames(crops)), batch.labels)
 
 
 class TestBatchLoss:
@@ -166,7 +166,7 @@ class TestBatchLoss:
         manifest = make_corpus("c0")
         batch = next_batch(CorpusIterator(manifest, "train", seed=1), 5)
         singles = []
-        for frames, label in zip(batch.arrays, batch.labels):
+        for frames, label in zip(map(manifest.features, batch.samples), batch.labels):
             logits = tiny_model.logits(frames)
             singles.append(np.log(np.exp(logits - logits.max()).sum())
                            - (logits[label] - logits.max()))
@@ -353,6 +353,33 @@ class TestTransfer:
         in_step = False
         for event in events:
             assert not (in_step and event == "order"), "a step drew an epoch order"
+            in_step = {"batch": True, "adamw": False}.get(event, in_step)
+
+    @pytest.mark.parametrize("spec", [None, ExpansionSpec(2, "head-only")],
+                             ids=["rows", "pooled"])
+    def test_no_step_reads_a_feature(self, tiny_model, make_corpus, monkeypatch, spec):
+        # the iterators take every frame count before step 1, and the fill
+        # every crop, so a step finds all it needs in memory
+        events = []
+
+        def record(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(CorpusManifest, "features",
+                            record("features", CorpusManifest.features))
+        monkeypatch.setattr(trainer_mod, "next_batch", record("batch", next_batch))
+        monkeypatch.setattr(trainer_mod, "adamw_step", record("adamw", adamw_step))
+        target = make_corpus("t0")
+        cfg = quick_cfg(stage="single_corpus", n_steps=12, eval_every=5, expansion=spec)
+        train_transfer(tiny_model.clone(), target, cfg)
+        assert events.count("batch") == events.count("adamw") == cfg.n_steps
+        assert events.count("features") > 0
+        in_step = False
+        for event in events:
+            assert not (in_step and event == "features"), "a step read a feature"
             in_step = {"batch": True, "adamw": False}.get(event, in_step)
 
     def test_expansion_grows_model(self, tiny_model, make_corpus):
@@ -589,7 +616,8 @@ class TestHeadOnlyCache:
         expected = TrainLog()
         expected.add_val(0, "t0", evaluate(reference, target, "val")["uar"])
         for step in range(1, cfg.n_steps + 1):
-            loss = padded_loss(reference, next_batch(iterator, cfg.batch_size, cap))
+            loss = padded_loss(reference, target, next_batch(iterator, cfg.batch_size, cap),
+                               cap)
             expected.add_loss(step, "t0", loss.item())
             loss.backward()
             adamw_step(reference.store, cfg.adamw)
@@ -607,6 +635,34 @@ class TestHeadOnlyCache:
         for name in ("head.weight", "head.bias"):
             np.testing.assert_allclose(cached.store.value(name),
                                        reference.store.value(name), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["identity", "conv"])
+    def test_gathered_batch_is_the_stack_of_the_cached_vectors(self, kind, tiny_model,
+                                                               make_corpus):
+        # the cache is one array with a row per feature path; a batch's rows,
+        # gathered by one index, are the vectors a per-path map of the same
+        # fill holds, stacked, and the loss has the stack's bits
+        model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
+        model = expand(model, spec)
+        row_of, values = _fill_train_cache(model, [target], cap, "pooled")
+        samples = target.split_samples("train")
+        assert isinstance(values, np.ndarray)
+        assert values.shape == (len(samples), model.config.d_model)
+        vectors = {}
+        with ad.no_grad():
+            for chunk, features, mask in trainer_mod._sorted_chunks(
+                    [target.features(s)[:cap] for s in samples]):
+                pooled = model.encode_rows(*model.frontend_rows(features, mask)).data
+                vectors.update((samples[i].feature_path, v) for i, v in zip(chunk, pooled))
+        iterator = CorpusIterator(target, "train", seed=5)
+        for size in (1, 4, 16, 16):
+            batch = next_batch(iterator, size, cap)
+            stacked = np.stack([vectors[s.feature_path] for s in batch.samples])
+            gathered = values[[row_of[s.feature_path] for s in batch.samples]]
+            assert np.array_equal(gathered, stacked)
+            expected = F.softmax_cross_entropy(model.head(ad.Tensor(stacked)), batch.labels)
+            loss = _cached_loss(model, batch, (row_of, values), "pooled")
+            assert loss.item() == expected.item()
 
     def test_rerun_is_bit_identical(self, tiny_model, make_corpus):
         target = make_corpus("t0")
@@ -635,8 +691,8 @@ class TestHeadOnlyCache:
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
         # the oracle's tape, on which the frontend records no node: under
         # head-only the head linear, the loss and two leaves
-        full = tape_nodes(padded_loss(expand(model, spec) if spec else model, next_batch(
-            CorpusIterator(target, "train", seed=1), 4, frame_cap=cap)))
+        full = tape_nodes(padded_loss(expand(model, spec) if spec else model, target, next_batch(
+            CorpusIterator(target, "train", seed=1), 4, frame_cap=cap), cap))
         assert (full == 4) == (kind in ("identity", "conv"))
         record = spy_model(monkeypatch)
         sizes = tape_spy(monkeypatch)
