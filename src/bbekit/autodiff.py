@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InputError, LabelError, StateError
+from .errors import DimensionError, InputError, LabelError, NumericalError, StateError
 
 _grad_enabled = True
 
@@ -36,6 +36,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def require_finite(op: str, values: np.ndarray) -> None:
+    """A ``NumericalError`` naming ``op`` if ``values`` holds a NaN or an inf."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{op} produced non-finite values")
 
 
 def _as_array(data) -> np.ndarray:
@@ -515,77 +521,64 @@ BLOCK_PARAMS = ("ln1.gain", "ln1.shift",
                 "attn.q.bias", "attn.k.bias", "attn.v.bias",
                 "attn.o.weight", "attn.o.bias", "ln2.gain", "ln2.shift",
                 "ffn.w1.weight", "ffn.w1.bias", "ffn.w2.weight", "ffn.w2.bias")
-# The stage that takes each parent (x, then BLOCK_PARAMS), numbered from
-# the input: LN1, q/k/v, attention core, output projection, LN2, w1, GELU,
-# w2.  x's gradient also sums in the residual's, which every stage above
-# LN1 carries down.
-_BLOCK_STAGES = (0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 3, 4, 4, 5, 5, 7, 7)
 
 
-def encoder_block(x, p: dict, heads: int, packing: Packing, check) -> Tensor:
+def encoder_block(x, p: dict, heads: int, packing: Packing) -> Tensor:
     """The pre-norm block over packed [N, d] rows, recorded as one node:
     u = x + Wo(Attn([Wq | Wk | Wv](LN1(x)))), y = u + W2(GELU(W1(LN2(u)))),
     each W a linear with its bias.  ``p`` maps the ``BLOCK_PARAMS``
-    suffixes to tensors.  ``check(op, values)`` sees each of the seven
-    layer outputs as soon as it is made, named after its layer:
+    suffixes to tensors.  Each of the seven layer outputs passes
+    ``require_finite`` as soon as it is made, named after its layer:
     ``layer_norm``, ``linear`` or ``attention``.
 
     The stages run the standalone nodes' kernels in the chain's order, so
-    the output has the chain's bits.  The backward replays the stages in
-    reverse from the forward's buffers, computes only the gradients that
-    some parent needs, and stops at the lowest stage that takes such a
-    parent.  Without a recording (``no_grad``, or nothing needs a
-    gradient) the q/k/v rows and the attention buffers go before the FFN.
+    the output has the chain's bits.  The backward runs every stage in
+    reverse from the forward's buffers, down to LN1 (the freeze policies
+    freeze whole blocks, so a recorded block trains LN1 or passes x a
+    gradient), and computes a parameter's gradient only if it needs one.
+    Without a recording (``no_grad``, or nothing needs a gradient) the
+    q/k/v rows and the attention buffers go before the FFN.
     """
     x = _wrap(x)
     params = [p[name] for name in BLOCK_PARAMS]
     g1, s1, _, _, _, _, _, _, wo, bo, g2, s2, w1, b1, w2, b2 = (t.data for t in params)
     w_qkv, b_qkv = _join_columns(params[2:5]), _join_columns(params[5:8])
     h1, xhat1, rstd1 = _layer_norm_fwd(x.data, g1, s1)
-    check("layer_norm", h1)
+    require_finite("layer_norm", h1)
     qkv = _linear_fwd(h1, w_qkv, b_qkv)
-    check("linear", qkv)
+    require_finite("linear", qkv)
     merged, attention = _attention_fwd(qkv, packing, heads)
     del qkv  # the attention state holds the rows it scattered
-    check("attention", merged)
+    require_finite("attention", merged)
     attended = _linear_fwd(merged, wo, bo)
-    check("linear", attended)
+    require_finite("linear", attended)
     u = x.data + attended
     needs = [t.requires_grad for t in (x, *params)]
     if not (is_grad_enabled() and any(needs)):
         del merged, attention
     h2, xhat2, rstd2 = _layer_norm_fwd(u, g2, s2)
-    check("layer_norm", h2)
+    require_finite("layer_norm", h2)
     z = _linear_fwd(h2, w1, b1)
-    check("linear", z)
+    require_finite("linear", z)
     hidden, cdf = _gelu_fwd(z)
     f = _linear_fwd(hidden, w2, b2)
-    check("linear", f)
+    require_finite("linear", f)
 
     def backward(g):
-        lowest = min(s for s, need in zip(_BLOCK_STAGES, needs) if need)
         out = [None] * len(needs)
-        gh, out[15], out[16] = _linear_bwd(g, hidden, w2, lowest < 7, needs[15], needs[16])
-        if lowest < 7:
-            gh = _gelu_bwd(gh, z, cdf)
-            gh, out[13], out[14] = _linear_bwd(gh, h2, w1, lowest < 5, needs[13], needs[14])
-        if lowest < 5:
-            gu, out[11], out[12] = _layer_norm_bwd(gh, xhat2, rstd2, g2, lowest < 4,
-                                                   needs[11], needs[12])
-        if lowest < 4:
-            gu = g + gu
-            gh, out[9], out[10] = _linear_bwd(gu, merged, wo, lowest < 3, needs[9], needs[10])
-        if lowest < 3:
-            gh = _attention_bwd(gh, attention)
-            gh, gw, gb = _linear_bwd(gh, h1, w_qkv, lowest < 1,
-                                     any(needs[3:6]), any(needs[6:9]))
-            out[3:6] = _split_columns(gw, params[2:5])
-            out[6:9] = _split_columns(gb, params[5:8])
-        if lowest < 1:
-            gx, out[1], out[2] = _layer_norm_bwd(gh, xhat1, rstd1, g1, needs[0],
-                                                 needs[1], needs[2])
-            if needs[0]:
-                out[0] = gu + gx
+        gh, out[15], out[16] = _linear_bwd(g, hidden, w2, True, needs[15], needs[16])
+        gh = _gelu_bwd(gh, z, cdf)
+        gh, out[13], out[14] = _linear_bwd(gh, h2, w1, True, needs[13], needs[14])
+        gu, out[11], out[12] = _layer_norm_bwd(gh, xhat2, rstd2, g2, True, needs[11], needs[12])
+        gu = g + gu
+        gh, out[9], out[10] = _linear_bwd(gu, merged, wo, True, needs[9], needs[10])
+        gh = _attention_bwd(gh, attention)
+        gh, gw, gb = _linear_bwd(gh, h1, w_qkv, True, any(needs[3:6]), any(needs[6:9]))
+        out[3:6] = _split_columns(gw, params[2:5])
+        out[6:9] = _split_columns(gb, params[5:8])
+        gx, out[1], out[2] = _layer_norm_bwd(gh, xhat1, rstd1, g1, needs[0], needs[1], needs[2])
+        if needs[0]:
+            out[0] = gu + gx
         return out
 
     return _node(u + f, (x, *params), backward)

@@ -68,6 +68,7 @@ class CorpusManifest:
 class Batch:
     pad_mask: np.ndarray  # [B, T_max] bool, True on each crop's frames
     samples: list[Sample]  # the drawn samples, row by row
+    index: np.ndarray  # the draws, row by row, as indices into the iterator's samples
 
     @property
     def labels(self) -> list[int]:
@@ -304,7 +305,7 @@ class CorpusIterator:
 
 def next_batch(iterator: CorpusIterator, batch_size: int,
                frame_cap: int | None = None) -> Batch:
-    """The next ``batch_size`` samples of the stream, with the
+    """The next ``batch_size`` draws of the stream, with the
     True-on-real-frames mask of their ``[:frame_cap]`` crops, built from
     the iterator's frame counts: no feature is read.  No re-weighting or
     re-balancing: samples arrive exactly as the epoch stream yields them."""
@@ -316,7 +317,7 @@ def next_batch(iterator: CorpusIterator, batch_size: int,
     lengths = iterator.frame_counts[drawn]
     if frame_cap is not None:
         lengths = np.minimum(lengths, frame_cap)
-    return Batch(length_mask(lengths), [iterator.samples[i] for i in drawn.tolist()])
+    return Batch(length_mask(lengths), [iterator.samples[i] for i in drawn.tolist()], drawn)
 
 
 def length_mask(lengths) -> np.ndarray:

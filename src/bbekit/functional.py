@@ -24,19 +24,13 @@ block's mapping also holds ``zll.weight`` and ``zll.bias``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import LN_EPS, Tensor  # noqa: F401 (LN_EPS is re-exported)
-from .errors import ConfigError, DimensionError, NumericalError
-
-def _require_finite(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise NumericalError(f"{name} produced non-finite values")
+from .errors import ConfigError, DimensionError
 
 
 def _check_finite(name: str, out: Tensor) -> Tensor:
-    _require_finite(name, out.data)
+    ad.require_finite(name, out.data)
     return out
 
 
@@ -118,7 +112,7 @@ def encoder_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,
     name.  The parameters are a model's, bound at the shapes that map
     width d back to d, with ``heads`` dividing d."""
     _check_packed(x, packing, "attention")
-    return ad.encoder_block(x, p, heads, packing, _require_finite)
+    return ad.encoder_block(x, p, heads, packing)
 
 
 def expanded_block_forward(x: Tensor, p: dict[str, Tensor], heads: int,

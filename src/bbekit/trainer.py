@@ -72,6 +72,10 @@ class TrainLog:
     def add_val(self, step: int, corpus_id: str, val_uar: float) -> None:
         self.vals.append((step, corpus_id, val_uar))
 
+    def loss_tail(self) -> list[float]:
+        """The last LOSS_TAIL losses, oldest first, for a ``NumericalAbort``."""
+        return [v for _, _, v in self.losses[-LOSS_TAIL:]]
+
     def loss_csv(self) -> str:
         lines = ["step,corpus,loss"]
         lines += [f"{s},{c},{repr(v)}" for s, c, v in self.losses]
@@ -127,15 +131,14 @@ def _cache_kind(model: EncoderModel) -> str:
 
 def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
                       frame_cap: int | None,
-                      kind: str) -> tuple[dict[str, int], np.ndarray | list[np.ndarray]]:
+                      kind: str) -> dict[str, np.ndarray | list[np.ndarray]]:
     """Every train sample's ``[:frame_cap]`` crop through the fixed part
     that ``kind`` names, from length-sorted no-grad batches of EVAL_CHUNK,
-    as ``(row_of, values)``: ``row_of`` maps each feature path to its row
-    of ``values``, which is one [n_paths, d_model] array of the pooled
-    embeddings for "pooled", and a list of each crop's frontend rows,
-    [n, d_model] (the crop's own frames under an identity frontend), for
-    "rows".  A feature path that two train samples share holds the value
-    computed last.
+    as one cache per corpus id in its train split's order, the order of
+    its ``CorpusIterator.samples``: for "pooled", one [n_train, d_model]
+    array of the pooled embeddings; for "rows", a list of each crop's
+    frontend rows, [n, d_model] (the crop's own frames under an identity
+    frontend).
 
     The corpus iterator draws each train sample once per epoch, so when a
     corpus's steps times ``batch_size`` reach its split size (as at the
@@ -145,47 +148,42 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
     ``InputError``; a non-finite value the model computes is a
     ``NumericalAbort`` at step 0 naming the corpus.
     """
-    row_of: dict[str, int] = {}
-    for manifest in manifests:
-        for s in manifest.split_samples("train"):
-            row_of.setdefault(s.feature_path, len(row_of))
-    values = (np.empty((len(row_of), model.config.d_model)) if kind == "pooled"
-              else [None] * len(row_of))
+    cache = {}
     for manifest in manifests:
         samples = manifest.split_samples("train")
+        values = (np.empty((len(samples), model.config.d_model)) if kind == "pooled"
+                  else [None] * len(samples))
         try:
             with ad.no_grad():
                 for chunk, features, pad_mask in _sorted_chunks(
                         [manifest.features(s)[:frame_cap] for s in samples]):
                     rows, mask = model.frontend_rows(features, pad_mask)
                     if kind == "pooled":
-                        computed = model.encode_rows(rows, mask).data
+                        values[chunk] = model.encode_rows(rows, mask).data
                     else:
                         computed = np.split(rows.data, np.cumsum(mask.sum(axis=1))[:-1])
-                    for i, value in zip(chunk, computed):
-                        values[row_of[samples[i].feature_path]] = value
+                        for i, value in zip(chunk, computed):
+                            values[i] = value
         except NumericalError as exc:
             raise NumericalAbort(f"embedding the train split failed: {exc}", step=0,
                                  corpus_id=manifest.corpus_id, loss_tail=[]) from exc
-    return row_of, values
+        cache[manifest.corpus_id] = values
+    return cache
 
 
-def _cached_loss(model: EncoderModel, batch,
-                 cache: tuple[dict[str, int], np.ndarray | list[np.ndarray]],
+def _cached_loss(model: EncoderModel, batch, values: np.ndarray | list[np.ndarray],
                  kind: str) -> ad.Tensor:
     """Unweighted mean cross-entropy over the batch, on one tape, from its
-    samples' cached values: the tape holds the head and the cross-entropy,
-    and for cached rows also the blocks and pooling, which run on the
-    samples' rows concatenated in batch order.  Pooled embeddings are
-    gathered from the cache's array with one indexing op.  From cached rows
-    this is bit for bit the loss of ``forward`` on the batch's padded
-    frames; from pooled embeddings it agrees to rounding."""
-    row_of, values = cache
-    index = [row_of[s.feature_path] for s in batch.samples]
+    corpus's cached values at its draws: the tape holds the head and the
+    cross-entropy, and for cached rows also the blocks and pooling, which
+    run on the samples' rows concatenated in batch order.  Pooled
+    embeddings are gathered with one indexing op.  From cached rows this
+    is bit for bit the loss of ``forward`` on the batch's padded frames;
+    from pooled embeddings it agrees to rounding."""
     if kind == "pooled":
-        pooled = ad.Tensor(values[index])
+        pooled = ad.Tensor(values[batch.index])
     else:
-        parts = [values[i] for i in index]
+        parts = [values[i] for i in batch.index]
         pooled = model.encode_rows(ad.Tensor(np.concatenate(parts)),
                                    length_mask([len(p) for p in parts]))
     return F.softmax_cross_entropy(model.head(pooled), batch.labels)
@@ -200,9 +198,9 @@ def _eval_all(model: EncoderModel, manifests: list[CorpusManifest], step: int,
         try:
             score = evaluate(model, manifest, "val")["uar"]
         except NumericalError as exc:
-            tail = [v for _, _, v in log.losses[-LOSS_TAIL:]]
             raise NumericalAbort(f"evaluation failed: {exc}", step=step,
-                                 corpus_id=manifest.corpus_id, loss_tail=tail) from exc
+                                 corpus_id=manifest.corpus_id,
+                                 loss_tail=log.loss_tail()) from exc
         log.add_val(step, manifest.corpus_id, score)
         scores.append(score)
     mean = float(np.mean(scores))
@@ -236,14 +234,13 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
     for step, corpus_id in enumerate(schedule, start=1):
         batch = next_batch(iterators[corpus_id], cfg.batch_size, cfg.frame_cap)
         try:
-            loss = _cached_loss(model, batch, cache, kind)
+            loss = _cached_loss(model, batch, cache[corpus_id], kind)
             value = loss.item()
             loss.backward()
             adamw_step(model.store, cfg.adamw)
         except NumericalError as exc:
-            tail = [v for _, _, v in log.losses[-LOSS_TAIL:]]
             raise NumericalAbort(str(exc), step=step, corpus_id=corpus_id,
-                                 loss_tail=tail) from exc
+                                 loss_tail=log.loss_tail()) from exc
         log.add_loss(step, corpus_id, value)
         if step % cfg.eval_every == 0 or step == len(schedule):
             _eval_all(model, manifests, step, log)

@@ -501,7 +501,8 @@ class TestNextBatch:
     def test_mask_is_that_of_the_crops_over_random_draws(self, tmp_path_factory, seed,
                                                          batch_size, frame_cap):
         # the iterator's frame counts, capped, give pad_frames' mask of the
-        # crops, whatever the draw; the corpus's frame counts run 5-50
+        # crops, whatever the draw, and the batch's index names its samples;
+        # the corpus's frame counts run 5-50
         manifest = self.varied_corpus(tmp_path_factory)
         it = CorpusIterator(manifest, "train", seed=seed)
         for _ in range(3):
@@ -510,6 +511,7 @@ class TestNextBatch:
             assert batch.pad_mask.dtype == mask.dtype
             assert np.array_equal(batch.pad_mask, mask)
             assert batch.size == batch_size
+            assert [it.samples[i] for i in batch.index] == batch.samples
 
     @staticmethod
     def varied_corpus(tmp_path_factory):

@@ -8,8 +8,6 @@ frames with the packing of the [B, T] mask they came from; the numpy
 references run on one sample's real frames at a time.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -434,24 +432,32 @@ class TestBlockNode:
                         for a, n in zip(grads[name].ravel(), numeric.ravel()))
             assert worst < TOLERANCE, (name, worst)
 
-    @pytest.mark.parametrize("trainable, calls", [
-        ({"ffn.w2.bias"}, {"_linear_bwd": 1}),
-        ({"ln2.shift"}, {"_linear_bwd": 2, "_gelu_bwd": 1, "_layer_norm_bwd": 1}),
-        ({"attn.o.weight"}, {"_linear_bwd": 3, "_gelu_bwd": 1, "_layer_norm_bwd": 1}),
-        ({"x"}, {"_linear_bwd": 4, "_gelu_bwd": 1, "_layer_norm_bwd": 2,
-                 "_attention_bwd": 1}),
-    ])
-    def test_runs_only_the_needed_backward_kernels(self, monkeypatch, trainable, calls):
-        counted = Counter()
+    @pytest.mark.parametrize("trainable", [{"x"}, set(BLOCK_PARAMS), None],
+                             ids=["x", "params", "both"])
+    def test_runs_every_backward_kernel_once(self, monkeypatch, trainable):
+        # the freeze policies freeze whole blocks, so a run records these
+        # patterns: a frozen original after a trainable copy (x only), the
+        # first trainable block (its parameters) and a later one (both).
+        # Each runs the eight backward kernels once, in reverse stage order,
+        # and asks a kernel for parameter gradients only if they train
+        calls = []
         for kernel in ("_linear_bwd", "_gelu_bwd", "_layer_norm_bwd", "_attention_bwd"):
-            def counting(*args, kernel=kernel, original=getattr(ad, kernel)):
-                counted[kernel] += 1
+            def recording(*args, kernel=kernel, original=getattr(ad, kernel)):
+                flags = [a for a in args if isinstance(a, bool)]  # need_x, then the parameters'
+                calls.append((kernel, flags[1:]))
                 return original(*args)
 
-            monkeypatch.setattr(ad, kernel, counting)
+            monkeypatch.setattr(ad, kernel, recording)
         values, upstream, packing = block_case(139, (3, 2))
-        run_block(encoder_block_forward, values, upstream, packing, trainable)
-        assert counted == calls
+        _, grads = run_block(encoder_block_forward, values, upstream, packing, trainable)
+        assert [kernel for kernel, _ in calls] == [
+            "_linear_bwd", "_gelu_bwd", "_linear_bwd", "_layer_norm_bwd",
+            "_linear_bwd", "_attention_bwd", "_linear_bwd", "_layer_norm_bwd"]
+        params_train = trainable != {"x"}
+        param_flags = [flag for _, flags in calls for flag in flags]
+        assert param_flags == [params_train] * 12  # two from each linear and layer norm
+        needed = set(values) if trainable is None else trainable
+        assert {name for name, grad in grads.items() if grad is not None} == needed
 
 
 class TestExpandedBlock:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bbekit import autodiff as ad
+from bbekit.autodiff import BLOCK_PARAMS
 from bbekit import functional as F
 from bbekit import trainer as trainer_mod
 from bbekit.checkpoint import save_checkpoint
@@ -14,7 +15,7 @@ from bbekit.corpus import CorpusIterator, CorpusManifest, next_batch, pad_frames
 from bbekit.errors import (ConfigError, EvalError, InputError, InvariantViolation,
                            NumericalAbort)
 from bbekit.expansion import ExpansionSpec, apply_freeze_policy, expand
-from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
+from bbekit.model import FREEZE_POLICIES, ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.optim import AdamWConfig, adamw_step
 from bbekit.params import ParameterStore
 from bbekit.rngutil import derive_seed
@@ -131,8 +132,8 @@ def step_loss(model, manifest, batch, frame_cap):
     """The training step's loss on ``batch``, from a fill of ``manifest``'s
     train split at ``frame_cap``."""
     kind = _cache_kind(model)
-    return _cached_loss(model, batch, _fill_train_cache(model, [manifest], frame_cap, kind),
-                        kind)
+    cache = _fill_train_cache(model, [manifest], frame_cap, kind)
+    return _cached_loss(model, batch, cache[manifest.corpus_id], kind)
 
 
 def padded_loss(model, manifest, batch, frame_cap):
@@ -436,6 +437,41 @@ class TestTransfer:
             train_transfer(tiny_model, make_corpus("t0"), quick_cfg())
 
 
+class TestRecordedBlocks:
+    def test_every_block_node_freezes_whole_or_trains_whole(self, tiny_model, make_corpus,
+                                                            monkeypatch):
+        # the block backward runs every stage down to LN1 because the
+        # freeze policies freeze whole blocks: every block node a run
+        # records has its 16 parameters under one flag, and x or the
+        # parameters need a gradient
+        recorded = []
+        encoder_block = ad.encoder_block
+
+        def spy(x, p, heads, packing):
+            out = encoder_block(x, p, heads, packing)
+            if out._backward is not None:
+                recorded.append((x.requires_grad, {p[n].requires_grad for n in BLOCK_PARAMS}))
+            return out
+
+        monkeypatch.setattr(ad, "encoder_block", spy)
+        manifests = [make_corpus("a"), make_corpus("b", seed=41)]
+        model, _ = train_multi(tiny_model.clone(), manifests, quick_cfg(n_steps=4))
+        counts = {"stage 1": len(recorded)}
+        for policy in FREEZE_POLICIES:
+            before = len(recorded)
+            train_transfer(model.clone(), manifests[0],
+                           quick_cfg(stage="single_corpus", n_steps=4,
+                                     expansion=ExpansionSpec(2, policy)))
+            counts[policy] = len(recorded) - before
+        # 4 steps of 2 blocks; of 4 expanded blocks, the frozen first
+        # original records no node; head-only steps run no block
+        assert counts == {"stage 1": 8, "freeze-original": 12, "non-frozen": 16,
+                          "head-only": 0}
+        for x_needs, param_flags in recorded:
+            assert len(param_flags) == 1
+            assert x_needs or param_flags == {True}
+
+
 class TestSelection:
     def test_best_selection_restores_best_parameters(self, tiny_model, make_corpus):
         target = make_corpus("t0")
@@ -639,30 +675,61 @@ class TestHeadOnlyCache:
     @pytest.mark.parametrize("kind", ["identity", "conv"])
     def test_gathered_batch_is_the_stack_of_the_cached_vectors(self, kind, tiny_model,
                                                                make_corpus):
-        # the cache is one array with a row per feature path; a batch's rows,
-        # gathered by one index, are the vectors a per-path map of the same
-        # fill holds, stacked, and the loss has the stack's bits
+        # the cache is one array with a row per train sample, in the
+        # iterator's order; a batch's rows, gathered at its draws, are the
+        # vectors a per-sample fill computes, stacked, and the loss has the
+        # stack's bits
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
         model = expand(model, spec)
-        row_of, values = _fill_train_cache(model, [target], cap, "pooled")
+        values = _fill_train_cache(model, [target], cap, "pooled")[target.corpus_id]
         samples = target.split_samples("train")
         assert isinstance(values, np.ndarray)
         assert values.shape == (len(samples), model.config.d_model)
-        vectors = {}
+        vectors = [None] * len(samples)
         with ad.no_grad():
             for chunk, features, mask in trainer_mod._sorted_chunks(
                     [target.features(s)[:cap] for s in samples]):
                 pooled = model.encode_rows(*model.frontend_rows(features, mask)).data
-                vectors.update((samples[i].feature_path, v) for i, v in zip(chunk, pooled))
+                for i, v in zip(chunk, pooled):
+                    vectors[i] = v
         iterator = CorpusIterator(target, "train", seed=5)
+        assert iterator.samples == samples
         for size in (1, 4, 16, 16):
             batch = next_batch(iterator, size, cap)
-            stacked = np.stack([vectors[s.feature_path] for s in batch.samples])
-            gathered = values[[row_of[s.feature_path] for s in batch.samples]]
-            assert np.array_equal(gathered, stacked)
+            stacked = np.stack([vectors[i] for i in batch.index])
+            assert np.array_equal(values[batch.index], stacked)
             expected = F.softmax_cross_entropy(model.head(ad.Tensor(stacked)), batch.labels)
-            loss = _cached_loss(model, batch, (row_of, values), "pooled")
+            loss = _cached_loss(model, batch, values, "pooled")
             assert loss.item() == expected.item()
+
+    @pytest.mark.parametrize("spec", [None, ExpansionSpec(2, "head-only")],
+                             ids=["rows", "pooled"])
+    def test_two_ids_of_one_manifest_share_every_train_file(self, tiny_model, make_corpus,
+                                                            spec, monkeypatch):
+        # every train file is under both ids; each id's cache is in its own
+        # split order, and the two hold equal values
+        target = make_corpus("t0")
+        twin = replace(target, corpus_id="t1")
+        model = expand(tiny_model, spec) if spec else tiny_model.clone()
+        kind = _cache_kind(model)
+        fills, fill = [], trainer_mod._fill_train_cache
+
+        def fill_spy(*args):
+            fills.append(fill(*args))
+            return fills[-1]
+
+        monkeypatch.setattr(trainer_mod, "_fill_train_cache", fill_spy)
+        _, log = train_multi(model, [target, twin], quick_cfg(n_steps=6))
+        assert [c for _, c, _ in log.losses] == ["t0", "t1"] * 3
+        assert all(np.isfinite(v) for _, _, v in log.losses)
+        (cache,) = fills
+        assert sorted(cache) == ["t0", "t1"]
+        assert len(cache["t0"]) == len(target.split_samples("train"))
+        if kind == "pooled":
+            assert np.array_equal(cache["t0"], cache["t1"])
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(cache["t0"], cache["t1"],
+                                                            strict=True))
 
     def test_rerun_is_bit_identical(self, tiny_model, make_corpus):
         target = make_corpus("t0")
