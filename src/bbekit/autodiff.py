@@ -5,6 +5,9 @@ and a closure that maps the output gradient to parent gradients.  Only the
 primitives needed by the encoder stack are provided.  All math is float64
 and bit-deterministic for a fixed call order.
 
+Each layer op checks its output with ``require_finite`` where it computes
+it, and the ops that read a ``Packing`` check their rows against it.
+
 Gradient recording is one module-level flag, which ``no_grad`` switches
 off for the block it wraps.
 """
@@ -180,12 +183,12 @@ def reshape(a, shape) -> Tensor:
 # -- fused layers: one node each, with hand-written backward passes ----------
 # Each forward evaluates the same float64 expressions, in the same order, as
 # the elementwise composition it replaces, so outputs are bit-identical to
-# it; only the gradients' accumulation order differs.  Shapes are checked by
-# the ``functional`` wrappers, and a model's parameters where the model binds
-# them.  A gradient is computed only for the parents that require one.  Each
-# layer is a forward kernel and a backward kernel over plain arrays; the
-# standalone nodes below and ``encoder_block`` call the same kernels, so a
-# block's forward has the bits of the chain of nodes.
+# it; only the gradients' accumulation order differs.  A model's parameter
+# shapes are checked where the model binds them, not here.  A gradient is
+# computed only for the parents that require one.  Each layer is a forward
+# kernel and a backward kernel over plain arrays; the standalone nodes below
+# and ``encoder_block`` call the same kernels, so a block's forward has the
+# bits of the chain of nodes.
 
 
 def _linear_fwd(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,6 +227,7 @@ def linear(x, weight, bias) -> Tensor:
             return None if gx is None else gx.reshape(x.shape), gw, gb
 
         out = _linear_fwd(flat, w, bias.data)
+        require_finite("linear", out)
         return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
 
     weights, biases = [_wrap(t) for t in weight], [_wrap(t) for t in bias]
@@ -239,6 +243,7 @@ def linear(x, weight, bias) -> Tensor:
                 *_split_columns(gw, weights), *_split_columns(gb, biases))
 
     out = _linear_fwd(flat, w, b)
+    require_finite("linear", out)
     return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, *weights, *biases), backward)
 
 
@@ -299,6 +304,7 @@ def layer_norm(x, gain, shift) -> Tensor:
     with the population variance."""
     x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
     out, xhat, rstd = _layer_norm_fwd(x.data, gain.data, shift.data)
+    require_finite("layer_norm", out)
     return _node(out, (x, gain, shift),
                  lambda g: _layer_norm_bwd(g, xhat, rstd, gain.data, x.requires_grad,
                                            gain.requires_grad, shift.requires_grad))
@@ -331,6 +337,14 @@ class Packing:
     @property
     def n_rows(self) -> int:
         return self.slots.shape[0]
+
+
+def _check_packed(op: str, rows: np.ndarray, packing: Packing) -> None:
+    """A ``DimensionError`` naming ``op`` unless ``rows`` are [N, d], one
+    row per real frame of ``packing``."""
+    if rows.ndim != 2 or rows.shape[0] != packing.n_rows:
+        raise DimensionError(f"{op} expects packed [N, d] rows of the packing's "
+                             f"{packing.n_rows} real frames, got {rows.shape}")
 
 
 def pack_sequences(pad_mask: np.ndarray) -> Packing:
@@ -424,26 +438,31 @@ def attention_core(qkv, packing: Packing, heads: int) -> Tensor:
     outputs are gathered back once.
     """
     qkv = _wrap(qkv)
+    _check_packed("attention", qkv.data, packing)
     out, state = _attention_fwd(qkv.data, packing, heads)
+    require_finite("attention", out)
     return _node(out, (qkv,), lambda g: (_attention_bwd(g, state),))
 
 
-def segment_mean(x, pad_mask: np.ndarray) -> Tensor:
-    """Mean over each sample's rows of packed [N, d] rows -> [B, d]; the
-    [B, T] mask (True on the N real frames, batch-major) marks which rows
-    belong to which sample, and every sample needs at least one.
+def segment_mean(x, packing: Packing) -> Tensor:
+    """Mean over each sample's real frames: packed [N, d] rows -> [B, d].
+    The packing's [B, T] mask (True on the N real frames, batch-major)
+    marks which rows belong to which sample.
 
     The sums run over a zero-padded [B, T, d] copy along T, which adds
     each sample's rows one after another in frame order (the bits of
     pooling the padded frames); ``np.add.reduceat`` would sum pairwise.
     """
     x = _wrap(x)
+    _check_packed("pooling", x.data, packing)
+    pad_mask = packing.mask
     counts = pad_mask.sum(axis=1)
     inv_count = (1.0 / counts)[:, None]
     full = np.zeros(pad_mask.shape + x.shape[1:])
     full[pad_mask] = x.data
     out = full.sum(axis=1)
     out *= inv_count
+    require_finite("pooling", out)
     return _node(out, (x,), lambda g: (np.repeat(g * inv_count, counts, axis=0),))
 
 
@@ -496,7 +515,8 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _gelu_fwd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(out, cdf), the normal CDF at ``a`` kept for the backward."""
+    """Exact-erf GELU, 0.5 * a * (1 + erf(a / sqrt(2))), as (out, cdf), the
+    normal CDF kept for the backward.  No node records it on its own."""
     cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
     return a * cdf, cdf
 
@@ -504,13 +524,6 @@ def _gelu_fwd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gelu_bwd(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = np.exp(-0.5 * a * a) * _INV_SQRT2PI
     return g * (cdf + a * pdf)
-
-
-def gelu(a) -> Tensor:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    a = _wrap(a)
-    out, cdf = _gelu_fwd(a.data)
-    return _node(out, (a,), lambda g: (_gelu_bwd(g, a.data, cdf),))
 
 
 # -- the encoder block: one node ---------------------------------------------
@@ -527,9 +540,10 @@ def encoder_block(x, p: dict, heads: int, packing: Packing) -> Tensor:
     """The pre-norm block over packed [N, d] rows, recorded as one node:
     u = x + Wo(Attn([Wq | Wk | Wv](LN1(x)))), y = u + W2(GELU(W1(LN2(u)))),
     each W a linear with its bias.  ``p`` maps the ``BLOCK_PARAMS``
-    suffixes to tensors.  Each of the seven layer outputs passes
-    ``require_finite`` as soon as it is made, named after its layer:
-    ``layer_norm``, ``linear`` or ``attention``.
+    suffixes to tensors, and ``x`` must be the packing's rows (an
+    ``attention`` ``DimensionError`` otherwise).  Each of the seven layer
+    outputs passes ``require_finite`` as soon as it is made, named after
+    its layer: ``layer_norm``, ``linear`` or ``attention``.
 
     The stages run the standalone nodes' kernels in the chain's order, so
     the output has the chain's bits.  The backward runs every stage in
@@ -540,6 +554,7 @@ def encoder_block(x, p: dict, heads: int, packing: Packing) -> Tensor:
     q/k/v rows and the attention buffers go before the FFN.
     """
     x = _wrap(x)
+    _check_packed("attention", x.data, packing)
     params = [p[name] for name in BLOCK_PARAMS]
     g1, s1, _, _, _, _, _, _, wo, bo, g2, s2, w1, b1, w2, b2 = (t.data for t in params)
     w_qkv, b_qkv = _join_columns(params[2:5]), _join_columns(params[5:8])
@@ -602,6 +617,7 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     total = e.sum(axis=1)
     picked = (np.arange(n_rows), labels)
     loss = (np.log(total) - z[picked]).sum() / n_rows  # the bits of .mean()
+    require_finite("cross_entropy", loss)
 
     def backward(g):
         grad = e / total[:, None]

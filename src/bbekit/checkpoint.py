@@ -134,13 +134,16 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
 
 
 def _check_blocks(path, config, block_index: list[BlockInfo]) -> None:
-    """``config.n_blocks`` distinct string ids, each an original without a
-    source or a copy of an original, and every original with as many copies
-    as the others, as ``expand`` leaves them."""
+    """``config.n_blocks`` distinct string ids without a ".", each an
+    original without a source or a copy of an original, and every original
+    with as many copies as the others, as ``expand`` leaves them."""
     ids = [b.block_id for b in block_index]
+    # a parameter name is "block.<id>.<suffix>", read back by its first two dots
+    if not all(isinstance(i, str) and "." not in i for i in ids):
+        raise FormatError(f"{path}: block ids {ids} must be strings without a '.'")
     originals = [b.block_id for b in block_index if b.origin == "original" and b.source is None]
     sources = [b.source for b in block_index if b.origin == "expanded"]
-    if (not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids)
+    if (len(set(ids)) != len(ids)
             or len(ids) != config.n_blocks or len(originals) + len(sources) != len(ids)
             or not all(s in originals for s in sources)
             or len({sources.count(o) for o in originals}) > 1):

@@ -374,7 +374,8 @@ class EncoderModel:
         for i, layer in enumerate(layers):
             w = self.store.tensor(f"frontend.conv{i}.weight")
             b = self.store.tensor(f"frontend.conv{i}.bias")
-            x = ad.gelu(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride), w, b)).data
+            x, _ = ad._gelu_fwd(F.linear_forward(ad.unfold1d(x, layer.kernel, layer.stride),
+                                                 w, b).data)
         pad_mask = np.arange(x.shape[1]) < out_lengths[:, None]
         return Tensor(x[pad_mask]), pad_mask
 
@@ -406,8 +407,8 @@ class EncoderModel:
 
     def head(self, pooled: Tensor) -> Tensor:
         """Pooled [B, d_model] embeddings -> class logits [B, 6]."""
-        return F.bound_linear(pooled, self.store.tensor("head.weight"),
-                              self.store.tensor("head.bias"))
+        return ad.linear(pooled, self.store.tensor("head.weight"),
+                         self.store.tensor("head.bias"))
 
     def forward(self, frames, pad_mask: np.ndarray | None = None) -> Tensor:
         """Frames [B, T, d_in] with a [B, T] mask -> class logits [B, 6]:

@@ -218,6 +218,10 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
               if name.startswith("frontend.") and not entry.frozen]
     if thawed:
         raise ConfigError(f"the frontend is fixed, but {thawed[0]} is trainable")
+    receptive_field = model.config.min_input_length
+    if cfg.frame_cap is not None and cfg.frame_cap < receptive_field:
+        raise ConfigError(f"frame_cap {cfg.frame_cap} crops every sample below the conv "
+                          f"receptive field of {receptive_field} frames")
     # each iterator draws the epoch orders of all its steps now, so no step does
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i),
                                              planned=schedule.count(m.corpus_id) * cfg.batch_size)

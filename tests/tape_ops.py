@@ -1,7 +1,9 @@
-"""Elementwise product and sum as tape nodes, for building scalar losses
-around the primitives under test, and central finite differences to check
-their gradients.  The encoder stack needs neither node, so
-``bbekit.autodiff`` does not provide them."""
+"""Elementwise product, sum and GELU as tape nodes, for building scalar
+losses and the chain of standalone nodes around the primitives under
+test, and central finite differences to check their gradients.  The
+encoder stack records none of these nodes (its GELU runs inside the block
+node, or in the conv frontend, which never trains), so ``bbekit.autodiff``
+does not provide them."""
 
 import numpy as np
 
@@ -24,6 +26,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> ad.Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return ad._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def gelu(a) -> ad.Tensor:
+    """``autodiff``'s exact-erf GELU kernels as a node."""
+    a = ad._wrap(a)
+    out, cdf = ad._gelu_fwd(a.data)
+    return ad._node(out, (a,), lambda g: (ad._gelu_bwd(g, a.data, cdf),))
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

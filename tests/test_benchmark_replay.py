@@ -81,3 +81,40 @@ def test_head_only_steps_keep_the_timed_span(tiny_model, make_corpus, monkeypatc
         assert len(tracing.step_durations(tracer.spans, "corpus.next_batch",
                                           "optim.adamw_step")) == 3
         assert tracer.counters["optim.params_updated"] / 3 == n_updated
+
+
+def test_the_model_ops_keep_their_spans(tiny_model, make_corpus, monkeypatch):
+    # the functional.<op>.self_s metrics time the ops the model calls by
+    # bbekit.functional's names; the block inside an expanded block is
+    # called by that module's name too, so its span nests
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    conv = EncoderModel.build(EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ffn=32,
+                                            frontend="conv", conv_in_dim=4,
+                                            conv_layers=[ConvLayerSpec(16, 3, 2)]), seed=12)
+    identity = make_corpus("t0")
+    cases = {"stage 1": (train_multi, tiny_model.clone(), [identity], None),
+             "freeze-original": (train_transfer, tiny_model.clone(), identity,
+                                 ExpansionSpec(2, "freeze-original")),
+             "conv": (train_transfer, conv, make_corpus("t1", d=4, frame_rate=40.0),
+                      ExpansionSpec(2, "head-only"))}
+    spans = {}
+    for case, (train, model, data, spec) in cases.items():
+        tracer = tracing.Tracer()
+        stage = "multi_corpus" if train is train_multi else "single_corpus"
+        cfg = TrainConfig(adamw=AdamWConfig(learning_rate=1e-2), n_steps=2, batch_size=4,
+                          frame_cap=20, eval_every=100, seed=2, stage=stage,
+                          expansion=spec)
+        with tracing.instrument(tracer, tracing.bbekit_targets(), traced=True):
+            train(model, data, cfg)
+        spans[case] = tracer.spans
+    names = {case: {span[tracing.NAME] for span in found} for case, found in spans.items()}
+    assert {"functional.encoder_block_forward", "functional.masked_mean_pool",
+            "functional.softmax_cross_entropy"} <= names["stage 1"]
+    expanded = spans["freeze-original"]
+    parents = {expanded[span[tracing.PARENT]][tracing.NAME] for span in expanded
+               if span[tracing.NAME] == "functional.encoder_block_forward"
+               and span[tracing.PARENT] >= 0}
+    assert "functional.expanded_block_forward" in parents
+    assert "functional.linear_forward" in names["conv"]

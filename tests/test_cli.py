@@ -632,6 +632,31 @@ class TestExitCodes:
         assert rc == 3
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_block_id_with_a_dot_is_data_error(self, tmp_path, capsys):
+        from test_serialization import rename_block
+
+        data = synth(tmp_path, corpora=1)
+        ckpt = tmp_path / "m.bbex"
+        model = EncoderModel.build(EncoderConfig(**SMALL_CFG["model"]), seed=3)
+        save_checkpoint(ckpt, rename_block(model, "0", "0.x"))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(data / "syn00.jsonl"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "0.x" in capsys.readouterr().err
+
+    def test_frame_cap_below_the_conv_receptive_field_is_config_error(self, tmp_path,
+                                                                       capsys):
+        # two [8, 3, 2] layers see 7 frames
+        data = synth(tmp_path, corpora=1)
+        cfg = {**SMALL_CFG, "model": {**SMALL_CFG["model"], "frontend": "conv",
+                                      "conv_in_dim": 8, "conv_layers": [[8, 3, 2], [8, 3, 2]]}}
+        rc = main(["train", "--config", cfg_file(tmp_path, cfg), "--steps", "2",
+                   "--corpus-set", str(data / "corpus_set.json"),
+                   "--set", "train.frame_cap=3", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "frame_cap 3" in err and "receptive field of 7" in err
+
     def test_invalid_header_config_is_data_error(self, tmp_path, tiny_model, capsys):
         from test_serialization import rewrite_header
 

@@ -31,7 +31,7 @@ from bbekit.gradcheck import TOLERANCE, relative_error
 from bbekit.labels import N_CLASSES
 from bbekit.model import EncoderConfig, EncoderModel
 
-from tape_ops import fd_grad, mul, tsum
+from tape_ops import fd_grad, gelu, mul, tsum
 
 
 def t(data, grad=False):
@@ -358,8 +358,8 @@ def chain_block(x, p, heads, packing):
     attended = multi_head_attention(layer_norm(x, p["ln1.gain"], p["ln1.shift"]),
                                     *attn(p), heads, packing)
     u = x + attended
-    hidden = ad.gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"]),
-                                    p["ffn.w1.weight"], p["ffn.w1.bias"]))
+    hidden = gelu(linear_forward(layer_norm(u, p["ln2.gain"], p["ln2.shift"]),
+                                 p["ffn.w1.weight"], p["ffn.w1.bias"]))
     return u + linear_forward(hidden, p["ffn.w2.weight"], p["ffn.w2.bias"])
 
 
@@ -562,6 +562,27 @@ class TestNonFinite:
         # finite rows whose per-sample sum overflows
         with pytest.raises(NumericalError, match="^pooling produced"):
             masked_mean_pool(t(np.full((2, 2), 1e308)), pack_sequences(all_valid(1, 2)))
+
+    # the same inputs straight into the autodiff node that computes the value
+    DIRECT_CALLS = {
+        "linear": lambda: ad.linear(t([[1e200, 1e200]]), t(np.full((2, 1), 1e200)), t([0.0])),
+        "linear column blocks": lambda: ad.linear(
+            t([[1e200, 1e200]]), (t(np.ones((2, 1))), t(np.full((2, 1), 1e200))),
+            (t([0.0]), t([0.0]))),
+        "layer_norm": lambda: ad.layer_norm(t([[1e308, 1e308]]), t(np.ones(2)),
+                                            t(np.zeros(2))),
+        "attention": lambda: ad.attention_core(t(np.full((2, 6), 1e200)),
+                                               pack_sequences(all_valid(1, 2)), 1),
+        "pooling": lambda: ad.segment_mean(t(np.full((2, 2), 1e308)),
+                                           pack_sequences(all_valid(1, 2))),
+        "cross_entropy": lambda: ad.cross_entropy_with_logits(t([[np.inf, 0.0]]), [0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIRECT_CALLS))
+    def test_autodiff_op_names_itself(self, case):
+        op = case.split()[0]
+        with pytest.raises(NumericalError, match=f"^{op} produced"):
+            self.DIRECT_CALLS[case]()
 
 
 class TestPooling:

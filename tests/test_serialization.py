@@ -15,7 +15,7 @@ from bbekit.checkpoint import load_checkpoint, save_checkpoint
 from bbekit.errors import BbekitError, FormatError, InputError
 from bbekit.expansion import ExpansionSpec, expand
 from bbekit.featfile import read_features, write_features
-from bbekit.model import ConvLayerSpec, EncoderConfig, EncoderModel
+from bbekit.model import BlockInfo, ConvLayerSpec, EncoderConfig, EncoderModel
 from bbekit.params import ParameterStore
 
 
@@ -374,6 +374,21 @@ def conv_x2_checkpoint(path):
     return model
 
 
+def rename_block(model: EncoderModel, old: str, new: str) -> EncoderModel:
+    """``model`` with block ``old`` renamed ``new`` in its block index (ids
+    and sources) and in its parameter names, as a file edited by hand in
+    both places would hold it."""
+    store = ParameterStore()
+    for name, entry in model.store.items():
+        if name.startswith(f"block.{old}."):
+            name = f"block.{new}." + name[len(f"block.{old}."):]
+        store.add(name, entry.tensor.data, frozen=entry.frozen, m=entry.m, v=entry.v,
+                  step=entry.step)
+    index = [BlockInfo(new if b.block_id == old else b.block_id, b.origin,
+                       new if b.source == old else b.source) for b in model.block_index]
+    return EncoderModel(model.config, store, index, model.rng_state)
+
+
 def parameter_offsets(data: bytes) -> list[int]:
     """Offsets of each parameter's name length, name, ndim, dims, frozen
     flag and step fields, and of the trailing RNG state."""
@@ -467,6 +482,14 @@ class TestCorruptCheckpoints:
                 bad.write_bytes(data)
                 rewrite_header(bad, replace)
                 load_or_bbekit_error(bad, probe)
+        # a block id renamed consistently in the header and the parameter
+        # names, to one a name's dots cannot carry
+        model = load_checkpoint(good)
+        for block_id in model.block_ids():
+            for renamed in (f"{block_id}.x", f".{block_id}", "."):
+                save_checkpoint(bad, rename_block(model, block_id, renamed))
+                with pytest.raises(FormatError, match="without a '.'"):
+                    load_checkpoint(bad)
 
     def test_originals_with_unequal_copy_counts_rejected(self, tmp_path, tiny_model):
         # copy 1x1 claims block 0 as its source: block 0 has two copies, block 1 none

@@ -445,7 +445,7 @@ class TestRecordedBlocks:
         # records has its 16 parameters under one flag, and x or the
         # parameters need a gradient
         recorded = []
-        encoder_block = ad.encoder_block
+        encoder_block = F.encoder_block_forward
 
         def spy(x, p, heads, packing):
             out = encoder_block(x, p, heads, packing)
@@ -453,7 +453,7 @@ class TestRecordedBlocks:
                 recorded.append((x.requires_grad, {p[n].requires_grad for n in BLOCK_PARAMS}))
             return out
 
-        monkeypatch.setattr(ad, "encoder_block", spy)
+        monkeypatch.setattr(F, "encoder_block_forward", spy)
         manifests = [make_corpus("a"), make_corpus("b", seed=41)]
         model, _ = train_multi(tiny_model.clone(), manifests, quick_cfg(n_steps=4))
         counts = {"stage 1": len(recorded)}
@@ -837,6 +837,19 @@ class TestHeadOnlyCache:
             train_multi(model, [target], quick_cfg(n_steps=4))
         assert (exc.value.step, exc.value.corpus_id, exc.value.exit_code) == (0, "t0", 5)
         assert ("embedding the train split" in str(exc.value)) == stub_eval
+
+    @pytest.mark.parametrize("spec", [None, ExpansionSpec(2, "head-only")])
+    def test_frame_cap_below_the_receptive_field_is_config_error(self, make_corpus,
+                                                                  monkeypatch, spec):
+        # a 2-frame cap crops every sample below the 3-frame receptive field
+        def no_eval(*args):
+            raise AssertionError("evaluated before the frame cap was checked")
+
+        monkeypatch.setattr(trainer_mod, "evaluate", no_eval)
+        with pytest.raises(ConfigError, match="frame_cap 2 .* receptive field of 3"):
+            train_transfer(conv_model(), conv_corpus(make_corpus),
+                           quick_cfg(stage="single_corpus", n_steps=4, frame_cap=2,
+                                     expansion=spec))
 
     @pytest.mark.parametrize("spec", [None, ExpansionSpec(2, "head-only")])
     def test_short_train_sample_fails_at_the_fill(self, make_corpus, monkeypatch, spec):
