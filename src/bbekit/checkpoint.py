@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, open_input, parse_json, read_exact
-from .model import BlockInfo, EncoderConfig, EncoderModel, param_layout
+from .model import BlockInfo, EncoderConfig, EncoderModel, cast_setting, param_layout
 from .params import ParameterStore
 
 MAGIC = b"BBEX"
@@ -83,11 +83,11 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             config = EncoderConfig.from_dict(
                 {k: v for k, v in dict(header["config"]).items() if k not in OLD_CONFIG_KEYS})
             block_index = [BlockInfo.from_dict(b) for b in header["block_index"]]
-            n_params = int(header["n_params"])
+            n_params = cast_setting(header["n_params"], int, "n_params")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: incomplete header ({exc})") from exc
         except ConfigError as exc:
-            raise FormatError(f"{path}: invalid model config in header ({exc})") from exc
+            raise FormatError(f"{path}: invalid header ({exc})") from exc
         _check_blocks(path, config, block_index)
         layout = param_layout(config, block_index)
         if n_params != len(layout):

@@ -7,6 +7,9 @@ Manifests are JSON-lines, one sample per line:
 A relative path in a manifest or a corpus set is read from the directory
 of the file that names it.  A null speaker is unknown: its id is the empty
 string, which split checks exempt.
+
+A ``CorpusIterator`` owns one split: its sample order, each sample's crop
+and class, and the draws; a ``Batch`` gathers them at its draws.
 """
 
 from __future__ import annotations
@@ -66,17 +69,14 @@ class CorpusManifest:
 
 @dataclass
 class Batch:
-    pad_mask: np.ndarray  # [B, T_max] bool, True on each crop's frames
-    samples: list[Sample]  # the drawn samples, row by row
+    """One step's draws, gathered from its ``CorpusIterator``."""
+    pad_mask: np.ndarray  # [B, T_max] bool, True on each draw's crop's frames
     index: np.ndarray  # the draws, row by row, as indices into the iterator's samples
-
-    @property
-    def labels(self) -> list[int]:
-        return [s.mapped_class for s in self.samples]
+    labels: np.ndarray  # [B] int64, each draw's class
 
     @property
     def size(self) -> int:
-        return len(self.samples)
+        return len(self.index)
 
 
 def validate_split_disjointness(manifest: CorpusManifest) -> None:
@@ -163,34 +163,27 @@ def write_manifest(path: str | Path, manifest: CorpusManifest) -> None:
 # -- split generation --------------------------------------------------------
 
 def make_splits(manifest: CorpusManifest, frac_test: float = 0.10,
-                frac_val: float = 0.10, seed: int = 0,
-                mode: str = "auto") -> CorpusManifest:
-    """Assign train/val/test splits, speaker-level when speakers are known.
+                frac_val: float = 0.10, seed: int = 0) -> CorpusManifest:
+    """Assign train/val/test splits: by speaker when every sample has a
+    speaker id, else by sample.
 
-    Speaker mode greedily fills test then val with whole speakers until each
-    reaches its target sample fraction; the remainder trains.  Sample mode
-    splits indices at the fractions directly.
+    By speaker, whole speakers greedily fill test then val until each
+    reaches its target sample fraction; the remainder trains.  By sample,
+    the indices split at the fractions directly.
     """
     if not (0 < frac_test < 1 and 0 < frac_val < 1 and frac_test + frac_val < 1):
         raise ConfigError(f"invalid split fractions test={frac_test} val={frac_val}")
-    if mode not in ("auto", "speaker", "sample"):
-        raise ConfigError(f"unknown split mode {mode!r}")
     if not manifest.samples:
         raise SplitError(f"{manifest.corpus_id}: cannot split an empty corpus")
-    if mode == "auto":
-        mode = "speaker" if all(s.speaker_id for s in manifest.samples) else "sample"
 
     rng = generator(seed)
     n = len(manifest.samples)
-    if mode == "speaker":
+    if all(s.speaker_id for s in manifest.samples):
         by_speaker: dict[str, list[int]] = {}
         for i, s in enumerate(manifest.samples):
-            if not s.speaker_id:
-                raise SplitError(f"{manifest.corpus_id}: speaker mode needs a "
-                                 "speaker id on every sample")
             by_speaker.setdefault(s.speaker_id, []).append(i)
         if len(by_speaker) < 3:
-            raise SplitError(f"{manifest.corpus_id}: speaker mode needs >= 3 "
+            raise SplitError(f"{manifest.corpus_id}: a speaker split needs >= 3 "
                              f"speakers, found {len(by_speaker)}")
         order = sorted(by_speaker)
         rng.shuffle(order)
@@ -206,7 +199,7 @@ def make_splits(manifest: CorpusManifest, frac_test: float = 0.10,
                 val_n += size
             else:
                 assignment[spk] = "train"
-        for i, s in enumerate(manifest.samples):
+        for s in manifest.samples:
             s.split = assignment[s.speaker_id]
     else:
         n_test = max(1, round(frac_test * n))
@@ -243,7 +236,10 @@ def round_robin_schedule(corpus_ids: list[str], n_steps: int) -> list[str]:
 
 
 class CorpusIterator:
-    """Cycles one split of one corpus in epochs, reshuffling each epoch.
+    """One split of one corpus: its ``samples`` in split order, each one's
+    crop length (``lengths``: its frame count cut at ``frame_cap``) and
+    class (``labels``, int64), and a stream of draws that cycles the split
+    in epochs, reshuffling each epoch.
 
     The order within epoch e is a permutation seeded by (seed, e), so the
     stream is a pure function of (manifest, split, seed) and every sample
@@ -253,24 +249,33 @@ class CorpusIterator:
     constructor draws every epoch those takes cover, back to back, so a take
     within the plan only slices the stream and builds no generator.  A take
     past the plan draws further epochs when it reaches them.  The stream
-    holds each draw as an int32 index into the split: 4 bytes a draw.
+    holds each draw as an int32 index into ``samples``: 4 bytes a draw.
 
-    The constructor also reads each sample's frame count, once, through
+    The constructor reads each sample's frame count, once, through
     ``CorpusManifest.features``, so that ``next_batch`` reads no features.
     """
 
     def __init__(self, manifest: CorpusManifest, split: str = "train", seed: int = 0,
-                 planned: int = 0):
+                 planned: int = 0, frame_cap: int | None = None):
+        if frame_cap is not None and frame_cap < 1:
+            raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
+        self.manifest = manifest
         self.samples = manifest.split_samples(split)
         if not self.samples:
             raise InputError(f"{manifest.corpus_id}: no samples in split {split!r}")
-        self.frame_counts = np.array([manifest.features(s).shape[0] for s in self.samples])
+        counts = np.array([manifest.features(s).shape[0] for s in self.samples])
+        self.lengths = counts if frame_cap is None else np.minimum(counts, frame_cap)
+        self.labels = np.array([s.mapped_class for s in self.samples], dtype=np.int64)
         self.seed = seed
         # drawn indices into ``samples``; those before the cursor are taken
         self._stream = np.empty(0, dtype=np.int32)
         self._cursor = 0
         self._epochs = 0  # epochs drawn so far
         self._draw(planned)
+
+    def crops(self) -> list[np.ndarray]:
+        """Each sample's first ``lengths[i]`` frames, in ``samples``' order."""
+        return [self.manifest.features(s)[:n] for s, n in zip(self.samples, self.lengths)]
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
         rng = np.random.default_rng(derive_seed(self.seed, epoch))
@@ -289,10 +294,7 @@ class CorpusIterator:
             self._epochs += 1
         self._stream, self._cursor = stream, 0
 
-    def take(self, n: int) -> list[Sample]:
-        return [self.samples[i] for i in self._take(n).tolist()]
-
-    def _take(self, n: int) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
         """The next ``n`` draws, as indices into ``samples``."""
         if n < 1:
             raise ConfigError(f"cannot take {n} samples")
@@ -303,21 +305,13 @@ class CorpusIterator:
         return drawn
 
 
-def next_batch(iterator: CorpusIterator, batch_size: int,
-               frame_cap: int | None = None) -> Batch:
-    """The next ``batch_size`` draws of the stream, with the
-    True-on-real-frames mask of their ``[:frame_cap]`` crops, built from
-    the iterator's frame counts: no feature is read.  No re-weighting or
+def next_batch(iterator: CorpusIterator, batch_size: int) -> Batch:
+    """The next ``batch_size`` draws of the stream, with their labels and
+    the True-on-real-frames mask of their crops, gathered from the
+    iterator's lengths and labels: no feature is read.  No re-weighting or
     re-balancing: samples arrive exactly as the epoch stream yields them."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if frame_cap is not None and frame_cap < 1:
-        raise ConfigError(f"frame_cap must be >= 1, got {frame_cap}")
-    drawn = iterator._take(batch_size)
-    lengths = iterator.frame_counts[drawn]
-    if frame_cap is not None:
-        lengths = np.minimum(lengths, frame_cap)
-    return Batch(length_mask(lengths), [iterator.samples[i] for i in drawn.tolist()], drawn)
+    drawn = iterator.take(batch_size)
+    return Batch(length_mask(iterator.lengths[drawn]), drawn, iterator.labels[drawn])
 
 
 def length_mask(lengths) -> np.ndarray:
@@ -439,7 +433,7 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir: str | Path) -> Path:
         write_features(sample.feature_path, frames)
         samples.append(sample)
     manifest = CorpusManifest(corpus_id=spec.corpus_id, samples=samples)
-    make_splits(manifest, spec.frac_test, spec.frac_val, seed=spec.seed, mode="speaker")
+    make_splits(manifest, spec.frac_test, spec.frac_val, seed=spec.seed)
     manifest_path = out_dir / f"{spec.corpus_id}.jsonl"
     write_manifest(manifest_path, manifest)
     return manifest_path

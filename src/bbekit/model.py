@@ -96,12 +96,28 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         cfg = dataclass_from(cls, d)
-        try:
-            cfg.conv_layers = [ConvLayerSpec(*map(int, c)) for c in cfg.conv_layers]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"conv_layers: {exc}") from exc
+        layers = cfg.conv_layers
+        if not (isinstance(layers, list)
+                and all(isinstance(c, list) and len(c) == 3 for c in layers)):
+            raise ConfigError(f"conv_layers: expected [channels, kernel, stride] lists, "
+                              f"got {layers!r}")
+        cfg.conv_layers = [ConvLayerSpec(*(cast_setting(v, int, "conv_layers") for v in c))
+                           for c in layers]
         cfg.validate()
         return cfg
+
+
+def cast_setting(value, kind: type, key: str):
+    """``value``, a JSON number, cast to ``kind``, int or float.  Any other
+    value, or a number with a fractional part for an int, is a
+    ``ConfigError`` naming ``key``, not a cast or a truncation."""
+    if type(value) not in (int, float) or (kind is int and isinstance(value, float)
+                                           and not value.is_integer()):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an int past the float range
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def dataclass_from(cls, section: dict, **fixed):
@@ -109,10 +125,9 @@ def dataclass_from(cls, section: dict, **fixed):
 
     Each key names a field other than the ``fixed`` ones, whose values the
     caller sets; any other key is a ``ConfigError`` that names it.  A value
-    overrides the field's default and is cast to the default's type when
-    that is int or float (null only where the type admits None).  A bool,
-    or a number with a fractional part for an int field, is a
-    ``ConfigError`` rather than a truncation.
+    overrides the field's default and, when that is int or float, goes
+    through ``cast_setting`` to the default's type (null only where the
+    type admits None).
     """
     names = {f.name: f for f in fields(cls)}
     kwargs = dict(fixed)
@@ -125,13 +140,7 @@ def dataclass_from(cls, section: dict, **fixed):
         f = names[key]
         kind = type(f.default)
         if kind in (int, float) and not (value is None and "None" in str(f.type)):
-            if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                           and not value.is_integer()):
-                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-            try:
-                value = kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+            value = cast_setting(value, kind, key)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -178,12 +187,11 @@ def param_layout(config: EncoderConfig,
     return layout
 
 
-def conv_output_length(length: int, conv_layers: list[ConvLayerSpec]) -> int:
-    """Frame count after the strided conv stack; <= 0 means input too short."""
+def conv_output_length(length, conv_layers: list[ConvLayerSpec]):
+    """Frame count after the strided conv stack, of one length or of each
+    in an integer array; 0 where the input is too short."""
     for layer in conv_layers:
-        length = (length - layer.kernel) // layer.stride + 1
-        if length < 1:
-            return 0
+        length = np.maximum((length - layer.kernel) // layer.stride + 1, 0)
     return length
 
 
@@ -366,7 +374,7 @@ class EncoderModel:
         if not np.array_equal(pad_mask, np.arange(pad_mask.shape[1]) < lengths[:, None]):
             raise InputError("conv frontend requires suffix padding")
         layers = self.config.conv_layers
-        out_lengths = np.array([conv_output_length(int(n), layers) for n in lengths])
+        out_lengths = conv_output_length(lengths, layers)
         if out_lengths.min() < 1:
             raise InputError(f"input length {int(lengths[out_lengths.argmin()])} "
                              "below the conv receptive field")

@@ -129,18 +129,16 @@ def _cache_kind(model: EncoderModel) -> str:
     return "pooled" if all(name.startswith("head.") for name in trainable) else "rows"
 
 
-def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
-                      frame_cap: int | None,
+def _fill_train_cache(model: EncoderModel, iterators: dict[str, CorpusIterator],
                       kind: str) -> dict[str, np.ndarray | list[np.ndarray]]:
-    """Every train sample's ``[:frame_cap]`` crop through the fixed part
-    that ``kind`` names, from length-sorted no-grad batches of EVAL_CHUNK,
-    as one cache per corpus id in its train split's order, the order of
-    its ``CorpusIterator.samples``: for "pooled", one [n_train, d_model]
-    array of the pooled embeddings; for "rows", a list of each crop's
-    frontend rows, [n, d_model] (the crop's own frames under an identity
-    frontend).
+    """Each corpus iterator's crops through the fixed part that ``kind``
+    names, from length-sorted no-grad batches of EVAL_CHUNK, as one cache
+    per corpus id in its iterator's sample order, so that a batch's draws
+    index it: for "pooled", one [n_train, d_model] array of the pooled
+    embeddings; for "rows", a list of each crop's frontend rows,
+    [n, d_model] (the crop's own frames under an identity frontend).
 
-    The corpus iterator draws each train sample once per epoch, so when a
+    The iterator draws each train sample once per epoch, so when a
     corpus's steps times ``batch_size`` reach its split size (as at the
     CLI's default step counts) this runs only samples the loop would draw
     anyway, each once instead of once per draw.  A non-finite frame, or a
@@ -149,14 +147,12 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
     ``NumericalAbort`` at step 0 naming the corpus.
     """
     cache = {}
-    for manifest in manifests:
-        samples = manifest.split_samples("train")
-        values = (np.empty((len(samples), model.config.d_model)) if kind == "pooled"
-                  else [None] * len(samples))
+    for corpus_id, iterator in iterators.items():
+        n = len(iterator.samples)
+        values = np.empty((n, model.config.d_model)) if kind == "pooled" else [None] * n
         try:
             with ad.no_grad():
-                for chunk, features, pad_mask in _sorted_chunks(
-                        [manifest.features(s)[:frame_cap] for s in samples]):
+                for chunk, features, pad_mask in _sorted_chunks(iterator.crops()):
                     rows, mask = model.frontend_rows(features, pad_mask)
                     if kind == "pooled":
                         values[chunk] = model.encode_rows(rows, mask).data
@@ -166,8 +162,8 @@ def _fill_train_cache(model: EncoderModel, manifests: list[CorpusManifest],
                             values[i] = value
         except NumericalError as exc:
             raise NumericalAbort(f"embedding the train split failed: {exc}", step=0,
-                                 corpus_id=manifest.corpus_id, loss_tail=[]) from exc
-        cache[manifest.corpus_id] = values
+                                 corpus_id=corpus_id, loss_tail=[]) from exc
+        cache[corpus_id] = values
     return cache
 
 
@@ -224,7 +220,8 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
                           f"receptive field of {receptive_field} frames")
     # each iterator draws the epoch orders of all its steps now, so no step does
     iterators = {m.corpus_id: CorpusIterator(m, "train", derive_seed(cfg.seed, i),
-                                             planned=schedule.count(m.corpus_id) * cfg.batch_size)
+                                             planned=schedule.count(m.corpus_id) * cfg.batch_size,
+                                             frame_cap=cfg.frame_cap)
                  for i, m in enumerate(manifests)}
     log = TrainLog()
     _eval_all(model, manifests, 0, log)  # step 0 is the first best
@@ -233,10 +230,10 @@ def _train_loop(model: EncoderModel, manifests: list[CorpusManifest],
     # the frontend, and under head-only the whole encoder, is a fixed
     # function of the input, so each train sample runs through it once
     kind = _cache_kind(model)
-    cache = _fill_train_cache(model, manifests, cfg.frame_cap, kind)
+    cache = _fill_train_cache(model, iterators, kind)
 
     for step, corpus_id in enumerate(schedule, start=1):
-        batch = next_batch(iterators[corpus_id], cfg.batch_size, cfg.frame_cap)
+        batch = next_batch(iterators[corpus_id], cfg.batch_size)
         try:
             loss = _cached_loss(model, batch, cache[corpus_id], kind)
             value = loss.item()

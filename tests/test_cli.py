@@ -52,6 +52,15 @@ def synth(tmp_path, out="data", corpora=2):
     return tmp_path / out
 
 
+def respelled(layers, at, how):
+    """``layers`` with one entry spelled otherwise: with a fractional part
+    added, as a bool, as its digits, or nested in a list."""
+    layer = layers[at % len(layers)]
+    v = layer[at % 3]
+    layer[at % 3] = {"fraction": v + 0.9, "bool": v == 1, "string": str(v), "nested": [v]}[how]
+    return layers
+
+
 class TestLoadConfig:
     def test_file_plus_overrides(self, tmp_path):
         path = cfg_file(tmp_path, {"train": {"batch_size": 4}})
@@ -146,6 +155,52 @@ class TestLoadConfig:
                 assert repr(section if cls is None else key) in str(exc)
             return
         assert known and not owned
+
+    CONV_ENTRIES = (st.integers() | st.booleans() | st.floats() | st.text(max_size=3)
+                    | st.none() | st.lists(st.integers(1, 16), max_size=3))
+    # [channels, kernel, stride] layers that validate under CONV_MODEL: the
+    # last emits its 16 channels; some spelled as integral floats
+    VALID_LAYERS = st.lists(st.tuples(st.integers(1, 20), st.integers(1, 4), st.integers(1, 3)),
+                            min_size=1, max_size=3).map(
+        lambda ls: [list(c) for c in ls[:-1]] + [[16, *ls[-1][1:]]])
+    CONV_LAYERS = (VALID_LAYERS | VALID_LAYERS.map(lambda ls: [[float(v) for v in c] for c in ls])
+                   | st.builds(respelled, VALID_LAYERS, st.integers(0, 8),
+                               st.sampled_from(["fraction", "bool", "string", "nested"]))
+                   | st.lists(st.lists(CONV_ENTRIES, min_size=2, max_size=4), max_size=3)
+                   | st.recursive(CONV_ENTRIES, lambda inner: st.lists(inner, max_size=3),
+                                  max_leaves=8))
+    CONV_MODEL = {"frontend": "conv", "d_model": 16, "n_heads": 4}
+
+    @staticmethod
+    def integer_layers(value):
+        """The layers ``value`` spells as lists of three integers (ints, or
+        floats without a fractional part), or None."""
+        if not (isinstance(value, list)
+                and all(isinstance(c, list) and len(c) == 3 for c in value)):
+            return None
+        if not all(type(v) is int or (type(v) is float and v.is_integer())
+                   for c in value for v in c):
+            return None
+        return [ConvLayerSpec(*map(int, c)) for c in value]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(layers=CONV_LAYERS)
+    def test_any_conv_layers_value_builds_its_integers_or_is_config_error(self, layers):
+        # each int of a layer follows the rule of every int setting: a bool,
+        # a string or a fraction is refused, not truncated; a value that
+        # spells integers is refused only by the config's own checks; any
+        # other exception fails
+        spelled = self.integer_layers(layers)
+        try:
+            config = EncoderConfig.from_dict({**self.CONV_MODEL, "conv_layers": layers})
+        except ConfigError:
+            if spelled is not None:
+                with pytest.raises(ConfigError):
+                    EncoderConfig(**self.CONV_MODEL, conv_layers=spelled).validate()
+            return
+        assert config.conv_layers == spelled
+        assert all(type(v) is int for c in config.conv_layers
+                   for v in dataclasses.astuple(c))
 
     def test_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -533,6 +588,23 @@ class TestExitCodes:
         assert rc == 2
         key = setting.split("=")[0].split(".")[-1]
         assert key in capsys.readouterr().err
+
+    def test_fractional_conv_width_is_config_error(self, tmp_path, capsys):
+        # 16.9 channels are refused, not truncated to the 16 that train
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--corpora", "1",
+                     "--speakers", "3", "--samples-per-speaker", "1", "--dim", "8",
+                     "--frame-rate", "10.0", "--seed", "5"]) == 0
+        run = ["train", "--corpus-set", str(tmp_path / "d" / "corpus_set.json"),
+               "--steps", "2", "--set", "model.n_blocks=1", "--set", "model.d_model=16",
+               "--set", "model.frontend=conv", "--set", "model.conv_in_dim=8"]
+        capsys.readouterr()
+        assert main(run + ["--out", str(tmp_path / "bad"),
+                           "--set", "model.conv_layers=[[16.9,3,2]]"]) == 2
+        assert "conv_layers" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        assert main(run + ["--out", str(tmp_path / "good"),
+                           "--set", "model.conv_layers=[[16,3,2]]"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("setting", ["train.seed=5", "adamw.learing_rate=0.5",
                                          "model.extra=1", "tarin.batch_size=4"])

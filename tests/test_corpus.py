@@ -273,7 +273,7 @@ class TestMakeSplits:
             make_splits(unsplit_manifest(1, 2, speaker_ids=[""]), 0.3, 0.3)
 
     def test_auto_prefers_speaker_mode(self):
-        manifest = make_splits(unsplit_manifest(6, 4), 0.2, 0.2, seed=5, mode="auto")
+        manifest = make_splits(unsplit_manifest(6, 4), 0.2, 0.2, seed=5)
         splits_per_speaker = {}
         for s in manifest.samples:
             splits_per_speaker.setdefault(s.speaker_id, set()).add(s.split)
@@ -281,12 +281,8 @@ class TestMakeSplits:
 
     def test_auto_falls_back_to_sample_mode(self):
         manifest = unsplit_manifest(1, 20, speaker_ids=[""])
-        make_splits(manifest, 0.1, 0.1, seed=5, mode="auto")  # would fail in speaker mode
-
-    def test_speaker_mode_requires_ids(self):
-        manifest = unsplit_manifest(1, 20, speaker_ids=[""])
-        with pytest.raises(SplitError):
-            make_splits(manifest, 0.1, 0.1, mode="speaker")
+        make_splits(manifest, 0.1, 0.1, seed=5)  # one speaker: too few to split by
+        assert sorted({s.split for s in manifest.samples}) == ["test", "train", "val"]
 
     def test_deterministic_in_seed(self):
         a = make_splits(unsplit_manifest(10, 4), 0.2, 0.2, seed=9)
@@ -297,10 +293,6 @@ class TestMakeSplits:
     def test_bad_fractions(self, fracs):
         with pytest.raises(ConfigError):
             make_splits(unsplit_manifest(5, 4), *fracs)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            make_splits(unsplit_manifest(5, 4), mode="stratified")
 
     def test_empty_corpus(self):
         with pytest.raises(SplitError):
@@ -340,15 +332,15 @@ class TestIterator:
         manifest = make_corpus("c0")
         train = manifest.split_samples("train")
         it = CorpusIterator(manifest, "train", seed=5)
-        seen = [s.feature_path for s in it.take(len(train))]
-        assert sorted(seen) == sorted(s.feature_path for s in train)
+        assert it.samples == train
+        assert sorted(it.take(len(train)).tolist()) == list(range(len(train)))
 
     def test_epochs_reshuffle(self, make_corpus):
         manifest = make_corpus("c0")
         n = len(manifest.split_samples("train"))
         it = CorpusIterator(manifest, "train", seed=5)
-        first = [s.feature_path for s in it.take(n)]
-        second = [s.feature_path for s in it.take(n)]
+        first = it.take(n).tolist()
+        second = it.take(n).tolist()
         assert sorted(first) == sorted(second)
         assert first != second  # vanishingly unlikely to collide
 
@@ -356,9 +348,28 @@ class TestIterator:
         manifest = make_corpus("c0")
         a = CorpusIterator(manifest, "train", seed=5).take(12)
         b = CorpusIterator(manifest, "train", seed=5).take(12)
-        assert [s.feature_path for s in a] == [s.feature_path for s in b]
+        assert np.array_equal(a, b)
         c = CorpusIterator(manifest, "train", seed=6).take(12)
-        assert [s.feature_path for s in a] != [s.feature_path for s in c]
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("frame_cap", [None, 1, 12, 10_000])
+    def test_lengths_labels_and_crops_are_those_of_the_split(self, make_corpus, frame_cap):
+        # one entry per train sample, in split order: its frames cut at the
+        # cap, their count, and its class as int64
+        manifest = make_corpus("c0")
+        train = manifest.split_samples("train")
+        it = CorpusIterator(manifest, "train", seed=5, frame_cap=frame_cap)
+        frames = [manifest.features(s)[:frame_cap] for s in train]
+        assert it.lengths.tolist() == [len(f) for f in frames]
+        assert it.labels.dtype == np.int64
+        assert it.labels.tolist() == [s.mapped_class for s in train]
+        assert len(it.crops()) == len(frames)
+        assert all(np.array_equal(a, b) for a, b in zip(it.crops(), frames))
+
+    @pytest.mark.parametrize("frame_cap", [0, -3])
+    def test_frame_cap_below_one_is_config_error(self, make_corpus, frame_cap):
+        with pytest.raises(ConfigError, match="frame_cap"):
+            CorpusIterator(make_corpus("c0"), "train", seed=5, frame_cap=frame_cap)
 
     def test_take_validates(self, make_corpus):
         it = CorpusIterator(make_corpus("c0"), "train", seed=5)
@@ -416,9 +427,9 @@ class TestPlannedStream:
         for steps in (12, n_train):
             for planned_steps in (steps, steps // 2, 0):
                 it = CorpusIterator(manifest, "train", seed=9, planned=planned_steps * batch)
-                ref = EpochLoopIterator(manifest.samples, seed=9)
+                ref = EpochLoopIterator(range(n_train), seed=9)
                 for _ in range(steps):
-                    assert it.take(batch) == ref.take(batch)
+                    assert it.take(batch).tolist() == ref.take(batch)
 
     def test_stream_holds_int32_indices(self):
         # 4 bytes per planned draw: 64 MiB at the plan bound of 2**24 draws
@@ -438,9 +449,9 @@ class TestPlannedStream:
         assert drawn == []
 
 
-def crops(manifest, batch, frame_cap=None):
+def crops(iterator, batch, frame_cap=None):
     """The ``[:frame_cap]`` crops of a batch's samples, row by row."""
-    return [manifest.features(s)[:frame_cap] for s in batch.samples]
+    return [iterator.manifest.features(iterator.samples[i])[:frame_cap] for i in batch.index]
 
 
 class TestNextBatch:
@@ -453,8 +464,9 @@ class TestNextBatch:
 
     def test_padding_and_mask(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [3, 5])
-        batch = next_batch(CorpusIterator(manifest, "train", seed=1), batch_size=2)
-        features, _ = pad_frames(crops(manifest, batch))
+        it = CorpusIterator(manifest, "train", seed=1)
+        batch = next_batch(it, batch_size=2)
+        features, _ = pad_frames(crops(it, batch))
         assert features.shape == (2, 5, 3)
         assert batch.pad_mask.shape == (2, 5)
         for i in range(2):
@@ -466,8 +478,8 @@ class TestNextBatch:
 
     def test_frame_cap_truncates(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [8, 6])
-        batch = next_batch(CorpusIterator(manifest, "train", seed=1),
-                           batch_size=2, frame_cap=4)
+        batch = next_batch(CorpusIterator(manifest, "train", seed=1, frame_cap=4),
+                           batch_size=2)
         assert batch.pad_mask.shape == (2, 4)
         assert batch.pad_mask.all()
 
@@ -475,43 +487,44 @@ class TestNextBatch:
         manifest = self.make_varlen(tmp_path, [2, 2])
         it = CorpusIterator(manifest, "train", seed=1)
         batch = next_batch(it, batch_size=2)
-        fills = sorted(pad_frames(crops(manifest, batch))[0][:, 0, 0].tolist())
+        fills = sorted(pad_frames(crops(it, batch))[0][:, 0, 0].tolist())
         assert fills == [1.0, 2.0]
-        assert batch.labels == [3, 3]
+        assert batch.labels.dtype == np.int64 and batch.labels.tolist() == [3, 3]
 
     def test_batch_carries_its_samples_row_by_row(self, tmp_path):
         manifest = self.make_varlen(tmp_path, [3, 5, 2, 6])
-        batch = next_batch(CorpusIterator(manifest, "train", seed=4), batch_size=4,
-                           frame_cap=4)
-        assert len(batch.samples) == 4
-        features, _ = pad_frames(crops(manifest, batch, 4))
-        for frames, mask, sample in zip(features, batch.pad_mask, batch.samples):
-            assert np.array_equal(frames[mask], manifest.features(sample)[:4])
+        it = CorpusIterator(manifest, "train", seed=4, frame_cap=4)
+        batch = next_batch(it, batch_size=4)
+        assert batch.size == len(batch.index) == 4
+        features, _ = pad_frames(crops(it, batch, 4))
+        for frames, mask, i in zip(features, batch.pad_mask, batch.index, strict=True):
+            assert np.array_equal(frames[mask], manifest.features(it.samples[i])[:4])
 
     def test_features_and_mask_are_pad_frames_of_the_arrays(self, make_corpus):
         manifest = make_corpus("c0")
-        batch = next_batch(CorpusIterator(manifest, "train", seed=3), batch_size=5,
-                           frame_cap=7)
+        it = CorpusIterator(manifest, "train", seed=3, frame_cap=7)
+        batch = next_batch(it, batch_size=5)
         assert batch.size == 5
-        assert np.array_equal(batch.pad_mask, pad_frames(crops(manifest, batch, 7))[1])
+        assert np.array_equal(batch.pad_mask, pad_frames(crops(it, batch, 7))[1])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 40),
            frame_cap=st.one_of(st.none(), st.integers(1, 60)))
     def test_mask_is_that_of_the_crops_over_random_draws(self, tmp_path_factory, seed,
                                                          batch_size, frame_cap):
-        # the iterator's frame counts, capped, give pad_frames' mask of the
-        # crops, whatever the draw, and the batch's index names its samples;
-        # the corpus's frame counts run 5-50
+        # the iterator's lengths give pad_frames' mask of the crops, whatever
+        # the draw, and its labels are the classes of the samples the
+        # batch's index names; the corpus's frame counts run 5-50
         manifest = self.varied_corpus(tmp_path_factory)
-        it = CorpusIterator(manifest, "train", seed=seed)
+        it = CorpusIterator(manifest, "train", seed=seed, frame_cap=frame_cap)
         for _ in range(3):
-            batch = next_batch(it, batch_size, frame_cap)
-            mask = pad_frames(crops(manifest, batch, frame_cap))[1]
+            batch = next_batch(it, batch_size)
+            mask = pad_frames(crops(it, batch, frame_cap))[1]
             assert batch.pad_mask.dtype == mask.dtype
             assert np.array_equal(batch.pad_mask, mask)
             assert batch.size == batch_size
-            assert [it.samples[i] for i in batch.index] == batch.samples
+            assert batch.labels.dtype == np.int64
+            assert batch.labels.tolist() == [it.samples[i].mapped_class for i in batch.index]
 
     @staticmethod
     def varied_corpus(tmp_path_factory):
@@ -528,11 +541,13 @@ class TestNextBatch:
         features = CorpusManifest.features
         monkeypatch.setattr(CorpusManifest, "features",
                             lambda self, s: calls.append(s) or features(self, s))
-        it = CorpusIterator(manifest, "train", seed=3)
-        assert len(calls) == len(manifest.split_samples("train"))
-        calls.clear()
+        iterators = []
         for cap in (None, 7, 3):
-            next_batch(it, 5, cap)
+            iterators.append(CorpusIterator(manifest, "train", seed=3, frame_cap=cap))
+            assert len(calls) == len(manifest.split_samples("train"))
+            calls.clear()
+        for it in iterators:
+            next_batch(it, 5)
         assert calls == []
 
     def test_no_duplicates_within_epoch(self, make_corpus):
@@ -541,15 +556,13 @@ class TestNextBatch:
         it = CorpusIterator(manifest, "train", seed=2)
         seen = []
         while len(seen) < n:
-            seen.extend(s.feature_path for s in it.take(1))
+            seen.extend(it.take(1).tolist())
         assert len(set(seen)) == n
 
     def test_bad_sizes(self, make_corpus):
         it = CorpusIterator(make_corpus("c0"), "train", seed=1)
         with pytest.raises(ConfigError):
             next_batch(it, batch_size=0)
-        with pytest.raises(ConfigError):
-            next_batch(it, batch_size=2, frame_cap=0)
 
     def test_width_mismatch_is_reported_at_read(self, tmp_path):
         # the file that differs is named with both widths when it is read,

@@ -334,6 +334,26 @@ class TestConvFrontend:
         assert conv_output_length(shortest, layers) == 1
         assert conv_output_length(shortest - 1, layers) == 0
 
+    @pytest.mark.parametrize("layers", [
+        [ConvLayerSpec(4, 2, 2), ConvLayerSpec(8, 2, 2)],
+        [ConvLayerSpec(8, 5, 1), ConvLayerSpec(8, 3, 3), ConvLayerSpec(8, 4, 2)],
+        [ConvLayerSpec(8, 1, 1)],
+    ])
+    def test_output_length_of_an_array_is_the_loop_over_its_lengths(self, layers):
+        # the reference is the per-length loop, 0 from the first layer
+        # that leaves no frame
+        def loop(n):
+            for layer in layers:
+                n = (n - layer.kernel) // layer.stride + 1
+                if n < 1:
+                    return 0
+            return n
+
+        lengths = np.arange(0, 80)
+        out = conv_output_length(lengths, layers)
+        assert out.shape == lengths.shape
+        assert out.tolist() == [loop(int(n)) for n in lengths]
+
     def test_identity_min_input_length(self, tiny_config):
         assert tiny_config.min_input_length == 1
 

@@ -482,6 +482,15 @@ class TestCorruptCheckpoints:
                 bad.write_bytes(data)
                 rewrite_header(bad, replace)
                 load_or_bbekit_error(bad, probe)
+        # a fractional conv width, or one that truncates to the model's own,
+        # and a fractional parameter count are refused, not truncated
+        for edit in (lambda h: h["config"].update(conv_layers=[[16.5, 3, 2]]),
+                     lambda h: h["config"].update(conv_layers=[[4.5, 2, 2]]),
+                     lambda h: h.update(n_params=h["n_params"] + 0.5)):
+            bad.write_bytes(data)
+            rewrite_header(bad, edit)
+            with pytest.raises(FormatError):
+                load_checkpoint(bad)
         # a block id renamed consistently in the header and the parameter
         # names, to one a name's dots cannot carry
         model = load_checkpoint(good)

@@ -128,27 +128,29 @@ def tape_nodes(loss) -> int:
     return len(seen)
 
 
-def step_loss(model, manifest, batch, frame_cap):
-    """The training step's loss on ``batch``, from a fill of ``manifest``'s
-    train split at ``frame_cap``."""
+def step_loss(model, iterator, batch):
+    """The training step's loss on ``batch``, from a fill of ``iterator``'s
+    split."""
     kind = _cache_kind(model)
-    cache = _fill_train_cache(model, [manifest], frame_cap, kind)
-    return _cached_loss(model, batch, cache[manifest.corpus_id], kind)
+    cache = _fill_train_cache(model, {"c": iterator}, kind)
+    return _cached_loss(model, batch, cache["c"], kind)
 
 
-def padded_loss(model, manifest, batch, frame_cap):
+def padded_loss(model, iterator, batch, frame_cap):
     """The oracle for a training step: the loss of ``forward`` on the
-    batch's padded ``[:frame_cap]`` crops, run per batch on the tape."""
-    crops = [manifest.features(s)[:frame_cap] for s in batch.samples]
-    return F.softmax_cross_entropy(model.forward(*pad_frames(crops)), batch.labels)
+    padded ``[:frame_cap]`` crops of the samples the batch draws, against
+    their classes, run per batch on the tape."""
+    samples = [iterator.samples[i] for i in batch.index]
+    crops = [iterator.manifest.features(s)[:frame_cap] for s in samples]
+    return F.softmax_cross_entropy(model.forward(*pad_frames(crops)),
+                                   [s.mapped_class for s in samples])
 
 
 class TestBatchLoss:
     def test_one_tape_whatever_the_batch_size(self, tiny_model, make_corpus):
-        manifest = make_corpus("c0")
-        counts = [tape_nodes(step_loss(tiny_model, manifest, next_batch(
-            CorpusIterator(manifest, "train", seed=1), size, frame_cap=20), 20))
-            for size in (1, 8)]
+        it = CorpusIterator(make_corpus("c0"), "train", seed=1, frame_cap=20)
+        counts = [tape_nodes(step_loss(tiny_model, it, next_batch(it, size)))
+                  for size in (1, 8)]
         assert counts[0] == counts[1]
 
     def test_c07_tape_size(self, make_corpus):
@@ -158,20 +160,21 @@ class TestBatchLoss:
         # reports this count as autodiff.tape_nodes_per_step on stage1-rr
         model = EncoderModel.build(EncoderConfig(n_blocks=4, d_model=16, n_heads=2, d_ffn=32),
                                    seed=0)
-        manifest = make_corpus("c0")
-        batch = next_batch(CorpusIterator(manifest, "train", seed=1), 8, frame_cap=50)
+        it = CorpusIterator(make_corpus("c0"), "train", seed=1, frame_cap=50)
+        batch = next_batch(it, 8)
         assert batch.size == 8
-        assert tape_nodes(step_loss(model, manifest, batch, 50)) == 4 * 1 + 1 + 1 + 1 + 66
+        assert tape_nodes(step_loss(model, it, batch)) == 4 * 1 + 1 + 1 + 1 + 66
 
     def test_equals_mean_of_single_sample_losses(self, tiny_model, make_corpus):
         manifest = make_corpus("c0")
-        batch = next_batch(CorpusIterator(manifest, "train", seed=1), 5)
+        it = CorpusIterator(manifest, "train", seed=1)
+        batch = next_batch(it, 5)
         singles = []
-        for frames, label in zip(map(manifest.features, batch.samples), batch.labels):
-            logits = tiny_model.logits(frames)
+        for sample in (it.samples[i] for i in batch.index):
+            logits = tiny_model.logits(manifest.features(sample))
             singles.append(np.log(np.exp(logits - logits.max()).sum())
-                           - (logits[label] - logits.max()))
-        assert step_loss(tiny_model, manifest, batch, None).item() == pytest.approx(
+                           - (logits[sample.mapped_class] - logits.max()))
+        assert step_loss(tiny_model, it, batch).item() == pytest.approx(
             np.mean(singles), rel=1e-12)
 
 
@@ -648,12 +651,11 @@ class TestHeadOnlyCache:
                                          replace(cfg, stage="single_corpus", expansion=spec))
             reference = expand(model, spec)
 
-        iterator = CorpusIterator(target, "train", derive_seed(cfg.seed, 0))
+        iterator = CorpusIterator(target, "train", derive_seed(cfg.seed, 0), frame_cap=cap)
         expected = TrainLog()
         expected.add_val(0, "t0", evaluate(reference, target, "val")["uar"])
         for step in range(1, cfg.n_steps + 1):
-            loss = padded_loss(reference, target, next_batch(iterator, cfg.batch_size, cap),
-                               cap)
+            loss = padded_loss(reference, iterator, next_batch(iterator, cfg.batch_size), cap)
             expected.add_loss(step, "t0", loss.item())
             loss.backward()
             adamw_step(reference.store, cfg.adamw)
@@ -681,7 +683,8 @@ class TestHeadOnlyCache:
         # stack's bits
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
         model = expand(model, spec)
-        values = _fill_train_cache(model, [target], cap, "pooled")[target.corpus_id]
+        iterator = CorpusIterator(target, "train", seed=5, frame_cap=cap)
+        values = _fill_train_cache(model, {"t0": iterator}, "pooled")["t0"]
         samples = target.split_samples("train")
         assert isinstance(values, np.ndarray)
         assert values.shape == (len(samples), model.config.d_model)
@@ -692,13 +695,13 @@ class TestHeadOnlyCache:
                 pooled = model.encode_rows(*model.frontend_rows(features, mask)).data
                 for i, v in zip(chunk, pooled):
                     vectors[i] = v
-        iterator = CorpusIterator(target, "train", seed=5)
         assert iterator.samples == samples
         for size in (1, 4, 16, 16):
-            batch = next_batch(iterator, size, cap)
+            batch = next_batch(iterator, size)
             stacked = np.stack([vectors[i] for i in batch.index])
             assert np.array_equal(values[batch.index], stacked)
-            expected = F.softmax_cross_entropy(model.head(ad.Tensor(stacked)), batch.labels)
+            expected = F.softmax_cross_entropy(model.head(ad.Tensor(stacked)),
+                                               [samples[i].mapped_class for i in batch.index])
             loss = _cached_loss(model, batch, values, "pooled")
             assert loss.item() == expected.item()
 
@@ -758,8 +761,9 @@ class TestHeadOnlyCache:
         model, target, cap, spec = cache_case(kind, tiny_model, make_corpus)
         # the oracle's tape, on which the frontend records no node: under
         # head-only the head linear, the loss and two leaves
-        full = tape_nodes(padded_loss(expand(model, spec) if spec else model, target, next_batch(
-            CorpusIterator(target, "train", seed=1), 4, frame_cap=cap), cap))
+        it = CorpusIterator(target, "train", seed=1, frame_cap=cap)
+        full = tape_nodes(padded_loss(expand(model, spec) if spec else model, it,
+                                      next_batch(it, 4), cap))
         assert (full == 4) == (kind in ("identity", "conv"))
         record = spy_model(monkeypatch)
         sizes = tape_spy(monkeypatch)
